@@ -24,7 +24,7 @@ from .errors import (
     TheoremViolationError,
     ZipconeError,
 )
-from .fpoly import RationalFunction
+from .fpoly import RationalFunction, is_prime
 from .modules import build_module, intersection_dimension, invariants_finite_group, subspace_leq0
 from .rootdata import SymplecticRootDatum
 from .sections import catalog_section, gamma_matrix, h0_dimension
@@ -345,8 +345,10 @@ def main(argv=None):
     argv = _merge_negative_values(list(argv))
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "p", None) is not None and not _is_prime(args.p):
+        if getattr(args, "p", None) is not None and not is_prime(args.p):
             raise _UsageError("p must be prime")
+        if getattr(args, "n", None) is not None and args.n < 1:
+            raise _UsageError("n must be at least 1")
         args.fn(args)
         return 0
     except _UsageError as e:
@@ -361,17 +363,6 @@ def main(argv=None):
     except ZipconeError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 if __name__ == "__main__":

@@ -2,11 +2,33 @@
 
 Variables are tuples: ``('a', i, j)`` are the entries of the generic n x n
 matrix (1-indexed), ``('b', i, j)`` entries of generic triangular group
-elements, ``('t',)`` the one-parameter deformation variable.  A monomial
-is a sorted tuple of (variable, exponent) pairs; terms map monomials to
-nonzero coefficients in 1..p-1.  The canonical term order is graded
-lexicographic with the variable order a_{1,1}, ..., a_{n,n}, then the
-auxiliaries.
+elements, ``('t',)`` the one-parameter deformation variable.  Terms map
+monomials to nonzero coefficients in 1..p-1.
+
+A monomial is one packed integer.  Every variable owns a field of
+``FIELD_BITS`` bits and keeps its exponent in the low ``FIELD_BITS - 1``
+of them; the top bit of every field is a guard bit, clear in every stored
+monomial, so exponents are at most ``EXPONENT_LIMIT``.  The field of a
+variable comes from a fixed injective map: ``t`` owns field 0 and the
+``a`` and ``b`` entries alternate after it along the square shells of
+(i, j), so small matrices use low fields whatever their size.  Decoding
+inverts the map.  A product of monomials is one integer addition: two
+exponents within the limit sum to less than ``2**FIELD_BITS``, so nothing
+carries into the next field, and a sum that reaches a guard bit raises
+``GuardExceededError`` naming the exponent and the limit.  The constant
+monomial is 0.
+
+Two orders are in use.  The kernel (``leading``, ``exact_divide``)
+compares packed monomials as integers, which is the lexicographic order
+on fields, most significant first: a monomial order, which is all exact
+division needs.  Output (``sorted_terms``, ``to_json_dict``, ``repr``) is
+graded lexicographic on the decoded monomials with the variable order
+a_{1,1}, ..., a_{n,n}, then the b entries, then t, so serialized bytes do
+not depend on the packing.
+
+``Substitution`` is the one substitution routine: it splits a monomial
+into the part in the mapped variables and the rest, adds the rest back
+unchanged and memoises the image of the mapped part by its packed value.
 
 The weight grading assigns ``a_{i,j}`` the character vector
 ``e_i - p*e_j`` of the diagonal torus acting by twisted conjugation
@@ -16,26 +38,126 @@ homogeneous polynomial.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from heapq import heapify, heappop, heappush
+from math import isqrt
+from operator import or_
 
 from .cones import Weight
+from .errors import GuardExceededError
 
-_KIND_RANK = {"a": 0, "b": 1, "t": 2, "x": 3}
+FIELD_BITS = 32
+EXPONENT_LIMIT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD = (1 << FIELD_BITS) - 1
+
+
+def _guard_mask(nbits):
+    """The guard bits of every field that a value of ``nbits`` bits
+    reaches: a repunit in base 2**FIELD_BITS, shifted to the top bit."""
+    fields = nbits // FIELD_BITS + 1
+    return ((1 << (FIELD_BITS * fields)) - 1) // _FIELD << (FIELD_BITS - 1)
+
+
+def is_prime(p):
+    if not isinstance(p, int) or p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def validate_n_p(n, p):
+    """Reject a matrix size below 1 and a non-prime characteristic."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("matrix size n must be an integer >= 1, got %r" % (n,))
+    if not is_prime(p):
+        raise ValueError("p must be a prime, got %r" % (p,))
+
+
+# -- variables and packed monomials ------------------------------------------
+
+_KIND_RANK = {"a": 0, "b": 1, "t": 2}
 
 
 def _var_key(var):
     return (_KIND_RANK[var[0]],) + tuple(var[1:])
 
 
-def _mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items(), key=lambda t: _var_key(t[0])))
+def _field(var):
+    """Field index of a variable: 0 for t, then a and b alternating along
+    the square shells of the 0-based (i, j)."""
+    if var == ("t",):
+        return 0
+    if (len(var) == 3 and var[0] in ("a", "b")
+            and all(isinstance(x, int) and x >= 1 for x in var[1:])):
+        i, j = var[1] - 1, var[2] - 1
+        cell = j * j + i if i < j else i * i + i + j
+        return 1 + 2 * cell + (var[0] == "b")
+    raise ValueError("unknown variable %r" % (var,))
+
+
+def _var_of(field):
+    """Inverse of ``_field``."""
+    if field == 0:
+        return ("t",)
+    cell, is_b = divmod(field - 1, 2)
+    s = isqrt(cell)
+    r = cell - s * s
+    i, j = (r, s) if r < s else (s, r - s)
+    return ("b" if is_b else "a", i + 1, j + 1)
+
+
+def _shift(var):
+    return FIELD_BITS * _field(var)
+
+
+def _pack(pairs):
+    m = 0
+    for var, e in pairs:
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("exponent of %r must be a nonnegative integer"
+                             % (var,))
+        if e > EXPONENT_LIMIT:
+            raise GuardExceededError(
+                "exponent %d of %r exceeds the packed-monomial limit %d"
+                % (e, var, EXPONENT_LIMIT))
+        m += e << _shift(var)
+    return m
+
+
+def _fields(m):
+    """(field index, exponent) of every variable present in m."""
+    out = []
+    f = 0
+    while m:
+        e = m & _FIELD
+        if e:
+            out.append((f, e))
+        m >>= FIELD_BITS
+        f += 1
+    return out
+
+
+def _decode(m):
+    """The monomial as a tuple of (variable, exponent), sorted by variable."""
+    return tuple(sorted(((_var_of(f), e) for f, e in _fields(m)),
+                        key=lambda t: _var_key(t[0])))
+
+
+def _check_exponents(monomials):
+    """Raise if a sum of packed monomials set a guard bit.  The operands
+    were within the limit, so no field carried into the next one."""
+    acc = reduce(or_, monomials, 0)
+    guard = _guard_mask(acc.bit_length())
+    if acc & guard:
+        m = next(m for m in monomials if m & guard)
+        e = max(e for _, e in _fields(m))
+        raise GuardExceededError(
+            "exponent %d exceeds the packed-monomial limit %d"
+            % (e, EXPONENT_LIMIT))
 
 
 def _mono_deg(m):
@@ -43,18 +165,45 @@ def _mono_deg(m):
 
 
 def _grlex_key(m):
-    """Sort key with natural semantics: larger key == graded-lex larger.
+    """Sort key of a decoded monomial: larger key == graded-lex larger.
 
-    The sparse monomial is encoded as (degree, sequence of
-    (negated variable key, exponent)); lexicographic comparison of that
-    sequence reproduces comparison of the dense exponent vectors.
+    The monomial is encoded as (degree, sequence of (negated variable
+    key, exponent)); lexicographic comparison of that sequence reproduces
+    comparison of the dense exponent vectors.
     """
     return (_mono_deg(m),
             tuple((tuple(-c for c in _var_key(v)), e) for v, e in m))
 
 
-def _grlex_larger(m1, m2):
-    return _grlex_key(m1) > _grlex_key(m2)
+# -- the term-dict kernel -----------------------------------------------------
+
+def _reduce_mod(acc, p):
+    _check_exponents(acc)
+    out = {}
+    for m, c in acc.items():
+        c %= p
+        if c:
+            out[m] = c
+    return out
+
+
+def _mul_terms(f, g, p):
+    """Product of two term dicts."""
+    if len(f) > len(g):
+        f, g = g, f
+    if len(f) == 1:
+        # a monomial shift is injective and p is prime: nothing cancels
+        ((m1, c1),) = f.items()
+        out = {m1 + m2: c1 * c2 % p for m2, c2 in g.items()}
+        _check_exponents(out)
+        return out
+    acc = {}
+    get = acc.get
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = m1 + m2
+            acc[m] = get(m, 0) + c1 * c2
+    return _reduce_mod(acc, p)
 
 
 class FpPolynomial:
@@ -71,22 +220,33 @@ class FpPolynomial:
                 clean[m] = c
         self.terms = clean
 
+    @classmethod
+    def _of(cls, p, terms):
+        """Wrap a term dict that is already reduced mod p."""
+        poly = cls.__new__(cls)
+        poly.p = p
+        poly.terms = terms
+        return poly
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, p):
-        return cls(p)
+        return cls._of(p, {})
 
     @classmethod
     def constant(cls, p, c):
         c %= p
-        return cls(p, {(): c} if c else {})
+        return cls._of(p, {0: c} if c else {})
+
+    @classmethod
+    def monomial(cls, p, exps, c=1):
+        """c times the product of var**e over the (var, e) pairs."""
+        return cls(p, {_pack(exps): c})
 
     @classmethod
     def variable(cls, p, var, exp=1):
-        if exp == 0:
-            return cls.constant(p, 1)
-        return cls(p, {((var, exp),): 1})
+        return cls.monomial(p, ((var, exp),))
 
     # -- predicates ---------------------------------------------------------
 
@@ -104,24 +264,38 @@ class FpPolynomial:
         return bool(self.terms)
 
     def total_degree(self):
-        return max((_mono_deg(m) for m in self.terms), default=0)
+        return max((sum(e for _, e in _fields(m)) for m in self.terms),
+                   default=0)
+
+    def min_exponent(self, var):
+        """Smallest exponent of ``var`` over the terms (0 for the zero
+        polynomial)."""
+        shift = _shift(var)
+        return min(((m >> shift) & _FIELD for m in self.terms), default=0)
 
     def variables(self):
-        out = set()
-        for m in self.terms:
-            out.update(v for v, _ in m)
-        return out
+        return {_var_of(f) for m in self.terms for f, _ in _fields(m)}
 
     # -- arithmetic ----------------------------------------------------------
+
+    def _same_field(self, other):
+        if self.p != other.p:
+            raise ValueError("polynomials over F_%d and F_%d do not combine"
+                             % (self.p, other.p))
 
     def _binop(self, other, sign):
         if isinstance(other, int):
             other = FpPolynomial.constant(self.p, other)
-        assert self.p == other.p
+        self._same_field(other)
+        p = self.p
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = (terms.get(m, 0) + sign * c) % self.p
-        return FpPolynomial(self.p, terms)
+            c = (terms.get(m, 0) + sign * c) % p
+            if c:
+                terms[m] = c
+            else:
+                terms.pop(m, None)
+        return FpPolynomial._of(p, terms)
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -136,14 +310,9 @@ class FpPolynomial:
         if isinstance(other, int):
             return FpPolynomial(
                 self.p, {m: c * other for m, c in self.terms.items()})
-        assert self.p == other.p
-        out = {}
-        p = self.p
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                out[m] = (out.get(m, 0) + c1 * c2) % p
-        return FpPolynomial(p, out)
+        self._same_field(other)
+        return FpPolynomial._of(self.p, _mul_terms(self.terms, other.terms,
+                                                   self.p))
 
     __rmul__ = __mul__
 
@@ -161,40 +330,28 @@ class FpPolynomial:
 
     def frobenius(self):
         """Raise every variable exponent by the factor p (equals f**p)."""
-        return FpPolynomial(self.p, {
-            tuple((v, e * self.p) for v, e in m): c
-            for m, c in self.terms.items()})
+        p = self.p
+        top = max((e for m in self.terms for _, e in _fields(m)), default=0)
+        if top * p > EXPONENT_LIMIT:
+            raise GuardExceededError(
+                "exponent %d exceeds the packed-monomial limit %d"
+                % (top * p, EXPONENT_LIMIT))
+        return FpPolynomial._of(p, {m * p: c for m, c in self.terms.items()})
 
     def substitute(self, images):
-        """Simultaneous substitution; ``images`` maps variables to
-        polynomials, unmapped variables stay themselves."""
-        p = self.p
-        cache = {}
-
-        def power(var, exp):
-            key = (var, exp)
-            if key not in cache:
-                img = images.get(var)
-                if img is None:
-                    cache[key] = FpPolynomial.variable(p, var, exp)
-                else:
-                    cache[key] = img ** exp
-            return cache[key]
-
-        out = FpPolynomial.zero(p)
-        for m, c in self.terms.items():
-            term = FpPolynomial.constant(p, c)
-            for v, e in m:
-                term = term * power(v, e)
-            out = out + term
-        return out
+        """Simultaneous substitution; ``images`` is a Substitution or a
+        dict from variables to polynomials; unmapped variables stay
+        themselves."""
+        if not isinstance(images, Substitution):
+            images = Substitution(self.p, images)
+        return images(self)
 
     def evaluate(self, assign, field):
         """Evaluate with values from a finite-field helper object."""
         total = field.zero
         for m, c in self.terms.items():
             val = field.from_int(c)
-            for v, e in m:
+            for v, e in _decode(m):
                 val = field.mul(val, field.pow(assign[v], e))
             total = field.add(total, val)
         return total
@@ -202,20 +359,21 @@ class FpPolynomial:
     # -- term order ----------------------------------------------------------
 
     def leading(self):
-        """(monomial, coefficient) that is graded-lex largest."""
-        best = max(self.terms, key=_grlex_key)
+        """(monomial, coefficient) that is largest in the kernel order."""
+        best = max(self.terms)
         return best, self.terms[best]
 
     def sorted_terms(self):
-        """Terms in descending graded-lex order (canonical serialization)."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]),
-                      reverse=True)
+        """Terms as (decoded monomial, coefficient) in descending graded-lex
+        order (canonical serialization)."""
+        return sorted(((_decode(m), c) for m, c in self.terms.items()),
+                      key=lambda t: _grlex_key(t[0]), reverse=True)
 
     def to_json_dict(self):
         def var_name(v):
             if v[0] in ("a", "b"):
                 return "%s_%d_%d" % (v[0], v[1], v[2])
-            return v[0] if len(v) == 1 else "%s_%d" % (v[0], v[1])
+            return v[0]
 
         return {"p": self.p,
                 "terms": [{"exps": {var_name(v): e for v, e in m},
@@ -233,6 +391,69 @@ class FpPolynomial:
                 factors.append(name if e == 1 else "%s^%d" % (name, e))
             bits.append("*".join(factors))
         return " + ".join(bits)
+
+
+class Substitution:
+    """The ring map that sends each variable in ``images`` to its image
+    polynomial and fixes every other variable.
+
+    A monomial splits into its mapped part (the fields of the mapped
+    variables) and the rest.  The rest is masked off and added back
+    unchanged; the image of the mapped part is the product of the image
+    powers over its variables, memoised by the part's packed value, and
+    the image powers are memoised too.  The memo lives as long as the
+    object: keep one object for a batch of polynomials whose monomials
+    share mapped parts, and drop it afterwards.
+    """
+
+    __slots__ = ("p", "_mask", "_mapped", "_products")
+
+    def __init__(self, p, images):
+        self.p = p
+        mapped = []
+        for var, img in images.items():
+            if img.p != p:
+                raise ValueError("image of %r is over F_%d, not F_%d"
+                                 % (var, img.p, p))
+            mapped.append((_shift(var), [{0: 1}, img.terms]))
+        self._mapped = mapped
+        self._mask = sum(_FIELD << shift for shift, _ in mapped)
+        self._products = {0: {0: 1}}
+
+    def _power(self, powers, e):
+        while len(powers) <= e:
+            powers.append(_mul_terms(powers[-1], powers[1], self.p))
+        return powers[e]
+
+    def _image(self, part):
+        """Term dict of the image of a mapped part."""
+        img = self._products.get(part)
+        if img is None:
+            for shift, powers in self._mapped:
+                e = (part >> shift) & _FIELD
+                if e:
+                    break
+            rest = self._image(part - (e << shift))
+            img = _mul_terms(rest, self._power(powers, e), self.p)
+            self._products[part] = img
+        return img
+
+    def __call__(self, poly):
+        p = self.p
+        if poly.p != p:
+            raise ValueError("polynomial over F_%d, substitution over F_%d"
+                             % (poly.p, p))
+        mask = self._mask
+        image = self._image
+        acc = {}
+        get = acc.get
+        for m, c in poly.terms.items():
+            part = m & mask
+            rest = m - part
+            for mi, ci in image(part).items():
+                key = rest + mi
+                acc[key] = get(key, 0) + c * ci
+        return FpPolynomial._of(p, _reduce_mod(acc, p))
 
 
 def a_var(p, i, j):
@@ -314,34 +535,48 @@ def exact_divide(f, g):
     Single-divisor multivariate division: in an integral domain with a
     multiplicative monomial order, g | f forces LT(g) | LT(f), so leading
     term reduction either terminates with remainder zero or proves
-    non-divisibility.
+    non-divisibility.  The remainder is a term dict with a max-heap of its
+    monomials, whose stale entries are skipped when popped.  A monomial
+    divides another when their difference borrows from no field, which the
+    guard bits show.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
+    f._same_field(g)
     p = f.p
-    quot = FpPolynomial.zero(p)
-    rem = f
     gm, gc = g.leading()
-    gc_inv = pow(gc, p - 2, p) if p > 2 else gc
-    gd = dict(gm)
-    while not rem.is_zero():
-        fm, fc = rem.leading()
-        fd = dict(fm)
-        qd = {}
-        for v, e in gd.items():
-            if fd.get(v, 0) < e:
+    gc_inv = pow(gc, p - 2, p)
+    tail = [(m, c) for m, c in g.terms.items() if m != gm]
+    rem = dict(f.terms)
+    heap = [-m for m in rem]
+    heapify(heap)
+    # every monomial met below is at most max(f) or gm
+    guard = _guard_mask(max(max(rem, default=0), gm).bit_length())
+    quot = {}
+    while heap:
+        fm = -heappop(heap)
+        fc = rem.pop(fm, 0)
+        if not fc:
+            continue
+        qm = fm - gm
+        if qm < 0 or qm & guard:
+            return None
+        qc = fc * gc_inv % p
+        quot[qm] = qc
+        for m, c in tail:
+            key = qm + m
+            if key & guard:
+                # an exponent beyond the limit, hence beyond every exponent
+                # of f: deg_v(q g) = deg_v(f) for every variable v if g | f
                 return None
-            if fd[v] - e:
-                qd[v] = fd[v] - e
-        for v, e in fd.items():
-            if v not in gd:
-                qd[v] = e
-        qm = tuple(sorted(qd.items(), key=lambda t: _var_key(t[0])))
-        qc = (fc * gc_inv) % p
-        q = FpPolynomial(p, {qm: qc})
-        quot = quot + q
-        rem = rem - q * g
-    return quot
+            c = (rem.get(key, 0) - qc * c) % p
+            if c:
+                if key not in rem:
+                    heappush(heap, -key)
+                rem[key] = c
+            else:
+                rem.pop(key, None)
+    return FpPolynomial._of(p, quot)
 
 
 def weight_of(f, n):
@@ -356,7 +591,8 @@ def weight_of(f, n):
     common = None
     for m in f.terms:
         wt = [0] * n
-        for v, e in m:
+        for field, e in _fields(m):
+            v = _var_of(field)
             if v[0] != "a":
                 raise ValueError("weight grading is defined on matrix entries "
                                  "only, found %r" % (v,))
@@ -421,7 +657,9 @@ class RationalFunction:
 
     def _lift(self, exps):
         diff = tuple(e - s for e, s in zip(exps, self.exps))
-        assert all(d >= 0 for d in diff)
+        if any(d < 0 for d in diff):
+            raise ValueError("cannot lift %r to the smaller denominator "
+                             "exponents %r" % (self, exps))
         return self.num * self.basis.product(diff)
 
     def __add__(self, other):

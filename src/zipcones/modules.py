@@ -29,7 +29,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .fplinalg import fp_nullspace
-from .fpoly import FpPolynomial, _grlex_key, minor
+from .fpoly import FpPolynomial, minor, validate_n_p
 from .gfq import field_for, gf_matrix_rank
 
 GROUP_ORDER_GUARD = 10 ** 4
@@ -285,6 +285,7 @@ def build_module(lam, n, p):
     Raises EmptyModuleError when lam is not weakly decreasing; checks the
     resulting dimension against the Weyl dimension formula.
     """
+    validate_n_p(n, p)
     lam = Weight(lam)
     if lam.rank != n:
         raise EmptyModuleError("weight rank %d, expected %d" % (lam.rank, n))
@@ -320,7 +321,7 @@ def build_module(lam, n, p):
             poly = _expand_monomial(n, p, mono)
             v = dict(poly.terms)
             while v:
-                key = max(v, key=_grlex_key)
+                key = max(v)
                 if key not in pivots:
                     break
                 pv = pivots[key]
@@ -332,7 +333,7 @@ def build_module(lam, n, p):
                     else:
                         v.pop(k2, None)
             if v:
-                pivots[max(v, key=_grlex_key)] = v
+                pivots[max(v)] = v
                 basis.append(mono)
                 polys.append(poly)
                 weights.append(w)

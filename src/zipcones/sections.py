@@ -26,6 +26,7 @@ from .errors import (
     GuardExceededError,
     InhomogeneousWeightError,
     NotUnipotentInvariantError,
+    RankMismatchError,
     TheoremViolationError,
     WeightMismatchError,
     ZipconeError,
@@ -35,10 +36,12 @@ from .fpoly import (
     FpPolynomial,
     MinorBasis,
     RationalFunction,
+    Substitution,
     a_var,
     det as poly_det,
     exact_divide,
     minor,
+    validate_n_p,
     weight_of,
 )
 from .modules import _det_mod, group_elements, group_order
@@ -66,7 +69,9 @@ class Section:
         transfers to the product with no further checking; the weight is
         additive.
         """
-        assert (self.n, self.p) == (other.n, other.p)
+        if (self.n, self.p) != (other.n, other.p):
+            raise ValueError("sections for (n, p) = %r and %r do not multiply"
+                             % ((self.n, self.p), (other.n, other.p)))
         return Section(self.n, self.p, self.body * other.body,
                        self.weight + other.weight, None)
 
@@ -138,7 +143,7 @@ def check_equivariance(body, lam, n, p, name=None):
             moved = num.substitute(_generator_images(n, p, k, l))
             diff = moved - num
             if not diff.is_zero():
-                tdeg = min(dict(m).get(_T, 0) for m in diff.terms)
+                tdeg = diff.min_exponent(_T)
                 raise NotUnipotentInvariantError(
                     (k, l), "offending t-degree %d" % tdeg)
     return Section(n, p, body, found, name)
@@ -273,8 +278,9 @@ def gamma_matrix(n, p):
     unitriangular z that kills the strict anti-lower triangle of z A.
 
     Entry (r, s) vanishes for r + s > n + 1 and is homogeneous of weight
-    e_r - p e_s; both facts are asserted.
+    e_r - p e_s; both facts are checked.
     """
+    validate_n_p(n, p)
     if n > GAMMA_RANK_GUARD:
         raise GuardExceededError("gamma matrix is guarded to n <= %d"
                                  % GAMMA_RANK_GUARD)
@@ -453,8 +459,10 @@ def h0_dimension(lam, n, p, monomial_cap=MONOMIAL_CAP):
 
     Enumerates the finitely many candidate monomials and solves the
     linear conditions imposed by every elementary unipotent generator.
-    Returns 0 immediately for weights that support no monomials.
+    Returns 0 immediately for weights that support no monomials.  One
+    memoising substitution per generator serves every candidate monomial.
     """
+    validate_n_p(n, p)
     lam = Weight(lam)
     if lam.rank != n:
         raise ZipconeError("weight rank %d, expected %d" % (lam.rank, n))
@@ -463,17 +471,15 @@ def h0_dimension(lam, n, p, monomial_cap=MONOMIAL_CAP):
     monos = enumerate_weight_monomials(lam, n, p, cap=monomial_cap)
     if not monos:
         return 0
-    entries = sorted(_entry_weights(n, p))
-    gens = [(k, l) for k in range(2, n + 1) for l in range(1, k)]
+    entries = [("a",) + e for e in sorted(_entry_weights(n, p))]
+    subs = [Substitution(p, _generator_images(n, p, k, l))
+            for k in range(2, n + 1) for l in range(1, k)]
     columns = []
     for exps in monos:
         col = {}
-        mono_terms = {tuple((("a",) + e, x) for e, x in zip(entries, exps)
-                            if x): 1}
-        base = FpPolynomial(p, mono_terms)
-        for gi, (k, l) in enumerate(gens):
-            moved = base.substitute(_generator_images(n, p, k, l))
-            diff = moved - base
+        base = FpPolynomial.monomial(p, zip(entries, exps))
+        for gi, sub in enumerate(subs):
+            diff = base.substitute(sub) - base
             for m, c in diff.terms.items():
                 col[(gi, m)] = c
         columns.append(col)
@@ -489,7 +495,9 @@ def rzip_sp4_graded_dimension(lam, p):
     so c is bounded and the scan is finite.
     """
     lam = Weight(lam)
-    assert lam.rank == 2
+    if lam.rank != 2:
+        raise RankMismatchError("the rank-2 ring needs a rank-2 weight, got %s"
+                                % (lam,))
     bound = -(p * lam[0] + lam[1])
     if bound < 0:
         return 0
@@ -567,8 +575,10 @@ def tilde_valuation(elem):
     total = 0
     for s in group:
         sub = elem.num.substitute(_upper_unitriangular_images(n, p, s, True))
-        assert not sub.is_zero()
-        tmin = min(dict(m).get(_T, 0) for m in sub.terms)
+        if sub.is_zero():
+            raise TheoremViolationError(
+                "a nonzero module element vanishes along b delta(t) s")
+        tmin = sub.min_exponent(_T)
         total += tmin - deg - elem.det_pow
     return total
 

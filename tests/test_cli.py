@@ -140,3 +140,35 @@ def test_exit_codes(tmp_path):
                   tmp_path)
     assert code == 1   # cone with a lineality space has no ray polygon
     assert main([]) == 1   # missing subcommand is a usage error
+
+
+def test_matrix_size_below_one_is_a_usage_error(tmp_path):
+    for argv in (["gamma", "--n", "0", "--p", "2"],
+                 ["vlambda", "--n", "0", "--p", "2", "--weight", "0"],
+                 ["h0", "--n", "-1", "--p", "2", "--weight", "0"],
+                 ["rootdata", "--n", "0"]):
+        code, data = run(argv, tmp_path)
+        assert code == 1 and data == b"", argv
+
+
+def test_exponent_past_the_limit_exits_2(tmp_path, capsys):
+    code, data = run(["h0", "--n", "1", "--p", "2", "--weight",
+                      "-4294967296"], tmp_path)
+    assert code == 2 and data == b""
+    assert "guard error: exponent 4294967296" in capsys.readouterr().err
+
+
+def test_rank_5_outputs_unchanged(tmp_path):
+    # the packed monomials serve any matrix size; bytes as before packing
+    code, data = run(["h0", "--n", "5", "--p", "2", "--weight", "0,0,0,0,0"],
+                     tmp_path)
+    assert code == 0
+    assert data == (b'{"dim":1,"n":5,"p":2,"schema":"zipcone/1",'
+                    b'"weight":[0,0,0,0,0]}\n')
+    code, data = run(["verify-section", "--name", "delta2", "--n", "5",
+                      "--p", "2"], tmp_path)
+    assert code == 0
+    assert data == (
+        b'{"body":{"p":2,"terms":[{"coef":1,"exps":{"a_1_4":1,"a_2_5":1}},'
+        b'{"coef":1,"exps":{"a_1_5":1,"a_2_4":1}}]},"n":5,"name":"delta2",'
+        b'"p":2,"schema":"zipcone/1","verified":true,"weight":[1,1,0,-2,-2]}\n')

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zipcones.cones import Weight
+from zipcones.errors import GuardExceededError
 from zipcones.fpoly import (
+    EXPONENT_LIMIT,
     FpPolynomial,
     MinorBasis,
     RationalFunction,
@@ -15,6 +18,8 @@ from zipcones.fpoly import (
     mat_mul,
     minor,
     weight_of,
+    _field,
+    _var_of,
 )
 from zipcones.gfq import GF, field_for, gf_matrix_rank
 
@@ -163,22 +168,41 @@ def test_substitute():
     assert g == y * y + y
 
 
-def test_substitute_commutes_with_evaluation():
-    # substitution then evaluation equals evaluating through the images
-    rng = random.Random(2024)
-    for p in (2, 3):
-        field = field_for(p, 64)
-        for _ in range(6):
-            f = rand_poly(p, 2, 5, 4, rng)
-            images = {("a", i, j): rand_poly(p, 2, 3, 2, rng)
-                      for i in (1, 2) for j in (1, 2)}
-            point = {("a", i, j): rng.randrange(field.order)
-                     for i in (1, 2) for j in (1, 2)}
-            moved_point = {v: img.evaluate(point, field)
-                           for v, img in images.items()}
-            lhs = f.substitute(images).evaluate(point, field)
-            rhs = f.evaluate(moved_point, field)
-            assert lhs == rhs
+VARS = ([("a", i, j) for i in (1, 2) for j in (1, 2)]
+        + [("b", 1, 2), ("b", 2, 2), ("t",)])
+
+
+@st.composite
+def polys(draw, p, max_terms=4, max_exp=3):
+    """Random polynomial over F_p in a, b and t variables."""
+    terms = draw(st.lists(
+        st.tuples(st.lists(st.tuples(st.sampled_from(VARS),
+                                     st.integers(1, max_exp)), max_size=3),
+                  st.integers(1, p - 1)),
+        max_size=max_terms))
+    f = FpPolynomial.zero(p)
+    for exps, c in terms:
+        f = f + FpPolynomial.monomial(p, exps, c)
+    return f
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.sampled_from([2, 3]))
+def test_substitute_commutes_with_evaluation(data, p):
+    # substitution then evaluation equals evaluating through the images,
+    # with a, b and t both mapped and appearing in the images
+    field = field_for(p, 64)
+    f = data.draw(polys(p, 5, 4))
+    mapped = data.draw(st.lists(st.sampled_from(VARS), unique=True,
+                                max_size=len(VARS)))
+    images = {v: data.draw(polys(p, 3, 2)) for v in mapped}
+    point = {v: data.draw(st.integers(0, field.order - 1)) for v in VARS}
+    moved_point = dict(point)
+    moved_point.update({v: img.evaluate(point, field)
+                        for v, img in images.items()})
+    lhs = f.substitute(images).evaluate(point, field)
+    rhs = f.evaluate(moved_point, field)
+    assert lhs == rhs
 
 
 def test_mat_mul_identity():
@@ -228,3 +252,116 @@ def test_gf_field_basics():
         for x in range(1, f.order):
             assert f.mul(x, f.inv(x)) == 1
         assert gf_matrix_rank(f, [[1, 0], [0, 1], [1, 1]]) == 2
+
+
+def test_mixed_characteristics_raise():
+    x2, x3 = a_var(2, 1, 1), a_var(3, 1, 1)
+    with pytest.raises(ValueError):
+        x2 + x3
+    with pytest.raises(ValueError):
+        x2 - x3
+    with pytest.raises(ValueError):
+        x2 * x3
+    with pytest.raises(ValueError):
+        exact_divide(x2, x3)
+    with pytest.raises(ValueError):
+        x2.substitute({("a", 1, 1): x3})
+
+
+def test_lift_to_smaller_denominator_raises():
+    basis = MinorBasis(2, 2)
+    f = RationalFunction(basis, a_var(2, 1, 1), (1, 0))
+    with pytest.raises(ValueError, match="smaller denominator"):
+        f._lift((0, 0))
+
+
+def test_variable_fields_are_injective_and_invertible():
+    vars_ = [("t",)] + [(k, i, j) for k in "ab" for i in range(1, 13)
+                        for j in range(1, 13)]
+    fields = [_field(v) for v in vars_]
+    assert len(set(fields)) == len(vars_)
+    assert _field(("t",)) == 0
+    assert all(_var_of(f) == v for f, v in zip(fields, vars_))
+    # the entries of an n x n matrix and the t variable use the lowest fields
+    for n in (1, 2, 3, 5):
+        box = [_field(("a", i, j)) for i in range(1, n + 1)
+               for j in range(1, n + 1)]
+        assert max(box) < 2 * n * n
+    for bad in [("x", 1), ("a", 0, 1), ("a", 1), ("t", 1), ("c", 1, 1)]:
+        with pytest.raises(ValueError):
+            _field(bad)
+
+
+def test_exponent_limit_raises_and_never_wraps():
+    p = 2
+    x = a_var(p, 1, 1)
+    top = x ** EXPONENT_LIMIT
+    assert top.total_degree() == EXPONENT_LIMIT
+    assert top.variables() == {("a", 1, 1)}
+    with pytest.raises(GuardExceededError, match="2147483648 exceeds .* 2147483647"):
+        top * x
+    with pytest.raises(GuardExceededError):
+        FpPolynomial.variable(p, ("a", 1, 1), EXPONENT_LIMIT + 1)
+    assert top.substitute({("a", 1, 2): x}) == top
+    with pytest.raises(GuardExceededError):
+        (top * a_var(p, 1, 2)).substitute({("a", 1, 2): x})
+    # a neighbouring field is untouched by a product at the limit
+    y = FpPolynomial.variable(p, ("t",), EXPONENT_LIMIT)
+    assert (top * y).min_exponent(("t",)) == EXPONENT_LIMIT
+
+
+def test_frobenius_overflow_raises():
+    for p in (2, 3, 5):
+        ok = FpPolynomial.variable(p, ("b", 2, 1), EXPONENT_LIMIT // p)
+        assert ok.frobenius().total_degree() == EXPONENT_LIMIT // p * p
+        over = ok * a_var(p, 2, 1) ** (EXPONENT_LIMIT // p + 1)
+        with pytest.raises(GuardExceededError, match="exceeds"):
+            over.frobenius()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 5]))
+def test_ring_axioms(data, p):
+    f, g, h = (data.draw(polys(p)) for _ in range(3))
+    one = FpPolynomial.constant(p, 1)
+    zero = FpPolynomial.zero(p)
+    assert f + g == g + f and f * g == g * f
+    assert (f + g) + h == f + (g + h)
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert f + zero == f and f * one == f and (f * zero).is_zero()
+    assert (f + (-f)).is_zero() and (f - g) + g == f
+    assert f ** 3 == f * f * f
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 5]))
+def test_exact_divide_properties(data, p):
+    f = data.draw(polys(p))
+    g = data.draw(polys(p))
+    if g.is_zero():
+        return
+    assert exact_divide(f * g, g) == f
+    if g.total_degree() > 0:
+        # g | f g + 1 would make g a unit
+        assert exact_divide(f * g + 1, g) is None
+
+
+def _reference_grlex(mono):
+    order = sorted({v for v, _ in mono} | set(VARS),
+                   key=lambda v: ("abt".index(v[0]),) + v[1:])
+    exps = dict(mono)
+    return (sum(exps.values()), [exps.get(v, 0) for v in order])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([2, 3]))
+def test_sorted_terms_is_graded_lex(data, p):
+    f = data.draw(polys(p, 8))
+    monos = [m for m, _ in f.sorted_terms()]
+    assert monos == sorted(monos, key=_reference_grlex, reverse=True)
+    # decoding round-trips: the terms rebuild the polynomial
+    rebuilt = FpPolynomial.zero(p)
+    for m, c in f.sorted_terms():
+        rebuilt = rebuilt + FpPolynomial.monomial(p, m, c)
+    assert rebuilt == f

@@ -1,7 +1,9 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from zipcones.catalog import eta_weight, hodge_character, schubert_weight
 from zipcones.cones import Weight
@@ -9,6 +11,8 @@ from zipcones.errors import (
     GuardExceededError,
     InhomogeneousWeightError,
     NotUnipotentInvariantError,
+    RankMismatchError,
+    TheoremViolationError,
     WeightMismatchError,
     ZipconeError,
 )
@@ -273,3 +277,55 @@ def test_section_names_complete():
     assert set(section_names(3)) >= {
         "delta1", "delta2", "delta3", "hasse",
         "epsilonsp6", "f1sp6", "f2sp6", "thetasp6", "rhosp6", "tausp6"}
+
+
+def test_section_product_needs_matching_n_and_p():
+    with pytest.raises(ValueError):
+        catalog_section("delta1", 2, 2) * catalog_section("delta1", 2, 3)
+    with pytest.raises(ValueError):
+        catalog_section("delta1", 2, 2) * catalog_section("delta1", 3, 2)
+
+
+def test_rzip_needs_rank_two():
+    with pytest.raises(RankMismatchError):
+        rzip_sp4_graded_dimension((0, 0, 0), 2)
+    with pytest.raises(RankMismatchError):
+        rzip_sp4_graded_dimension((0,), 3)
+
+
+def test_tilde_valuation_rejects_a_vanishing_element():
+    # a_{2,1} maps to 0 along b delta(t) s for s = 1, which no module
+    # element can do
+    fake = SimpleNamespace(n=2, p=2, num=a_var(2, 2, 1), det_pow=0)
+    with pytest.raises(TheoremViolationError):
+        tilde_valuation(fake)
+
+
+@pytest.mark.parametrize("n, p", [(2, 4), (2, 1), (2, 0), (2, -3), (2, 9),
+                                  (0, 2), (-1, 2)])
+def test_entry_points_reject_bad_n_and_p(n, p):
+    lam = (0,) * max(n, 0)
+    with pytest.raises(ValueError):
+        h0_dimension(lam, n, p)
+    with pytest.raises(ValueError):
+        gamma_matrix(n, p)
+    with pytest.raises(ValueError):
+        build_module(lam, n, p)
+
+
+def test_h0_exponent_past_the_limit_is_a_guard_error():
+    # one monomial a_{1,1}^(2^32): refused, never wrapped to a small one
+    with pytest.raises(GuardExceededError, match="4294967296"):
+        h0_dimension((-2 ** 32,), 1, 2)
+    assert h0_dimension((-7,), 1, 2) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 36), st.integers(-40, 20))
+def test_h0_matches_rank2_ring_beyond_criterion_box(p, degree, a):
+    # criterion 1 checks |lam_i| <= 10; here the monomial degree runs to
+    # 36, so lam_2 reaches -112, and every oracle call stays far below the
+    # monomial cap
+    lam = (a, degree * (1 - p) - a)
+    assume(lam[0] >= lam[1] and max(map(abs, lam)) > 10)
+    assert h0_dimension(lam, 2, p) == rzip_sp4_graded_dimension(lam, p)
