@@ -44,8 +44,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(args, text):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise _UsageError("cannot write --out %s: %s"
+                              % (args.out, e.strerror or e))
     else:
         sys.stdout.write(text)
 
@@ -140,11 +144,12 @@ def _cmd_vlambda(args):
                "dim_invariants": 0, "dim_intersection": 0}
         _emit(args, _json(doc))
         return
+    fixed = invariants_finite_group(module)
     doc = {"schema": SCHEMA, "n": args.n, "p": args.p, "weight": list(lam),
            "dim": module.dim,
            "dim_leq0": len(subspace_leq0(module)),
-           "dim_invariants": len(invariants_finite_group(module)),
-           "dim_intersection": intersection_dimension(module)}
+           "dim_invariants": len(fixed),
+           "dim_intersection": intersection_dimension(module, fixed)}
     _emit(args, _json(doc))
 
 
@@ -174,7 +179,12 @@ def _cmd_sweep(args):
     points = [Weight(pt) for pt in
               itertools.product(range(lo, hi + 1), repeat=args.n)]
     tasks = [(lam, args.n, args.p, args.monomial_cap) for lam in points]
-    workers = int(os.environ.get("ZIPCONE_THREADS", "1"))
+    threads = os.environ.get("ZIPCONE_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError:
+        raise _UsageError("ZIPCONE_THREADS must be an integer, got %r"
+                          % threads)
     if workers > 1:
         # per-weight tasks are independent; map preserves input order, so
         # the emitted document does not depend on scheduling

@@ -24,6 +24,7 @@ from .errors import (
     GuardExceededError,
     NotPointedError,
     RankMismatchError,
+    TheoremViolationError,
     UndecidedAtBoundError,
 )
 
@@ -358,10 +359,13 @@ def nonneg_combination(vectors, target):
             mu[v] = min(hi, Fraction(0))
         else:
             mu[v] = Fraction(0)
-    # sanity: exact verification of the certificate
-    for k in range(len(target)):
-        assert sum(Fraction(vectors[i][k]) * mu[i] for i in range(m)) == target[k]
-    assert all(x >= 0 for x in mu)
+    # exact verification of the certificate
+    if any(x < 0 for x in mu) or any(
+            sum(Fraction(vectors[i][k]) * mu[i] for i in range(m)) != target[k]
+            for k in range(n)):
+        raise TheoremViolationError(
+            "back-substituted combination is not a certificate for %s"
+            % (tuple(target),))
     return mu
 
 

@@ -346,16 +346,6 @@ class FpPolynomial:
             images = Substitution(self.p, images)
         return images(self)
 
-    def evaluate(self, assign, field):
-        """Evaluate with values from a finite-field helper object."""
-        total = field.zero
-        for m, c in self.terms.items():
-            val = field.from_int(c)
-            for v, e in _decode(m):
-                val = field.mul(val, field.pow(assign[v], e))
-            total = field.add(total, val)
-        return total
-
     # -- term order ----------------------------------------------------------
 
     def leading(self):

@@ -17,7 +17,6 @@ sparse and exact.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,9 +29,9 @@ from .errors import (
 )
 from .fplinalg import fp_nullspace
 from .fpoly import FpPolynomial, minor, validate_n_p
-from .gfq import field_for, gf_matrix_rank
 
 GROUP_ORDER_GUARD = 10 ** 4
+CLOSURE_ORDER_GUARD = 10 ** 5
 MODULE_RANK_GUARD = 3
 
 
@@ -59,7 +58,10 @@ def group_elements(n, p):
         mat = tuple(flat[i * n:(i + 1) * n] for i in range(n))
         if _det_mod(mat, p):
             out.append(mat)
-    assert len(out) == group_order(n, p)
+    if len(out) != group_order(n, p):
+        raise TheoremViolationError(
+            "enumerated %d invertible matrices, |GL_%d(F_%d)| = %d"
+            % (len(out), n, p, group_order(n, p)))
     return tuple(out)
 
 
@@ -95,8 +97,13 @@ def group_generators(n, p):
 
     The closure under multiplication is enumerated and compared against
     the full group, so downstream fixed-space computations may use the
-    generators with no sufficiency caveat.
+    generators with no sufficiency caveat.  The closure holds the whole
+    group in memory, so its order is guarded by CLOSURE_ORDER_GUARD.
     """
+    if group_order(n, p) > CLOSURE_ORDER_GUARD:
+        raise GuardExceededError(
+            "|GL_%d(F_%d)| = %d exceeds the closure guard %d"
+            % (n, p, group_order(n, p), CLOSURE_ORDER_GUARD))
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     gens = []
     if n > 1:
@@ -157,41 +164,6 @@ def _det_poly(n, p):
 
 def _minor_weight(n, cols):
     return Weight(1 if j + 1 in cols else 0 for j in range(n))
-
-
-def _minor_value_table(n, p, point, field):
-    """Values of every level minor and det at a GF point (matrix of GF
-    elements given as row tuples)."""
-    table = {}
-    for level in range(1, n):
-        for cols in itertools.combinations(range(1, n + 1), level):
-            table[(level, cols)] = _gf_minor(field, point,
-                                             tuple(range(1, level + 1)), cols)
-    table["det"] = _gf_minor(field, point, tuple(range(1, n + 1)),
-                             tuple(range(1, n + 1)))
-    return table
-
-
-def _gf_minor(field, mat, rows, cols):
-    sub = [[mat[i - 1][j - 1] for j in cols] for i in rows]
-    m = len(sub)
-    det = field.one
-    sub = [row[:] for row in sub]
-    for c in range(m):
-        piv = next((i for i in range(c, m) if sub[i][c]), None)
-        if piv is None:
-            return field.zero
-        if piv != c:
-            sub[c], sub[piv] = sub[piv], sub[c]
-            det = field.mul(det, field.neg(field.one))
-        det = field.mul(det, sub[c][c])
-        inv = field.inv(sub[c][c])
-        for i in range(c + 1, m):
-            if sub[i][c]:
-                f = field.mul(inv, sub[i][c])
-                sub[i] = [field.sub(x, field.mul(f, y))
-                          for x, y in zip(sub[i], sub[c])]
-    return det
 
 
 @lru_cache(maxsize=None)
@@ -261,7 +233,9 @@ def weyl_dimension(lam):
     for i in range(n):
         for j in range(i + 1, n):
             d *= Fraction(lam[i] - lam[j] + j - i, j - i)
-    assert d.denominator == 1
+    if d.denominator != 1:
+        raise TheoremViolationError(
+            "Weyl dimension of %s is the non-integer %s" % (tuple(lam), d))
     return int(d)
 
 
@@ -394,13 +368,14 @@ def _act_expand(module, s, coeffs):
 def invariants_finite_group(module):
     """Basis of the subspace fixed by right translation under GL_n(F_p).
 
-    The kernel is cut out by the certified generating set, then the fixed
-    equations of every single group element are verified exactly by
-    interpolation on a point set whose basis-evaluation matrix has full
-    rank over GF(p^k).  Returns a list of {basis index: coefficient} dicts.
+    The fixed space is the common kernel of rho(g) - 1 over the generators
+    g, cut out one generator at a time.  Right translation is a group
+    action, so a vector fixed by the generators is fixed by every product
+    of them, and the closure certificate of ``group_generators`` proves
+    those products are all of GL_n(F_p): the kernel is the full fixed
+    space.  Returns a list of {basis index: coefficient} dicts.
     """
     n, p = module.n, module.p
-    group = group_elements(n, p)
     gens = group_generators(n, p)
     d = module.dim
     if d == 0:
@@ -428,94 +403,7 @@ def invariants_finite_group(module):
             if merged:
                 new.append(merged)
         current = new
-    if not current:
-        return []
-
-    _verify_fixed_by_all(module, current, group)
     return current
-
-
-def _verify_fixed_by_all(module, vectors, group):
-    """Exact all-elements check of invariance via certified interpolation.
-
-    Since rho(s)v - v lies in V(lam) and the evaluation matrix of the
-    basis at the chosen points has rank dim V(lam), vanishing at the
-    points proves vanishing as a polynomial.
-    """
-    n, p = module.n, module.p
-    field = field_for(p, 64)
-    d = module.dim
-    support = sorted({i for v in vectors for i in v})
-
-    rng = random.Random(0x5EED + 31 * n + p)
-    points, tables = [], []
-    for attempt in range(16):
-        while len(points) < d + 8:
-            mat = tuple(tuple(rng.randrange(field.order) for _ in range(n))
-                        for _ in range(n))
-            table = _minor_value_table(n, p, mat, field)
-            if table["det"] == field.zero:
-                continue
-            points.append(mat)
-            tables.append(table)
-        rows = [[_basis_value(module, i, t, field) for t in tables]
-                for i in range(d)]
-        if gf_matrix_rank(field, rows) == d:
-            break
-        points, tables = [], []
-    else:
-        raise TheoremViolationError("could not certify an evaluation basis")
-
-    base_vals = [[_element_value(module, vec, t, field, support)
-                  for t in tables] for vec in vectors]
-    for s in group:
-        for j, pt in enumerate(points):
-            moved = _minor_value_table(n, p, _gf_mat_mul(field, pt, s), field)
-            vals = {i: _basis_value(module, i, moved, field) for i in support}
-            for vi, vec in enumerate(vectors):
-                acc = field.zero
-                for i, c in vec.items():
-                    acc = field.add(acc, field.mul(field.from_int(c), vals[i]))
-                if acc != base_vals[vi][j]:
-                    raise TheoremViolationError(
-                        "fixed-space vector moves under a group element")
-
-
-def _gf_mat_mul(field, pt, s):
-    n = len(pt)
-    return tuple(tuple(
-        _gf_dot(field, [pt[i][k] for k in range(n)],
-                [field.from_int(s[k][j]) for k in range(n)])
-        for j in range(n)) for i in range(n))
-
-
-def _gf_dot(field, xs, ys):
-    acc = field.zero
-    for x, y in zip(xs, ys):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
-
-
-def _basis_value(module, i, table, field):
-    val = field.one
-    for (level, cols), mult in module.basis[i]:
-        val = field.mul(val, field.pow(table[(level, cols)], mult))
-    k = module.det_pow
-    if k:
-        dv = table["det"]
-        val = field.mul(val, field.pow(dv, k) if k > 0
-                        else field.pow(field.inv(dv), -k))
-    return val
-
-
-def _element_value(module, coeffs, table, field, support=None):
-    total = field.zero
-    for i in (support if support is not None else coeffs):
-        c = coeffs.get(i, 0)
-        if c:
-            total = field.add(total, field.mul(field.from_int(c),
-                                               _basis_value(module, i, table, field)))
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +414,10 @@ def subspace_leq0(module):
     return [i for i, w in enumerate(module.weights) if w[module.n - 1] <= 0]
 
 
-def intersection_dimension(module):
-    """dim of (weight-nonpositive part) meet (finite-group invariants)."""
+def intersection_dimension(module, fixed):
+    """dim of (weight-nonpositive part) meet (finite-group invariants),
+    given the basis ``fixed`` that invariants_finite_group(module) returns."""
     good = set(subspace_leq0(module))
-    fixed = invariants_finite_group(module)
     if not fixed:
         return 0
     # impose vanishing of coefficients on eigenvectors outside the part
@@ -573,7 +461,10 @@ def _check_lower_stability(module, elem):
     scale = FpPolynomial.constant(p, 1)
     for j in range(1, n + 1):
         e = chi[j - 1] - module.det_pow
-        assert e >= 0
+        if e < 0:
+            raise TheoremViolationError(
+                "eigenvalue %s lies below the twist det^%d"
+                % (chi, module.det_pow))
         scale = scale * FpPolynomial.variable(p, ("b", j, j), e) if e else scale
     if moved != elem.num * scale:
         raise TheoremViolationError(
@@ -616,5 +507,5 @@ def thminter_check(lam, n, p, monomial_cap=None):
     except EmptyModuleError:
         rhs = 0
     else:
-        rhs = intersection_dimension(module)
+        rhs = intersection_dimension(module, invariants_finite_group(module))
     return lhs, rhs, lhs == rhs

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import comb
 
 from .cones import Weight, _as_weight
-from .errors import ZipconeError
+from .errors import TheoremViolationError, ZipconeError
 
 
 def _unit(n, i):
@@ -242,7 +242,9 @@ def gaussian_binomial_product(n, i, p):
     den = 1
     for k in range(1, n - i + 1):
         den *= p ** k - 1
-    assert num % den == 0
+    if num % den:
+        raise TheoremViolationError(
+            "Gaussian binomial product %d/%d is not an integer" % (num, den))
     return num // den
 
 

@@ -120,8 +120,10 @@ def check_equivariance(body, lam, n, p, name=None):
 
     ``lam`` may be None to accept the discovered weight.  Raises
     InhomogeneousWeightError, WeightMismatchError or
-    NotUnipotentInvariantError (with the offending generator).
+    NotUnipotentInvariantError (with the offending generator), and
+    ValueError for n < 1 or a non-prime p.
     """
+    validate_n_p(n, p)
     if isinstance(body, RationalFunction):
         found = body.weight()
         num = body.num
@@ -221,7 +223,12 @@ def _divided_sp6(p, which):
 
 
 def catalog_section(name, n, p):
-    """Build one of the named sections and verify it; see catalog_names."""
+    """Build one of the named sections and verify it; see catalog_names.
+
+    ``n`` may be None for the sections of a fixed matrix size; a given n
+    below 1 and a non-prime p raise ValueError.
+    """
+    validate_n_p(1 if n is None else n, p)
     key = name.lower().replace("-", "").replace("_", "")
     if key.startswith("delta") or key == "hasse":
         if n is None:

@@ -1,14 +1,18 @@
-"""Tiny GF(p^k) arithmetic for exact specialization and interpolation.
+"""Tiny GF(p^k) arithmetic for evaluating polynomials in tests.
 
 Elements are integers in range(p**k) encoding base-p coefficient vectors
 of residues modulo a fixed irreducible polynomial.  Fields are small
 (a few thousand elements at most), so multiplication goes through
-discrete log/exp tables built once per field.
+discrete log/exp tables built once per field.  ``evaluate`` specialises
+an ``FpPolynomial`` at a point of such a field, which lets tests compare
+symbolic results with values computed another way.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+from zipcones.fpoly import _decode
 
 
 def _poly_mul_mod(a, b, modulus, p, k):
@@ -79,7 +83,6 @@ class GF:
         self.one = 1
         self.modulus = _find_irreducible(p, k)
         # find a multiplicative generator by brute force
-        elements = list(range(1, self.order))
         for g in range(2, self.order):
             seen = set()
             x = 1
@@ -177,3 +180,14 @@ def gf_matrix_rank(field, rows):
         if rank == len(mat):
             break
     return rank
+
+
+def evaluate(poly, assign, field):
+    """Value of ``poly`` at ``assign`` (variable -> field element)."""
+    total = field.zero
+    for m, c in poly.terms.items():
+        val = field.from_int(c)
+        for v, e in _decode(m):
+            val = field.mul(val, field.pow(assign[v], e))
+        total = field.add(total, val)
+    return total

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import zipcones
 from zipcones.cli import main
 
 
@@ -172,3 +177,37 @@ def test_rank_5_outputs_unchanged(tmp_path):
         b'{"body":{"p":2,"terms":[{"coef":1,"exps":{"a_1_4":1,"a_2_5":1}},'
         b'{"coef":1,"exps":{"a_1_5":1,"a_2_4":1}}]},"n":5,"name":"delta2",'
         b'"p":2,"schema":"zipcone/1","verified":true,"weight":[1,1,0,-2,-2]}\n')
+
+
+def _run_process(argv, **env):
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
+    src = str(Path(zipcones.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, **env)
+    proc = subprocess.run([sys.executable, "-m", "zipcones.cli"] + argv,
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path):
+    code, err = _run_process(["h0", "--n", "2", "--p", "2", "--weight", "0,0",
+                              "--out", str(tmp_path / "missing" / "x")])
+    assert code == 1 and "Traceback" not in err
+    assert err.startswith("usage error: cannot write --out")
+
+
+def test_non_integer_thread_count_is_a_usage_error():
+    code, err = _run_process(["sweep", "--n", "2", "--p", "2", "--box",
+                              "-1..1", "--compare", "zip-sp4"],
+                             ZIPCONE_THREADS="abc")
+    assert code == 1 and "Traceback" not in err
+    assert err == "usage error: ZIPCONE_THREADS must be an integer, got 'abc'\n"
+
+
+def test_vlambda_rank3_p3(tmp_path):
+    # |GL_3(F_3)| = 11232 is past the element-list guard, but the
+    # invariants need only the closure certificate
+    code, data = run(["vlambda", "--n", "3", "--p", "3", "--weight", "2,0,-2"],
+                     tmp_path)
+    assert code == 0
+    doc = json.loads(data)
+    assert (doc["dim"], doc["dim_invariants"]) == (27, 0)

@@ -1,9 +1,13 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zipcones.cones import Weight
 from zipcones.errors import EmptyModuleError, GuardExceededError
+from zipcones.fplinalg import fp_nullspace
+from zipcones.fpoly import FpPolynomial, a_var
 from zipcones.modules import (
     _act_expand,
     build_module,
@@ -34,6 +38,13 @@ def test_group_enumeration_and_order():
 def test_group_guard():
     with pytest.raises(GuardExceededError):
         group_elements(3, 3)
+
+
+def test_closure_guard():
+    # the (3,3) closure certificate is within reach, |GL_3(F_5)| is not
+    assert len(group_generators(3, 3)) == 3
+    with pytest.raises(GuardExceededError):
+        group_generators(3, 5)
 
 
 def test_build_module_examples():
@@ -138,24 +149,97 @@ def test_invariants_examples():
     assert len(invariants_finite_group(build_module((1, 1), 2, 2))) == 1
 
 
-def test_invariants_match_full_group_bruteforce():
-    # independent route: impose f(X s) = f(X) symbolically for every one
-    # of the |GL_2(F_2)| = 6 elements
-    from zipcones.fplinalg import fp_nullspace
+def _det(s, p):
+    # Leibniz expansion, independent of the elimination in the package
+    n = len(s)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j]
+                           for i in range(n) for j in range(i + 1, n))
+        term = sign
+        for i in range(n):
+            term *= s[i][perm[i]]
+        total += term
+    return total % p
 
-    for lam in [(1, -2), (2, 0), (3, 0), (2, -2)]:
-        m = build_module(lam, 2, 2)
-        fast = invariants_finite_group(m)
-        cols = []
+
+def _substituted(m, i, s):
+    """Numerator of X -> X s applied to basis vector i, by substituting
+    a_ij -> sum_k a_ik s_kj into its expanded polynomial."""
+    n, p = m.n, m.p
+    images = {}
+    for r in range(1, n + 1):
+        for c in range(1, n + 1):
+            img = FpPolynomial.zero(p)
+            for k in range(1, n + 1):
+                img = img + s[k - 1][c - 1] * a_var(p, r, k)
+            images[("a", r, c)] = img
+    scale = pow(_det(s, p), m.det_pow, p)
+    return scale * m.basis_polys[i].substitute(images)
+
+
+def _sample(n, p, size, seed):
+    """A fixed sample of GL_n(F_p) that contains the generators."""
+    gens = list(group_generators(n, p))
+    rest = [s for s in group_elements(n, p) if s not in gens]
+    return gens + random.Random(seed).sample(rest, size - len(gens))
+
+
+@pytest.mark.parametrize("lam, p, elements", [
+    ((1, -2), 2, "all"), ((3, 0), 2, "all"), ((2, 1), 2, "all"),
+    ((2, -1), 3, "all"), ((3, 1), 3, "all"), ((1, -3), 3, "all"),
+    ((2, 0, -1), 2, "sample"), ((1, 1, 0), 2, "sample"),
+    ((2, 1, 0), 2, "sample"),
+    ((2, -1), 5, "sample"), ((3, 1), 5, "sample"),
+])
+def test_act_expand_matches_symbolic_substitution(lam, p, elements):
+    # the Cauchy-Binet action on minor coordinates equals substitution
+    # X -> X s in the expanded numerators, det(s)^det_pow included
+    n = len(lam)
+    m = build_module(lam, n, p)
+    group = (group_elements(n, p) if elements == "all"
+             else _sample(n, p, 24, 1000 * n + p))
+    for s in group:
         for i in range(m.dim):
-            col = {}
-            for si, s in enumerate(group_elements(2, 2)):
-                diff = _act_expand(m, s, {i: 1}) - m.basis_polys[i]
-                for mono, c in diff.terms.items():
-                    col[(si, mono)] = c
-            cols.append(col)
-        slow = fp_nullspace(cols, 2)
-        assert len(fast) == len(slow), lam
+            assert _act_expand(m, s, {i: 1}) == _substituted(m, i, s), (s, i)
+
+
+def _rank(vectors, p):
+    return len(vectors) - len(fp_nullspace(vectors, p))
+
+
+def _assert_generator_kernel_is_fixed_space(m):
+    # independent route: impose f(X s) = f(X) for every element of the
+    # group, and compare the span with the kernel of the generators
+    n, p = m.n, m.p
+    fast = invariants_finite_group(m)
+    cols = []
+    for i in range(m.dim):
+        col = {}
+        for si, s in enumerate(group_elements(n, p)):
+            diff = _act_expand(m, s, {i: 1}) - m.basis_polys[i]
+            for mono, c in diff.terms.items():
+                col[(si, mono)] = c
+        cols.append(col)
+    slow = fp_nullspace(cols, p)
+    assert len(fast) == len(slow) == _rank(fast, p) == _rank(slow, p), m.lam
+    assert _rank(fast + slow, p) == len(fast), m.lam
+
+
+def test_invariants_match_full_group_bruteforce():
+    for lam, p in [((1, -2), 2), ((2, 0), 2), ((3, 0), 2), ((2, -2), 2),
+                   ((3, -3), 2), ((3, -1), 3), ((1, -3), 3), ((2, -4), 3),
+                   ((2, 2), 3), ((1, 1), 3), ((2, -1), 3),
+                   ((1, 0, -2), 2), ((2, 0, -1), 2), ((1, 1, 0), 2),
+                   ((0, 0, 0), 2)]:
+        _assert_generator_kernel_is_fixed_space(build_module(lam, len(lam), p))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(-6, 4), st.integers(0, 6), st.sampled_from([2, 3]))
+def test_invariants_match_full_group_random_rank2(low, gap, p):
+    m = build_module((low + gap, low), 2, p)
+    _assert_generator_kernel_is_fixed_space(m)
 
 
 def test_invariants_full_group_gl2_f3():
@@ -193,6 +277,15 @@ def test_thminter_larger_rank3_weights():
         assert agree, (lam, lhs, rhs)
 
 
+def test_thminter_rank3_p3():
+    # (n, p) = (3, 3): |GL_3(F_3)| = 11232 needs only the closure
+    # certificate, never the element list
+    for lam in [(0, 0, 0), (1, 0, -2), (2, 0, -2), (2, -2, -6)]:
+        lhs, rhs, agree = thminter_check(lam, 3, 3)
+        assert agree, (lam, lhs, rhs)
+
+
 def test_intersection_dimension_direct():
-    assert intersection_dimension(build_module((1, -2), 2, 2)) == 1
-    assert intersection_dimension(build_module((2, 0), 2, 2)) == 0
+    for lam, expect in [((1, -2), 1), ((2, 0), 0)]:
+        m = build_module(lam, 2, 2)
+        assert intersection_dimension(m, invariants_finite_group(m)) == expect

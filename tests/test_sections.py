@@ -311,6 +311,12 @@ def test_entry_points_reject_bad_n_and_p(n, p):
         gamma_matrix(n, p)
     with pytest.raises(ValueError):
         build_module(lam, n, p)
+    with pytest.raises(ValueError):
+        catalog_section("delta1", n, p)
+    with pytest.raises(ValueError):
+        catalog_section("alphasp4", None if n == 2 else n, p)
+    with pytest.raises(ValueError):
+        check_equivariance(a_var(2, 1, 2), None, n, p)
 
 
 def test_h0_exponent_past_the_limit_is_a_guard_error():
