@@ -155,10 +155,9 @@ def _cmd_vlambda(args):
 
 def _member(cone, lam):
     if cone.name in ("ZipSp4", "Schubert"):
-        try:
-            return monoid_membership(cone.generated, lam) is not None
-        except ZipconeError:
-            return False
+        # an undecided search raises UndecidedAtBoundError (exit 2); it is
+        # never reported as "not a member"
+        return monoid_membership(cone.generated, lam) is not None
     pres = cone.halfspaces
     if pres is not None:
         return pres.contains(lam)

@@ -10,8 +10,11 @@ presentations are supported:
   ``<h, x> >= 0``.
 
 All arithmetic is arbitrary-precision integer / rational.  Dualization is
-done by Fourier-Motzkin elimination; extreme rays by active-set
-enumeration.  Everything is deterministic.
+done by Fourier-Motzkin projection, after which the facets are chosen by
+the rank of their tight generators (no feasibility test per row); extreme
+rays by active-set enumeration.  Rational feasibility with a certificate
+(``nonneg_combination``) serves ``saturation_certificate`` and saturated
+membership above the elimination guard.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -280,26 +283,30 @@ def fourier_motzkin_project(rows, nvars, eliminate):
 def nonneg_combination(vectors, target):
     """Exact feasibility of ``sum mu_i v_i = target`` with ``mu_i >= 0``.
 
-    Returns a list of Fractions (a certificate) or None.  Works by
-    Fourier-Motzkin elimination with back-substitution; all arithmetic is
-    rational.
+    Returns a list of Fractions (a certificate) or None.  The equalities
+    are solved first: in their reduced row echelon form each pivot mu is
+    an affine function of the free ones.  Fourier-Motzkin elimination with
+    back-substitution then decides ``mu >= 0`` over the free mu alone.
+    All arithmetic is rational.
     """
     m = len(vectors)
     target = [Fraction(t) for t in target]
     if all(t == 0 for t in target):
         return [Fraction(0)] * m
-    if m == 0:
-        return None
     n = len(target)
+    eq, pivots = rref([[vectors[i][k] for i in range(m)] + [target[k]]
+                       for k in range(n)])
+    if m in pivots:
+        return None
+    free = [j for j in range(m) if j not in pivots]
+    nfree = len(free)
 
-    # rows: (coeffs over mu, const) meaning coeffs.mu + const >= 0
-    rows = []
-    for k in range(n):
-        coeffs = tuple(Fraction(vectors[i][k]) for i in range(m))
-        rows.append((coeffs, -target[k]))
-        rows.append((tuple(-c for c in coeffs), target[k]))
-    for i in range(m):
-        e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(m))
+    # rows: (coeffs over the free mu, const) meaning coeffs.mu + const >= 0;
+    # pivot row r reads mu_pivot = const - sum_j eq[r][j] mu_j over free j
+    rows = [(tuple(-eq[r][j] for j in free), eq[r][m])
+            for r in range(len(pivots))]
+    for i in range(nfree):
+        e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(nfree))
         rows.append((e, Fraction(0)))
 
     def norm(rws):
@@ -319,7 +326,7 @@ def nonneg_combination(vectors, target):
     if rows is None:
         return None
     steps = []
-    remaining = list(range(m))
+    remaining = list(range(nfree))
     while remaining:
         best, best_cost = None, None
         for v in remaining:
@@ -336,29 +343,35 @@ def nonneg_combination(vectors, target):
         new = list(zero)
         for cp, kp in pos:
             for cn, kn in neg:
-                coeffs = tuple(cp[i] * (-cn[v]) + cn[i] * cp[v] for i in range(m))
+                coeffs = tuple(cp[i] * (-cn[v]) + cn[i] * cp[v]
+                               for i in range(nfree))
                 new.append((coeffs, kp * (-cn[v]) + kn * cp[v]))
         rows = norm(new)
         if rows is None:
             return None
-    # feasible; back-substitute a witness
-    mu = [Fraction(0)] * m
+    # feasible; back-substitute the free mu, then the pivot mu
+    nu = [Fraction(0)] * nfree
     for v, pos, neg in reversed(steps):
         lo, hi = None, None
-        for c, k in pos:   # c[v] > 0: mu_v >= -(k + sum_{j!=v} c_j mu_j)/c[v]
-            rest = k + sum(c[j] * mu[j] for j in range(m) if j != v)
+        for c, k in pos:   # c[v] > 0: nu_v >= -(k + sum_{j!=v} c_j nu_j)/c[v]
+            rest = k + sum(c[j] * nu[j] for j in range(nfree) if j != v)
             bound = -rest / c[v]
             lo = bound if lo is None or bound > lo else lo
         for c, k in neg:
-            rest = k + sum(c[j] * mu[j] for j in range(m) if j != v)
+            rest = k + sum(c[j] * nu[j] for j in range(nfree) if j != v)
             bound = -rest / c[v]
             hi = bound if hi is None or bound < hi else hi
         if lo is not None:
-            mu[v] = lo
+            nu[v] = lo
         elif hi is not None:
-            mu[v] = min(hi, Fraction(0))
+            nu[v] = min(hi, Fraction(0))
         else:
-            mu[v] = Fraction(0)
+            nu[v] = Fraction(0)
+    mu = [Fraction(0)] * m
+    for i, j in enumerate(free):
+        mu[j] = nu[i]
+    for r, c in enumerate(pivots):
+        mu[c] = eq[r][m] - sum(eq[r][j] * mu[j] for j in free)
     # exact verification of the certificate
     if any(x < 0 for x in mu) or any(
             sum(Fraction(vectors[i][k]) * mu[i] for i in range(m)) != target[k]
@@ -474,60 +487,32 @@ def saturation_certificate(cone, lam):
     return nonneg_combination([list(g) for g in cone.generators], list(lam))
 
 
-def halfspaces_of(cone, prune=True):
+def halfspaces_of(cone):
     """Dual (inequality) description of the rational hull of a cone.
 
     The result has the same saturated-membership predicate as ``cone``.
-    Rows are primitive integer vectors; with ``prune`` the list is
-    irredundant (each row is extremal among the valid inequalities).
+    Rows are primitive integer vectors: one row per facet, in
+    Fourier-Motzkin order, then the implicit equalities of a
+    lower-dimensional cone as ``+e, -e`` pairs.  The list is irredundant.
     """
     if cone.rank > FM_RANK_GUARD:
         raise GuardExceededError(
             "rank %d exceeds the elimination guard %d" % (cone.rank, FM_RANK_GUARD))
-    if prune and cone._halfspaces is not None:
+    if cone._halfspaces is not None:
         return cone._halfspaces
     n = cone.rank
-    m = len(cone.generators)
-    if m == 0:
-        rows = []
-        for i in range(n):
-            e = [0] * n
-            e[i] = 1
-            rows.append(tuple(e))
-            rows.append(tuple(-x for x in e))
-        sys = HalfspaceSystem(n, rows)
-        cone._halfspaces = sys
-        return sys
-    # variables y = (x_1..x_n, mu_1..mu_m); the system is
-    #   x - G mu = 0  (equalities),   mu >= 0.
-    # Equalities are removed by exact Gaussian substitution, pivoting on
-    # the mu block first, so Fourier-Motzkin only ever sees the leftover
-    # mu variables (at most m - rank(G) of them).
-    eq = []
-    for k in range(n):
-        r = [Fraction(0)] * (n + m)
-        r[k] = Fraction(1)
-        for j, g in enumerate(cone.generators):
-            r[n + j] = Fraction(-g[k])
-        eq.append(r)
-    order = list(range(n, n + m)) + list(range(n))
-    pivot_of = {}
-    nrow = 0
-    for c in order:
-        piv = next((i for i in range(nrow, len(eq)) if eq[i][c] != 0), None)
-        if piv is None:
-            continue
-        eq[nrow], eq[piv] = eq[piv], eq[nrow]
-        pv = eq[nrow][c]
-        eq[nrow] = [x / pv for x in eq[nrow]]
-        for i in range(len(eq)):
-            if i != nrow and eq[i][c] != 0:
-                f = eq[i][c]
-                eq[i] = [x - f * y for x, y in zip(eq[i], eq[nrow])]
-        pivot_of[c] = nrow
-        nrow += 1
-    mu_pivots = {c - n: pivot_of[c] for c in pivot_of if c >= n}
-    pure_x_eqs = [eq[r][:n] for c, r in pivot_of.items() if c < n]
+    gens = cone.generators
+    m = len(gens)
+    # variables (mu_1..mu_m, x_1..x_n); the system is
+    #   -G mu + x = 0  (equalities),   mu >= 0.
+    # The reduced row echelon form, pivoting on the mu block first, solves
+    # the equalities, so Fourier-Motzkin only ever sees the leftover free
+    # mu variables (m - rank(G) of them).  Rows pivoting on an x column
+    # are the equalities of the linear hull of the generators.
+    eq, pivots = rref([[-g[k] for g in gens] + [int(i == k) for i in range(n)]
+                       for k in range(n)])
+    mu_pivots = {c: r for r, c in enumerate(pivots) if c < m}
+    pure_x_eqs = [eq[r][m:] for r, c in enumerate(pivots) if c >= m]
     free_mu = [j for j in range(m) if j not in mu_pivots]
 
     # substitute the pivot expressions into mu_j >= 0; remaining columns
@@ -540,37 +525,42 @@ def halfspaces_of(cone, prune=True):
             # mu_j = -(sum of the other entries of its pivot row)
             pr = eq[mu_pivots[j]]
             for k in range(n):
-                row[k] = -pr[k]
+                row[k] = -pr[m + k]
             for fi, fj in enumerate(free_mu):
-                row[n + fi] = -pr[n + fj]
+                row[n + fi] = -pr[fj]
         else:
             row[n + free_mu.index(j)] = Fraction(1)
         ineqs.append(_primitive(row))
     projected = fourier_motzkin_project(
         [tuple(r) for r in ineqs if any(r)], width, set(range(n, width)))
-    xs = [r[:n] for r in projected]
+    xs = _facets([r[:n] for r in projected], gens, len(mu_pivots))
     for e in pure_x_eqs:
-        xs.append(tuple(e))
-        xs.append(tuple(-v for v in e))
-    xs = _normalize_rows(xs)
-    if prune and len(xs) > 1:
-        xs = _prune_implied(xs)
-    sys = HalfspaceSystem(n, xs) if xs else HalfspaceSystem(n, [])
-    if prune:
-        cone._halfspaces = sys
+        xs.append(e)
+        xs.append([-v for v in e])
+    sys = HalfspaceSystem(n, xs)
+    cone._halfspaces = sys
     return sys
 
 
-def _prune_implied(rows):
-    """Drop rows that are nonnegative rational combinations of the others."""
-    kept = list(rows)
-    i = 0
-    while i < len(kept):
-        others = kept[:i] + kept[i + 1:]
-        if others and nonneg_combination(others, kept[i]) is not None:
-            kept.pop(i)
-        else:
-            i += 1
+def _facets(rows, gens, dim):
+    """The rows, valid on the cone of ``gens`` of dimension ``dim``, that
+    define facets: those whose tight generators have rank ``dim - 1``.
+
+    A row tight on every generator is an implicit equality and is dropped.
+    The tight set determines the face, so of several rows cutting out the
+    same facet (possible only when ``dim`` is below the ambient rank) the
+    first is kept.
+    """
+    kept = []
+    seen = set()
+    for h in _normalize_rows(rows):
+        tight = frozenset(j for j, g in enumerate(gens)
+                          if sum(a * b for a, b in zip(h, g)) == 0)
+        if tight in seen:
+            continue
+        seen.add(tight)
+        if matrix_rank([list(gens[j]) for j in tight]) == dim - 1:
+            kept.append(h)
     return kept
 
 
@@ -628,20 +618,6 @@ def generators_of(system):
         gens.append(Weight(l))
         gens.append(Weight(tuple(-x for x in l)))
     return gens
-
-
-def minimal_generators(cone):
-    """Generators that are not rational combinations of the others."""
-    gens = list(cone.generators)
-    kept = list(gens)
-    i = 0
-    while i < len(kept):
-        others = [list(g) for g in kept[:i] + kept[i + 1:]]
-        if others and nonneg_combination(others, list(kept[i])) is not None:
-            kept.pop(i)
-        else:
-            i += 1
-    return sorted(_primitive(g) for g in kept)
 
 
 def _presentations(c):

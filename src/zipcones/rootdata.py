@@ -236,6 +236,8 @@ def gaussian_binomial_product(n, i, p):
     """The same value by the explicit product formula (cross-check form)."""
     if i < 0 or i > n:
         raise ValueError("need 0 <= i <= n")
+    if p < 2:
+        raise ValueError("need p >= 2")
     num = 1
     for k in range(i + 1, n + 1):
         num *= p ** k - 1

@@ -23,7 +23,8 @@ from zipcones.cones import (
     Weight,
     cone_contains_saturated,
     cones_equal_saturated,
-    minimal_generators,
+    extreme_rays,
+    halfspaces_of,
     monoid_membership,
     saturated_membership,
 )
@@ -106,7 +107,7 @@ def test_etas_on_boundary_hyperplane():
 
 def test_pol_extreme_rays():
     c = cone_pol(2, 2)
-    assert minimal_generators(c.generated) == [(-2, 1), (1, -2)]
+    assert extreme_rays(halfspaces_of(c.generated)) == [(-2, 1), (1, -2)]
     assert not saturated_membership(c.generated, (1, 0))
 
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -145,6 +146,27 @@ def test_exit_codes(tmp_path):
                   tmp_path)
     assert code == 1   # cone with a lineality space has no ray polygon
     assert main([]) == 1   # missing subcommand is a usage error
+
+
+def test_undecided_membership_exits_2(tmp_path, monkeypatch, capsys):
+    # a monoid-presented cone whose generators do not all have negative
+    # coordinate sum, so its membership search stops at the bound; the
+    # sweep must fail with a guard error, not print agree:false
+    import zipcones.cli as cli
+    from zipcones.catalog import NamedCone
+    from zipcones.cones import GeneratedCone, monoid_membership
+
+    cone = NamedCone("ZipSp4", 2, (2,),
+                     generated=GeneratedCone(2, [(1, 0), (1, 1), (2, 1)]))
+    monkeypatch.setattr(cli, "catalog_cone", lambda name, n, p: cone)
+    monkeypatch.setattr(cli, "monoid_membership",
+                        functools.partial(monoid_membership, bound=3))
+    code, data = run(["sweep", "--n", "2", "--p", "2", "--box", "-1..1",
+                      "--compare", "zip-sp4"], tmp_path)
+    assert code == 2 and data == b""
+    err = capsys.readouterr().err
+    assert err.startswith("guard error: no combination with coefficients <= 3")
+    assert "Traceback" not in err
 
 
 def test_matrix_size_below_one_is_a_usage_error(tmp_path):

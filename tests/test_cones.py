@@ -4,6 +4,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from zipcones.catalog import catalog_cone
 from zipcones.cones import (
     GeneratedCone,
     HalfspaceSystem,
@@ -14,7 +15,6 @@ from zipcones.cones import (
     generators_of,
     halfspaces_of,
     lineality_space,
-    minimal_generators,
     monoid_membership,
     nonneg_combination,
     saturated_membership,
@@ -169,8 +169,9 @@ def test_degenerate_cone_dualization():
 
 
 def test_minimal_generators():
+    # the minimal generators of a pointed cone are its extreme rays
     c = GeneratedCone(2, [(1, 0), (0, 1), (1, 1)])
-    assert minimal_generators(c) == [(0, 1), (1, 0)]
+    assert extreme_rays(halfspaces_of(c)) == [(0, 1), (1, 0)]
 
 
 def test_enumerate_lattice_points_halfline():
@@ -234,11 +235,56 @@ def test_saturated_iff_multiple_in_monoid(gens, lam):
         assert got is not None
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(small_vec, min_size=1, max_size=4))
-def test_halfspace_dual_agrees_with_direct_feasibility(gens):
-    cone = GeneratedCone(2, gens)
+@st.composite
+def generator_sets(draw):
+    """Rank <= 4 generator sets, often lower-dimensional or with a line.
+
+    The generators are small integer combinations of k <= n drawn vectors,
+    so their span often has dimension below n; appending the negative of
+    a generator puts a line into the cone.
+    """
+    n = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    k = draw(st.integers(1, n))
+    basis = draw(st.lists(vec, min_size=k, max_size=k))
+    coeffs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                           min_size=1, max_size=5))
+    gens = [tuple(sum(c * b[i] for c, b in zip(cs, basis)) for i in range(n))
+            for cs in coeffs]
+    if draw(st.booleans()):
+        gens.append(tuple(-x for x in gens[0]))
+    points = draw(st.lists(vec, min_size=3, max_size=3))
+    return n, gens, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+def test_halfspace_dual_agrees_with_direct_feasibility(case):
+    # direct rational feasibility (nonneg_combination) is the reference
+    n, gens, points = case
+    cone = GeneratedCone(n, gens)
     hs = halfspaces_of(cone)
-    for pt in [(1, 0), (0, 1), (-1, -1), (2, -3), (-4, 1)]:
-        direct = saturated_membership(cone, pt)
-        assert hs.contains(pt) == direct
+    rows = [list(h) for h in hs.inequalities]
+    gens = [list(g) for g in cone.generators]
+    for h in rows:
+        assert all(sum(a * b for a, b in zip(h, g)) >= 0 for g in gens)
+    for i, h in enumerate(rows):
+        others = rows[:i] + rows[i + 1:]
+        assert not others or nonneg_combination(others, h) is None
+    # the generators lie on the boundary, their differences and the
+    # negated sum often outside: points where a wrong facet would show
+    total = [sum(g[i] for g in gens) for i in range(n)]
+    diffs = [[a - b for a, b in zip(g, gens[0])] for g in gens[1:]]
+    for pt in points + gens + diffs + [total, [-x for x in total]]:
+        assert hs.contains(pt) == (saturation_certificate(cone, pt) is not None)
+
+
+def test_halfspaces_of_reaches_rank_4():
+    # Fourier-Motzkin emits thousands of rows for pol at n=4; the facets
+    # are picked by the rank of their tight generators
+    for name, facets in (("pol", 14), ("sigma1", 10), ("sigma1p", 10)):
+        gen = catalog_cone(name, 4, 2).generated
+        hs = halfspaces_of(gen)
+        assert len(hs.inequalities) == facets, name
+        assert cones_equal_saturated(gen, hs)
+        assert cones_equal_saturated(GeneratedCone(4, extreme_rays(hs)), gen)

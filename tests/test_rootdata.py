@@ -116,6 +116,13 @@ def test_gaussian_binomial_range_error():
         gaussian_binomial(3, 4, 2)
 
 
+def test_gaussian_binomial_product_rejects_small_p():
+    # p = 1 makes every factor p^k - 1 zero; p = 0 gave a plausible 1
+    for p in (1, 0, -3):
+        with pytest.raises(ValueError):
+            gaussian_binomial_product(2, 1, p)
+
+
 def test_delta_cocharacter_split():
     d = SymplecticRootDatum(2)
     assert d.r_alpha(d.beta_index) == 1

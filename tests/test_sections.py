@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from types import SimpleNamespace
@@ -210,6 +211,24 @@ def test_h0_additivity_of_positivity():
         b = rng.choice(pos)
         s = (a[0] + b[0], a[1] + b[1])
         assert h0_dimension(s, 2, 2) > 0, (a, b)
+
+
+@functools.lru_cache(maxsize=None)
+def _positive_rank2_weights(p):
+    """The L-dominant weights of [-8, 3]^2 with a nonzero section."""
+    return [lam for lam in itertools.product(range(3, -9, -1), repeat=2)
+            if lam[0] >= lam[1] and h0_dimension(lam, 2, p) > 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_h0_positivity_is_additive(p, data):
+    # the product of nonzero sections of weights lam and mu is a nonzero
+    # section of weight lam + mu
+    pos = _positive_rank2_weights(p)
+    lam = data.draw(st.sampled_from(pos), label="lam")
+    mu = data.draw(st.sampled_from(pos), label="mu")
+    assert h0_dimension((lam[0] + mu[0], lam[1] + mu[1]), 2, p) > 0
 
 
 def test_rzip_examples():
