@@ -10,20 +10,43 @@ a_1 >= ... >= a_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .cones import GeneratedCone, HalfspaceSystem, Weight
+from .cones import GeneratedCone, HalfspaceSystem
 from .errors import ZipconeError
 from .rootdata import SymplecticRootDatum, gaussian_binomial
+from .weights import Weight
 
 
-@dataclass(frozen=True)
 class NamedCone:
-    name: str
-    rank: int
-    params: tuple = ()
-    generated: GeneratedCone | None = None
-    halfspaces: HalfspaceSystem | None = None
+    """A named cone with a generator presentation, a halfspace
+    presentation, or both.
+
+    Its members are the points of the saturated cone, unless ``monoid`` is
+    set: then they are the nonnegative integer combinations of the
+    generators.  Equal when all fields are.
+    """
+
+    __slots__ = ("name", "rank", "params", "generated", "halfspaces", "monoid")
+
+    def __init__(self, name, rank, params=(), generated=None, halfspaces=None,
+                 monoid=False):
+        self.name = name
+        self.rank = rank
+        self.params = params
+        self.generated = generated
+        self.halfspaces = halfspaces
+        self.monoid = monoid
+
+    def _key(self):
+        return (self.name, self.rank, self.params, self.generated,
+                self.halfspaces, self.monoid)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def presentation(self, kind):
         if kind == "generators":
@@ -107,7 +130,8 @@ def cone_schubert(datum, p):
     monoid generated by the images of the fundamental weights."""
     n = datum.n
     gens = [datum.h_map(_fundamental(n, i), p) for i in range(1, n + 1)]
-    return NamedCone("Schubert", n, (n, p), generated=GeneratedCone(n, gens))
+    return NamedCone("Schubert", n, (n, p), generated=GeneratedCone(n, gens),
+                     monoid=True)
 
 
 def cone_schubert_saturated(datum, p):
@@ -192,7 +216,8 @@ def cone_sigma(subset, n, p):
 
 def cone_zip_sp4(p):
     gens = [Weight((1, -p)), Weight((1 - p, 1 - p)), Weight((0, -p * (p - 1)))]
-    return NamedCone("ZipSp4", 2, (2, p), generated=GeneratedCone(2, gens))
+    return NamedCone("ZipSp4", 2, (2, p), generated=GeneratedCone(2, gens),
+                     monoid=True)
 
 
 def cone_zip_sp4_saturated(p):

@@ -9,26 +9,20 @@ errors.
 from __future__ import annotations
 
 import argparse
-import functools
-import itertools
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .catalog import catalog_cone, catalog_names
-from .cones import Weight, extreme_rays, monoid_membership
 from .errors import (
     EmptyModuleError,
     GuardExceededError,
     TheoremViolationError,
     ZipconeError,
 )
-from .fpoly import RationalFunction, is_prime
-from .modules import build_module, intersection_dimension, invariants_finite_group, subspace_leq0
-from .rootdata import SymplecticRootDatum
-from .sections import catalog_section, gamma_matrix, h0_dimension
-from . import sections
+from .weights import Weight, is_prime
+
+# Each verb imports the layers it runs when it runs, so a job compiles
+# only those; tests/test_imports.py checks which modules each verb loads.
 
 SCHEMA = "zipcone/1"
 
@@ -40,6 +34,20 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+_CONE_NAMES = "one of the catalog cone names"
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """Lists the catalog cone names in ``cone --help``; the catalog is
+    imported only when that help is printed."""
+
+    def _get_help_string(self, action):
+        if action.help is _CONE_NAMES:
+            from .catalog import catalog_names
+            return "one of: %s" % ", ".join(catalog_names())
+        return action.help
 
 
 def _emit(args, text):
@@ -81,6 +89,8 @@ def _poly_json(poly):
 
 
 def _body_json(body):
+    from .fpoly import RationalFunction
+
     if isinstance(body, RationalFunction):
         return {"num": _poly_json(body.num),
                 "den": {str(i + 1): e for i, e in enumerate(body.exps) if e}}
@@ -88,6 +98,8 @@ def _body_json(body):
 
 
 def _cmd_cone(args):
+    from .catalog import catalog_cone
+
     cone = catalog_cone(args.name, args.n, args.p)
     pres = cone.presentation(args.emit)
     doc = {"schema": SCHEMA, "name": cone.name}
@@ -96,6 +108,8 @@ def _cmd_cone(args):
 
 
 def _cmd_rootdata(args):
+    from .rootdata import SymplecticRootDatum
+
     d = SymplecticRootDatum(args.n)
     doc = {
         "schema": SCHEMA,
@@ -111,6 +125,8 @@ def _cmd_rootdata(args):
 
 
 def _cmd_verify_section(args):
+    from .sections import catalog_section
+
     s = catalog_section(args.name, args.n, args.p)
     doc = {"schema": SCHEMA, "name": s.name, "n": s.n, "p": s.p,
            "weight": list(s.weight), "verified": True,
@@ -119,6 +135,8 @@ def _cmd_verify_section(args):
 
 
 def _cmd_gamma(args):
+    from .sections import gamma_matrix
+
     g = gamma_matrix(args.n, args.p)
     doc = {"schema": SCHEMA, "n": g.n, "p": g.p,
            "z": [[_body_json(e.reduce()) for e in row] for row in g.z],
@@ -126,15 +144,30 @@ def _cmd_gamma(args):
     _emit(args, _json(doc))
 
 
+def _monomial_cap(args):
+    from .sections import MONOMIAL_CAP
+
+    return MONOMIAL_CAP if args.monomial_cap is None else args.monomial_cap
+
+
 def _cmd_h0(args):
+    from .sections import h0_dimension
+
     lam = _parse_weight(args.weight)
-    dim = h0_dimension(lam, args.n, args.p, monomial_cap=args.monomial_cap)
+    dim = h0_dimension(lam, args.n, args.p, monomial_cap=_monomial_cap(args))
     doc = {"schema": SCHEMA, "n": args.n, "p": args.p,
            "weight": list(lam), "dim": dim}
     _emit(args, _json(doc))
 
 
 def _cmd_vlambda(args):
+    from .modules import (
+        build_module,
+        intersection_dimension,
+        invariants_finite_group,
+        subspace_leq0,
+    )
+
     lam = _parse_weight(args.weight)
     try:
         module = build_module(lam, args.n, args.p)
@@ -154,30 +187,38 @@ def _cmd_vlambda(args):
 
 
 def _member(cone, lam):
-    if cone.name in ("ZipSp4", "Schubert"):
+    from .cones import monoid_membership, saturated_membership
+
+    if cone.monoid:
         # an undecided search raises UndecidedAtBoundError (exit 2); it is
         # never reported as "not a member"
         return monoid_membership(cone.generated, lam) is not None
     pres = cone.halfspaces
     if pres is not None:
         return pres.contains(lam)
-    from .cones import saturated_membership
     return saturated_membership(cone.generated, lam)
 
 
 def _sweep_dim(task):
+    from .sections import h0_dimension
+
     lam, n, p, cap = task
     return h0_dimension(lam, n, p, monomial_cap=cap)
 
 
 def _cmd_sweep(args):
+    import itertools
+
+    from .catalog import catalog_cone
+
     lo, hi = _parse_box(args.box)
     cone = catalog_cone(args.compare, args.n, args.p)
     if cone.rank != args.n:
         raise _UsageError("cone rank does not match --n")
     points = [Weight(pt) for pt in
               itertools.product(range(lo, hi + 1), repeat=args.n)]
-    tasks = [(lam, args.n, args.p, args.monomial_cap) for lam in points]
+    cap = _monomial_cap(args)
+    tasks = [(lam, args.n, args.p, cap) for lam in points]
     threads = os.environ.get("ZIPCONE_THREADS", "1")
     try:
         workers = int(threads)
@@ -204,16 +245,20 @@ def _cmd_sweep(args):
 
 
 def _fr(x):
-    x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else "%d/%d" % (
         x.numerator, x.denominator)
 
 
 def _cmd_slice(args):
+    import functools
+    from fractions import Fraction
+
+    from .catalog import catalog_cone
+    from .cones import extreme_rays, halfspaces_of
+
     cone = catalog_cone(args.cone, args.n, args.p)
     pres = cone.halfspaces
     if pres is None:
-        from .cones import halfspaces_of
         pres = halfspaces_of(cone.generated)
     if pres.rank != 3:
         raise _UsageError("slice needs a rank-3 cone")
@@ -273,14 +318,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, formatter_class=_HelpFormatter)
         p.set_defaults(fn=fn)
         p.add_argument("--out", default=None)
         return p
 
     p = add("cone", _cmd_cone)
-    p.add_argument("--name", required=True,
-                   help="one of: %s" % ", ".join(catalog_names()))
+    p.add_argument("--name", required=True, help=_CONE_NAMES)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--emit", choices=["generators", "halfspaces"],
@@ -302,7 +346,8 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--weight", required=True)
-    p.add_argument("--monomial-cap", type=int, default=sections.MONOMIAL_CAP)
+    # None stands for sections.MONOMIAL_CAP, read when the verb runs
+    p.add_argument("--monomial-cap", type=int, default=None)
 
     p = add("vlambda", _cmd_vlambda)
     p.add_argument("--n", type=int, required=True)
@@ -315,7 +360,8 @@ def build_parser():
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--box", default="-8..8")
     p.add_argument("--compare", required=True)
-    p.add_argument("--monomial-cap", type=int, default=sections.MONOMIAL_CAP)
+    # None stands for sections.MONOMIAL_CAP, read when the verb runs
+    p.add_argument("--monomial-cap", type=int, default=None)
 
     p = add("slice", _cmd_slice)
     p.add_argument("--cone", required=True)

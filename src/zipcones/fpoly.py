@@ -43,8 +43,8 @@ from heapq import heapify, heappop, heappush
 from math import isqrt
 from operator import or_
 
-from .cones import Weight
 from .errors import GuardExceededError
+from .weights import Weight, is_prime
 
 FIELD_BITS = 32
 EXPONENT_LIMIT = (1 << (FIELD_BITS - 1)) - 1
@@ -56,17 +56,6 @@ def _guard_mask(nbits):
     reaches: a repunit in base 2**FIELD_BITS, shifted to the top bit."""
     fields = nbits // FIELD_BITS + 1
     return ((1 << (FIELD_BITS * fields)) - 1) // _FIELD << (FIELD_BITS - 1)
-
-
-def is_prime(p):
-    if not isinstance(p, int) or p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def validate_n_p(n, p):

@@ -17,11 +17,8 @@ sparse and exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .cones import Weight
 from .errors import (
     EmptyModuleError,
     GuardExceededError,
@@ -29,6 +26,7 @@ from .errors import (
 )
 from .fplinalg import fp_nullspace
 from .fpoly import FpPolynomial, minor, validate_n_p
+from .weights import Weight
 
 GROUP_ORDER_GUARD = 10 ** 4
 CLOSURE_ORDER_GUARD = 10 ** 5
@@ -200,16 +198,25 @@ class ModuleElement:
         return self.num.is_zero()
 
 
-@dataclass
 class InducedModule:
-    lam: Weight
-    n: int
-    p: int
-    det_pow: int
-    level_mults: tuple          # multiplicity of each level 1..n-1
-    basis: tuple                # minor monomials: tuples of ((level, cols), mult)
-    basis_polys: tuple          # expanded numerators (FpPolynomial)
-    weights: tuple              # right-translation eigenvalues (Weight)
+    """V(lam) with a basis of minor monomials.
+
+    ``level_mults`` is the multiplicity of each level 1..n-1, ``basis`` the
+    minor monomials (tuples of ``((level, cols), mult)``), ``basis_polys``
+    their expanded numerators (FpPolynomial) and ``weights`` their
+    right-translation eigenvalues (Weight).
+    """
+
+    def __init__(self, lam, n, p, det_pow, level_mults, basis, basis_polys,
+                 weights):
+        self.lam = lam
+        self.n = n
+        self.p = p
+        self.det_pow = det_pow
+        self.level_mults = level_mults
+        self.basis = basis
+        self.basis_polys = basis_polys
+        self.weights = weights
 
     @property
     def dim(self):
@@ -228,15 +235,19 @@ class InducedModule:
 
 
 def weyl_dimension(lam):
+    """prod_{i<j} (lam_i - lam_j + j - i) / prod_{i<j} (j - i)."""
     n = len(lam)
-    d = Fraction(1)
+    num = den = 1
     for i in range(n):
         for j in range(i + 1, n):
-            d *= Fraction(lam[i] - lam[j] + j - i, j - i)
-    if d.denominator != 1:
+            num *= lam[i] - lam[j] + j - i
+            den *= j - i
+    d, r = divmod(num, den)
+    if r:
         raise TheoremViolationError(
-            "Weyl dimension of %s is the non-integer %s" % (tuple(lam), d))
-    return int(d)
+            "Weyl dimension of %s is the non-integer %s / %s"
+            % (tuple(lam), num, den))
+    return d
 
 
 def _expand_monomial(n, p, mono):

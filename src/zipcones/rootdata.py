@@ -17,8 +17,8 @@ import itertools
 from functools import lru_cache
 from math import comb
 
-from .cones import Weight, _as_weight
 from .errors import TheoremViolationError, ZipconeError
+from .weights import Weight, _as_weight
 
 
 def _unit(n, i):

@@ -17,11 +17,8 @@ which the structured descriptions are tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .catalog import eta_weight, schubert_weight
-from .cones import Weight
 from .errors import (
     GuardExceededError,
     InhomogeneousWeightError,
@@ -44,8 +41,7 @@ from .fpoly import (
     validate_n_p,
     weight_of,
 )
-from .modules import _det_mod, group_elements, group_order
-from .rootdata import SymplecticRootDatum
+from .weights import Weight
 
 GAMMA_RANK_GUARD = 4
 MONOMIAL_CAP = 2 * 10 ** 5
@@ -53,14 +49,29 @@ MONOMIAL_CAP = 2 * 10 ** 5
 _T = ("t",)
 
 
-@dataclass(frozen=True)
 class Section:
-    """A verified equivariant function with its weight."""
-    n: int
-    p: int
-    body: object            # FpPolynomial or RationalFunction
-    weight: Weight
-    name: str | None = None
+    """A verified equivariant function with its weight; ``body`` is an
+    FpPolynomial or a RationalFunction.  Equal when all fields are."""
+
+    __slots__ = ("n", "p", "body", "weight", "name")
+
+    def __init__(self, n, p, body, weight, name=None):
+        self.n = n
+        self.p = p
+        self.body = body
+        self.weight = weight
+        self.name = name
+
+    def _key(self):
+        return (self.n, self.p, self.body, self.weight, self.name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __mul__(self, other):
         """Product of verified sections.
@@ -155,6 +166,8 @@ def check_equivariance(body, lam, n, p, name=None):
 # the catalog of explicit sections
 
 def _delta_section(n, p, i):
+    from .catalog import schubert_weight
+
     basis = MinorBasis(n, p)
     return check_equivariance(basis.delta(i), schubert_weight(n, p, i),
                               n, p, name="delta%d" % i)
@@ -183,6 +196,8 @@ def _epsilon_sp6(p):
 
 
 def _f1_sp6(p):
+    from .catalog import eta_weight
+
     basis = MinorBasis(3, p)
     body = a_var(p, 1, 2) * basis.delta(2) ** p \
         + basis.delta(1) * _removal_minor(3, p, 2, 1) ** p
@@ -194,6 +209,8 @@ def _f2_sp6(p):
     # reading the two terms are only compatible mod 2, and the version
     # below is the one that is equivariant, matches the reduction-matrix
     # entry exactly and satisfies the theta division identity at odd p
+    from .catalog import eta_weight
+
     basis = MinorBasis(3, p)
     body = -(basis.delta(1) ** p * _removal_minor(3, p, 3, 2)
              + basis.delta(2) * a_var(p, 2, 3) ** p)
@@ -270,13 +287,17 @@ def section_names(n):
 # ---------------------------------------------------------------------------
 # the triangular reduction matrix
 
-@dataclass
 class GammaMatrix:
-    n: int
-    p: int
-    basis: MinorBasis
-    z: list         # lower unitriangular, RationalFunction entries
-    gamma: list     # z A phi(z)^{-1}, entries reduced
+    """The reduction matrix: ``z`` is lower unitriangular and ``gamma`` is
+    z A phi(z)^{-1}, both with RationalFunction entries over ``basis``,
+    those of ``gamma`` reduced."""
+
+    def __init__(self, n, p, basis, z, gamma):
+        self.n = n
+        self.p = p
+        self.basis = basis
+        self.z = z
+        self.gamma = gamma
 
 
 @lru_cache(maxsize=None)
@@ -372,6 +393,8 @@ def clear_denominators(gm, r, s):
     clearing (the entry's numerator in lowest terms) as a verified
     Section.
     """
+    from .catalog import schubert_weight
+
     n, p = gm.n, gm.p
     if r + s > n + 1:
         raise ZipconeError("entry (%d, %d) vanishes for n = %d" % (r, s, n))
@@ -522,7 +545,6 @@ def rzip_sp4_graded_dimension(lam, p):
 # ---------------------------------------------------------------------------
 # the norm construction and its boundary valuation
 
-@dataclass
 class TildeSection:
     """Norm product of a module element over the finite Levi group.
 
@@ -533,12 +555,14 @@ class TildeSection:
     extends across the boundary iff it is nonnegative.  Only its sign is
     contractually meaningful.
     """
-    n: int
-    p: int
-    weight: Weight
-    body_num: FpPolynomial
-    body_det_power: int
-    det_valuation: int
+
+    def __init__(self, n, p, weight, body_num, body_det_power, det_valuation):
+        self.n = n
+        self.p = p
+        self.weight = weight
+        self.body_num = body_num
+        self.body_det_power = body_det_power
+        self.det_valuation = det_valuation
 
     @property
     def extends(self):
@@ -574,6 +598,8 @@ def tilde_valuation(elem):
     Computed as the sum over the finite group of the t-adic valuations of
     the element along b delta(t) s, exactly and symbolically.
     """
+    from .modules import group_elements
+
     n, p = elem.n, elem.p
     group = group_elements(n, p)
     if elem.num.is_zero():
@@ -592,6 +618,8 @@ def tilde_valuation(elem):
 
 def tilde_section(elem, body_term_cap=MONOMIAL_CAP):
     """Norm product over GL_n(F_p) of a module element, with valuations."""
+    from .modules import _det_mod, group_elements, group_order
+
     n, p = elem.n, elem.p
     group = group_elements(n, p)
     if elem.num.is_zero():
@@ -633,6 +661,8 @@ def valuation_sign_predict(lam, n, p, datum=None, alpha_index=None):
     """Sign in {-1, 0, +1} of the boundary valuation predicted for the
     norm of a highest-weight vector: the negative of the length-weighted
     sum of the pairings of the Levi orbit of lam against the coroot."""
+    from .rootdata import SymplecticRootDatum
+
     datum = datum or SymplecticRootDatum(n)
     if alpha_index is None:
         alpha_index = datum.beta_index

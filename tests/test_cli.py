@@ -152,15 +152,16 @@ def test_undecided_membership_exits_2(tmp_path, monkeypatch, capsys):
     # a monoid-presented cone whose generators do not all have negative
     # coordinate sum, so its membership search stops at the bound; the
     # sweep must fail with a guard error, not print agree:false
-    import zipcones.cli as cli
-    from zipcones.catalog import NamedCone
-    from zipcones.cones import GeneratedCone, monoid_membership
+    import zipcones.catalog as catalog
+    import zipcones.cones as cones
 
-    cone = NamedCone("ZipSp4", 2, (2,),
-                     generated=GeneratedCone(2, [(1, 0), (1, 1), (2, 1)]))
-    monkeypatch.setattr(cli, "catalog_cone", lambda name, n, p: cone)
-    monkeypatch.setattr(cli, "monoid_membership",
-                        functools.partial(monoid_membership, bound=3))
+    cone = catalog.NamedCone(
+        "Bounded", 2, (2,),
+        generated=cones.GeneratedCone(2, [(1, 0), (1, 1), (2, 1)]),
+        monoid=True)
+    monkeypatch.setattr(catalog, "catalog_cone", lambda name, n, p: cone)
+    monkeypatch.setattr(cones, "monoid_membership",
+                        functools.partial(cones.monoid_membership, bound=3))
     code, data = run(["sweep", "--n", "2", "--p", "2", "--box", "-1..1",
                       "--compare", "zip-sp4"], tmp_path)
     assert code == 2 and data == b""

@@ -1,11 +1,16 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zipcones.cones import Weight
-from zipcones.errors import EmptyModuleError, GuardExceededError
+from zipcones.errors import (
+    EmptyModuleError,
+    GuardExceededError,
+    TheoremViolationError,
+)
 from zipcones.fplinalg import fp_nullspace
 from zipcones.fpoly import FpPolynomial, a_var
 from zipcones.modules import (
@@ -71,6 +76,22 @@ def test_weyl_dimension_box():
                 continue
             m = build_module(lam, n, p)
             assert m.dim == weyl_dimension(lam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=3))
+def test_weyl_dimension_is_the_fraction_product(lam):
+    n = len(lam)
+    d = Fraction(1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d *= Fraction(lam[i] - lam[j] + j - i, j - i)
+    assert d.denominator == 1 and weyl_dimension(lam) == d
+
+
+def test_weyl_dimension_rejects_a_non_integer():
+    with pytest.raises(TheoremViolationError):
+        weyl_dimension((Fraction(1, 2), 0))
 
 
 def test_weights_symmetric_and_kostka():

@@ -231,6 +231,20 @@ def test_h0_positivity_is_additive(p, data):
     assert h0_dimension((lam[0] + mu[0], lam[1] + mu[1]), 2, p) > 0
 
 
+def test_h0_positivity_is_additive_rank3():
+    # p = 2, degree 1..6 and at most 40 candidate monomials, so that every
+    # sum has degree at most 12 and is answered in milliseconds
+    pos = [lam for lam in itertools.product(range(3, -9, -1), repeat=3)
+           if lam[0] >= lam[1] >= lam[2] and 1 <= -sum(lam) <= 6
+           and 0 < len(enumerate_weight_monomials(lam, 3, 2)) <= 40
+           and h0_dimension(lam, 3, 2) > 0]
+    assert len(pos) > 20
+    rng = random.Random(11)
+    for _ in range(60):
+        lam, mu = rng.choice(pos), rng.choice(pos)
+        assert h0_dimension(Weight(lam) + Weight(mu), 3, 2) > 0, (lam, mu)
+
+
 def test_rzip_examples():
     assert rzip_sp4_graded_dimension((1, -2), 2) == 1
     assert rzip_sp4_graded_dimension((0, 0), 2) == 1
