@@ -3,6 +3,8 @@
 Each constructor returns a NamedCone carrying a generator presentation, a
 halfspace presentation, or both.  When both are present they describe the
 same saturated cone (this is asserted by the test suite, not trusted).
+A saturated cone given by generators alone gets its halfspaces from the
+double description on request; a monoid has none.
 
 All cones live in X*(T) = Z^n with the L-dominance convention
 a_1 >= ... >= a_n.
@@ -10,7 +12,7 @@ a_1 >= ... >= a_n.
 
 from __future__ import annotations
 
-from .cones import GeneratedCone, HalfspaceSystem
+from .cones import GeneratedCone, HalfspaceSystem, halfspaces_of
 from .errors import ZipconeError
 from .rootdata import SymplecticRootDatum, gaussian_binomial
 from .weights import Weight
@@ -54,9 +56,12 @@ class NamedCone:
                 raise ZipconeError("%s has no generator presentation" % self.name)
             return self.generated
         if kind == "halfspaces":
-            if self.halfspaces is None:
+            if self.halfspaces is not None:
+                return self.halfspaces
+            if self.monoid:
                 raise ZipconeError("%s has no halfspace presentation" % self.name)
-            return self.halfspaces
+            # a saturated cone given by generators alone is dualised
+            return halfspaces_of(self.generated)
         raise ValueError(kind)
 
     def any_presentation(self):

@@ -187,16 +187,13 @@ def _cmd_vlambda(args):
 
 
 def _member(cone, lam):
-    from .cones import monoid_membership, saturated_membership
+    from .cones import monoid_membership
 
     if cone.monoid:
         # an undecided search raises UndecidedAtBoundError (exit 2); it is
         # never reported as "not a member"
         return monoid_membership(cone.generated, lam) is not None
-    pres = cone.halfspaces
-    if pres is not None:
-        return pres.contains(lam)
-    return saturated_membership(cone.generated, lam)
+    return cone.presentation("halfspaces").contains(lam)
 
 
 def _sweep_dim(task):
@@ -257,11 +254,11 @@ def _cmd_slice(args):
     from .cones import extreme_rays, halfspaces_of
 
     cone = catalog_cone(args.cone, args.n, args.p)
+    if cone.rank != 3:
+        raise _UsageError("slice needs a rank-3 cone")
     pres = cone.halfspaces
     if pres is None:
         pres = halfspaces_of(cone.generated)
-    if pres.rank != 3:
-        raise _UsageError("slice needs a rank-3 cone")
     center = Weight([1 - args.p] * 3)
     u = _parse_weight(args.frame_u)
     v = _parse_weight(args.frame_v)

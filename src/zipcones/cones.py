@@ -9,12 +9,14 @@ presentations are supported:
 * ``HalfspaceSystem`` -- a list of integer rows ``h``, each meaning
   ``<h, x> >= 0``.
 
-All arithmetic is arbitrary-precision integer / rational.  Dualization is
-done by Fourier-Motzkin projection, after which the facets are chosen by
-the rank of their tight generators (no feasibility test per row); extreme
-rays by active-set enumeration.  Rational feasibility with a certificate
-(``nonneg_combination``) serves ``saturation_certificate`` and saturated
-membership above the elimination guard.  Everything is deterministic.
+All arithmetic is arbitrary-precision integer / rational.  One exact
+kernel, the integer double description (``double_description``), gives
+the facets and implicit equalities of a generated cone, the extreme rays
+and lineality space of a halfspace system, and so every containment and
+equality test between cones; ``DD_RAY_GUARD`` bounds its intermediate
+ray count.  Rational feasibility with a certificate
+(``nonneg_combination``, by Fourier-Motzkin elimination under the same
+guard) serves ``saturation_certificate``.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
 )
 from .weights import Weight, _as_weight
 
-FM_RANK_GUARD = 8
+DD_RAY_GUARD = 10 ** 4
 MONOID_SEARCH_BOUND = 64
 
 
@@ -145,20 +147,6 @@ def matrix_rank(rows):
     return len(rref(rows)[1])
 
 
-def nullspace(rows, ncols):
-    """Integer basis of {x : rows . x = 0}."""
-    mat, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        basis.append(_primitive(vec))
-    return basis
-
-
 def solve_unique(rows, rhs):
     """Solve rows.x = rhs when the columns are linearly independent.
 
@@ -181,52 +169,83 @@ def solve_unique(rows, rhs):
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin machinery
+# double description
 
-def _normalize_rows(rows):
-    out = []
-    seen = set()
-    for r in rows:
-        t = _primitive(r)
-        if all(x == 0 for x in t):
-            continue
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
-def fourier_motzkin_project(rows, nvars, eliminate):
-    """Project the homogeneous system ``rows . y >= 0`` onto a subset of y.
+def _onto_hyperplane(v, d, u, du):
+    """The primitive ``du * v - d * u``, on ``<a, x> = 0`` when
+    ``d = <a, v>`` and ``du = <a, u> > 0``; ``v`` itself when ``d`` is 0."""
+    if not d:
+        return v
+    w = [du * x - d * y for x, y in zip(v, u)]
+    g = gcd(*w)
+    return tuple(x // g for x in w)
 
-    ``rows`` are integer tuples of length ``nvars``; ``eliminate`` is the
-    set of variable indices to remove.  Returns integer rows over the full
-    index set with zeros in eliminated positions (caller slices).
+
+def double_description(rows, n):
+    """Extreme rays and a lineality basis of ``{x : <a, x> >= 0, a in rows}``.
+
+    Integer double description (Motzkin, Raiffa, Thompson and Thrall 1953;
+    Fukuda and Prodon 1996).  The cone starts as all of Q^n, with the unit
+    vectors as lineality basis and no rays, and takes the rows one at a
+    time.  While a lineality vector ``l`` is not orthogonal to the new row
+    ``a``, ``l`` becomes a ray, oriented so that ``<a, l> > 0``; the other
+    lineality vectors and the rays move along ``l`` onto ``<a, x> = 0``,
+    which leaves their values on the earlier rows alone.  Otherwise the
+    rays with ``<a, r> < 0`` are dropped, and a positive and a negative ray
+    are combined onto the hyperplane when they are adjacent: no third ray
+    is tight on every processed row on which both are tight.  Each ray
+    carries those rows as a bitmask.
+
+    Returns ``(rays, lineality)``: the extreme rays, primitive and sorted
+    (modulo the lineality space when that is not zero), and a primitive
+    basis of the lineality space.  More than ``DD_RAY_GUARD`` rays raise
+    GuardExceededError.
     """
-    rows = _normalize_rows(rows)
-    todo = sorted(eliminate)
-    while todo:
-        # eliminate the variable with the smallest pos*neg fan-out
-        best, best_cost = None, None
-        for v in todo:
-            pos = sum(1 for r in rows if r[v] > 0)
-            neg = sum(1 for r in rows if r[v] < 0)
-            cost = pos * neg - pos - neg
-            if best_cost is None or cost < best_cost:
-                best, best_cost = v, cost
-        v = best
-        todo.remove(v)
-        pos = [r for r in rows if r[v] > 0]
-        neg = [r for r in rows if r[v] < 0]
-        zero = [r for r in rows if r[v] == 0]
-        new = list(zero)
-        for rp in pos:
-            for rn in neg:
-                comb = tuple(rp[i] * (-rn[v]) + rn[i] * rp[v]
-                             for i in range(nvars))
-                new.append(comb)
-        rows = _normalize_rows(new)
-    return rows
+    lin = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    rays = []   # (ray, bitmask of the processed rows it is tight on)
+    for k, a in enumerate(rows):
+        bit = 1 << k
+        dots = [_dot(a, l) for l in lin]
+        j = next((i for i, d in enumerate(dots) if d), None)
+        if j is not None:
+            l0, d0 = lin.pop(j), dots.pop(j)
+            if d0 < 0:
+                l0, d0 = tuple(-x for x in l0), -d0
+            lin = [_onto_hyperplane(l, d, l0, d0) for l, d in zip(lin, dots)]
+            rays = [(_onto_hyperplane(r, _dot(a, r), l0, d0), z | bit)
+                    for r, z in rays]
+            # a lineality vector is tight on every earlier row
+            rays.append((l0, bit - 1))
+            continue
+        pos, neg, kept = [], [], []
+        for r, z in rays:
+            d = _dot(a, r)
+            if d > 0:
+                pos.append((r, z, d))
+                kept.append((r, z))
+            elif d < 0:
+                neg.append((r, z, d))
+            else:
+                kept.append((r, z | bit))
+        # distinct extreme rays are tight on distinct row sets
+        masks = [z for _, z in rays]
+        for rp, zp, dp in pos:
+            for rn, zn, dn in neg:
+                common = zp & zn
+                if any(z & common == common and z != zp and z != zn
+                       for z in masks):
+                    continue
+                kept.append((_onto_hyperplane(rn, dn, rp, dp), common | bit))
+                if len(kept) > DD_RAY_GUARD:
+                    raise GuardExceededError(
+                        "double description past %d rays at row %d of %d "
+                        "(DD_RAY_GUARD)" % (DD_RAY_GUARD, k + 1, len(rows)))
+        rays = kept
+    return sorted(r for r, _ in rays), lin
 
 
 def nonneg_combination(vectors, target):
@@ -236,7 +255,8 @@ def nonneg_combination(vectors, target):
     are solved first: in their reduced row echelon form each pivot mu is
     an affine function of the free ones.  Fourier-Motzkin elimination with
     back-substitution then decides ``mu >= 0`` over the free mu alone.
-    All arithmetic is rational.
+    All arithmetic is rational.  A step that would hold more than
+    ``DD_RAY_GUARD`` rows raises GuardExceededError.
     """
     m = len(vectors)
     target = [Fraction(t) for t in target]
@@ -288,6 +308,10 @@ def nonneg_combination(vectors, target):
         pos = [(c, k) for c, k in rows if c[v] > 0]
         neg = [(c, k) for c, k in rows if c[v] < 0]
         zero = [(c, k) for c, k in rows if c[v] == 0]
+        if len(zero) + len(pos) * len(neg) > DD_RAY_GUARD:
+            raise GuardExceededError(
+                "elimination would hold %d rows, past %d (DD_RAY_GUARD)"
+                % (len(zero) + len(pos) * len(neg), DD_RAY_GUARD))
         steps.append((v, pos, neg))
         new = list(zero)
         for cp, kp in pos:
@@ -417,17 +441,9 @@ def _bounded_search(gens, lam, caps):
 
 
 def saturated_membership(cone, lam):
-    """True iff ``lam`` is a nonnegative rational combination of generators.
-
-    Amortized through the cached dual description when the rank permits;
-    falls back to direct rational feasibility otherwise.
-    """
-    lam = _as_weight(lam, cone.rank)
-    if cone._halfspaces is None and cone.rank <= FM_RANK_GUARD:
-        halfspaces_of(cone)
-    if cone._halfspaces is not None:
-        return cone._halfspaces.contains(lam)
-    return saturation_certificate(cone, lam) is not None
+    """True iff ``lam`` is a nonnegative rational combination of generators,
+    decided by the cached dual description."""
+    return halfspaces_of(cone).contains(lam)
 
 
 def saturation_certificate(cone, lam):
@@ -440,129 +456,41 @@ def halfspaces_of(cone):
     """Dual (inequality) description of the rational hull of a cone.
 
     The result has the same saturated-membership predicate as ``cone``.
-    Rows are primitive integer vectors: one row per facet, in
-    Fourier-Motzkin order, then the implicit equalities of a
-    lower-dimensional cone as ``+e, -e`` pairs.  The list is irredundant.
+    It is the double description of the generators: the extreme rays of
+    the dual cone, one primitive row per facet in sorted order, then the
+    implicit equalities of a lower-dimensional cone as ``+e, -e`` pairs
+    of its lineality basis.  The list is irredundant.
     """
-    if cone.rank > FM_RANK_GUARD:
-        raise GuardExceededError(
-            "rank %d exceeds the elimination guard %d" % (cone.rank, FM_RANK_GUARD))
-    if cone._halfspaces is not None:
-        return cone._halfspaces
-    n = cone.rank
-    gens = cone.generators
-    m = len(gens)
-    # variables (mu_1..mu_m, x_1..x_n); the system is
-    #   -G mu + x = 0  (equalities),   mu >= 0.
-    # The reduced row echelon form, pivoting on the mu block first, solves
-    # the equalities, so Fourier-Motzkin only ever sees the leftover free
-    # mu variables (m - rank(G) of them).  Rows pivoting on an x column
-    # are the equalities of the linear hull of the generators.
-    eq, pivots = rref([[-g[k] for g in gens] + [int(i == k) for i in range(n)]
-                       for k in range(n)])
-    mu_pivots = {c: r for r, c in enumerate(pivots) if c < m}
-    pure_x_eqs = [eq[r][m:] for r, c in enumerate(pivots) if c >= m]
-    free_mu = [j for j in range(m) if j not in mu_pivots]
-
-    # substitute the pivot expressions into mu_j >= 0; remaining columns
-    # are [x_1..x_n, free mu's]
-    width = n + len(free_mu)
-    ineqs = []
-    for j in range(m):
-        row = [Fraction(0)] * width
-        if j in mu_pivots:
-            # mu_j = -(sum of the other entries of its pivot row)
-            pr = eq[mu_pivots[j]]
-            for k in range(n):
-                row[k] = -pr[m + k]
-            for fi, fj in enumerate(free_mu):
-                row[n + fi] = -pr[fj]
-        else:
-            row[n + free_mu.index(j)] = Fraction(1)
-        ineqs.append(_primitive(row))
-    projected = fourier_motzkin_project(
-        [tuple(r) for r in ineqs if any(r)], width, set(range(n, width)))
-    xs = _facets([r[:n] for r in projected], gens, len(mu_pivots))
-    for e in pure_x_eqs:
-        xs.append(e)
-        xs.append([-v for v in e])
-    sys = HalfspaceSystem(n, xs)
-    cone._halfspaces = sys
-    return sys
-
-
-def _facets(rows, gens, dim):
-    """The rows, valid on the cone of ``gens`` of dimension ``dim``, that
-    define facets: those whose tight generators have rank ``dim - 1``.
-
-    A row tight on every generator is an implicit equality and is dropped.
-    The tight set determines the face, so of several rows cutting out the
-    same facet (possible only when ``dim`` is below the ambient rank) the
-    first is kept.
-    """
-    kept = []
-    seen = set()
-    for h in _normalize_rows(rows):
-        tight = frozenset(j for j, g in enumerate(gens)
-                          if sum(a * b for a, b in zip(h, g)) == 0)
-        if tight in seen:
-            continue
-        seen.add(tight)
-        if matrix_rank([list(gens[j]) for j in tight]) == dim - 1:
-            kept.append(h)
-    return kept
+    if cone._halfspaces is None:
+        facets, lin = double_description(cone.generators, cone.rank)
+        rows = list(facets)
+        for e in lin:
+            rows.append(e)
+            rows.append(tuple(-x for x in e))
+        cone._halfspaces = HalfspaceSystem(cone.rank, rows)
+    return cone._halfspaces
 
 
 def lineality_space(system):
     """Integer basis of the largest linear subspace inside the cone."""
-    rows = [list(h) for h in system.inequalities]
-    if not rows:
-        rows = [[0] * system.rank]
-    return nullspace(rows, system.rank)
+    return double_description(system.inequalities, system.rank)[1]
 
 
 def extreme_rays(system):
-    """Extreme rays of a pointed halfspace cone, as primitive vectors.
+    """Extreme rays of a pointed halfspace cone, primitive and sorted.
 
-    Raises NotPointedError when the cone contains a line.  Rays are found
-    by enumerating active sets of rank n-1 and checked for feasibility and
-    extremality; output is sorted for determinism.
+    Raises NotPointedError when the cone contains a line.
     """
-    n = system.rank
-    rows = list(system.inequalities)
-    if lineality_space(system):
+    rays, lin = double_description(system.inequalities, system.rank)
+    if lin:
         raise NotPointedError("cone contains a nonzero linear subspace")
-    rays = set()
-    # every extreme ray has an active set of rank n-1, hence is cut out by
-    # some (n-1)-subset of the rows
-    for subset in itertools.combinations(range(len(rows)), n - 1):
-        sub = [list(rows[i]) for i in subset]
-        if matrix_rank(sub) != n - 1:
-            continue
-        ns = nullspace(sub, n)
-        if len(ns) != 1:
-            continue
-        r = ns[0]
-        for cand in (r, tuple(-x for x in r)):
-            if all(sum(h[i] * cand[i] for i in range(n)) >= 0 for h in rows):
-                active = [list(h) for h in rows
-                          if sum(h[i] * cand[i] for i in range(n)) == 0]
-                if matrix_rank(active) == n - 1:
-                    rays.add(cand)
-    return sorted(rays)
+    return rays
 
 
 def generators_of(system):
     """A generating set (rays plus a lineality basis) of a halfspace cone."""
-    lin = lineality_space(system)
-    if not lin:
-        return [Weight(r) for r in extreme_rays(system)]
-    rows = list(system.inequalities)
-    for l in lin:
-        rows.append(l)
-        rows.append(tuple(-x for x in l))
-    pointed = HalfspaceSystem(system.rank, rows)
-    gens = [Weight(r) for r in extreme_rays(pointed)]
+    rays, lin = double_description(system.inequalities, system.rank)
+    gens = [Weight(r) for r in rays]
     for l in lin:
         gens.append(Weight(l))
         gens.append(Weight(tuple(-x for x in l)))

@@ -301,24 +301,13 @@ def build_module(lam, n, p):
 
     basis, polys, weights = [], [], []
     for w in sorted(by_weight):
-        pivots = {}
-        for mono in by_weight[w]:
-            poly = _expand_monomial(n, p, mono)
-            v = dict(poly.terms)
-            while v:
-                key = max(v)
-                if key not in pivots:
-                    break
-                pv = pivots[key]
-                c = (-v[key] * pow(pv[key], p - 2 if p > 2 else 1, p)) % p
-                for k2, c2 in pv.items():
-                    nv = (v.get(k2, 0) + c * c2) % p
-                    if nv:
-                        v[k2] = nv
-                    else:
-                        v.pop(k2, None)
-            if v:
-                pivots[max(v)] = v
+        block = [_expand_monomial(n, p, mono) for mono in by_weight[w]]
+        # fp_nullspace reduces the columns in order, so each combination it
+        # returns ends at a monomial dependent on the ones before it
+        dependent = {max(combo)
+                     for combo in fp_nullspace([f.terms for f in block], p)}
+        for i, (mono, poly) in enumerate(zip(by_weight[w], block)):
+            if i not in dependent:
                 basis.append(mono)
                 polys.append(poly)
                 weights.append(w)

@@ -16,16 +16,19 @@ from zipcones.catalog import (
     eta_weight,
     hodge_character,
     schubert_weight,
+    sigma1,
     sigma1prime,
 )
 from zipcones.cones import (
     GeneratedCone,
     HalfspaceSystem,
     Weight,
+    cone_contains_saturated,
     cones_equal_saturated,
     halfspaces_of,
     monoid_membership,
     saturated_membership,
+    saturation_certificate,
 )
 from zipcones.errors import GuardExceededError
 from zipcones.fpoly import RationalFunction
@@ -282,6 +285,30 @@ def test_criterion_8_cone_inclusion_suite():
         assert saturated_membership(sig3.generated, mu), lam
     stats.append("n=3 p=2 (%d witnessed, %d oracle-confirmed)"
                  % (witnessed, oracle_runs))
+
+    # ranks 4 and 5: exact inclusions of the whole cones, each side
+    # dualised by the double description
+    for n in (4, 5):
+        datum = SymplecticRootDatum(n)
+        gs, xpi = cone_GS(datum), cone_XplusI(n)
+        for p in (2, 3):
+            hw, pol = cone_hw(datum, p), cone_pol(n, p)
+            sig = cone_sigma(sigma1(n), n, p)
+            sigp = cone_sigma(sigma1prime(n), n, p)
+            assert cone_contains_saturated(hw.halfspaces, gs.halfspaces)
+            assert cone_contains_saturated(xpi.halfspaces, hw.halfspaces)
+            assert cone_contains_saturated(pol.generated, hw.halfspaces)
+            assert cone_contains_saturated(sigp.generated, hw.halfspaces)
+            assert cones_equal_saturated(sig.generated, sigp.generated)
+            assert cone_contains_saturated(pol.generated, sig.generated)
+            # from n = 3 on, Sigma_1 is a proper subcone of Pol: direct
+            # rational feasibility writes Pol's generator e_1 - p e_2 over
+            # no Sigma_1 generators
+            assert not cones_equal_saturated(pol.generated, sig.generated)
+            witness = Weight([1, -p] + [0] * (n - 2))
+            assert saturation_certificate(sig.generated, witness) is None
+    stats.append("n=4,5 p=2,3 (GS <= HW <= XplusI, HW <= Sigma1' = Sigma1 "
+                 "< Pol, exact)")
     _report(8, True, "; ".join(stats))
 
 

@@ -31,6 +31,25 @@ def test_cone_verb_halfspaces(tmp_path):
     assert doc["inequalities"] == [[1, -1], [-2, -1]]
 
 
+def test_cone_verb_dualises_a_generated_cone(tmp_path):
+    # pol has only generators; its facets come from the double description
+    code, data = run(["cone", "--name", "pol", "--n", "3", "--p", "2",
+                      "--emit", "halfspaces"], tmp_path)
+    assert code == 0
+    assert data == (b'{"inequalities":[[-2,-2,-1],[-2,-1,-2],[-2,-1,-1],'
+                    b'[-1,-2,-2],[-1,-2,-1],[-1,-1,-2]],"name":"Pol",'
+                    b'"rank":3,"schema":"zipcone/1"}\n')
+
+
+def test_cone_verb_monoid_has_no_halfspaces(tmp_path, capsys):
+    # a monoid is not its saturation, so it is not dualised
+    for argv in (["--name", "schubert", "--n", "3"], ["--name", "zip-sp4"]):
+        code, data = run(["cone"] + argv + ["--p", "2", "--emit",
+                                            "halfspaces"], tmp_path)
+        assert code == 1 and data == b""
+        assert "has no halfspace presentation" in capsys.readouterr().err
+
+
 def test_cone_verb_hw_generators(tmp_path):
     code, data = run(["cone", "--name", "hw", "--n", "3", "--p", "2"], tmp_path)
     assert code == 0
@@ -234,3 +253,15 @@ def test_vlambda_rank3_p3(tmp_path):
     assert code == 0
     doc = json.loads(data)
     assert (doc["dim"], doc["dim_invariants"]) == (27, 0)
+
+
+def test_rank_5_saturated_cone_verbs():
+    # sweep dualises sigma1 at n=5; slice refuses a rank-5 cone before
+    # it dualises
+    code, err = _run_process(["sweep", "--n", "5", "--p", "2", "--box",
+                              "0..0", "--compare", "sigma1"])
+    assert code == 0 and "Traceback" not in err
+    code, err = _run_process(["slice", "--cone", "pol", "--n", "5",
+                              "--p", "2"])
+    assert code == 1 and "Traceback" not in err
+    assert err == "usage error: slice needs a rank-3 cone\n"

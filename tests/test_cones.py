@@ -1,10 +1,12 @@
 import math
 
 import pytest
+import subset_rays
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from zipcones.catalog import catalog_cone
+import zipcones.cones as cones
 from zipcones.cones import (
     GeneratedCone,
     HalfspaceSystem,
@@ -15,6 +17,7 @@ from zipcones.cones import (
     generators_of,
     halfspaces_of,
     lineality_space,
+    matrix_rank,
     monoid_membership,
     nonneg_combination,
     saturated_membership,
@@ -113,10 +116,32 @@ def test_halfspaces_of_full_space_is_empty_system():
 
 
 def test_halfspaces_rank_guard():
-    c = GeneratedCone(9, [tuple(1 if i == j else 0 for i in range(9))
-                          for j in range(9)])
+    # the double description has no rank limit (its guard counts rays):
+    # the rank-9 orthant dualises to its 9 facets
+    units = [tuple(int(i == j) for i in range(9)) for j in range(9)]
+    hs = halfspaces_of(GeneratedCone(9, units))
+    assert hs.inequalities == tuple(sorted(units))
+
+
+def test_double_description_ray_guard(monkeypatch):
+    # the cone over a cube has 8 generators and 6 facets; dualising it
+    # passes through more than 5 intermediate rays
+    monkeypatch.setattr(cones, "DD_RAY_GUARD", 5)
+    cube = GeneratedCone(4, [(1, a, b, c) for a in (-1, 1) for b in (-1, 1)
+                             for c in (-1, 1)])
     with pytest.raises(GuardExceededError):
-        halfspaces_of(c)
+        halfspaces_of(cube)
+    monkeypatch.setattr(cones, "DD_RAY_GUARD", 10 ** 4)
+    assert len(halfspaces_of(cube).inequalities) == 6
+
+
+def test_nonneg_combination_row_guard(monkeypatch):
+    # three free coefficients: eliminating them needs more than 2 rows
+    vectors = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)]
+    assert nonneg_combination(vectors, (3, 3)) is not None
+    monkeypatch.setattr(cones, "DD_RAY_GUARD", 2)
+    with pytest.raises(GuardExceededError):
+        nonneg_combination(vectors, (3, 3))
 
 
 def test_cones_equal_saturated_reflexive():
@@ -280,11 +305,40 @@ def test_halfspace_dual_agrees_with_direct_feasibility(case):
 
 
 def test_halfspaces_of_reaches_rank_4():
-    # Fourier-Motzkin emits thousands of rows for pol at n=4; the facets
-    # are picked by the rank of their tight generators
-    for name, facets in (("pol", 14), ("sigma1", 10), ("sigma1p", 10)):
-        gen = catalog_cone(name, 4, 2).generated
-        hs = halfspaces_of(gen)
-        assert len(hs.inequalities) == facets, name
-        assert cones_equal_saturated(gen, hs)
-        assert cones_equal_saturated(GeneratedCone(4, extreme_rays(hs)), gen)
+    # rank 5 and 6 facet counts; each cone dualises in milliseconds
+    for n, facets in ((4, (14, 10, 10)), (5, (30, 24, 24)), (6, (62, 56, 56))):
+        for name, count in zip(("pol", "sigma1", "sigma1p"), facets):
+            gen = catalog_cone(name, n, 2).generated
+            hs = halfspaces_of(gen)
+            assert len(hs.inequalities) == count, (n, name)
+            assert cones_equal_saturated(gen, hs)
+            assert cones_equal_saturated(GeneratedCone(n, extreme_rays(hs)),
+                                         gen)
+
+
+@st.composite
+def halfspace_systems(draw):
+    """Rank <= 4 systems of up to 7 rows, often with a line or not
+    full-dimensional (the rows of ``generator_sets``)."""
+    n, gens, _ = draw(generator_sets())
+    rows = [g for g in gens if any(g)]
+    extra = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+                          .filter(any), max_size=7 - len(rows)))
+    return HalfspaceSystem(n, rows + [tuple(r) for r in extra])
+
+
+def _span_rank(vectors):
+    return matrix_rank([list(v) for v in vectors]) if vectors else 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(halfspace_systems())
+def test_extreme_rays_agree_with_subset_enumeration(system):
+    # the (n-1)-subset enumeration of active sets is the reference
+    lin, ref_lin = lineality_space(system), subset_rays.lineality_space(system)
+    assert len(lin) == len(ref_lin) == _span_rank(lin + ref_lin)
+    if ref_lin:
+        with pytest.raises(NotPointedError):
+            extreme_rays(system)
+    else:
+        assert extreme_rays(system) == subset_rays.extreme_rays(system)
