@@ -79,3 +79,22 @@ def _nullspace_gf2(columns):
 
 def fp_rank(columns, p):
     return len(columns) - len(fp_nullspace(columns, p))
+
+
+def fp_det(mat, p):
+    """Determinant mod p of a square matrix given as a sequence of rows."""
+    m, det = [[x % p for x in row] for row in mat], 1
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv], det = m[piv], m[c], -det
+        top = m[c]
+        det = det * top[c] % p
+        inv = pow(top[c], p - 2, p)
+        for row in m[c + 1:]:
+            if row[c]:
+                f = inv * row[c] % p
+                row[:] = [(x - f * y) % p for x, y in zip(row, top)]
+    return det % p

@@ -24,12 +24,11 @@ from .errors import (
     GuardExceededError,
     TheoremViolationError,
 )
-from .fplinalg import fp_nullspace
+from .fplinalg import fp_det, fp_nullspace
 from .fpoly import FpPolynomial, minor, validate_n_p
 from .weights import Weight
 
 GROUP_ORDER_GUARD = 10 ** 4
-CLOSURE_ORDER_GUARD = 10 ** 5
 MODULE_RANK_GUARD = 3
 
 
@@ -54,7 +53,7 @@ def group_elements(n, p):
     out = []
     for flat in itertools.product(range(p), repeat=n * n):
         mat = tuple(flat[i * n:(i + 1) * n] for i in range(n))
-        if _det_mod(mat, p):
+        if fp_det(mat, p):
             out.append(mat)
     if len(out) != group_order(n, p):
         raise TheoremViolationError(
@@ -63,88 +62,71 @@ def group_elements(n, p):
     return tuple(out)
 
 
-def _det_mod(mat, p):
-    n = len(mat)
-    m = [list(r) for r in mat]
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] % p), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = det * m[c][c] % p
-        inv = pow(m[c][c], p - 2, p)
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = inv * m[i][c] % p
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[c])]
-    return det % p
+def _mat_product(factors, p):
+    """Product mod p of a nonempty list of square matrices."""
+    out = factors[0]
+    for b in factors[1:]:
+        out = tuple(tuple(sum(x * y for x, y in zip(row, col)) % p
+                          for col in zip(*b)) for row in out)
+    return out
 
 
-def _mat_mul_mod(a, b, p):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p
-                       for j in range(n)) for i in range(n))
+def _elementary(n, i, k):
+    return tuple(tuple(int(r == c or (r, c) == (i, k)) for c in range(n))
+                 for r in range(n))
 
 
 @lru_cache(maxsize=None)
 def group_generators(n, p):
-    """A small generating set, with an exact closure certificate.
+    """T = 1 + E_12 and the n-cycle C (n > 1), and diag(g, 1, ..., 1) for
+    a primitive root g (p > 2), certified to generate GL_n(F_p) by words.
 
-    The closure under multiplication is enumerated and compared against
-    the full group, so downstream fixed-space computations may use the
-    generators with no sufficiency caveat.  The closure holds the whole
-    group in memory, so its order is guarded by CLOSURE_ORDER_GUARD.
+    ``_check_elementary_words`` proves that words in T and C give every
+    1 + E_ik, i != k.  Over F_p, (1 + E_ik)^t = 1 + t E_ik, and elementary
+    matrices generate SL_n(F_p) (Lang, *Algebra*, XIII §8); det diag(g, 1,
+    ..., 1) = g generates F_p^*, so the group generated is GL_n(F_p).
+    n = 1 needs no words, and p = 2 no diagonal (GL_n(F_2) = SL_n(F_2)).
     """
-    if group_order(n, p) > CLOSURE_ORDER_GUARD:
-        raise GuardExceededError(
-            "|GL_%d(F_%d)| = %d exceeds the closure guard %d"
-            % (n, p, group_order(n, p), CLOSURE_ORDER_GUARD))
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    validate_n_p(n, p)
     gens = []
     if n > 1:
-        transvection = tuple(tuple(
-            1 if i == j else (1 if (i, j) == (0, 1) else 0)
-            for j in range(n)) for i in range(n))
-        gens.append(transvection)
         cycle = tuple(tuple(int(j == (i + 1) % n) for j in range(n))
                       for i in range(n))
-        gens.append(cycle)
+        gens = [_elementary(n, 0, 1), cycle]
+        _check_elementary_words(*gens, p)
     if p > 2:
-        prim = _primitive_root(p)
-        diag = tuple(tuple(
-            (prim if i == 0 else 1) if i == j else 0
-            for j in range(n)) for i in range(n))
-        gens.append(diag)
-    closure = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in gens:
-                x = _mat_mul_mod(g, m, p)
-                if x not in closure:
-                    closure.add(x)
-                    new.append(x)
-        frontier = new
-    if len(closure) != group_order(n, p):
-        raise TheoremViolationError(
-            "generator closure has %d elements, expected %d"
-            % (len(closure), group_order(n, p)))
+        g = _primitive_root(p)
+        gens.append(tuple(tuple(g if i == j == 0 else int(i == j)
+                                for j in range(n)) for i in range(n)))
     return tuple(gens)
+
+
+def _check_elementary_words(transvection, cycle, p):
+    """Raise TheoremViolationError unless words in T = ``transvection``
+    and C = ``cycle`` multiply out mod p to every 1 + E_ik, i != k:
+    T_{i,i+1} = C^{-i} T C^i (indices mod n, C^{-1} = C^{n-1}), then gap
+    by gap T_ik = [T_ij, T_jk] with j = i + 1 and a^{-1} = a^{p-1}."""
+    n = len(cycle)
+    found = {}
+    for gap in range(1, n):
+        for i in range(n):
+            j, k = (i + 1) % n, (i + gap) % n
+            if gap == 1:
+                word = [cycle] * ((n - 1) * i) + [transvection] + [cycle] * i
+            else:
+                a, b = found[i, j], found[j, k]
+                word = [a, b] + [a] * (p - 1) + [b] * (p - 1)
+            found[i, k] = _mat_product(word, p)
+            if found[i, k] != _elementary(n, i, k):
+                raise TheoremViolationError("word for 1 + E_%d,%d gives %s"
+                                            % (i + 1, k + 1, found[i, k]))
 
 
 def _primitive_root(p):
     for g in range(2, p):
-        seen, x = set(), 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
+        if len({pow(g, e, p) for e in range(1, p)}) == p - 1:
             return g
-    return 1
+    raise TheoremViolationError("F_%d^* has no generator" % p)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +156,7 @@ def _binet_matrix(n, p, level, s):
         col = {}
         for K in subsets:
             sub = tuple(tuple(s[i - 1][j - 1] for j in J) for i in K)
-            c = _det_mod(sub, p)
+            c = fp_det(sub, p)
             if c:
                 col[K] = c
         out[J] = col
@@ -341,7 +323,7 @@ def _act_monomial(module, s, mono):
                     new[key2] = (new.get(key2, 0) + c0 * cK) % p
             result = {k: c for k, c in new.items() if c}
     if module.det_pow:
-        ds = _det_mod(s, p)
+        ds = fp_det(s, p)
         scale = pow(ds, module.det_pow % (p - 1) if p > 2 else 0, p)
         if scale != 1:
             result = {k: c * scale % p for k, c in result.items()}
@@ -371,7 +353,7 @@ def invariants_finite_group(module):
     The fixed space is the common kernel of rho(g) - 1 over the generators
     g, cut out one generator at a time.  Right translation is a group
     action, so a vector fixed by the generators is fixed by every product
-    of them, and the closure certificate of ``group_generators`` proves
+    of them, and the word certificate of ``group_generators`` proves
     those products are all of GL_n(F_p): the kernel is the full fixed
     space.  Returns a list of {basis index: coefficient} dicts.
     """

@@ -4,10 +4,12 @@ reduction matrix, the dimension oracle and the norm construction.
 A section of weight lam is a polynomial f on the n x n matrix space that
 is homogeneous for the weight grading and invariant under the twisted
 conjugation X -> u X phi(u)^{-1} by lower unitriangular u, where phi
-raises entries to the p-th power.  Invariance is checked on the
-elementary one-parameter generators u = 1 + t E_{k,l} (k > l) with a
-symbolic t; these generate the full unipotent group and the twisted
-conjugation is a group action, so generator invariance suffices.
+raises entries to the p-th power.  Invariance is checked, as an identity
+in a symbolic t, on the n - 1 simple-root subgroups u = 1 + t E_{k,k-1}:
+over any field they generate the lower unitriangular group, as
+[1 + s E_kj, 1 + t E_jl] = 1 + st E_kl, and the twisted conjugation is a
+group action.  First-order (Lie-algebra) conditions would not suffice in
+characteristic p: they miss the t^p terms of phi(u).
 
 The dimension oracle ``h0_dimension`` enumerates all monomials of a given
 weight (their total degree is pinned by the weight sum) and computes the
@@ -28,7 +30,7 @@ from .errors import (
     WeightMismatchError,
     ZipconeError,
 )
-from .fplinalg import fp_nullspace
+from .fplinalg import fp_det, fp_nullspace
 from .fpoly import (
     FpPolynomial,
     MinorBasis,
@@ -117,13 +119,11 @@ def _generator_images(n, p, k, l):
 
 
 @lru_cache(maxsize=None)
-def _minors_are_invariant(n, p, k, l):
+def _minors_are_invariant(n, p):
     basis = MinorBasis(n, p)
-    images = _generator_images(n, p, k, l)
-    for i in range(1, n + 1):
-        if basis.delta(i).substitute(images) != basis.delta(i):
-            return False
-    return True
+    return all(basis.delta(i).substitute(_generator_images(n, p, k, k - 1))
+               == basis.delta(i) for k in range(2, n + 1)
+               for i in range(1, n + 1))
 
 
 def check_equivariance(body, lam, n, p, name=None):
@@ -148,17 +148,14 @@ def check_equivariance(body, lam, n, p, name=None):
             "body is zero or mixes weight components")
     if lam is not None and Weight(lam) != found:
         raise WeightMismatchError(found, Weight(lam))
+    if fraction and not _minors_are_invariant(n, p):
+        raise TheoremViolationError(
+            "minor denominators move under a unipotent generator")
     for k in range(2, n + 1):
-        for l in range(1, k):
-            if fraction and not _minors_are_invariant(n, p, k, l):
-                raise TheoremViolationError(
-                    "minor denominators move under a unipotent generator")
-            moved = num.substitute(_generator_images(n, p, k, l))
-            diff = moved - num
-            if not diff.is_zero():
-                tdeg = diff.min_exponent(_T)
-                raise NotUnipotentInvariantError(
-                    (k, l), "offending t-degree %d" % tdeg)
+        diff = num.substitute(_generator_images(n, p, k, k - 1)) - num
+        if not diff.is_zero():
+            raise NotUnipotentInvariantError(
+                (k, k - 1), "offending t-degree %d" % diff.min_exponent(_T))
     return Section(n, p, body, found, name)
 
 
@@ -428,15 +425,13 @@ def clear_denominators(gm, r, s):
 # ---------------------------------------------------------------------------
 # the dimension oracle
 
+@lru_cache(maxsize=None)
 def _entry_weights(n, p):
-    out = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            w = [0] * n
-            w[i - 1] += 1
-            w[j - 1] -= p
-            out[(i, j)] = tuple(w)
-    return out
+    """The entries (i, j) in sorted order and their weights e_i - p e_j."""
+    entries = tuple((i, j) for i in range(1, n + 1) for j in range(1, n + 1))
+    return entries, tuple(
+        tuple((t == i) - p * (t == j) for t in range(1, n + 1))
+        for i, j in entries)
 
 
 def enumerate_weight_monomials(lam, n, p, cap=MONOMIAL_CAP):
@@ -449,8 +444,7 @@ def enumerate_weight_monomials(lam, n, p, cap=MONOMIAL_CAP):
     d = total // (1 - p)
     if d < 0:
         return []
-    entries = sorted(_entry_weights(n, p))
-    wts = [_entry_weights(n, p)[e] for e in entries]
+    entries, wts = _entry_weights(n, p)
     lo = [[0] * n for _ in range(len(entries) + 1)]
     hi = [[0] * n for _ in range(len(entries) + 1)]
     for idx in range(len(entries) - 1, -1, -1):
@@ -488,9 +482,12 @@ def h0_dimension(lam, n, p, monomial_cap=MONOMIAL_CAP):
     """Dimension of the space of weight-lam sections on the matrix space.
 
     Enumerates the finitely many candidate monomials and solves the
-    linear conditions imposed by every elementary unipotent generator.
-    Returns 0 immediately for weights that support no monomials.  One
-    memoising substitution per generator serves every candidate monomial.
+    linear conditions of invariance, as polynomials in t, under the n - 1
+    simple-root generators 1 + t E_{k,k-1}: through commutators they
+    generate the lower unitriangular group (module docstring), and the
+    linear term in t alone would not suffice in characteristic p.  Returns
+    0 at once for weights that support no monomials.  One memoising
+    substitution per generator serves every candidate monomial.
     """
     validate_n_p(n, p)
     lam = Weight(lam)
@@ -501,9 +498,9 @@ def h0_dimension(lam, n, p, monomial_cap=MONOMIAL_CAP):
     monos = enumerate_weight_monomials(lam, n, p, cap=monomial_cap)
     if not monos:
         return 0
-    entries = [("a",) + e for e in sorted(_entry_weights(n, p))]
-    subs = [Substitution(p, _generator_images(n, p, k, l))
-            for k in range(2, n + 1) for l in range(1, k)]
+    entries = [("a",) + e for e in _entry_weights(n, p)[0]]
+    subs = [Substitution(p, _generator_images(n, p, k, k - 1))
+            for k in range(2, n + 1)]
     columns = []
     for exps in monos:
         col = {}
@@ -618,7 +615,7 @@ def tilde_valuation(elem):
 
 def tilde_section(elem, body_term_cap=MONOMIAL_CAP):
     """Norm product over GL_n(F_p) of a module element, with valuations."""
-    from .modules import _det_mod, group_elements, group_order
+    from .modules import group_elements, group_order
 
     n, p = elem.n, elem.p
     group = group_elements(n, p)
@@ -642,7 +639,7 @@ def tilde_section(elem, body_term_cap=MONOMIAL_CAP):
             raise GuardExceededError("norm product exceeds %d terms"
                                      % body_term_cap)
         if elem.det_pow and p > 2:
-            ds = _det_mod(s, p)
+            ds = fp_det(s, p)
             scale = scale * pow(ds, elem.det_pow % (p - 1), p) % p
     prod = scale * prod
     detp = minor(n, p, range(1, n + 1), range(1, n + 1))

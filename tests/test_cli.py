@@ -247,8 +247,18 @@ def test_non_integer_thread_count_is_a_usage_error():
 
 def test_vlambda_rank3_p3(tmp_path):
     # |GL_3(F_3)| = 11232 is past the element-list guard, but the
-    # invariants need only the closure certificate
+    # invariants need only the word certificate of the generators
     code, data = run(["vlambda", "--n", "3", "--p", "3", "--weight", "2,0,-2"],
+                     tmp_path)
+    assert code == 0
+    doc = json.loads(data)
+    assert (doc["dim"], doc["dim_invariants"]) == (27, 0)
+
+
+def test_vlambda_rank3_p5(tmp_path):
+    # |GL_3(F_5)| = 1488000: the generators are certified by words, so
+    # no guard on the group order applies
+    code, data = run(["vlambda", "--n", "3", "--p", "5", "--weight", "2,0,-2"],
                      tmp_path)
     assert code == 0
     doc = json.loads(data)

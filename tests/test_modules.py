@@ -15,6 +15,8 @@ from zipcones.fplinalg import fp_nullspace
 from zipcones.fpoly import FpPolynomial, a_var
 from zipcones.modules import (
     _act_expand,
+    _check_elementary_words,
+    _mat_product,
     build_module,
     group_elements,
     group_generators,
@@ -45,11 +47,50 @@ def test_group_guard():
         group_elements(3, 3)
 
 
-def test_closure_guard():
-    # the (3,3) closure certificate is within reach, |GL_3(F_5)| is not
-    assert len(group_generators(3, 3)) == 3
-    with pytest.raises(GuardExceededError):
-        group_generators(3, 5)
+def _closure(gens, n, p):
+    # reference certificate: every product of the generators, breadth first
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    closure, frontier = {ident}, [ident]
+    while frontier:
+        new = []
+        for m in frontier:
+            for g in gens:
+                x = _mat_product([g, m], p)
+                if x not in closure:
+                    closure.add(x)
+                    new.append(x)
+        frontier = new
+    return closure
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (2, 3), (2, 5), (2, 7),
+                                  (3, 2), (3, 3)])
+def test_generators_close_to_the_whole_group(n, p):
+    # the word certificate against the enumeration it replaced
+    assert len(_closure(group_generators(n, p), n, p)) == group_order(n, p)
+
+
+def test_word_certificate_rejects_a_wrong_generating_set():
+    n, p = 3, 5
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    t12, cycle = group_generators(n, p)[:2]
+    t13 = tuple(tuple(int(i == j or (i, j) == (0, 2)) for j in range(n))
+                for i in range(n))
+    _check_elementary_words(t12, cycle, p)
+    for transvection, c in [(t12, ident), (t13, cycle)]:
+        with pytest.raises(TheoremViolationError):
+            _check_elementary_words(transvection, c, p)
+
+
+def test_generators_need_no_closure():
+    # the words scale with n, not with |GL_n(F_p)| = 1488000 at (3, 5),
+    # which the closure enumeration refused
+    assert len(group_generators(3, 5)) == 3
+    assert len(group_generators(3, 7)) == 3
+    assert len(group_generators(4, 2)) == 2
+    for lam in [(0, 0, 0), (1, 0, -2), (2, 0, -2), (4, 0, -4)]:
+        lhs, rhs, agree = thminter_check(lam, 3, 5)
+        assert agree, (lam, lhs, rhs)
 
 
 def test_build_module_examples():
@@ -299,8 +340,8 @@ def test_thminter_larger_rank3_weights():
 
 
 def test_thminter_rank3_p3():
-    # (n, p) = (3, 3): |GL_3(F_3)| = 11232 needs only the closure
-    # certificate, never the element list
+    # (n, p) = (3, 3): |GL_3(F_3)| = 11232 needs only the word
+    # certificate of the generators, never the element list
     for lam in [(0, 0, 0), (1, 0, -2), (2, 0, -2), (2, -2, -6)]:
         lhs, rhs, agree = thminter_check(lam, 3, 3)
         assert agree, (lam, lhs, rhs)

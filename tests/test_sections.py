@@ -17,9 +17,19 @@ from zipcones.errors import (
     WeightMismatchError,
     ZipconeError,
 )
-from zipcones.fpoly import MinorBasis, RationalFunction, a_var, det, generic_matrix
+from zipcones.fplinalg import fp_nullspace
+from zipcones.fpoly import (
+    FpPolynomial,
+    MinorBasis,
+    RationalFunction,
+    Substitution,
+    a_var,
+    det,
+    generic_matrix,
+)
 from zipcones.modules import build_module, group_order, highest_weight_vector
 from zipcones.sections import (
+    _generator_images,
     catalog_section,
     check_equivariance,
     clear_denominators,
@@ -243,6 +253,55 @@ def test_h0_positivity_is_additive_rank3():
     for _ in range(60):
         lam, mu = rng.choice(pos), rng.choice(pos)
         assert h0_dimension(Weight(lam) + Weight(mu), 3, 2) > 0, (lam, mu)
+
+
+def _all_generators(n, p):
+    return [(k, l) for k in range(2, n + 1) for l in range(1, k)]
+
+
+def _h0_all_generators(lam, n, p):
+    # reference oracle: the conditions of every 1 + t E_kl with k > l,
+    # where h0_dimension imposes only the simple roots l = k - 1
+    if any(lam[i] < lam[i + 1] for i in range(n - 1)):
+        return 0
+    entries = [("a", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    subs = [Substitution(p, _generator_images(n, p, k, l))
+            for k, l in _all_generators(n, p)]
+    columns = []
+    for exps in enumerate_weight_monomials(lam, n, p):
+        base = FpPolynomial.monomial(p, zip(entries, exps))
+        col = {}
+        for gi, sub in enumerate(subs):
+            for m, c in (base.substitute(sub) - base).terms.items():
+                col[gi, m] = c
+        columns.append(col)
+    return len(fp_nullspace(columns, p))
+
+
+@pytest.mark.parametrize("n, p, low, high", [(3, 2, -4, 2), (3, 3, -4, 2),
+                                             (4, 2, -2, 1)])
+def test_h0_simple_roots_match_all_generators(n, p, low, high):
+    weights = [lam for lam in itertools.product(range(low, high + 1),
+                                                repeat=n)
+               if all(lam[i] >= lam[i + 1] for i in range(n - 1))]
+    positive = 0
+    for lam in weights:
+        expect = _h0_all_generators(lam, n, p)
+        assert h0_dimension(lam, n, p) == expect, lam
+        positive += expect > 0
+    assert positive > 0
+
+
+def test_catalog_sections_are_invariant_under_all_generators():
+    # check_equivariance substitutes the simple roots only; every
+    # catalog section is fixed by every 1 + t E_kl, k > l, as well
+    for n in (2, 3, 4):
+        for p in (2, 3, 5, 7):
+            for name in section_names(n):
+                body = catalog_section(name, n, p).body
+                for k, l in _all_generators(n, p):
+                    assert body.substitute(_generator_images(n, p, k, l)) \
+                        == body, (name, n, p, k, l)
 
 
 def test_rzip_examples():
