@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from .cones import GeneratedCone, HalfspaceSystem, halfspaces_of
 from .errors import ZipconeError
-from .rootdata import SymplecticRootDatum, gaussian_binomial
-from .weights import Weight
+from .rootdata import SymplecticRootDatum
+from .weights import (Weight, _fundamental, eta_weight, hodge_character,
+                      schubert_weight)
 
 
 class NamedCone:
@@ -64,33 +65,9 @@ class NamedCone:
             return halfspaces_of(self.generated)
         raise ValueError(kind)
 
-    def any_presentation(self):
-        return self.generated if self.generated is not None else self.halfspaces
-
 
 def _unit(n, i):
     return Weight(1 if j == i else 0 for j in range(n))
-
-
-def _fundamental(n, i):
-    """(1,...,1,0,...,0) with i leading ones."""
-    return Weight([1] * i + [0] * (n - i))
-
-
-def hodge_character(n, p):
-    return Weight([1 - p] * n)
-
-
-def schubert_weight(n, p, i):
-    """i leading ones and i trailing -p entries."""
-    return _fundamental(n, i) - p * Weight(reversed(_fundamental(n, i)))
-
-
-def eta_weight(n, p, i):
-    """Boundary generator of the highest-weight cone, 1 <= i <= n-1."""
-    a = gaussian_binomial(n - 1, i, p)
-    b = -p ** (n - i) * gaussian_binomial(n - 1, i - 1, p)
-    return Weight([a] * i + [b] * (n - i))
 
 
 def _dominance_rows(n):

@@ -401,6 +401,8 @@ def main(argv=None):
             raise _UsageError("p must be prime")
         if getattr(args, "n", None) is not None and args.n < 1:
             raise _UsageError("n must be at least 1")
+        if (getattr(args, "monomial_cap", None) or 0) < 0:
+            raise _UsageError("monomial cap must be at least 0")
         args.fn(args)
         return 0
     except _UsageError as e:

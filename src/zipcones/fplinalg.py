@@ -77,10 +77,6 @@ def _nullspace_gf2(columns):
     return null
 
 
-def fp_rank(columns, p):
-    return len(columns) - len(fp_nullspace(columns, p))
-
-
 def fp_det(mat, p):
     """Determinant mod p of a square matrix given as a sequence of rows."""
     m, det = [[x % p for x in row] for row in mat], 1

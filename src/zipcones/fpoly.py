@@ -417,20 +417,22 @@ class Substitution:
             self._products[part] = img
         return img
 
+    def image_terms(self, m):
+        """Term dict of the image of the packed monomial ``m``; the caller
+        checks the exponents of the sums (``__call__`` reduces them)."""
+        part = m & self._mask
+        rest = m - part
+        return {rest + mi: ci for mi, ci in self._image(part).items()}
+
     def __call__(self, poly):
         p = self.p
         if poly.p != p:
             raise ValueError("polynomial over F_%d, substitution over F_%d"
                              % (poly.p, p))
-        mask = self._mask
-        image = self._image
         acc = {}
         get = acc.get
         for m, c in poly.terms.items():
-            part = m & mask
-            rest = m - part
-            for mi, ci in image(part).items():
-                key = rest + mi
+            for key, ci in self.image_terms(m).items():
                 acc[key] = get(key, 0) + c * ci
         return FpPolynomial._of(p, _reduce_mod(acc, p))
 
@@ -626,10 +628,6 @@ class RationalFunction:
         self.exps = tuple(exps) if exps is not None else (0,) * basis.n
         if num.is_zero():
             self.exps = (0,) * basis.n
-
-    @classmethod
-    def from_poly(cls, basis, poly):
-        return cls(basis, poly)
 
     def is_zero(self):
         return self.num.is_zero()

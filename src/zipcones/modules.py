@@ -137,11 +137,6 @@ def _minor_poly(n, p, level, cols):
     return minor(n, p, range(1, level + 1), cols)
 
 
-@lru_cache(maxsize=None)
-def _det_poly(n, p):
-    return _minor_poly(n, p, n, tuple(range(1, n + 1)))
-
-
 def _minor_weight(n, cols):
     return Weight(1 if j + 1 in cols else 0 for j in range(n))
 

@@ -11,10 +11,10 @@ over any field they generate the lower unitriangular group, as
 group action.  First-order (Lie-algebra) conditions would not suffice in
 characteristic p: they miss the t^p terms of phi(u).
 
-The dimension oracle ``h0_dimension`` enumerates all monomials of a given
-weight (their total degree is pinned by the weight sum) and computes the
-nullspace of the generator conditions; it is the brute-force side against
-which the structured descriptions are tested.
+The dimension oracle ``h0_dimension`` enumerates the monomials of a given
+weight by their row and column degrees and computes the nullspace of the
+generator conditions, of which the t^(p^i) coefficients suffice (its
+docstring); it is the brute-force side for the structured descriptions.
 """
 
 from __future__ import annotations
@@ -32,10 +32,14 @@ from .errors import (
 )
 from .fplinalg import fp_det, fp_nullspace
 from .fpoly import (
+    _FIELD,
+    EXPONENT_LIMIT,
     FpPolynomial,
     MinorBasis,
     RationalFunction,
     Substitution,
+    _pack,
+    _shift,
     a_var,
     det as poly_det,
     exact_divide,
@@ -43,12 +47,14 @@ from .fpoly import (
     validate_n_p,
     weight_of,
 )
-from .weights import Weight
+from .weights import Weight, eta_weight, schubert_weight
 
 GAMMA_RANK_GUARD = 4
 MONOMIAL_CAP = 2 * 10 ** 5
 
 _T = ("t",)
+_T_SHIFT = _shift(_T)
+_T_FIELD = _FIELD << _T_SHIFT
 
 
 class Section:
@@ -163,8 +169,6 @@ def check_equivariance(body, lam, n, p, name=None):
 # the catalog of explicit sections
 
 def _delta_section(n, p, i):
-    from .catalog import schubert_weight
-
     basis = MinorBasis(n, p)
     return check_equivariance(basis.delta(i), schubert_weight(n, p, i),
                               n, p, name="delta%d" % i)
@@ -193,8 +197,6 @@ def _epsilon_sp6(p):
 
 
 def _f1_sp6(p):
-    from .catalog import eta_weight
-
     basis = MinorBasis(3, p)
     body = a_var(p, 1, 2) * basis.delta(2) ** p \
         + basis.delta(1) * _removal_minor(3, p, 2, 1) ** p
@@ -206,8 +208,6 @@ def _f2_sp6(p):
     # reading the two terms are only compatible mod 2, and the version
     # below is the one that is equivariant, matches the reduction-matrix
     # entry exactly and satisfies the theta division identity at odd p
-    from .catalog import eta_weight
-
     basis = MinorBasis(3, p)
     body = -(basis.delta(1) ** p * _removal_minor(3, p, 3, 2)
              + basis.delta(2) * a_var(p, 2, 3) ** p)
@@ -390,8 +390,6 @@ def clear_denominators(gm, r, s):
     clearing (the entry's numerator in lowest terms) as a verified
     Section.
     """
-    from .catalog import schubert_weight
-
     n, p = gm.n, gm.p
     if r + s > n + 1:
         raise ZipconeError("entry (%d, %d) vanishes for n = %d" % (r, s, n))
@@ -425,91 +423,116 @@ def clear_denominators(gm, r, s):
 # ---------------------------------------------------------------------------
 # the dimension oracle
 
-@lru_cache(maxsize=None)
-def _entry_weights(n, p):
-    """The entries (i, j) in sorted order and their weights e_i - p e_j."""
-    entries = tuple((i, j) for i in range(1, n + 1) for j in range(1, n + 1))
-    return entries, tuple(
-        tuple((t == i) - p * (t == j) for t in range(1, n + 1))
-        for i, j in entries)
+def _compositions(total, caps):
+    """Vectors 0 <= x <= caps with sum ``total``, in lexicographic order."""
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
+        return
+    room = sum(caps[1:])
+    for e in range(max(0, total - room), min(total, caps[0]) + 1):
+        for tail in _compositions(total - e, caps[1:]):
+            yield (e,) + tail
+
+
+def _tables(rows, cols):
+    """Nonnegative tables, flattened row by row, with these row and column
+    sums (of equal totals), filled one row at a time."""
+    if len(rows) == 1:
+        yield cols
+        return
+    for first in _compositions(rows[0], cols):
+        left = tuple(c - e for c, e in zip(cols, first))
+        for rest in _tables(rows[1:], left):
+            yield first + rest
+
+
+def _oracle_weight(lam, n, p, cap):
+    validate_n_p(n, p)
+    lam = Weight(lam)
+    if lam.rank != n:
+        raise ZipconeError("weight rank %d, expected %d" % (lam.rank, n))
+    if cap < 0:
+        raise ValueError("monomial cap must be at least 0, got %r" % (cap,))
+    return lam
 
 
 def enumerate_weight_monomials(lam, n, p, cap=MONOMIAL_CAP):
-    """Exponent tuples of the monomials in the matrix entries with the
-    given weight; total degree is forced to (sum lam) / (1 - p)."""
-    lam = Weight(lam)
+    """Sorted exponent tuples (entries row by row) of the monomials of
+    weight lam; more than ``cap`` of them raise GuardExceededError.
+
+    Row degrees r and column degrees c give the weight r - p c, and
+    |r| = |c| = d = (sum lam) / (1 - p).  So for each c with |c| = d and
+    r = lam + p c >= 0 the monomials are the tables with margins (r, c).
+    """
+    lam = _oracle_weight(lam, n, p, cap)
     total = sum(lam)
-    if total % (1 - p) != 0:
+    if total % (1 - p):
         return []
-    d = total // (1 - p)
-    if d < 0:
+    low = [max(0, -(x // p)) for x in lam]  # r_i >= 0 iff c_i >= -lam_i / p
+    free = total // (1 - p) - sum(low)
+    if free < 0:
         return []
-    entries, wts = _entry_weights(n, p)
-    lo = [[0] * n for _ in range(len(entries) + 1)]
-    hi = [[0] * n for _ in range(len(entries) + 1)]
-    for idx in range(len(entries) - 1, -1, -1):
-        for c in range(n):
-            lo[idx][c] = min(lo[idx + 1][c], wts[idx][c])
-            hi[idx][c] = max(hi[idx + 1][c], wts[idx][c])
-
     out = []
-
-    def rec(idx, remaining, need):
-        if len(out) > cap:
-            raise GuardExceededError(
-                "more than %d monomials of weight %s" % (cap, tuple(lam)))
-        if idx == len(entries) - 1:
-            w = wts[idx]
-            if all(nc == remaining * wc for nc, wc in zip(need, w)):
-                out.append(tuple(prefix) + (remaining,))
-            return
-        for c in range(n):
-            if not (remaining * lo[idx][c] <= need[c] <= remaining * hi[idx][c]):
-                return
-        w = wts[idx]
-        for e in range(remaining + 1):
-            prefix.append(e)
-            rec(idx + 1, remaining - e,
-                tuple(nc - e * wc for nc, wc in zip(need, w)))
-            prefix.pop()
-
-    prefix = []
-    rec(0, d, tuple(lam))
+    for extra in _compositions(free, (free,) * n):
+        cols = tuple(a + b for a, b in zip(low, extra))
+        for table in _tables(tuple(x + p * c for x, c in zip(lam, cols)),
+                             cols):
+            out.append(table)
+            if len(out) > cap:
+                raise GuardExceededError(
+                    "more than %d monomials of weight %s" % (cap, tuple(lam)))
+    out.sort()
     return out
 
 
 def h0_dimension(lam, n, p, monomial_cap=MONOMIAL_CAP):
     """Dimension of the space of weight-lam sections on the matrix space.
 
-    Enumerates the finitely many candidate monomials and solves the
-    linear conditions of invariance, as polynomials in t, under the n - 1
-    simple-root generators 1 + t E_{k,k-1}: through commutators they
-    generate the lower unitriangular group (module docstring), and the
-    linear term in t alone would not suffice in characteristic p.  Returns
-    0 at once for weights that support no monomials.  One memoising
-    substitution per generator serves every candidate monomial.
+    Enumerates the candidate monomials and solves the linear conditions of
+    invariance under the n - 1 simple-root generators u(t) = 1 + t E_{k,k-1}
+    (they generate the lower unitriangular group: module docstring).  Of
+    f(u(t) X phi(u(t))^{-1}) = sum_s t^s D_s f it imposes D_{p^i} f = 0
+    for p^i up to the degree times the largest t-exponent of an image.
+    That suffices: t -> u(t) is a G_a-action, so (D_s) is an iterative
+    Hasse-Schmidt derivation, D_a D_b = binom(a + b, a) D_{a+b}
+    (Hasse-Schmidt 1937), and by Lucas' theorem
+    D_s = (prod_i s_i!)^{-1} prod_i D_{p^i}^{s_i} for s = sum_i s_i p^i.
+    D_1 alone, the Lie-algebra condition, would miss the t^p terms of
+    phi(u).  A row key is a packed image monomial times (n - 1) plus the
+    generator's index.
     """
-    validate_n_p(n, p)
-    lam = Weight(lam)
-    if lam.rank != n:
-        raise ZipconeError("weight rank %d, expected %d" % (lam.rank, n))
+    lam = _oracle_weight(lam, n, p, monomial_cap)
     if any(lam[i] < lam[i + 1] for i in range(n - 1)):
         return 0
     monos = enumerate_weight_monomials(lam, n, p, cap=monomial_cap)
     if not monos:
         return 0
-    entries = [("a",) + e for e in _entry_weights(n, p)[0]]
-    subs = [Substitution(p, _generator_images(n, p, k, k - 1))
-            for k in range(2, n + 1)]
+    subs, top = [], 0
+    for k in range(2, n + 1):
+        images = _generator_images(n, p, k, k - 1)
+        for var, img in images.items():
+            # the t^0 part of a monomial's image is then the monomial
+            if ({m: c for m, c in img.terms.items() if not m & _T_FIELD}
+                    != FpPolynomial.variable(p, var).terms):
+                raise TheoremViolationError("u(t) moves %r at t = 0" % (var,))
+            top = max(top, *(m & _T_FIELD for m in img.terms))
+        subs.append(Substitution(p, images))
+    d, top, q, powers = sum(monos[0]), top >> _T_SHIFT, 1, set()
+    if d * top > EXPONENT_LIMIT:
+        raise GuardExceededError(
+            "degree %d: image exponents may pass the packed limit %d"
+            % (d, EXPONENT_LIMIT))
+    while q <= d * top:
+        powers.add(q << _T_SHIFT)
+        q *= p
+    entries = [("a", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     columns = []
     for exps in monos:
-        col = {}
-        base = FpPolynomial.monomial(p, zip(entries, exps))
-        for gi, sub in enumerate(subs):
-            diff = base.substitute(sub) - base
-            for m, c in diff.terms.items():
-                col[(gi, m)] = c
-        columns.append(col)
+        m = _pack((v, e) for v, e in zip(entries, exps) if e)
+        columns.append({key * (n - 1) + g: c for g, sub in enumerate(subs)
+                        for key, c in sub.image_terms(m).items()
+                        if key & _T_FIELD in powers})
     return len(fp_nullspace(columns, p))
 
 

@@ -1,5 +1,6 @@
-"""Integer character vectors and the primality test: the leaf of the
-package's import graph.
+"""Integer character vectors, the named weights of the section catalog
+and the primality test: the leaf of the package's import graph (only
+``eta_weight`` imports ``rootdata``, when it is called).
 
 Every layer that handles weights imports them from here, so a verb that
 runs only polynomial code does not load the polyhedral kernel, and the
@@ -61,6 +62,29 @@ def _as_weight(v, rank=None):
     if rank is not None and w.rank != rank:
         raise RankMismatchError("expected rank %d, got %d" % (rank, w.rank))
     return w
+
+
+def _fundamental(n, i):
+    """(1,...,1,0,...,0) with i leading ones."""
+    return Weight([1] * i + [0] * (n - i))
+
+
+def hodge_character(n, p):
+    return Weight([1 - p] * n)
+
+
+def schubert_weight(n, p, i):
+    """i leading ones and i trailing -p entries."""
+    return _fundamental(n, i) - p * Weight(reversed(_fundamental(n, i)))
+
+
+def eta_weight(n, p, i):
+    """Boundary generator of the highest-weight cone, 1 <= i <= n-1."""
+    from .rootdata import gaussian_binomial
+
+    a = gaussian_binomial(n - 1, i, p)
+    b = -p ** (n - i) * gaussian_binomial(n - 1, i - 1, p)
+    return Weight([a] * i + [b] * (n - i))
 
 
 def is_prime(p):

@@ -198,6 +198,19 @@ def test_matrix_size_below_one_is_a_usage_error(tmp_path):
         assert code == 1 and data == b"", argv
 
 
+def test_monomial_cap_below_zero_is_a_usage_error(tmp_path, capsys):
+    for verb in (["h0", "--weight", "0,0"], ["sweep", "--box", "0..0",
+                                               "--compare", "zip-sp4"]):
+        code, data = run(verb + ["--n", "2", "--p", "2", "--monomial-cap",
+                                 "-5"], tmp_path)
+        assert code == 1 and data == b"", verb
+    assert "usage error: monomial cap" in capsys.readouterr().err
+    # the cap bounds the count: one monomial is more than a cap of 0
+    code, _ = run(["h0", "--n", "2", "--p", "2", "--weight", "0,0",
+                   "--monomial-cap", "0"], tmp_path)
+    assert code == 2
+
+
 def test_exponent_past_the_limit_exits_2(tmp_path, capsys):
     code, data = run(["h0", "--n", "1", "--p", "2", "--weight",
                       "-4294967296"], tmp_path)

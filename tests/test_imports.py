@@ -59,6 +59,8 @@ def test_package_import_loads_no_submodule():
 @pytest.mark.parametrize("argv, absent", [
     (["h0", "--n", "2", "--p", "2", "--weight", "1,-2"],
      _package("cones", "catalog", "modules", "rootdata") | {"fractions"}),
+    (["verify-section", "--name", "f1sp6", "--p", "2"],
+     _package("catalog", "cones", "modules") | {"fractions"}),
     (["vlambda", "--n", "2", "--p", "3", "--weight", "2,0"],
      _package("sections", "catalog", "cones") | {"fractions"}),
     (["cone", "--name", "hw", "--n", "3", "--p", "2"],

@@ -191,10 +191,91 @@ def test_h0_guard():
         h0_dimension((100, -200, -300), 3, 2, monomial_cap=10)
 
 
+@pytest.mark.parametrize("lam, n, p, count", [((-4, -4, -4), 3, 2, 795),
+                                              ((0, 0), 2, 2, 1)])
+def test_monomial_cap_is_the_largest_count_answered(lam, n, p, count):
+    assert len(enumerate_weight_monomials(lam, n, p, cap=count)) == count
+    assert h0_dimension(lam, n, p, monomial_cap=count) == 1
+    with pytest.raises(GuardExceededError):
+        enumerate_weight_monomials(lam, n, p, cap=count - 1)
+    with pytest.raises(GuardExceededError):
+        h0_dimension(lam, n, p, monomial_cap=count - 1)
+    with pytest.raises(ValueError):
+        enumerate_weight_monomials(lam, n, p, cap=-5)
+    with pytest.raises(ValueError):
+        h0_dimension(lam, n, p, monomial_cap=-5)
+
+
+@pytest.mark.parametrize("lam", [(1, -2, 0), (1,)])
+def test_enumeration_checks_the_weight_rank(lam):
+    # a weight longer or shorter than n must not reach the enumeration,
+    # where it would give a wrong list or an IndexError
+    with pytest.raises(ZipconeError, match="weight rank %d, expected 2"
+                       % len(lam)):
+        enumerate_weight_monomials(lam, 2, 2)
+    with pytest.raises(ZipconeError, match="weight rank %d, expected 2"
+                       % len(lam)):
+        h0_dimension(lam, 2, 2)
+
+
+def _recursive_monomials(lam, n, p):
+    # reference enumerator: one recursion level per matrix entry, pruned
+    # by the range of weights the remaining entries can still reach
+    total = sum(lam)
+    if total % (1 - p) != 0 or total // (1 - p) < 0:
+        return []
+    entries = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    wts = [tuple((t == i) - p * (t == j) for t in range(1, n + 1))
+           for i, j in entries]
+    lo = [[0] * n for _ in range(len(entries) + 1)]
+    hi = [[0] * n for _ in range(len(entries) + 1)]
+    for idx in range(len(entries) - 1, -1, -1):
+        for c in range(n):
+            lo[idx][c] = min(lo[idx + 1][c], wts[idx][c])
+            hi[idx][c] = max(hi[idx + 1][c], wts[idx][c])
+    out, prefix = [], []
+
+    def rec(idx, remaining, need):
+        if idx == len(entries) - 1:
+            if all(nc == remaining * wc for nc, wc in zip(need, wts[idx])):
+                out.append(tuple(prefix) + (remaining,))
+            return
+        for c in range(n):
+            if not remaining * lo[idx][c] <= need[c] <= remaining * hi[idx][c]:
+                return
+        for e in range(remaining + 1):
+            prefix.append(e)
+            rec(idx + 1, remaining - e,
+                tuple(nc - e * wc for nc, wc in zip(need, wts[idx])))
+            prefix.pop()
+
+    rec(0, total // (1 - p), tuple(lam))
+    return out
+
+
+def _dominant_box(n, low, high):
+    return [lam for lam in itertools.product(range(low, high + 1), repeat=n)
+            if all(lam[i] >= lam[i + 1] for i in range(n - 1))]
+
+
+@pytest.mark.parametrize("n, p, low, high", [
+    (2, 2, -16, 4), (2, 3, -20, 4), (2, 5, -24, 4), (2, 7, -28, 4),
+    (3, 2, -5, 2), (3, 3, -4, 2), (3, 7, -6, 2), (4, 2, -2, 1)])
+def test_margin_enumeration_matches_the_recursion(n, p, low, high):
+    total = 0
+    for lam in _dominant_box(n, low, high):
+        monos = enumerate_weight_monomials(lam, n, p)
+        assert monos == _recursive_monomials(lam, n, p), lam
+        total += len(monos)
+    assert total > 0
+
+
 def test_h0_monomial_enumeration_is_exhaustive():
-    # cross-check the pruned enumeration against brute force
+    # cross-check the enumeration by margins against brute force
     for lam, n, p in [((1, -2), 2, 2), ((-2, -2), 2, 2), ((0, -4), 2, 2),
-                      ((1, -1, -2), 3, 2), ((-1, -1, -1), 3, 2)]:
+                      ((1, -1, -2), 3, 2), ((-1, -1, -1), 3, 2),
+                      ((1, -3), 2, 3), ((0, -4), 2, 3), ((-2, -4), 2, 3),
+                      ((2, -3, -3), 3, 3), ((0, -2, -4), 3, 3)]:
         fancy = set(enumerate_weight_monomials(lam, n, p))
         d = sum(lam) // (1 - p)
         entries = sorted((i, j) for i in range(1, n + 1)
@@ -278,14 +359,14 @@ def _h0_all_generators(lam, n, p):
     return len(fp_nullspace(columns, p))
 
 
-@pytest.mark.parametrize("n, p, low, high", [(3, 2, -4, 2), (3, 3, -4, 2),
-                                             (4, 2, -2, 1)])
+@pytest.mark.parametrize("n, p, low, high", [
+    (3, 2, -4, 2), (3, 3, -4, 2), (4, 2, -2, 1), (2, 3, -20, 4),
+    (2, 5, -24, 4), (2, 7, -28, 4), (3, 5, -8, 2), (3, 7, -12, 2)])
 def test_h0_simple_roots_match_all_generators(n, p, low, high):
-    weights = [lam for lam in itertools.product(range(low, high + 1),
-                                                repeat=n)
-               if all(lam[i] >= lam[i + 1] for i in range(n - 1))]
+    # h0_dimension imposes the t^(p^i) coefficients of the simple roots;
+    # the reference imposes every coefficient of every generator
     positive = 0
-    for lam in weights:
+    for lam in _dominant_box(n, low, high):
         expect = _h0_all_generators(lam, n, p)
         assert h0_dimension(lam, n, p) == expect, lam
         positive += expect > 0
@@ -416,6 +497,27 @@ def test_h0_exponent_past_the_limit_is_a_guard_error():
     with pytest.raises(GuardExceededError, match="4294967296"):
         h0_dimension((-2 ** 32,), 1, 2)
     assert h0_dimension((-7,), 1, 2) == 1
+
+
+def test_h0_image_exponents_past_the_limit_are_a_guard_error():
+    # a12^(2^30) is the only monomial of its weight, but the images of
+    # degree-2^30 monomials reach t^(3 * 2^30), past the packed limit
+    with pytest.raises(GuardExceededError, match="1073741824"):
+        h0_dimension((2 ** 30, -2 ** 31), 2, 2)
+    assert h0_dimension((2 ** 20, -2 ** 21), 2, 2) == 1
+
+
+def test_h0_refuses_generator_images_that_move_at_t_zero(monkeypatch):
+    # the t^0 terms are dropped only after each image is checked to be
+    # its own variable at t = 0
+    def moved(n, p, k, l):
+        images = dict(_generator_images(n, p, k, l))
+        images[("a", 1, 1)] = images[("a", 1, 1)] + a_var(p, 1, 2)
+        return images
+
+    monkeypatch.setattr("zipcones.sections._generator_images", moved)
+    with pytest.raises(TheoremViolationError):
+        h0_dimension((0, 0), 2, 2)
 
 
 @settings(max_examples=40, deadline=None)
