@@ -465,6 +465,20 @@ def mat_mul(A, B):
     return out
 
 
+def matrix_images(M):
+    """The substitution a_ij -> M[i][j] of the generic matrix by the
+    square polynomial matrix M (1-indexed variables), leaving out every
+    entry that maps to itself.  The one place a matrix acts on the
+    generic matrix: compose M with ``mat_mul`` and ``generic_matrix``."""
+    images = {}
+    for i, row in enumerate(M, start=1):
+        for j, img in enumerate(row, start=1):
+            var = ("a", i, j)
+            if img != FpPolynomial.variable(img.p, var):
+                images[var] = img
+    return images
+
+
 def det(M):
     """Determinant by expansion over column subsets (exact, no division)."""
     m = len(M)

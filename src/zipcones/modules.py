@@ -9,9 +9,9 @@ character lam, and is an eigenvector for right translation by the
 diagonal torus; the stored weight of a basis vector is its plain
 right-translation eigenvalue f(X t) = chi(t) f(X).
 
-Right translation by a finite matrix group acts through Cauchy-Binet
-expansions on the minor coordinates, which keeps all linear algebra
-sparse and exact.
+Right translation X -> X g by a matrix g of GL_n(F_p) is the
+substitution ``matrix_images(mat_mul(X, g))`` of the expanded numerators,
+times det(g)^{det_pow}; all linear algebra stays sparse and exact.
 """
 
 from __future__ import annotations
@@ -22,10 +22,19 @@ from functools import lru_cache
 from .errors import (
     EmptyModuleError,
     GuardExceededError,
+    RankMismatchError,
     TheoremViolationError,
 )
 from .fplinalg import fp_det, fp_nullspace
-from .fpoly import FpPolynomial, minor, validate_n_p
+from .fpoly import (
+    FpPolynomial,
+    Substitution,
+    generic_matrix,
+    mat_mul,
+    matrix_images,
+    minor,
+    validate_n_p,
+)
 from .weights import Weight
 
 GROUP_ORDER_GUARD = 10 ** 4
@@ -46,6 +55,7 @@ def group_order(n, p):
 @lru_cache(maxsize=None)
 def group_elements(n, p):
     """All invertible n x n matrices over F_p, as tuples of row tuples."""
+    validate_n_p(n, p)
     if group_order(n, p) > GROUP_ORDER_GUARD:
         raise GuardExceededError(
             "|GL_%d(F_%d)| = %d exceeds the group guard %d"
@@ -141,23 +151,6 @@ def _minor_weight(n, cols):
     return Weight(1 if j + 1 in cols else 0 for j in range(n))
 
 
-@lru_cache(maxsize=None)
-def _binet_matrix(n, p, level, s):
-    """Column-substitution coefficients: minor_{1..level,J}(X s) =
-    sum_K  minor_{K,J}(s) * minor_{1..level,K}(X)."""
-    subsets = list(itertools.combinations(range(1, n + 1), level))
-    out = {}
-    for J in subsets:
-        col = {}
-        for K in subsets:
-            sub = tuple(tuple(s[i - 1][j - 1] for j in J) for i in K)
-            c = fp_det(sub, p)
-            if c:
-                col[K] = c
-        out[J] = col
-    return out
-
-
 class ModuleElement:
     """num * det^{det_pow} with its module weight and torus eigenvalue."""
 
@@ -244,13 +237,14 @@ def _monomial_weight(n, lam_n, mono):
 def build_module(lam, n, p):
     """Construct V(lam) with its weight decomposition.
 
-    Raises EmptyModuleError when lam is not weakly decreasing; checks the
+    Raises EmptyModuleError when lam is not weakly decreasing and
+    RankMismatchError when lam does not have n coordinates; checks the
     resulting dimension against the Weyl dimension formula.
     """
     validate_n_p(n, p)
     lam = Weight(lam)
     if lam.rank != n:
-        raise EmptyModuleError("weight rank %d, expected %d" % (lam.rank, n))
+        raise RankMismatchError("weight rank %d, expected %d" % (lam.rank, n))
     if n > MODULE_RANK_GUARD:
         raise GuardExceededError("induced modules are built for n <= %d"
                                  % MODULE_RANK_GUARD)
@@ -301,56 +295,25 @@ def build_module(lam, n, p):
 # ---------------------------------------------------------------------------
 # right translation
 
-def _act_monomial(module, s, mono):
-    """Image of a basis monomial under X -> X s, as a minor-monomial dict."""
+def _right_translation(module, g):
+    """rho(g) on expanded numerators: f(X) -> det(g)^{det_pow} f(X g).
+    Reads only n, p and det_pow, so ``module`` may be a ModuleElement."""
     n, p = module.n, module.p
-    result = {(): 1}
-    for (level, cols), mult in mono:
-        images = _binet_matrix(n, p, level, s)[cols]
-        for _ in range(mult):
-            new = {}
-            for m0, c0 in result.items():
-                for K, cK in images.items():
-                    d = dict(m0)
-                    key = (level, K)
-                    d[key] = d.get(key, 0) + 1
-                    key2 = tuple(sorted(d.items()))
-                    new[key2] = (new.get(key2, 0) + c0 * cK) % p
-            result = {k: c for k, c in new.items() if c}
-    if module.det_pow:
-        ds = fp_det(s, p)
-        scale = pow(ds, module.det_pow % (p - 1) if p > 2 else 0, p)
-        if scale != 1:
-            result = {k: c * scale % p for k, c in result.items()}
-    return result
-
-
-def _act_expand(module, s, coeffs):
-    """Expanded numerator polynomial of (X -> X s) applied to an element
-    given by basis coefficients {index: c}."""
-    n, p = module.n, module.p
-    total = {}
-    for i, c in coeffs.items():
-        for mono, cm in _act_monomial(module, s, module.basis[i]).items():
-            poly = _expand_monomial(n, p, mono)
-            for t, ct in poly.terms.items():
-                nv = (total.get(t, 0) + c * cm * ct) % p
-                if nv:
-                    total[t] = nv
-                else:
-                    total.pop(t, None)
-    return FpPolynomial(p, total)
+    act = Substitution(p, matrix_images(mat_mul(generic_matrix(n, p), g)))
+    scale = pow(fp_det(g, p), module.det_pow % (p - 1), p)
+    return lambda num: scale * act(num)
 
 
 def invariants_finite_group(module):
     """Basis of the subspace fixed by right translation under GL_n(F_p).
 
     The fixed space is the common kernel of rho(g) - 1 over the generators
-    g, cut out one generator at a time.  Right translation is a group
-    action, so a vector fixed by the generators is fixed by every product
-    of them, and the word certificate of ``group_generators`` proves
-    those products are all of GL_n(F_p): the kernel is the full fixed
-    space.  Returns a list of {basis index: coefficient} dicts.
+    g, cut out one generator at a time, with one ``Substitution`` of
+    X -> X g per generator.  Right translation is a group action, so a
+    vector fixed by the generators is fixed by every product of them, and
+    the word certificate of ``group_generators`` proves those products
+    are all of GL_n(F_p): the kernel is the full fixed space.  Returns a
+    list of {basis index: coefficient} dicts.
     """
     n, p = module.n, module.p
     gens = group_generators(n, p)
@@ -362,10 +325,11 @@ def invariants_finite_group(module):
     for g in gens:
         if not current:
             break
+        rho = _right_translation(module, g)
         cols = []
         for vec in current:
-            diff = _act_expand(module, g, vec) - module.element(vec).num
-            cols.append(dict(diff.terms))
+            num = module.element(vec).num
+            cols.append((rho(num) - num).terms)
         null = fp_nullspace(cols, p)
         new = []
         for combo in null:
@@ -423,16 +387,16 @@ def highest_weight_vector(module):
     return elem
 
 
+def _generic_lower(n, p):
+    """The generic lower-triangular matrix with entries b_ij, i >= j."""
+    zero = FpPolynomial.zero(p)
+    return [[FpPolynomial.variable(p, ("b", i, j)) if i >= j else zero
+             for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+
 def _check_lower_stability(module, elem):
     n, p = module.n, module.p
-    images = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            img = FpPolynomial.zero(p)
-            for k in range(j, n + 1):   # b lower-triangular: b_kj = 0 for k < j
-                img = img + FpPolynomial.variable(p, ("a", i, k)) \
-                    * FpPolynomial.variable(p, ("b", k, j))
-            images[("a", i, j)] = img
+    images = matrix_images(mat_mul(generic_matrix(n, p), _generic_lower(n, p)))
     moved = elem.num.substitute(images)
     chi = elem.tweight
     scale = FpPolynomial.constant(p, 1)
@@ -453,14 +417,7 @@ def verify_left_borel_law(module):
     through the module character: num(bX) = num(X) * prod over levels of
     the leading diagonal minors of b."""
     n, p = module.n, module.p
-    images = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            img = FpPolynomial.zero(p)
-            for k in range(1, i + 1):   # b lower-triangular: b_ik = 0 for k > i
-                img = img + FpPolynomial.variable(p, ("b", i, k)) \
-                    * FpPolynomial.variable(p, ("a", k, j))
-            images[("a", i, j)] = img
+    images = matrix_images(mat_mul(_generic_lower(n, p), generic_matrix(n, p)))
     scale = FpPolynomial.constant(p, 1)
     for level, mult in enumerate(module.level_mults, start=1):
         for r in range(1, level + 1):

@@ -30,7 +30,7 @@ from .errors import (
     WeightMismatchError,
     ZipconeError,
 )
-from .fplinalg import fp_det, fp_nullspace
+from .fplinalg import fp_nullspace
 from .fpoly import (
     _FIELD,
     EXPONENT_LIMIT,
@@ -43,6 +43,10 @@ from .fpoly import (
     a_var,
     det as poly_det,
     exact_divide,
+    generic_matrix,
+    mat_identity,
+    mat_mul,
+    matrix_images,
     minor,
     validate_n_p,
     weight_of,
@@ -111,17 +115,10 @@ def _body_one(section):
 @lru_cache(maxsize=None)
 def _generator_images(n, p, k, l):
     """Substitution X -> (1 + t E_{k,l}) X (1 - t^p E_{k,l}), k > l."""
-    images = {}
-    t = lambda e: FpPolynomial.variable(p, _T, e)
-    for j in range(1, n + 1):
-        if j != l:
-            images[("a", k, j)] = a_var(p, k, j) + t(1) * a_var(p, l, j)
-    for i in range(1, n + 1):
-        if i != k:
-            images[("a", i, l)] = a_var(p, i, l) - t(p) * a_var(p, i, k)
-    images[("a", k, l)] = (a_var(p, k, l) + t(1) * a_var(p, l, l)
-                           - t(p) * a_var(p, k, k) - t(p + 1) * a_var(p, l, k))
-    return images
+    u, v = mat_identity(n, p), mat_identity(n, p)
+    u[k - 1][l - 1] = FpPolynomial.variable(p, _T)
+    v[k - 1][l - 1] = -FpPolynomial.variable(p, _T, p)
+    return matrix_images(mat_mul(mat_mul(u, generic_matrix(n, p)), v))
 
 
 @lru_cache(maxsize=None)
@@ -340,7 +337,7 @@ def gamma_matrix(n, p):
 
     phi_z = [[e.frobenius() for e in row] for row in z]
     inv = _unipotent_inverse(phi_z, one, zero)
-    gamma = _rf_matmul(_rf_matmul(z, A), inv)
+    gamma = mat_mul(mat_mul(z, A), inv)
     gamma = [[e.reduce() for e in row] for row in gamma]
 
     for r in range(1, n + 1):
@@ -368,17 +365,11 @@ def _unipotent_inverse(mat, one, zero):
     power = ident
     sign = -1
     for _ in range(1, n):
-        power = _rf_matmul(power, N)
+        power = mat_mul(power, N)
         out = [[out[i][j] + (power[i][j] * sign) for j in range(n)]
                for i in range(n)]
         sign = -sign
     return out
-
-
-def _rf_matmul(A, B):
-    n, m, k = len(A), len(B[0]), len(B)
-    return [[sum((A[i][l] * B[l][j] for l in range(1, k)),
-                 A[i][0] * B[0][j]) for j in range(m)] for i in range(n)]
 
 
 def clear_denominators(gm, r, s):
@@ -589,27 +580,17 @@ class TildeSection:
         return self.det_valuation >= 0
 
 
-def _upper_unitriangular_images(n, p, s, with_t):
+def _upper_unitriangular_images(n, p, s):
     """Images of the matrix entries under X = b delta(t) s with b generic
     upper unitriangular and delta scaling the last row by 1/t; the common
-    factor t^{-1} is pulled out, so images are polynomial in t."""
-    t1 = FpPolynomial.variable(p, _T) if with_t else FpPolynomial.constant(p, 1)
-    images = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            acc = FpPolynomial.zero(p)
-            for k in range(i, n + 1):
-                b = (FpPolynomial.constant(p, 1) if k == i
-                     else FpPolynomial.variable(p, ("b", i, k)))
-                coeff = s[k - 1][j - 1] % p
-                if not coeff:
-                    continue
-                term = coeff * b
-                if k < n:
-                    term = term * t1
-                acc = acc + term
-            images[("a", i, j)] = acc
-    return images
+    factor t^{-1} is pulled out, so delta(t) = diag(t, ..., t, 1) and the
+    images are polynomial in t."""
+    b, delta = mat_identity(n, p), mat_identity(n, p)
+    for i in range(n - 1):
+        delta[i][i] = FpPolynomial.variable(p, _T)
+        for k in range(i + 1, n):
+            b[i][k] = FpPolynomial.variable(p, ("b", i + 1, k + 1))
+    return matrix_images(mat_mul(mat_mul(b, delta), s))
 
 
 def tilde_valuation(elem):
@@ -627,7 +608,7 @@ def tilde_valuation(elem):
     deg = elem.num.total_degree()
     total = 0
     for s in group:
-        sub = elem.num.substitute(_upper_unitriangular_images(n, p, s, True))
+        sub = elem.num.substitute(_upper_unitriangular_images(n, p, s))
         if sub.is_zero():
             raise TheoremViolationError(
                 "a nonzero module element vanishes along b delta(t) s")
@@ -638,7 +619,7 @@ def tilde_valuation(elem):
 
 def tilde_section(elem, body_term_cap=MONOMIAL_CAP):
     """Norm product over GL_n(F_p) of a module element, with valuations."""
-    from .modules import group_elements, group_order
+    from .modules import _right_translation, group_elements, group_order
 
     n, p = elem.n, elem.p
     group = group_elements(n, p)
@@ -646,25 +627,11 @@ def tilde_section(elem, body_term_cap=MONOMIAL_CAP):
         raise ZipconeError("zero module element")
     D = group_order(n, p)
     prod = FpPolynomial.constant(p, 1)
-    scale = 1
     for s in group:
-        images = {}
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                acc = FpPolynomial.zero(p)
-                for k in range(1, n + 1):
-                    c = s[k - 1][j - 1] % p
-                    if c:
-                        acc = acc + c * a_var(p, i, k)
-                images[("a", i, j)] = acc
-        prod = prod * elem.num.substitute(images)
+        prod = prod * _right_translation(elem, s)(elem.num)
         if len(prod.terms) > body_term_cap:
             raise GuardExceededError("norm product exceeds %d terms"
                                      % body_term_cap)
-        if elem.det_pow and p > 2:
-            ds = fp_det(s, p)
-            scale = scale * pow(ds, elem.det_pow % (p - 1), p) % p
-    prod = scale * prod
     detp = minor(n, p, range(1, n + 1), range(1, n + 1))
     extra = 0
     while True:

@@ -198,6 +198,16 @@ def test_matrix_size_below_one_is_a_usage_error(tmp_path):
         assert code == 1 and data == b"", argv
 
 
+def test_weight_of_the_wrong_rank_is_a_usage_error(capsys):
+    # vlambda used to print "dim": 0 for a weight of the wrong rank
+    for weight in ("1,0", "1,0,0,0"):
+        for verb in ("vlambda", "h0"):
+            code = main([verb, "--n", "3", "--p", "2", "--weight", weight])
+            out, err = capsys.readouterr()
+            assert (code, out) == (1, ""), (verb, weight)
+            assert "rank" in err and "Traceback" not in err
+
+
 def test_monomial_cap_below_zero_is_a_usage_error(tmp_path, capsys):
     for verb in (["h0", "--weight", "0,0"], ["sweep", "--box", "0..0",
                                                "--compare", "zip-sp4"]):

@@ -207,9 +207,14 @@ def test_substitute_commutes_with_evaluation(data, p):
 
 
 def test_mat_mul_identity():
-    from zipcones.fpoly import mat_identity
+    from zipcones.fpoly import mat_identity, matrix_images
     A = generic_matrix(3, 3)
     assert mat_mul(A, mat_identity(3, 3)) == A
+    # entries that map to themselves are left out of the substitution
+    assert matrix_images(A) == {}
+    swap = mat_mul(A, ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+    assert matrix_images(swap) == {("a", i, j): A[i - 1][2 - j]
+                                   for i in (1, 2, 3) for j in (1, 2)}
 
 
 def test_rational_function_ops():

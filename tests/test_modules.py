@@ -9,14 +9,16 @@ from zipcones.cones import Weight
 from zipcones.errors import (
     EmptyModuleError,
     GuardExceededError,
+    RankMismatchError,
     TheoremViolationError,
 )
 from zipcones.fplinalg import fp_nullspace
 from zipcones.fpoly import FpPolynomial, a_var
 from zipcones.modules import (
-    _act_expand,
     _check_elementary_words,
+    _expand_monomial,
     _mat_product,
+    _right_translation,
     build_module,
     group_elements,
     group_generators,
@@ -45,6 +47,12 @@ def test_group_enumeration_and_order():
 def test_group_guard():
     with pytest.raises(GuardExceededError):
         group_elements(3, 3)
+
+
+def test_group_elements_rejects_a_non_prime():
+    # F_4 is not Z/4: enumerating 2 x 2 matrices mod 4 finds 160, not 180
+    with pytest.raises(ValueError):
+        group_elements(2, 4)
 
 
 def _closure(gens, n, p):
@@ -108,6 +116,14 @@ def test_build_module_rejects_non_dominant():
         build_module((0, 1), 2, 2)
     with pytest.raises(GuardExceededError):
         build_module((1, 0, 0, 0), 4, 2)
+
+
+def test_weight_of_the_wrong_rank_is_not_an_empty_module():
+    # a rank mismatch is invalid input, not the zero module
+    for n in (2, 3):
+        for rank in (n - 1, n + 1):
+            with pytest.raises(RankMismatchError):
+                build_module((1,) + (0,) * (rank - 1), n, 2)
 
 
 def test_weyl_dimension_box():
@@ -240,6 +256,44 @@ def _substituted(m, i, s):
     return scale * m.basis_polys[i].substitute(images)
 
 
+def _binet_matrix(n, p, level, s):
+    """Column-substitution coefficients: minor_{1..level,J}(X s) =
+    sum_K  minor_{K,J}(s) * minor_{1..level,K}(X)."""
+    subsets = list(itertools.combinations(range(1, n + 1), level))
+    out = {}
+    for J in subsets:
+        col = {}
+        for K in subsets:
+            c = _det([[s[i - 1][j - 1] for j in J] for i in K], p)
+            if c:
+                col[K] = c
+        out[J] = col
+    return out
+
+
+def _binet_translate(m, i, s):
+    """Numerator of X -> X s applied to basis vector i through Cauchy-Binet
+    on its minor coordinates, expanded only at the end."""
+    n, p = m.n, m.p
+    result = {(): 1}
+    for (level, cols), mult in m.basis[i]:
+        images = _binet_matrix(n, p, level, s)[cols]
+        for _ in range(mult):
+            new = {}
+            for m0, c0 in result.items():
+                for K, cK in images.items():
+                    d = dict(m0)
+                    d[level, K] = d.get((level, K), 0) + 1
+                    key = tuple(sorted(d.items()))
+                    new[key] = (new.get(key, 0) + c0 * cK) % p
+            result = {k: c for k, c in new.items() if c}
+    scale = pow(_det(s, p), m.det_pow, p)
+    total = FpPolynomial.zero(p)
+    for mono, c in result.items():
+        total = total + c * scale * _expand_monomial(n, p, mono)
+    return total
+
+
 def _sample(n, p, size, seed):
     """A fixed sample of GL_n(F_p) that contains the generators."""
     gens = list(group_generators(n, p))
@@ -255,15 +309,19 @@ def _sample(n, p, size, seed):
     ((2, -1), 5, "sample"), ((3, 1), 5, "sample"),
 ])
 def test_act_expand_matches_symbolic_substitution(lam, p, elements):
-    # the Cauchy-Binet action on minor coordinates equals substitution
-    # X -> X s in the expanded numerators, det(s)^det_pow included
+    # the production right translation, the Cauchy-Binet action on minor
+    # coordinates and a hand-written substitution X -> X s agree on every
+    # basis vector, det(s)^det_pow included
     n = len(lam)
     m = build_module(lam, n, p)
     group = (group_elements(n, p) if elements == "all"
              else _sample(n, p, 24, 1000 * n + p))
     for s in group:
+        rho = _right_translation(m, s)
         for i in range(m.dim):
-            assert _act_expand(m, s, {i: 1}) == _substituted(m, i, s), (s, i)
+            expect = _substituted(m, i, s)
+            assert rho(m.basis_polys[i]) == expect, (s, i)
+            assert _binet_translate(m, i, s) == expect, (s, i)
 
 
 def _rank(vectors, p):
@@ -275,14 +333,13 @@ def _assert_generator_kernel_is_fixed_space(m):
     # group, and compare the span with the kernel of the generators
     n, p = m.n, m.p
     fast = invariants_finite_group(m)
-    cols = []
-    for i in range(m.dim):
-        col = {}
-        for si, s in enumerate(group_elements(n, p)):
-            diff = _act_expand(m, s, {i: 1}) - m.basis_polys[i]
+    cols = [{} for _ in range(m.dim)]
+    for si, s in enumerate(group_elements(n, p)):
+        rho = _right_translation(m, s)
+        for i, col in enumerate(cols):
+            diff = rho(m.basis_polys[i]) - m.basis_polys[i]
             for mono, c in diff.terms.items():
                 col[(si, mono)] = c
-        cols.append(col)
     slow = fp_nullspace(cols, p)
     assert len(fast) == len(slow) == _rank(fast, p) == _rank(slow, p), m.lam
     assert _rank(fast + slow, p) == len(fast), m.lam

@@ -17,7 +17,7 @@ from zipcones.errors import (
     WeightMismatchError,
     ZipconeError,
 )
-from zipcones.fplinalg import fp_nullspace
+from zipcones.fplinalg import fp_det, fp_nullspace
 from zipcones.fpoly import (
     FpPolynomial,
     MinorBasis,
@@ -26,8 +26,15 @@ from zipcones.fpoly import (
     a_var,
     det,
     generic_matrix,
+    mat_mul,
+    matrix_images,
 )
-from zipcones.modules import build_module, group_order, highest_weight_vector
+from zipcones.modules import (
+    build_module,
+    group_generators,
+    group_order,
+    highest_weight_vector,
+)
 from zipcones.sections import (
     _generator_images,
     catalog_section,
@@ -340,6 +347,30 @@ def _all_generators(n, p):
     return [(k, l) for k in range(2, n + 1) for l in range(1, k)]
 
 
+def _generator_images_by_hand(n, p, k, l):
+    # (1 + t E_kl) X (1 - t^p E_kl) entry by entry: row k gains t times
+    # row l, then column l loses t^p times column k
+    images = {}
+    t = lambda e: FpPolynomial.variable(p, ("t",), e)
+    for j in range(1, n + 1):
+        if j != l:
+            images[("a", k, j)] = a_var(p, k, j) + t(1) * a_var(p, l, j)
+    for i in range(1, n + 1):
+        if i != k:
+            images[("a", i, l)] = a_var(p, i, l) - t(p) * a_var(p, i, k)
+    images[("a", k, l)] = (a_var(p, k, l) + t(1) * a_var(p, l, l)
+                           - t(p) * a_var(p, k, k) - t(p + 1) * a_var(p, l, k))
+    return images
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_generator_images_match_the_entrywise_formula(p):
+    for n in range(1, 5):
+        for k, l in _all_generators(n, p):
+            assert _generator_images(n, p, k, l) \
+                == _generator_images_by_hand(n, p, k, l), (n, k, l)
+
+
 def _h0_all_generators(lam, n, p):
     # reference oracle: the conditions of every 1 + t E_kl with k > l,
     # where h0_dimension imposes only the simple roots l = k - 1
@@ -404,6 +435,18 @@ def test_tilde_det_power():
         # boundary valuation has the opposite sign: det^k extends iff k <= 0
         assert ts.det_valuation == -k * group_order(2, 2)
         assert ts.extends == (k <= 0)
+
+
+def test_tilde_body_is_fixed_by_right_translation():
+    # the norm multiplies the right translates f(X s); X -> X g permutes
+    # them, so the body moves only by det(g)^(-body_det_power)
+    for lam, p in [((1, -2), 2), ((2, 0), 3)]:
+        ts = tilde_section(highest_weight_vector(build_module(lam, 2, p)))
+        assert ts.body_num.total_degree() > 0
+        for g in group_generators(2, p):
+            images = matrix_images(mat_mul(generic_matrix(2, p), g))
+            assert ts.body_num.substitute(images) \
+                == pow(fp_det(g, p), -ts.body_det_power, p) * ts.body_num
 
 
 def test_tilde_highest_weight_examples():
