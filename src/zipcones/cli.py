@@ -264,6 +264,8 @@ def _cmd_slice(args):
     v = _parse_weight(args.frame_v)
     if center.dot(u) != 0 or center.dot(v) != 0:
         raise _UsageError("frame vectors must be orthogonal to the axis")
+    if not any(u[i] * v[i - 1] - u[i - 1] * v[i] for i in range(3)):
+        raise _UsageError("frame vectors must be nonzero and not parallel")
     rays = extreme_rays(pres)
     c2 = center.dot(center)
     verts = []

@@ -14,16 +14,17 @@ kernel, the integer double description (``double_description``), gives
 the facets and implicit equalities of a generated cone, the extreme rays
 and lineality space of a halfspace system, and so every containment and
 equality test between cones; ``DD_RAY_GUARD`` bounds its intermediate
-ray count.  Rational feasibility with a certificate
-(``nonneg_combination``, by Fourier-Motzkin elimination under the same
-guard) serves ``saturation_certificate``.  Everything is deterministic.
+ray count.  ``saturation_certificate`` reads its answer off that facet
+list: a separating facet for a non-member, and for a member a
+Caratheodory descent through the faces, checked exactly.  Everything is
+deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     GuardExceededError,
@@ -248,113 +249,6 @@ def double_description(rows, n):
     return sorted(r for r, _ in rays), lin
 
 
-def nonneg_combination(vectors, target):
-    """Exact feasibility of ``sum mu_i v_i = target`` with ``mu_i >= 0``.
-
-    Returns a list of Fractions (a certificate) or None.  The equalities
-    are solved first: in their reduced row echelon form each pivot mu is
-    an affine function of the free ones.  Fourier-Motzkin elimination with
-    back-substitution then decides ``mu >= 0`` over the free mu alone.
-    All arithmetic is rational.  A step that would hold more than
-    ``DD_RAY_GUARD`` rows raises GuardExceededError.
-    """
-    m = len(vectors)
-    target = [Fraction(t) for t in target]
-    if all(t == 0 for t in target):
-        return [Fraction(0)] * m
-    n = len(target)
-    eq, pivots = rref([[vectors[i][k] for i in range(m)] + [target[k]]
-                       for k in range(n)])
-    if m in pivots:
-        return None
-    free = [j for j in range(m) if j not in pivots]
-    nfree = len(free)
-
-    # rows: (coeffs over the free mu, const) meaning coeffs.mu + const >= 0;
-    # pivot row r reads mu_pivot = const - sum_j eq[r][j] mu_j over free j
-    rows = [(tuple(-eq[r][j] for j in free), eq[r][m])
-            for r in range(len(pivots))]
-    for i in range(nfree):
-        e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(nfree))
-        rows.append((e, Fraction(0)))
-
-    def norm(rws):
-        out, seen = [], set()
-        for coeffs, const in rws:
-            if all(c == 0 for c in coeffs):
-                if const < 0:
-                    return None
-                continue
-            t = _primitive(list(coeffs) + [const])
-            if t not in seen:
-                seen.add(t)
-                out.append((tuple(Fraction(x) for x in t[:-1]), Fraction(t[-1])))
-        return out
-
-    rows = norm(rows)
-    if rows is None:
-        return None
-    steps = []
-    remaining = list(range(nfree))
-    while remaining:
-        best, best_cost = None, None
-        for v in remaining:
-            pos = sum(1 for c, _ in rows if c[v] > 0)
-            neg = sum(1 for c, _ in rows if c[v] < 0)
-            if best_cost is None or pos * neg - pos - neg < best_cost:
-                best, best_cost = v, pos * neg - pos - neg
-        v = best
-        remaining.remove(v)
-        pos = [(c, k) for c, k in rows if c[v] > 0]
-        neg = [(c, k) for c, k in rows if c[v] < 0]
-        zero = [(c, k) for c, k in rows if c[v] == 0]
-        if len(zero) + len(pos) * len(neg) > DD_RAY_GUARD:
-            raise GuardExceededError(
-                "elimination would hold %d rows, past %d (DD_RAY_GUARD)"
-                % (len(zero) + len(pos) * len(neg), DD_RAY_GUARD))
-        steps.append((v, pos, neg))
-        new = list(zero)
-        for cp, kp in pos:
-            for cn, kn in neg:
-                coeffs = tuple(cp[i] * (-cn[v]) + cn[i] * cp[v]
-                               for i in range(nfree))
-                new.append((coeffs, kp * (-cn[v]) + kn * cp[v]))
-        rows = norm(new)
-        if rows is None:
-            return None
-    # feasible; back-substitute the free mu, then the pivot mu
-    nu = [Fraction(0)] * nfree
-    for v, pos, neg in reversed(steps):
-        lo, hi = None, None
-        for c, k in pos:   # c[v] > 0: nu_v >= -(k + sum_{j!=v} c_j nu_j)/c[v]
-            rest = k + sum(c[j] * nu[j] for j in range(nfree) if j != v)
-            bound = -rest / c[v]
-            lo = bound if lo is None or bound > lo else lo
-        for c, k in neg:
-            rest = k + sum(c[j] * nu[j] for j in range(nfree) if j != v)
-            bound = -rest / c[v]
-            hi = bound if hi is None or bound < hi else hi
-        if lo is not None:
-            nu[v] = lo
-        elif hi is not None:
-            nu[v] = min(hi, Fraction(0))
-        else:
-            nu[v] = Fraction(0)
-    mu = [Fraction(0)] * m
-    for i, j in enumerate(free):
-        mu[j] = nu[i]
-    for r, c in enumerate(pivots):
-        mu[c] = eq[r][m] - sum(eq[r][j] * mu[j] for j in free)
-    # exact verification of the certificate
-    if any(x < 0 for x in mu) or any(
-            sum(Fraction(vectors[i][k]) * mu[i] for i in range(m)) != target[k]
-            for k in range(n)):
-        raise TheoremViolationError(
-            "back-substituted combination is not a certificate for %s"
-            % (tuple(target),))
-    return mu
-
-
 # ---------------------------------------------------------------------------
 # cone operations
 
@@ -447,9 +341,70 @@ def saturated_membership(cone, lam):
 
 
 def saturation_certificate(cone, lam):
-    """Rational coefficients witnessing saturated membership, or None."""
+    """Rational coefficients writing ``lam`` over the generators, or None.
+
+    Read off the cached rows of ``halfspaces_of``.  A row ``h`` with
+    ``<h, lam> < 0`` separates ``lam`` from the cone (Farkas 1902): None.
+    Otherwise a Caratheodory descent (Schrijver 1986, section 7.7) writes
+    ``lam``.  From ``x = lam``, take a generator ``g`` tight on every row
+    tight at ``x``, so in the minimal face of ``x``, and positive on some
+    row; subtract ``t g`` for the largest ``t`` that keeps every row.  A
+    new row is then tight and ``g`` leaves the face, so each step takes a
+    new generator and lowers the face dimension.  When every generator of
+    the face is tight on every row, the face is the lineality space, and
+    one double description writes ``x`` over independent generators of
+    it.  So at most rank generators carry the certificate, which is
+    checked exactly; a failed check raises TheoremViolationError.
+    """
     lam = _as_weight(lam, cone.rank)
-    return nonneg_combination([list(g) for g in cone.generators], list(lam))
+    rows = halfspaces_of(cone).inequalities
+    if any(_dot(h, lam) < 0 for h in rows):
+        return None
+    gens = cone.generators
+    mu = [Fraction(0)] * len(gens)
+    x = list(lam)
+    for _ in range(cone.rank + 1):
+        if not any(x):
+            break
+        tight = [h for h in rows if _dot(h, x) == 0]
+        face = [i for i, g in enumerate(gens)
+                if all(_dot(h, g) == 0 for h in tight)]
+        i = next((i for i in face if any(_dot(h, gens[i]) for h in rows)),
+                 None)
+        if i is None:
+            coeffs = _lineality_combination([gens[j] for j in face], x)
+            for j, c in zip(face, coeffs or []):
+                mu[j] += c
+            break
+        g = gens[i]
+        t = min(Fraction(_dot(h, x), _dot(h, g))
+                for h in rows if _dot(h, g) > 0)
+        mu[i] += t
+        x = [a - t * b for a, b in zip(x, g)]
+    if any(c < 0 for c in mu) or any(
+            sum(c * g[k] for c, g in zip(mu, gens)) != lam[k]
+            for k in range(cone.rank)):
+        raise TheoremViolationError(
+            "descent is not a certificate for %s" % (tuple(lam),))
+    return mu
+
+
+def _lineality_combination(vectors, x):
+    """Nonnegative coefficients writing ``x`` over ``vectors``, or None.
+
+    With ``d`` clearing the denominators of ``x``, an extreme ray ``(r, s)``
+    of ``{(r, s) >= 0 : sum r_i v_i = s d x}`` with ``s > 0`` gives
+    ``r / (s d)`` on linearly independent vectors.  Such a ray exists
+    exactly when ``x`` is a nonnegative combination of the vectors.
+    """
+    d = lcm(*(Fraction(c).denominator for c in x))
+    m = len(vectors) + 1
+    eqs = [[v[k] for v in vectors] + [-int(c * d)] for k, c in enumerate(x)]
+    units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    rays, _ = double_description(
+        units + eqs + [[-a for a in row] for row in eqs], m)
+    ray = next((r for r in rays if r[-1]), None)
+    return ray and [Fraction(c, ray[-1] * d) for c in ray[:-1]]
 
 
 def halfspaces_of(cone):

@@ -1,0 +1,123 @@
+"""Reference rational feasibility by Fourier-Motzkin elimination.
+
+The former certificate routine of ``zipcones.cones``: the equalities
+``sum mu_i v_i = target`` are solved by reduced row echelon form, and
+Fourier-Motzkin elimination with back-substitution decides ``mu >= 0``
+over the free coefficients.  It uses no facet list and no double
+description, so tests compare ``saturation_certificate`` and the facets
+of ``halfspaces_of`` with it on small cones.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from zipcones.cones import DD_RAY_GUARD, _primitive, rref
+from zipcones.errors import GuardExceededError, TheoremViolationError
+
+
+def nonneg_combination(vectors, target):
+    """Exact feasibility of ``sum mu_i v_i = target`` with ``mu_i >= 0``.
+
+    Returns a list of Fractions (a certificate) or None.  The equalities
+    are solved first: in their reduced row echelon form each pivot mu is
+    an affine function of the free ones.  Fourier-Motzkin elimination with
+    back-substitution then decides ``mu >= 0`` over the free mu alone.
+    All arithmetic is rational.  A step that would hold more than
+    ``DD_RAY_GUARD`` rows raises GuardExceededError.
+    """
+    m = len(vectors)
+    target = [Fraction(t) for t in target]
+    if all(t == 0 for t in target):
+        return [Fraction(0)] * m
+    n = len(target)
+    eq, pivots = rref([[vectors[i][k] for i in range(m)] + [target[k]]
+                       for k in range(n)])
+    if m in pivots:
+        return None
+    free = [j for j in range(m) if j not in pivots]
+    nfree = len(free)
+
+    # rows: (coeffs over the free mu, const) meaning coeffs.mu + const >= 0;
+    # pivot row r reads mu_pivot = const - sum_j eq[r][j] mu_j over free j
+    rows = [(tuple(-eq[r][j] for j in free), eq[r][m])
+            for r in range(len(pivots))]
+    for i in range(nfree):
+        e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(nfree))
+        rows.append((e, Fraction(0)))
+
+    def norm(rws):
+        out, seen = [], set()
+        for coeffs, const in rws:
+            if all(c == 0 for c in coeffs):
+                if const < 0:
+                    return None
+                continue
+            t = _primitive(list(coeffs) + [const])
+            if t not in seen:
+                seen.add(t)
+                out.append((tuple(Fraction(x) for x in t[:-1]), Fraction(t[-1])))
+        return out
+
+    rows = norm(rows)
+    if rows is None:
+        return None
+    steps = []
+    remaining = list(range(nfree))
+    while remaining:
+        best, best_cost = None, None
+        for v in remaining:
+            pos = sum(1 for c, _ in rows if c[v] > 0)
+            neg = sum(1 for c, _ in rows if c[v] < 0)
+            if best_cost is None or pos * neg - pos - neg < best_cost:
+                best, best_cost = v, pos * neg - pos - neg
+        v = best
+        remaining.remove(v)
+        pos = [(c, k) for c, k in rows if c[v] > 0]
+        neg = [(c, k) for c, k in rows if c[v] < 0]
+        zero = [(c, k) for c, k in rows if c[v] == 0]
+        if len(zero) + len(pos) * len(neg) > DD_RAY_GUARD:
+            raise GuardExceededError(
+                "elimination would hold %d rows, past %d (DD_RAY_GUARD)"
+                % (len(zero) + len(pos) * len(neg), DD_RAY_GUARD))
+        steps.append((v, pos, neg))
+        new = list(zero)
+        for cp, kp in pos:
+            for cn, kn in neg:
+                coeffs = tuple(cp[i] * (-cn[v]) + cn[i] * cp[v]
+                               for i in range(nfree))
+                new.append((coeffs, kp * (-cn[v]) + kn * cp[v]))
+        rows = norm(new)
+        if rows is None:
+            return None
+    # feasible; back-substitute the free mu, then the pivot mu
+    nu = [Fraction(0)] * nfree
+    for v, pos, neg in reversed(steps):
+        lo, hi = None, None
+        for c, k in pos:   # c[v] > 0: nu_v >= -(k + sum_{j!=v} c_j nu_j)/c[v]
+            rest = k + sum(c[j] * nu[j] for j in range(nfree) if j != v)
+            bound = -rest / c[v]
+            lo = bound if lo is None or bound > lo else lo
+        for c, k in neg:
+            rest = k + sum(c[j] * nu[j] for j in range(nfree) if j != v)
+            bound = -rest / c[v]
+            hi = bound if hi is None or bound < hi else hi
+        if lo is not None:
+            nu[v] = lo
+        elif hi is not None:
+            nu[v] = min(hi, Fraction(0))
+        else:
+            nu[v] = Fraction(0)
+    mu = [Fraction(0)] * m
+    for i, j in enumerate(free):
+        mu[j] = nu[i]
+    for r, c in enumerate(pivots):
+        mu[c] = eq[r][m] - sum(eq[r][j] * mu[j] for j in free)
+    # exact verification of the certificate
+    if any(x < 0 for x in mu) or any(
+            sum(Fraction(vectors[i][k]) * mu[i] for i in range(m)) != target[k]
+            for k in range(n)):
+        raise TheoremViolationError(
+            "back-substituted combination is not a certificate for %s"
+            % (tuple(target),))
+    return mu

@@ -301,9 +301,9 @@ def test_criterion_8_cone_inclusion_suite():
             assert cone_contains_saturated(sigp.generated, hw.halfspaces)
             assert cones_equal_saturated(sig.generated, sigp.generated)
             assert cone_contains_saturated(pol.generated, sig.generated)
-            # from n = 3 on, Sigma_1 is a proper subcone of Pol: direct
-            # rational feasibility writes Pol's generator e_1 - p e_2 over
-            # no Sigma_1 generators
+            # from n = 3 on, Sigma_1 is a proper subcone of Pol: its facet
+            # (-p^2, -1, -p, ..., -p) is p - p^2 < 0 on Pol's generator
+            # e_1 - p e_2, which separates it from Sigma_1
             assert not cones_equal_saturated(pol.generated, sig.generated)
             witness = Weight([1, -p] + [0] * (n - 2))
             assert saturation_certificate(sig.generated, witness) is None

@@ -130,6 +130,20 @@ def test_slice_verb(tmp_path):
     assert "(-1,-1,-1)" in labels and "(1,0,-2)" in labels
 
 
+def test_degenerate_slice_frame_is_a_usage_error(tmp_path, capsys):
+    # a zero frame vector has no coordinate along it (u.u = 0), and
+    # parallel ones flatten the polygon onto a line
+    for u, v in (("0,0,0", "1,1,-2"), ("1,-1,0", "0,0,0"),
+                 ("1,-1,0", "-2,2,0")):
+        code, data = run(["slice", "--cone", "pol", "--n", "3", "--p", "2",
+                          "--frame-u", u, "--frame-v", v], tmp_path, "o.csv")
+        assert (code, data) == (1, b""), (u, v)
+    err = capsys.readouterr().err
+    assert err.count("usage error: frame vectors must be nonzero and not "
+                     "parallel") == 3
+    assert "Traceback" not in err
+
+
 def test_deterministic_bytes(tmp_path):
     argv = ["sweep", "--n", "2", "--p", "2", "--box", "-3..3",
             "--compare", "zip-sp4"]

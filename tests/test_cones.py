@@ -1,7 +1,9 @@
 import math
 
+import fm_reference
 import pytest
 import subset_rays
+from fm_reference import nonneg_combination
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +21,6 @@ from zipcones.cones import (
     lineality_space,
     matrix_rank,
     monoid_membership,
-    nonneg_combination,
     saturated_membership,
     saturation_certificate,
 )
@@ -136,10 +137,11 @@ def test_double_description_ray_guard(monkeypatch):
 
 
 def test_nonneg_combination_row_guard(monkeypatch):
-    # three free coefficients: eliminating them needs more than 2 rows
+    # the reference eliminator: three free coefficients need more than
+    # 2 rows
     vectors = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)]
     assert nonneg_combination(vectors, (3, 3)) is not None
-    monkeypatch.setattr(cones, "DD_RAY_GUARD", 2)
+    monkeypatch.setattr(fm_reference, "DD_RAY_GUARD", 2)
     with pytest.raises(GuardExceededError):
         nonneg_combination(vectors, (3, 3))
 
@@ -188,9 +190,10 @@ def test_degenerate_cone_dualization():
     hs = halfspaces_of(c)
     assert hs.contains((2, 2, 0)) and hs.contains((-3, -3, -5))
     assert not hs.contains((1, 0, 0)) and not hs.contains((0, 0, 1))
+    gens = [list(g) for g in c.generators]
     for pt in [(1, 1, -1), (1, 2, -1), (0, 0, 0), (5, 5, 1)]:
         # independent route: direct rational feasibility, no dualization
-        assert hs.contains(pt) == (saturation_certificate(c, pt) is not None)
+        assert hs.contains(pt) == (nonneg_combination(gens, pt) is not None)
 
 
 def test_minimal_generators():
@@ -301,7 +304,31 @@ def test_halfspace_dual_agrees_with_direct_feasibility(case):
     total = [sum(g[i] for g in gens) for i in range(n)]
     diffs = [[a - b for a, b in zip(g, gens[0])] for g in gens[1:]]
     for pt in points + gens + diffs + [total, [-x for x in total]]:
-        assert hs.contains(pt) == (saturation_certificate(cone, pt) is not None)
+        assert hs.contains(pt) == (nonneg_combination(gens, pt) is not None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+def test_saturation_certificate_from_facets(case):
+    # None exactly on a separating row; otherwise an exact nonnegative
+    # combination on at most rank generators, also when the cone has a line
+    n, gens, points = case
+    cone = GeneratedCone(n, gens)
+    rows = halfspaces_of(cone).inequalities
+    gens = [list(g) for g in cone.generators]
+    total = [sum(g[i] for g in gens) for i in range(n)]
+    halves = [[a + b for a, b in zip(g, total)] for g in gens]
+    for pt in points + gens + halves + [total, [-x for x in total]]:
+        cert = saturation_certificate(cone, pt)
+        separated = any(sum(a * b for a, b in zip(h, pt)) < 0 for h in rows)
+        assert (cert is None) == separated
+        assert (cert is None) == (nonneg_combination(gens, pt) is None)
+        if cert is None:
+            continue
+        assert all(c >= 0 for c in cert)
+        assert [sum(c * g[i] for c, g in zip(cert, gens))
+                for i in range(n)] == list(pt)
+        assert sum(1 for c in cert if c) <= n
 
 
 def test_halfspaces_of_reaches_rank_4():
@@ -314,6 +341,17 @@ def test_halfspaces_of_reaches_rank_4():
             assert cones_equal_saturated(gen, hs)
             assert cones_equal_saturated(GeneratedCone(n, extreme_rays(hs)),
                                          gen)
+    # certificates from the facet list at n = 6 and 7: a facet separates
+    # criterion 8's Sigma_1 witness, and the sum of Pol's generators
+    # descends onto exactly n of them
+    for n in (6, 7):
+        for p in (2, 3):
+            pol = catalog_cone("pol", n, p).generated
+            sig = catalog_cone("sigma1", n, p).generated
+            assert saturation_certificate(sig, [1, -p] + [0] * (n - 2)) is None
+            total = [sum(g[i] for g in pol.generators) for i in range(n)]
+            cert = saturation_certificate(pol, total)
+            assert sum(1 for c in cert if c) == n, (n, p)
 
 
 @st.composite
