@@ -56,6 +56,7 @@ _EXPORTS = {
         "subspace_leq0",
         "thminter_check",
     ], "modules"),
+    "h0_dimension": "oracle",
     **dict.fromkeys(["LeviWeylElement", "SymplecticRootDatum",
                      "gaussian_binomial"], "rootdata"),
     **dict.fromkeys([
@@ -66,7 +67,6 @@ _EXPORTS = {
         "check_equivariance",
         "clear_denominators",
         "gamma_matrix",
-        "h0_dimension",
         "rzip_sp4_graded_dimension",
         "tilde_section",
         "tilde_valuation",

@@ -25,6 +25,9 @@ from .weights import Weight, is_prime
 # only those; tests/test_imports.py checks which modules each verb loads.
 
 SCHEMA = "zipcone/1"
+# the most weights one sweep answers; the count is checked before any is
+# built
+SWEEP_POINT_GUARD = 10 ** 5
 
 
 class _UsageError(Exception):
@@ -145,13 +148,13 @@ def _cmd_gamma(args):
 
 
 def _monomial_cap(args):
-    from .sections import MONOMIAL_CAP
+    from .oracle import MONOMIAL_CAP
 
     return MONOMIAL_CAP if args.monomial_cap is None else args.monomial_cap
 
 
 def _cmd_h0(args):
-    from .sections import h0_dimension
+    from .oracle import h0_dimension
 
     lam = _parse_weight(args.weight)
     dim = h0_dimension(lam, args.n, args.p, monomial_cap=_monomial_cap(args))
@@ -197,7 +200,7 @@ def _member(cone, lam):
 
 
 def _sweep_dim(task):
-    from .sections import h0_dimension
+    from .oracle import h0_dimension
 
     lam, n, p, cap = task
     return h0_dimension(lam, n, p, monomial_cap=cap)
@@ -209,6 +212,10 @@ def _cmd_sweep(args):
     from .catalog import catalog_cone
 
     lo, hi = _parse_box(args.box)
+    count = (hi - lo + 1) ** args.n
+    if count > SWEEP_POINT_GUARD:
+        raise GuardExceededError("sweep box has %d points, more than the "
+                                 "limit %d" % (count, SWEEP_POINT_GUARD))
     cone = catalog_cone(args.compare, args.n, args.p)
     if cone.rank != args.n:
         raise _UsageError("cone rank does not match --n")
@@ -345,7 +352,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--weight", required=True)
-    # None stands for sections.MONOMIAL_CAP, read when the verb runs
+    # None stands for oracle.MONOMIAL_CAP, read when the verb runs
     p.add_argument("--monomial-cap", type=int, default=None)
 
     p = add("vlambda", _cmd_vlambda)
@@ -359,7 +366,7 @@ def build_parser():
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--box", default="-8..8")
     p.add_argument("--compare", required=True)
-    # None stands for sections.MONOMIAL_CAP, read when the verb runs
+    # None stands for oracle.MONOMIAL_CAP, read when the verb runs
     p.add_argument("--monomial-cap", type=int, default=None)
 
     p = add("slice", _cmd_slice)

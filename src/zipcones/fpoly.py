@@ -44,10 +44,9 @@ from math import isqrt
 from operator import or_
 
 from .errors import GuardExceededError
-from .weights import Weight, is_prime
+from .weights import EXPONENT_LIMIT, Weight
 
-FIELD_BITS = 32
-EXPONENT_LIMIT = (1 << (FIELD_BITS - 1)) - 1
+FIELD_BITS = EXPONENT_LIMIT.bit_length() + 1
 _FIELD = (1 << FIELD_BITS) - 1
 
 
@@ -56,14 +55,6 @@ def _guard_mask(nbits):
     reaches: a repunit in base 2**FIELD_BITS, shifted to the top bit."""
     fields = nbits // FIELD_BITS + 1
     return ((1 << (FIELD_BITS * fields)) - 1) // _FIELD << (FIELD_BITS - 1)
-
-
-def validate_n_p(n, p):
-    """Reject a matrix size below 1 and a non-prime characteristic."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("matrix size n must be an integer >= 1, got %r" % (n,))
-    if not is_prime(p):
-        raise ValueError("p must be a prime, got %r" % (p,))
 
 
 # -- variables and packed monomials ------------------------------------------

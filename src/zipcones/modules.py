@@ -33,9 +33,8 @@ from .fpoly import (
     mat_mul,
     matrix_images,
     minor,
-    validate_n_p,
 )
-from .weights import Weight
+from .weights import Weight, validate_n_p
 
 GROUP_ORDER_GUARD = 10 ** 4
 MODULE_RANK_GUARD = 3
@@ -432,7 +431,7 @@ def verify_left_borel_law(module):
 def thminter_check(lam, n, p, monomial_cap=None):
     """Both dimension computations for H^0 of weight lam: the matrix-space
     oracle and the representation-theoretic intersection."""
-    from .sections import h0_dimension
+    from .oracle import h0_dimension
 
     kwargs = {} if monomial_cap is None else {"monomial_cap": monomial_cap}
     lhs = h0_dimension(lam, n, p, **kwargs)

@@ -1,0 +1,274 @@
+"""The dimension oracle: h0 of a weight on the matrix space, by brute force.
+
+``h0_dimension`` enumerates the monomials of a given weight by their row
+and column degrees and computes the nullspace over F_p of the conditions
+of invariance under the simple-root generators (its docstring).  It is
+the brute-force side for the structured descriptions, and a leaf of the
+package: it builds no polynomial.  The image of a monomial under a
+generator is a product of powers of linear forms in the matrix entries
+and t; the expansion of each power is read off a table of binomial and
+multinomial coefficients mod p (Lucas' theorem), and only the products
+whose t-degree is a power of p are ever formed.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from math import factorial, prod
+
+from .errors import GuardExceededError, ZipconeError
+from .fplinalg import fp_nullspace
+from .weights import EXPONENT_LIMIT, Weight, validate_n_p
+
+MONOMIAL_CAP = 2 * 10 ** 5
+
+
+def _compositions(total, caps):
+    """Vectors 0 <= x <= caps with sum ``total``, in lexicographic order."""
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
+        return
+    room = sum(caps[1:])
+    for e in range(max(0, total - room), min(total, caps[0]) + 1):
+        for tail in _compositions(total - e, caps[1:]):
+            yield (e,) + tail
+
+
+def _tables(rows, cols):
+    """Nonnegative tables, flattened row by row, with these row and column
+    sums (of equal totals), filled one row at a time."""
+    if len(rows) == 1:
+        yield cols
+        return
+    for first in _compositions(rows[0], cols):
+        left = tuple(c - e for c, e in zip(cols, first))
+        for rest in _tables(rows[1:], left):
+            yield first + rest
+
+
+def _oracle_weight(lam, n, p, cap):
+    validate_n_p(n, p)
+    lam = Weight(lam)
+    if lam.rank != n:
+        raise ZipconeError("weight rank %d, expected %d" % (lam.rank, n))
+    if cap < 0:
+        raise ValueError("monomial cap must be at least 0, got %r" % (cap,))
+    return lam
+
+
+def enumerate_weight_monomials(lam, n, p, cap=MONOMIAL_CAP):
+    """Sorted exponent tuples (entries row by row) of the monomials of
+    weight lam; more than ``cap`` of them raise GuardExceededError.
+
+    Row degrees r and column degrees c give the weight r - p c, and
+    |r| = |c| = d = (sum lam) / (1 - p).  So for each c with |c| = d and
+    r = lam + p c >= 0 the monomials are the tables with margins (r, c).
+    """
+    lam = _oracle_weight(lam, n, p, cap)
+    total = sum(lam)
+    if total % (1 - p):
+        return []
+    low = [max(0, -(x // p)) for x in lam]  # r_i >= 0 iff c_i >= -lam_i / p
+    free = total // (1 - p) - sum(low)
+    if free < 0:
+        return []
+    out = []
+    for extra in _compositions(free, (free,) * n):
+        cols = tuple(a + b for a, b in zip(low, extra))
+        for table in _tables(tuple(x + p * c for x, c in zip(lam, cols)),
+                             cols):
+            out.append(table)
+            if len(out) > cap:
+                raise GuardExceededError(
+                    "more than %d monomials of weight %s" % (cap, tuple(lam)))
+    out.sort()
+    return out
+
+
+# ---------------------------------------------------------------------------
+# images of powers of one entry, by coefficient tables
+
+def _linear_image(p, k, i, j):
+    """The image of a_ij under X -> (1 + t E_kl) X (1 - t^p E_kl), l = k - 1,
+    as (entry, t-degree, sign) terms: row k gains t times row l, then
+    column l loses t^p times column k."""
+    l = k - 1
+    terms = [((i, j), 0, 1)]
+    if i == k:
+        terms.append(((l, j), 1, 1))
+    if j == l:
+        terms.append(((i, k), p, -1))
+    if (i, j) == (k, l):
+        terms.append(((l, k), p + 1, -1))
+    return terms
+
+
+@lru_cache(maxsize=None)
+def _digit_splits(digit, parts, p):
+    """Splits of one base-p digit into ``parts`` parts, with their
+    multinomial coefficients mod p (all nonzero, as digit < p)."""
+    return tuple((split, factorial(digit)
+                  // prod(factorial(x) for x in split) % p)
+                 for split in _compositions(digit, (digit,) * parts))
+
+
+def _lucas_splits(e, parts, p):
+    """The splits of e into ``parts`` nonnegative parts whose multinomial
+    coefficient is nonzero mod p, with that coefficient.  By Lucas'
+    theorem these are the splits whose parts add up to e digit by digit in
+    base p with no carry, and the coefficient is the product of the digit
+    multinomials; so no split with a zero coefficient is formed."""
+    out = [((0,) * parts, 1)]
+    scale = 1
+    while e:
+        e, digit = divmod(e, p)
+        out = [(tuple(a + scale * b for a, b in zip(split, dsplit)),
+                c * dc % p)
+               for split, c in out
+               for dsplit, dc in _digit_splits(digit, parts, p)]
+        scale *= p
+    return out
+
+
+@lru_cache(maxsize=None)
+def image_table(p, k, entry, e):
+    """The image of a_ij^e, entry = (i, j), under the generator
+    1 + t E_{k,k-1}: a tuple of (t-degree, coefficient, monomial) with
+    coefficients in 1..p-1, where a monomial is a tuple of (entry,
+    exponent).
+
+    A row-k entry a_kj moves c units to a_{k-1,j} with t^c and coefficient
+    binom(e, c); a column-(k-1) entry a_{i,k-1} moves d units to a_ik with
+    t^(pd) and coefficient (-1)^d binom(e, d); the corner a_{k,k-1} splits
+    multinomially over a_{k,k-1}, t a_{k-1,k-1}, -t^p a_kk and
+    -t^(p+1) a_{k-1,k}.  The only t^0 term is a_ij^e itself.
+    """
+    terms = _linear_image(p, k, *entry)
+    table = []
+    for split, c in _lucas_splits(e, len(terms), p):
+        degree = sum(x * deg for x, (_, deg, _) in zip(split, terms))
+        negative = sum(x for x, (_, _, sign) in zip(split, terms) if sign < 0)
+        table.append((degree, -c % p if negative % 2 else c,
+                      tuple((target, x)
+                            for x, (target, _, _) in zip(split, terms) if x)))
+    return tuple(table)
+
+
+# ---------------------------------------------------------------------------
+# the oracle
+
+def h0_dimension(lam, n, p, monomial_cap=MONOMIAL_CAP):
+    """Dimension of the space of weight-lam sections on the matrix space.
+
+    Enumerates the candidate monomials and solves the linear conditions of
+    invariance under the n - 1 simple-root generators u(t) = 1 + t E_{k,k-1}
+    (they generate the lower unitriangular group: ``sections`` docstring).
+    Of f(u(t) X phi(u(t))^{-1}) = sum_s t^s D_s f it imposes D_{p^i} f = 0
+    for p^i up to the degree times the largest t-exponent of an image,
+    p + 1.  That suffices: t -> u(t) is a G_a-action, so (D_s) is an
+    iterative Hasse-Schmidt derivation, D_a D_b = binom(a + b, a) D_{a+b}
+    (Hasse-Schmidt 1937), and by Lucas' theorem
+    D_s = (prod_i s_i!)^{-1} prod_i D_{p^i}^{s_i} for s = sum_i s_i p^i.
+    D_1 alone, the Lie-algebra condition, would miss the t^p terms of
+    phi(u).
+
+    A monomial's image is the product of the ``image_table`` of its
+    moving entries.  The column of a monomial sums, factor by factor, the
+    choices of one table term per factor whose t-degrees can still add up
+    to a power of p: a bitmask of the t-degrees the remaining factors can
+    reach drops every other partial choice.  A row key packs the image
+    monomial, its t-degree and the generator.
+    """
+    lam = _oracle_weight(lam, n, p, monomial_cap)
+    if any(lam[i] < lam[i + 1] for i in range(n - 1)):
+        return 0
+    monos = enumerate_weight_monomials(lam, n, p, cap=monomial_cap)
+    if not monos:
+        return 0
+    d, top = sum(monos[0]), p + 1 if n > 1 else 0
+    if d * top > EXPONENT_LIMIT:
+        raise GuardExceededError(
+            "degree %d: image exponents may pass the packed limit %d"
+            % (d, EXPONENT_LIMIT))
+    entries = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    if d > EXPONENT_LIMIT:
+        e, (i, j) = max(zip(monos[0], entries))
+        raise GuardExceededError(
+            "exponent %d of %r exceeds the packed-monomial limit %d"
+            % (e, ("a", i, j), EXPONENT_LIMIT))
+    targets, q = 0, 1
+    while q <= d * top:
+        targets |= 1 << q
+        q *= p
+    # t in the low field, wide enough for d * top; then one field per entry,
+    # wide enough for d
+    t_bits, a_bits = max(1, (d * top).bit_length()), max(1, d.bit_length())
+    t_mask = (1 << t_bits) - 1
+    shift = {entry: t_bits + a_bits * at for at, entry in enumerate(entries)}
+    # the entries that move under generator k, with their index in exps
+    generators = [(g, k, [((i, j), (i - 1) * n + j - 1) for i, j in entries
+                          if i == k or j == k - 1])
+                  for g, k in enumerate(range(2, n + 1))]
+    packed = {}
+
+    def table(k, entry, e):
+        """``image_table`` with each monomial as the increment of a row key,
+        the bitmask of its t-degrees, and its terms by t-degree bit."""
+        key = (k, entry, e)
+        if key not in packed:
+            base = e << shift[entry]
+            terms = [(deg, c, deg - base + sum(x << shift[target]
+                                               for target, x in mono))
+                     for deg, c, mono in image_table(p, k, entry, e)]
+            by_bit = {}
+            for deg, c, step in terms:
+                by_bit.setdefault(1 << deg, []).append((c, step))
+            packed[key] = terms, sum(by_bit), by_bit
+        return packed[key]
+
+    columns = []
+    for exps in monos:
+        key = sum(e << shift[entry] for entry, e in zip(entries, exps) if e)
+        col = {}
+        get = col.get
+        for g, k, moving in generators:
+            factors = [table(k, entry, exps[at]) for entry, at in moving
+                       if exps[at]]
+            # reach[i]: the t-degrees that factors i, i + 1, ... can add up to
+            reach = [1]
+            for _, degrees, _ in reversed(factors):
+                below, mask = reach[-1], 0
+                while degrees:
+                    low = degrees & -degrees
+                    mask |= below * low
+                    degrees ^= low
+                reach.append(mask)
+            reach.reverse()
+            if not reach[0] & targets:
+                continue
+            # partial products, by row key with the t-degree so far in its
+            # low field; a term is taken only if a target stays in reach
+            states = {key: 1}
+            for (terms, _, _), ahead in zip(factors[:-1], reach[1:]):
+                grown = {}
+                grown_get = grown.get
+                for part, c in states.items():
+                    want = targets >> (part & t_mask)
+                    for deg, cf, step in terms:
+                        if want >> deg & ahead:
+                            row = part + step
+                            grown[row] = grown_get(row, 0) + c * cf
+                states = grown
+            # the last factor must hit a target exactly
+            _, degrees, by_bit = factors[-1]
+            for part, c in states.items():
+                hits = targets >> (part & t_mask) & degrees
+                while hits:
+                    low = hits & -hits
+                    hits ^= low
+                    for cf, step in by_bit[low]:
+                        row = (part + step) * (n - 1) + g
+                        col[row] = get(row, 0) + c * cf
+        columns.append({row: c % p for row, c in col.items() if c % p})
+    return len(fp_nullspace(columns, p))

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb
 
-from .errors import TheoremViolationError, ZipconeError
+from .errors import ZipconeError
 from .weights import Weight, _as_weight
 
 
@@ -230,26 +229,3 @@ def gaussian_binomial(n, i, p):
     """Number of F_p-points of the Grassmannian-type quotient, exact."""
     coeffs = gaussian_binomial_coeffs(n, i)
     return sum(c * p ** k for k, c in enumerate(coeffs))
-
-
-def gaussian_binomial_product(n, i, p):
-    """The same value by the explicit product formula (cross-check form)."""
-    if i < 0 or i > n:
-        raise ValueError("need 0 <= i <= n")
-    if p < 2:
-        raise ValueError("need p >= 2")
-    num = 1
-    for k in range(i + 1, n + 1):
-        num *= p ** k - 1
-    den = 1
-    for k in range(1, n - i + 1):
-        den *= p ** k - 1
-    if num % den:
-        raise TheoremViolationError(
-            "Gaussian binomial product %d/%d is not an integer" % (num, den))
-    return num // den
-
-
-def binomial_check(n, i):
-    """Formal evaluation of the Gaussian binomial at p -> 1."""
-    return sum(gaussian_binomial_coeffs(n, i)) == comb(n, i)

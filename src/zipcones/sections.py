@@ -1,5 +1,5 @@
 """Sections in the matrix model: equivariance checks, the triangular
-reduction matrix, the dimension oracle and the norm construction.
+reduction matrix, the rank-2 ring dimension and the norm construction.
 
 A section of weight lam is a polynomial f on the n x n matrix space that
 is homogeneous for the weight grading and invariant under the twisted
@@ -11,10 +11,9 @@ over any field they generate the lower unitriangular group, as
 group action.  First-order (Lie-algebra) conditions would not suffice in
 characteristic p: they miss the t^p terms of phi(u).
 
-The dimension oracle ``h0_dimension`` enumerates the monomials of a given
-weight by their row and column degrees and computes the nullspace of the
-generator conditions, of which the t^(p^i) coefficients suffice (its
-docstring); it is the brute-force side for the structured descriptions.
+The dimension oracle that imposes these conditions on all monomials of
+a weight is ``oracle.h0_dimension``; ``rzip_sp4_graded_dimension`` here
+counts the same dimension at rank 2 from the generators of the ring.
 """
 
 from __future__ import annotations
@@ -30,16 +29,10 @@ from .errors import (
     WeightMismatchError,
     ZipconeError,
 )
-from .fplinalg import fp_nullspace
 from .fpoly import (
-    _FIELD,
-    EXPONENT_LIMIT,
     FpPolynomial,
     MinorBasis,
     RationalFunction,
-    Substitution,
-    _pack,
-    _shift,
     a_var,
     det as poly_det,
     exact_divide,
@@ -48,17 +41,14 @@ from .fpoly import (
     mat_mul,
     matrix_images,
     minor,
-    validate_n_p,
     weight_of,
 )
-from .weights import Weight, eta_weight, schubert_weight
+from .weights import Weight, eta_weight, schubert_weight, validate_n_p
 
 GAMMA_RANK_GUARD = 4
-MONOMIAL_CAP = 2 * 10 ** 5
+NORM_TERM_CAP = 2 * 10 ** 5
 
 _T = ("t",)
-_T_SHIFT = _shift(_T)
-_T_FIELD = _FIELD << _T_SHIFT
 
 
 class Section:
@@ -412,120 +402,7 @@ def clear_denominators(gm, r, s):
 
 
 # ---------------------------------------------------------------------------
-# the dimension oracle
-
-def _compositions(total, caps):
-    """Vectors 0 <= x <= caps with sum ``total``, in lexicographic order."""
-    if len(caps) == 1:
-        if total <= caps[0]:
-            yield (total,)
-        return
-    room = sum(caps[1:])
-    for e in range(max(0, total - room), min(total, caps[0]) + 1):
-        for tail in _compositions(total - e, caps[1:]):
-            yield (e,) + tail
-
-
-def _tables(rows, cols):
-    """Nonnegative tables, flattened row by row, with these row and column
-    sums (of equal totals), filled one row at a time."""
-    if len(rows) == 1:
-        yield cols
-        return
-    for first in _compositions(rows[0], cols):
-        left = tuple(c - e for c, e in zip(cols, first))
-        for rest in _tables(rows[1:], left):
-            yield first + rest
-
-
-def _oracle_weight(lam, n, p, cap):
-    validate_n_p(n, p)
-    lam = Weight(lam)
-    if lam.rank != n:
-        raise ZipconeError("weight rank %d, expected %d" % (lam.rank, n))
-    if cap < 0:
-        raise ValueError("monomial cap must be at least 0, got %r" % (cap,))
-    return lam
-
-
-def enumerate_weight_monomials(lam, n, p, cap=MONOMIAL_CAP):
-    """Sorted exponent tuples (entries row by row) of the monomials of
-    weight lam; more than ``cap`` of them raise GuardExceededError.
-
-    Row degrees r and column degrees c give the weight r - p c, and
-    |r| = |c| = d = (sum lam) / (1 - p).  So for each c with |c| = d and
-    r = lam + p c >= 0 the monomials are the tables with margins (r, c).
-    """
-    lam = _oracle_weight(lam, n, p, cap)
-    total = sum(lam)
-    if total % (1 - p):
-        return []
-    low = [max(0, -(x // p)) for x in lam]  # r_i >= 0 iff c_i >= -lam_i / p
-    free = total // (1 - p) - sum(low)
-    if free < 0:
-        return []
-    out = []
-    for extra in _compositions(free, (free,) * n):
-        cols = tuple(a + b for a, b in zip(low, extra))
-        for table in _tables(tuple(x + p * c for x, c in zip(lam, cols)),
-                             cols):
-            out.append(table)
-            if len(out) > cap:
-                raise GuardExceededError(
-                    "more than %d monomials of weight %s" % (cap, tuple(lam)))
-    out.sort()
-    return out
-
-
-def h0_dimension(lam, n, p, monomial_cap=MONOMIAL_CAP):
-    """Dimension of the space of weight-lam sections on the matrix space.
-
-    Enumerates the candidate monomials and solves the linear conditions of
-    invariance under the n - 1 simple-root generators u(t) = 1 + t E_{k,k-1}
-    (they generate the lower unitriangular group: module docstring).  Of
-    f(u(t) X phi(u(t))^{-1}) = sum_s t^s D_s f it imposes D_{p^i} f = 0
-    for p^i up to the degree times the largest t-exponent of an image.
-    That suffices: t -> u(t) is a G_a-action, so (D_s) is an iterative
-    Hasse-Schmidt derivation, D_a D_b = binom(a + b, a) D_{a+b}
-    (Hasse-Schmidt 1937), and by Lucas' theorem
-    D_s = (prod_i s_i!)^{-1} prod_i D_{p^i}^{s_i} for s = sum_i s_i p^i.
-    D_1 alone, the Lie-algebra condition, would miss the t^p terms of
-    phi(u).  A row key is a packed image monomial times (n - 1) plus the
-    generator's index.
-    """
-    lam = _oracle_weight(lam, n, p, monomial_cap)
-    if any(lam[i] < lam[i + 1] for i in range(n - 1)):
-        return 0
-    monos = enumerate_weight_monomials(lam, n, p, cap=monomial_cap)
-    if not monos:
-        return 0
-    subs, top = [], 0
-    for k in range(2, n + 1):
-        images = _generator_images(n, p, k, k - 1)
-        for var, img in images.items():
-            # the t^0 part of a monomial's image is then the monomial
-            if ({m: c for m, c in img.terms.items() if not m & _T_FIELD}
-                    != FpPolynomial.variable(p, var).terms):
-                raise TheoremViolationError("u(t) moves %r at t = 0" % (var,))
-            top = max(top, *(m & _T_FIELD for m in img.terms))
-        subs.append(Substitution(p, images))
-    d, top, q, powers = sum(monos[0]), top >> _T_SHIFT, 1, set()
-    if d * top > EXPONENT_LIMIT:
-        raise GuardExceededError(
-            "degree %d: image exponents may pass the packed limit %d"
-            % (d, EXPONENT_LIMIT))
-    while q <= d * top:
-        powers.add(q << _T_SHIFT)
-        q *= p
-    entries = [("a", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    columns = []
-    for exps in monos:
-        m = _pack((v, e) for v, e in zip(entries, exps) if e)
-        columns.append({key * (n - 1) + g: c for g, sub in enumerate(subs)
-                        for key, c in sub.image_terms(m).items()
-                        if key & _T_FIELD in powers})
-    return len(fp_nullspace(columns, p))
-
+# the graded ring of the rank-2 case
 
 def rzip_sp4_graded_dimension(lam, p):
     """Monomial count in the three generators of the rank-2 section ring
@@ -617,7 +494,7 @@ def tilde_valuation(elem):
     return total
 
 
-def tilde_section(elem, body_term_cap=MONOMIAL_CAP):
+def tilde_section(elem, body_term_cap=NORM_TERM_CAP):
     """Norm product over GL_n(F_p) of a module element, with valuations."""
     from .modules import _right_translation, group_elements, group_order
 

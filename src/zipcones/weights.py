@@ -1,6 +1,7 @@
-"""Integer character vectors, the named weights of the section catalog
-and the primality test: the leaf of the package's import graph (only
-``eta_weight`` imports ``rootdata``, when it is called).
+"""Integer character vectors, the named weights of the section catalog,
+the primality test and the input checks every layer shares: the leaf of
+the package's import graph (only ``eta_weight`` imports ``rootdata``,
+when it is called).
 
 Every layer that handles weights imports them from here, so a verb that
 runs only polynomial code does not load the polyhedral kernel, and the
@@ -10,6 +11,10 @@ command line front end can check ``--p`` before it imports any layer.
 from __future__ import annotations
 
 from .errors import RankMismatchError
+
+# the largest exponent of a matrix entry or of t that any layer takes;
+# fpoly packs each exponent into a field of one more bit
+EXPONENT_LIMIT = (1 << 31) - 1
 
 
 class Weight(tuple):
@@ -96,3 +101,11 @@ def is_prime(p):
             return False
         d += 1
     return True
+
+
+def validate_n_p(n, p):
+    """Reject a matrix size below 1 and a non-prime characteristic."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("matrix size n must be an integer >= 1, got %r" % (n,))
+    if not is_prime(p):
+        raise ValueError("p must be a prime, got %r" % (p,))

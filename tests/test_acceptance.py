@@ -39,13 +39,13 @@ from zipcones.modules import (
     invariants_finite_group,
     thminter_check,
 )
+from zipcones.oracle import h0_dimension
 from zipcones.rootdata import SymplecticRootDatum
 from zipcones.sections import (
     catalog_section,
     check_equivariance,
     clear_denominators,
     gamma_matrix,
-    h0_dimension,
     rzip_sp4_graded_dimension,
     tilde_section,
     valuation_sign_predict,

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import zipcones
+from zipcones import cli
 from zipcones.cli import main
 
 
@@ -233,6 +234,26 @@ def test_monomial_cap_below_zero_is_a_usage_error(tmp_path, capsys):
     code, _ = run(["h0", "--n", "2", "--p", "2", "--weight", "0,0",
                    "--monomial-cap", "0"], tmp_path)
     assert code == 2
+
+
+def test_sweep_box_past_the_point_guard_exits_2(tmp_path, capsys):
+    # the count is computed, not enumerated: this box has 1.6e25 points
+    code, data = run(["sweep", "--n", "4", "--p", "2", "--box",
+                      "-1000000..1000000", "--compare", "hw"], tmp_path)
+    assert code == 2 and data == b""
+    assert capsys.readouterr().err == (
+        "guard error: sweep box has %d points, more than the limit %d\n"
+        % (2000001 ** 4, cli.SWEEP_POINT_GUARD))
+
+
+def test_sweep_point_guard_is_the_largest_count_answered(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(cli, "SWEEP_POINT_GUARD", 9)
+    argv = ["sweep", "--n", "2", "--p", "2", "--compare", "zip-sp4"]
+    code, data = run(argv + ["--box", "-1..1"], tmp_path)
+    assert code == 0 and len(json.loads(data)["rows"]) == 9
+    code, data = run(argv + ["--box", "-1..2"], tmp_path, "refused.json")
+    assert code == 2 and data == b""
 
 
 def test_exponent_past_the_limit_exits_2(tmp_path, capsys):

@@ -2,14 +2,37 @@ import pytest
 from math import comb, factorial
 
 from zipcones.cones import Weight
+from zipcones.errors import TheoremViolationError
 from zipcones.rootdata import (
     LeviWeylElement,
     SymplecticRootDatum,
-    binomial_check,
     gaussian_binomial,
     gaussian_binomial_coeffs,
-    gaussian_binomial_product,
 )
+
+
+def gaussian_binomial_product(n, i, p):
+    """The Gaussian binomial by the explicit product formula (cross-check
+    form of ``gaussian_binomial``)."""
+    if i < 0 or i > n:
+        raise ValueError("need 0 <= i <= n")
+    if p < 2:
+        raise ValueError("need p >= 2")
+    num = 1
+    for k in range(i + 1, n + 1):
+        num *= p ** k - 1
+    den = 1
+    for k in range(1, n - i + 1):
+        den *= p ** k - 1
+    if num % den:
+        raise TheoremViolationError(
+            "Gaussian binomial product %d/%d is not an integer" % (num, den))
+    return num // den
+
+
+def binomial_check(n, i):
+    """Formal evaluation of the Gaussian binomial at p -> 1."""
+    return sum(gaussian_binomial_coeffs(n, i)) == comb(n, i)
 
 
 def test_simple_roots_and_counts():

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from h0_reference import h0_by_substitution
 from zipcones.catalog import eta_weight, hodge_character, schubert_weight
 from zipcones.cones import Weight
 from zipcones.errors import (
@@ -35,14 +36,17 @@ from zipcones.modules import (
     group_order,
     highest_weight_vector,
 )
+from zipcones.oracle import (
+    enumerate_weight_monomials,
+    h0_dimension,
+    image_table,
+)
 from zipcones.sections import (
     _generator_images,
     catalog_section,
     check_equivariance,
     clear_denominators,
-    enumerate_weight_monomials,
     gamma_matrix,
-    h0_dimension,
     rzip_sp4_graded_dimension,
     section_names,
     tilde_section,
@@ -550,17 +554,46 @@ def test_h0_image_exponents_past_the_limit_are_a_guard_error():
     assert h0_dimension((2 ** 20, -2 ** 21), 2, 2) == 1
 
 
-def test_h0_refuses_generator_images_that_move_at_t_zero(monkeypatch):
-    # the t^0 terms are dropped only after each image is checked to be
-    # its own variable at t = 0
-    def moved(n, p, k, l):
-        images = dict(_generator_images(n, p, k, l))
-        images[("a", 1, 1)] = images[("a", 1, 1)] + a_var(p, 1, 2)
-        return images
+def _table_polynomial(p, table):
+    out = FpPolynomial.zero(p)
+    for deg, c, mono in table:
+        out = out + FpPolynomial.monomial(
+            p, [(("t",), deg)] + [(("a",) + entry, x) for entry, x in mono], c)
+    return out
 
-    monkeypatch.setattr("zipcones.sections._generator_images", moved)
-    with pytest.raises(TheoremViolationError):
-        h0_dimension((0, 0), 2, 2)
+
+def test_h0_image_tables_match_the_substitution():
+    # every table the oracle reads is the whole t-expansion of a power of
+    # one entry under 1 + t E_{k,k-1}, and its one t^0 term is that power
+    for p in (2, 3, 5):
+        for n in (2, 3, 4):
+            for k in range(2, n + 1):
+                sub = Substitution(p, _generator_images(n, p, k, k - 1))
+                for i, j in itertools.product(range(1, n + 1), repeat=2):
+                    for e in range(7):
+                        table = image_table(p, k, (i, j), e)
+                        where = (p, n, k, i, j, e)
+                        assert _table_polynomial(p, table) \
+                            == sub(a_var(p, i, j) ** e), where
+                        assert [term for term in table if term[0] == 0] \
+                            == [(0, 1, (((i, j), e),) if e else ())], where
+                        assert all(0 < c < p for _, c, _ in table), where
+                        assert len({(deg, mono) for deg, _, mono in table}) \
+                            == len(table), where
+
+
+@pytest.mark.parametrize("n, p, low, high", [
+    (3, 2, -4, 2), (3, 3, -4, 2), (2, 2, -10, 10), (2, 3, -10, 10),
+    (2, 5, -10, 10), (2, 7, -10, 10), (4, 2, -2, 1)])
+def test_h0_matches_the_substitution_reference(n, p, low, high):
+    # the oracle reads the t^(p^i) rows off coefficient tables; the
+    # reference substitutes into every monomial and keeps those rows
+    positive = 0
+    for lam in _dominant_box(n, low, high):
+        expect = h0_by_substitution(lam, n, p)
+        assert h0_dimension(lam, n, p) == expect, lam
+        positive += expect > 0
+    assert positive > 0
 
 
 @settings(max_examples=40, deadline=None)
