@@ -51,7 +51,7 @@ class WeightMismatchError(ZipconeError):
 class NotUnipotentInvariantError(ZipconeError):
     """A section candidate moves under a simple-root generator
     1 + t E_{k,k-1}: these generate the lower unitriangular group, so no
-    other is checked (in full in t; Lie-algebra conditions fail in char p)."""
+    other is checked (``oracle.unipotent_defect`` finds the t-degree)."""
 
     def __init__(self, generator, detail=""):
         msg = "not invariant under the unipotent generator %s" % (generator,)

@@ -569,7 +569,8 @@ def weight_of(f, n):
     """Common twisted-conjugation weight of the monomials of f, if any.
 
     Returns a Weight, or None when f is zero or not homogeneous.  Raises
-    ValueError when f involves variables other than the matrix entries.
+    ValueError when f involves variables other than the n x n matrix
+    entries.
     """
     if f.is_zero():
         return None
@@ -579,9 +580,9 @@ def weight_of(f, n):
         wt = [0] * n
         for field, e in _fields(m):
             v = _var_of(field)
-            if v[0] != "a":
-                raise ValueError("weight grading is defined on matrix entries "
-                                 "only, found %r" % (v,))
+            if v[0] != "a" or max(v[1:]) > n:
+                raise ValueError("weight grading is defined on the %d x %d "
+                                 "matrix entries only, found %r" % (n, n, v))
             _, i, j = v
             wt[i - 1] += e
             wt[j - 1] -= p * e

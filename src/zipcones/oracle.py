@@ -2,13 +2,13 @@
 
 ``h0_dimension`` enumerates the monomials of a given weight by their row
 and column degrees and computes the nullspace over F_p of the conditions
-of invariance under the simple-root generators (its docstring).  It is
-the brute-force side for the structured descriptions, and a leaf of the
-package: it builds no polynomial.  The image of a monomial under a
-generator is a product of powers of linear forms in the matrix entries
-and t; the expansion of each power is read off a table of binomial and
-multinomial coefficients mod p (Lucas' theorem), and only the products
-whose t-degree is a power of p are ever formed.
+of invariance under the simple-root generators (its docstring), which
+``unipotent_defect`` sums over one polynomial.  It is the brute-force side
+for the structured descriptions, and a leaf of the package: it builds no
+polynomial.  The image of a monomial under a generator is a product of
+powers of linear forms in the matrix entries and t; the expansion of each
+power is read off a table of binomial and multinomial coefficients mod p
+(Lucas' theorem), and only products of t-degree a power of p are formed.
 """
 
 from __future__ import annotations
@@ -172,13 +172,6 @@ def h0_dimension(lam, n, p, monomial_cap=MONOMIAL_CAP):
     D_s = (prod_i s_i!)^{-1} prod_i D_{p^i}^{s_i} for s = sum_i s_i p^i.
     D_1 alone, the Lie-algebra condition, would miss the t^p terms of
     phi(u).
-
-    A monomial's image is the product of the ``image_table`` of its
-    moving entries.  The column of a monomial sums, factor by factor, the
-    choices of one table term per factor whose t-degrees can still add up
-    to a power of p: a bitmask of the t-degrees the remaining factors can
-    reach drops every other partial choice.  A row key packs the image
-    monomial, its t-degree and the generator.
     """
     lam = _oracle_weight(lam, n, p, monomial_cap)
     if any(lam[i] < lam[i + 1] for i in range(n - 1)):
@@ -186,14 +179,45 @@ def h0_dimension(lam, n, p, monomial_cap=MONOMIAL_CAP):
     monos = enumerate_weight_monomials(lam, n, p, cap=monomial_cap)
     if not monos:
         return 0
-    d, top = sum(monos[0]), p + 1 if n > 1 else 0
+    return len(fp_nullspace(_columns(monos, n, p)[0], p))
+
+
+def unipotent_defect(terms, n, p):
+    """(k, least t-degree of f(u X phi(u)^{-1}) - f) for the first u =
+    1 + t E_{k,k-1} that moves f = sum of c x^exps over ``terms`` {exponent
+    tuple, entries row by row: c}, or None.  The columns, times c, sum to
+    the D_{p^i} f, and the least nonzero D_s is always at a power of p:
+    D_s = c prod_i D_{p^i}^{s_i} (``h0_dimension``), each with p^i <= s.
+    """
+    total = {}
+    columns, t_mask = _columns(list(terms), n, p)
+    for col, c in zip(columns, terms.values()):
+        for row, x in col.items():
+            total[row] = total.get(row, 0) + c * x
+    moved = min(((row % (n - 1), row // (n - 1) & t_mask)
+                 for row, c in total.items() if c % p), default=None)
+    return None if moved is None else (moved[0] + 2, moved[1])
+
+
+def _columns(monos, n, p):
+    """The column of each monomial, its t^(p^i) rows as {row key:
+    coefficient mod p}, and the mask of the t-degree field of a row key.
+
+    A monomial's image is the product of the ``image_table`` of its
+    moving entries.  The column of a monomial sums, factor by factor, the
+    choices of one table term per factor whose t-degrees can still add up
+    to a power of p: a bitmask of the t-degrees the remaining factors can
+    reach drops every other partial choice.  A row key packs the image
+    monomial with its t-degree (the low field), times n - 1, plus k - 2.
+    """
+    d, top = max(map(sum, monos), default=0), p + 1 if n > 1 else 0
     if d * top > EXPONENT_LIMIT:
         raise GuardExceededError(
             "degree %d: image exponents may pass the packed limit %d"
             % (d, EXPONENT_LIMIT))
     entries = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     if d > EXPONENT_LIMIT:
-        e, (i, j) = max(zip(monos[0], entries))
+        e, (i, j) = max(zip(max(monos, key=sum), entries))
         raise GuardExceededError(
             "exponent %d of %r exceeds the packed-monomial limit %d"
             % (e, ("a", i, j), EXPONENT_LIMIT))
@@ -271,4 +295,4 @@ def h0_dimension(lam, n, p, monomial_cap=MONOMIAL_CAP):
                         row = (part + step) * (n - 1) + g
                         col[row] = get(row, 0) + c * cf
         columns.append({row: c % p for row, c in col.items() if c % p})
-    return len(fp_nullspace(columns, p))
+    return columns, t_mask

@@ -4,16 +4,16 @@ reduction matrix, the rank-2 ring dimension and the norm construction.
 A section of weight lam is a polynomial f on the n x n matrix space that
 is homogeneous for the weight grading and invariant under the twisted
 conjugation X -> u X phi(u)^{-1} by lower unitriangular u, where phi
-raises entries to the p-th power.  Invariance is checked, as an identity
-in a symbolic t, on the n - 1 simple-root subgroups u = 1 + t E_{k,k-1}:
-over any field they generate the lower unitriangular group, as
+raises entries to the p-th power.  Invariance is checked, with a symbolic
+t, on the n - 1 simple-root subgroups u = 1 + t E_{k,k-1}: over any field
+they generate the lower unitriangular group, as
 [1 + s E_kj, 1 + t E_jl] = 1 + st E_kl, and the twisted conjugation is a
-group action.  First-order (Lie-algebra) conditions would not suffice in
-characteristic p: they miss the t^p terms of phi(u).
-
-The dimension oracle that imposes these conditions on all monomials of
-a weight is ``oracle.h0_dimension``; ``rzip_sp4_graded_dimension`` here
-counts the same dimension at rank 2 from the generators of the ring.
+group action.  ``oracle.unipotent_defect`` decides it from the t^(p^i)
+coefficients of the image, the conditions that the dimension oracle
+``oracle.h0_dimension`` imposes on all monomials of a weight; their
+docstrings say why these suffice and why the least t-degree that moves
+is a power of p.  ``rzip_sp4_graded_dimension`` here counts the same
+dimension at rank 2 from the generators of the ring.
 """
 
 from __future__ import annotations
@@ -33,16 +33,17 @@ from .fpoly import (
     FpPolynomial,
     MinorBasis,
     RationalFunction,
+    _decode,
     a_var,
     det as poly_det,
     exact_divide,
-    generic_matrix,
     mat_identity,
     mat_mul,
     matrix_images,
     minor,
     weight_of,
 )
+from .oracle import unipotent_defect
 from .weights import Weight, eta_weight, schubert_weight, validate_n_p
 
 GAMMA_RANK_GUARD = 4
@@ -102,21 +103,21 @@ def _body_one(section):
     return FpPolynomial.constant(section.p, 1)
 
 
-@lru_cache(maxsize=None)
-def _generator_images(n, p, k, l):
-    """Substitution X -> (1 + t E_{k,l}) X (1 - t^p E_{k,l}), k > l."""
-    u, v = mat_identity(n, p), mat_identity(n, p)
-    u[k - 1][l - 1] = FpPolynomial.variable(p, _T)
-    v[k - 1][l - 1] = -FpPolynomial.variable(p, _T, p)
-    return matrix_images(mat_mul(mat_mul(u, generic_matrix(n, p)), v))
+def _defect(poly, n):
+    """``oracle.unipotent_defect`` of a polynomial in the n x n entries."""
+    terms = {}
+    for m, c in poly.terms.items():
+        exps = [0] * (n * n)
+        for (_, i, j), e in _decode(m):
+            exps[(i - 1) * n + j - 1] = e
+        terms[tuple(exps)] = c
+    return unipotent_defect(terms, n, poly.p)
 
 
 @lru_cache(maxsize=None)
 def _minors_are_invariant(n, p):
     basis = MinorBasis(n, p)
-    return all(basis.delta(i).substitute(_generator_images(n, p, k, k - 1))
-               == basis.delta(i) for k in range(2, n + 1)
-               for i in range(1, n + 1))
+    return all(_defect(basis.delta(i), n) is None for i in range(1, n + 1))
 
 
 def check_equivariance(body, lam, n, p, name=None):
@@ -125,17 +126,16 @@ def check_equivariance(body, lam, n, p, name=None):
     ``lam`` may be None to accept the discovered weight.  Raises
     InhomogeneousWeightError, WeightMismatchError or
     NotUnipotentInvariantError (with the offending generator), and
-    ValueError for n < 1 or a non-prime p.
+    ValueError for n < 1, a non-prime p, an entry outside the n x n matrix
+    or minor denominators of another size.
     """
     validate_n_p(n, p)
-    if isinstance(body, RationalFunction):
-        found = body.weight()
-        num = body.num
-        fraction = True
-    else:
-        found = weight_of(body, n)
-        num = body
-        fraction = False
+    fraction = isinstance(body, RationalFunction)
+    if fraction and body.basis.n != n:
+        raise ValueError("minors of %d x %d matrices checked at n = %d"
+                         % (body.basis.n, body.basis.n, n))
+    num = body.num if fraction else body
+    found = body.weight() if fraction else weight_of(body, n)
     if found is None:
         raise InhomogeneousWeightError(
             "body is zero or mixes weight components")
@@ -144,11 +144,11 @@ def check_equivariance(body, lam, n, p, name=None):
     if fraction and not _minors_are_invariant(n, p):
         raise TheoremViolationError(
             "minor denominators move under a unipotent generator")
-    for k in range(2, n + 1):
-        diff = num.substitute(_generator_images(n, p, k, k - 1)) - num
-        if not diff.is_zero():
-            raise NotUnipotentInvariantError(
-                (k, k - 1), "offending t-degree %d" % diff.min_exponent(_T))
+    defect = _defect(num, n)
+    if defect is not None:
+        k, degree = defect
+        raise NotUnipotentInvariantError((k, k - 1),
+                                         "offending t-degree %d" % degree)
     return Section(n, p, body, found, name)
 
 
@@ -231,10 +231,11 @@ def catalog_section(name, n, p):
     """
     validate_n_p(1 if n is None else n, p)
     key = name.lower().replace("-", "").replace("_", "")
-    if key.startswith("delta") or key == "hasse":
+    delta = key.startswith("delta") and key[5:].isdecimal()
+    if delta or key == "hasse":
         if n is None:
             raise ZipconeError("section %s needs the matrix size n" % name)
-    if key.startswith("delta"):
+    if delta:
         i = int(key[5:])
         if not 1 <= i <= n:
             raise ZipconeError("delta index out of range for n=%d" % n)
@@ -412,6 +413,7 @@ def rzip_sp4_graded_dimension(lam, p):
     b = lam_1 + c(p-1) and a p(p-1) = -(p lam_1 + lam_2) - c(p^2-1),
     so c is bounded and the scan is finite.
     """
+    validate_n_p(2, p)
     lam = Weight(lam)
     if lam.rank != 2:
         raise RankMismatchError("the rank-2 ring needs a rank-2 weight, got %s"

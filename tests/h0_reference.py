@@ -1,21 +1,54 @@
-"""Reference h0 oracle by polynomial substitution.
+"""Reference unipotent invariance by polynomial substitution.
 
 Builds each monomial's whole image under every simple-root generator
-1 + t E_{k,k-1} with ``fpoly.Substitution`` and keeps the t^(p^i)
-coefficients, the conditions ``oracle.h0_dimension`` reads off its
-coefficient tables (its docstring says why they suffice).  Tests compare
-the two on boxes of weights.
+1 + t E_{k,k-1} with ``fpoly.Substitution``.  ``h0_by_substitution``
+keeps the t^(p^i) coefficients, the conditions ``oracle.h0_dimension``
+reads off its coefficient tables (its docstring says why they suffice);
+``defect_by_substitution`` compares the whole t-polynomial of a
+polynomial's image with the polynomial, for the verdicts of
+``sections.check_equivariance``.  Tests compare the two sides on boxes of
+weights and on sections.
 """
+
+from functools import lru_cache
 
 from zipcones.errors import TheoremViolationError
 from zipcones.fplinalg import fp_nullspace
-from zipcones.fpoly import _FIELD, FpPolynomial, Substitution, _pack, _shift
+from zipcones.fpoly import (
+    _FIELD,
+    FpPolynomial,
+    Substitution,
+    _pack,
+    _shift,
+    generic_matrix,
+    mat_identity,
+    mat_mul,
+    matrix_images,
+)
 from zipcones.oracle import enumerate_weight_monomials
-from zipcones.sections import _generator_images
 
 _T = ("t",)
 _T_SHIFT = _shift(_T)
 _T_FIELD = _FIELD << _T_SHIFT
+
+
+@lru_cache(maxsize=None)
+def _generator_images(n, p, k, l):
+    """Substitution X -> (1 + t E_{k,l}) X (1 - t^p E_{k,l}), k > l."""
+    u, v = mat_identity(n, p), mat_identity(n, p)
+    u[k - 1][l - 1] = FpPolynomial.variable(p, _T)
+    v[k - 1][l - 1] = -FpPolynomial.variable(p, _T, p)
+    return matrix_images(mat_mul(mat_mul(u, generic_matrix(n, p)), v))
+
+
+def defect_by_substitution(num, n, p):
+    """(k, least t-degree of f(u X phi(u)^{-1}) - f) for the first simple
+    root u = 1 + t E_{k,k-1} that moves the polynomial num, or None."""
+    for k in range(2, n + 1):
+        diff = num.substitute(_generator_images(n, p, k, k - 1)) - num
+        if not diff.is_zero():
+            return k, diff.min_exponent(_T)
+    return None
 
 
 def h0_by_substitution(lam, n, p):

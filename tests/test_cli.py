@@ -182,6 +182,16 @@ def test_exit_codes(tmp_path):
     assert main([]) == 1   # missing subcommand is a usage error
 
 
+def test_delta_without_an_index_is_an_unknown_section(tmp_path, capsys):
+    # "delta" and "deltax" used to die in int() with a traceback
+    for name in ("delta", "deltax"):
+        code, data = run(["verify-section", "--name", name, "--n", "3",
+                          "--p", "2"], tmp_path)
+        assert code == 1 and data == b"", name
+        assert capsys.readouterr().err \
+            == "error: unknown section %r\n" % name
+
+
 def test_undecided_membership_exits_2(tmp_path, monkeypatch, capsys):
     # a monoid-presented cone whose generators do not all have negative
     # coordinate sum, so its membership search stops at the bound; the

@@ -106,6 +106,10 @@ def test_weight_of():
     t = FpPolynomial.variable(p, ("t",))
     with pytest.raises(ValueError):
         weight_of(t, 2)
+    # an entry outside the n x n matrix has no weight (was an IndexError)
+    for i, j in [(3, 1), (1, 3), (3, 3)]:
+        with pytest.raises(ValueError, match="2 x 2 matrix entries only"):
+            weight_of(a_var(p, 1, 1) + a_var(p, i, j), 2)
 
 
 def test_weight_additive_and_minor_weights():

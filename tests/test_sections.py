@@ -6,7 +6,11 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from h0_reference import h0_by_substitution
+from h0_reference import (
+    _generator_images,
+    defect_by_substitution,
+    h0_by_substitution,
+)
 from zipcones.catalog import eta_weight, hodge_character, schubert_weight
 from zipcones.cones import Weight
 from zipcones.errors import (
@@ -29,6 +33,7 @@ from zipcones.fpoly import (
     generic_matrix,
     mat_mul,
     matrix_images,
+    weight_of,
 )
 from zipcones.modules import (
     build_module,
@@ -40,9 +45,9 @@ from zipcones.oracle import (
     enumerate_weight_monomials,
     h0_dimension,
     image_table,
+    unipotent_defect,
 )
 from zipcones.sections import (
-    _generator_images,
     catalog_section,
     check_equivariance,
     clear_denominators,
@@ -409,7 +414,7 @@ def test_h0_simple_roots_match_all_generators(n, p, low, high):
 
 
 def test_catalog_sections_are_invariant_under_all_generators():
-    # check_equivariance substitutes the simple roots only; every
+    # check_equivariance tests the simple roots only; every
     # catalog section is fixed by every 1 + t E_kl, k > l, as well
     for n in (2, 3, 4):
         for p in (2, 3, 5, 7):
@@ -513,6 +518,21 @@ def test_rzip_needs_rank_two():
         rzip_sp4_graded_dimension((0,), 3)
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, -2])
+def test_rzip_rejects_a_non_prime_p(p):
+    # p = 0 and 1 used to divide by zero, and p = 4 to answer 0
+    with pytest.raises(ValueError, match="prime"):
+        rzip_sp4_graded_dimension((0, 0), p)
+
+
+def test_check_equivariance_rejects_entries_outside_the_matrix():
+    # a_{3,1} has no weight for n = 2; weight_of used to raise IndexError
+    with pytest.raises(ValueError, match="2 x 2"):
+        check_equivariance(a_var(2, 3, 1), None, 2, 2)
+    with pytest.raises(ValueError, match="3 x 3"):
+        check_equivariance(gamma_matrix(3, 2).gamma[0][0], None, 2, 2)
+
+
 def test_tilde_valuation_rejects_a_vanishing_element():
     # a_{2,1} maps to 0 along b delta(t) s for s = 1, which no module
     # element can do
@@ -605,3 +625,114 @@ def test_h0_matches_rank2_ring_beyond_criterion_box(p, degree, a):
     lam = (a, degree * (1 - p) - a)
     assume(lam[0] >= lam[1] and max(map(abs, lam)) > 10)
     assert h0_dimension(lam, 2, p) == rzip_sp4_graded_dimension(lam, p)
+
+
+# ---------------------------------------------------------------------------
+# unipotent invariance: the oracle's columns against the substitution
+
+
+def _verdict(body, n, p):
+    """check_equivariance's (generator, message) of a moving body, or None."""
+    try:
+        check_equivariance(body, None, n, p)
+    except NotUnipotentInvariantError as exc:
+        return exc.generator, str(exc)
+    return None
+
+
+def _reference_verdict(body, n, p):
+    num = body.num if isinstance(body, RationalFunction) else body
+    defect = defect_by_substitution(num, n, p)
+    if defect is None:
+        return None
+    k, degree = defect
+    error = NotUnipotentInvariantError((k, k - 1),
+                                       "offending t-degree %d" % degree)
+    return error.generator, str(error)
+
+
+def _verified_bodies():
+    """(n, p, body) of every catalog section at n = 2, 3, 4 and of every
+    nonzero entry of the reduction matrix at n = 3 and 4."""
+    for n in (2, 3, 4):
+        for p in (2, 3, 5, 7):
+            for name in section_names(n):
+                yield n, p, catalog_section(name, n, p).body
+    for n, primes in ((3, (2, 3, 5, 7)), (4, (2, 3, 5))):
+        for p in primes:
+            for row in gamma_matrix(n, p).gamma:
+                yield from ((n, p, e) for e in row if not e.is_zero())
+
+
+def _entries(n):
+    return [("a", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+
+
+def _with_numerator(body, num):
+    if isinstance(body, RationalFunction):
+        return RationalFunction(body.basis, num, body.exps)
+    return num
+
+
+def _bumps(rng, n, p, body, count):
+    """``count`` copies of body with one coefficient of its numerator
+    raised: a monomial of its own or another of the numerator's weight."""
+    num = body.num if isinstance(body, RationalFunction) else body
+    monomials = [mono for mono, _ in num.sorted_terms()]
+    try:
+        monomials += [tuple(zip(_entries(n), exps)) for exps in
+                      enumerate_weight_monomials(weight_of(num, n), n, p,
+                                                 cap=500)]
+    except GuardExceededError:
+        pass
+    for _ in range(count):
+        bump = FpPolynomial.monomial(p, rng.choice(monomials),
+                                     rng.randrange(1, p))
+        if not (num + bump).is_zero():
+            yield _with_numerator(body, num + bump)
+
+
+def _is_power_of(q, p):
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+def test_equivariance_matches_the_substitution_reference():
+    # the same verdict, generator and t-degree from the oracle's t^(p^i)
+    # columns and from the whole t-polynomial of the image
+    rng = random.Random(14)
+    verified = moved = 0
+    for n, p, body in _verified_bodies():
+        assert _verdict(body, n, p) is None \
+            and _reference_verdict(body, n, p) is None, (n, p, body)
+        verified += 1
+        for bumped in _bumps(rng, n, p, body, 3):
+            got = _verdict(bumped, n, p)
+            assert got == _reference_verdict(bumped, n, p), (n, p, bumped)
+            if got is not None:
+                moved += 1
+                degree = int(got[1].rsplit(" ", 1)[1])
+                assert _is_power_of(degree, p), got
+    assert verified == 130 and moved > 300
+
+
+def test_unipotent_defect_of_mixed_degrees():
+    # unipotent_defect sizes its key fields by the largest degree present,
+    # so a polynomial of mixed degree gets the substitution's answer
+    rng = random.Random(15)
+    cases = 0
+    for n, p, body in _verified_bodies():
+        num = body.num if isinstance(body, RationalFunction) else body
+        extra = {entry: rng.randrange(3) for entry in
+                 rng.sample(_entries(n), 2)}
+        mixed = num + FpPolynomial.monomial(p, extra.items(),
+                                            rng.randrange(1, p))
+        terms = {}
+        for mono, c in mixed.sorted_terms():
+            exps = dict(mono)
+            terms[tuple(exps.get(e, 0) for e in _entries(n))] = c
+        assert unipotent_defect(terms, n, p) \
+            == defect_by_substitution(mixed, n, p), (n, p, mixed)
+        cases += 1
+    assert cases == 130
