@@ -640,9 +640,12 @@ def _verdict(body, n, p):
     return None
 
 
+def _numerator(body):
+    return body.num if isinstance(body, RationalFunction) else body
+
+
 def _reference_verdict(body, n, p):
-    num = body.num if isinstance(body, RationalFunction) else body
-    defect = defect_by_substitution(num, n, p)
+    defect = defect_by_substitution(_numerator(body), n, p)
     if defect is None:
         return None
     k, degree = defect
@@ -668,16 +671,10 @@ def _entries(n):
     return [("a", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
 
-def _with_numerator(body, num):
-    if isinstance(body, RationalFunction):
-        return RationalFunction(body.basis, num, body.exps)
-    return num
-
-
 def _bumps(rng, n, p, body, count):
     """``count`` copies of body with one coefficient of its numerator
     raised: a monomial of its own or another of the numerator's weight."""
-    num = body.num if isinstance(body, RationalFunction) else body
+    num = _numerator(body)
     monomials = [mono for mono, _ in num.sorted_terms()]
     try:
         monomials += [tuple(zip(_entries(n), exps)) for exps in
@@ -688,8 +685,10 @@ def _bumps(rng, n, p, body, count):
     for _ in range(count):
         bump = FpPolynomial.monomial(p, rng.choice(monomials),
                                      rng.randrange(1, p))
-        if not (num + bump).is_zero():
-            yield _with_numerator(body, num + bump)
+        if (num + bump).is_zero():
+            continue
+        yield (RationalFunction(body.basis, num + bump, body.exps)
+               if isinstance(body, RationalFunction) else num + bump)
 
 
 def _is_power_of(q, p):
@@ -723,7 +722,7 @@ def test_unipotent_defect_of_mixed_degrees():
     rng = random.Random(15)
     cases = 0
     for n, p, body in _verified_bodies():
-        num = body.num if isinstance(body, RationalFunction) else body
+        num = _numerator(body)
         extra = {entry: rng.randrange(3) for entry in
                  rng.sample(_entries(n), 2)}
         mixed = num + FpPolynomial.monomial(p, extra.items(),
