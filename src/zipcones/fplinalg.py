@@ -1,11 +1,26 @@
-"""Dictionary-based exact linear algebra over F_p.
+"""Sparse exact linear algebra over F_p: one reduction, three readers.
 
-Vectors are dicts mapping arbitrary hashable keys to nonzero residues.
-Used for nullspaces of the sparse linear systems that the section oracle
-and the invariant computations produce; p = 2 gets a bitmask fast path.
+A column is a dict from hashable keys to integers, read mod p.  The
+reduction takes the columns in order and reduces each against the pivots
+of the columns before it; a column whose keys all cancel is dependent.
+Each column may carry a tag, a vector {nonnegative int: residue} on keys
+past every key of the columns.  A dependent column leaves its tag reduced
+by the same steps, and that is a kernel vector written on the tags.
+
+Odd p reduces dicts whose keys are ranked in sorted order, so the pivot
+of a column is its least key.  p = 2 reduces bit integers whose keys are
+numbered by first appearance.  Everything else is read off the one loop:
+- ``dependent_columns``: the dependent indices; their count is the nullity
+  (``oracle.h0_dimension``, ``modules.intersection_dimension``), and the
+  other columns are independent (``modules.build_module``);
+- ``fp_nullspace``: the kernel on the caller's tags
+  (``modules.invariants_finite_group``);
+- ``fp_det``: the sign of the pivot order times the product of the pivots.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 
 def _addmul(dst, src, c, p):
@@ -17,80 +32,76 @@ def _addmul(dst, src, c, p):
             dst.pop(k, None)
 
 
-def fp_nullspace(columns, p):
-    """Basis of the combination space {x : sum x_i columns[i] = 0}.
+def _reduce_dicts(columns, tags, p):
+    """(pivots {rank of the least key: reduced column}, {index of a
+    dependent column: the tag it leaves})."""
+    rank = {k: r for r, k in enumerate(sorted(
+        {k for col in columns for k, x in col.items() if x % p}))}
+    top = len(rank)
+    pivots, dependent = {}, {}
+    for i, (col, tag) in enumerate(zip(columns, tags)):
+        v = {rank[k]: x % p for k, x in col.items() if x % p}
+        v.update((top + j, c % p) for j, c in tag.items() if c % p)
+        key = min(v, default=top)
+        while key in pivots:
+            pv = pivots[key]
+            _addmul(v, pv, -v[key] * pow(pv[key], p - 2, p), p)
+            key = min(v, default=top)
+        if key < top:
+            pivots[key] = v
+        else:
+            dependent[i] = {k - top: c for k, c in v.items()}
+    return pivots, dependent
 
-    ``columns`` is a list of dict vectors.  Returns a list of dicts
-    {index: coefficient}; deterministic given the input order.
-    """
+
+def _reduce_bits(columns, tags):
+    """``_reduce_dicts`` at p = 2, on bit integers."""
+    index, ints = {}, []
+    for col in columns:
+        v = 0
+        for k, x in col.items():
+            if x % 2:
+                v |= 1 << index.setdefault(k, len(index))
+        ints.append(v)
+    top = len(index)
+    bound, pivots, dependent = 1 << top, {}, {}
+    for i, (v, tag) in enumerate(zip(ints, tags)):
+        v |= sum(1 << j for j, c in tag.items() if c % 2) << top
+        while (low := v & -v) in pivots:
+            v ^= pivots[low]
+        if 0 < low < bound:
+            pivots[low] = v
+        else:
+            v >>= top
+            dependent[i] = {j: 1 for j in range(v.bit_length()) if v >> j & 1}
+    return pivots, dependent
+
+
+def _reduce(columns, tags, p):
     if p == 2:
-        return _nullspace_gf2(columns)
-    pivots = {}  # key -> (vector, combo)
-    null = []
-    for i, col in enumerate(columns):
-        v = dict(col)
-        combo = {i: 1}
-        while v:
-            key = min(v)
-            if key not in pivots:
-                break
-            pv, pc = pivots[key]
-            c = (-v[key] * pow(pv[key], p - 2, p)) % p
-            _addmul(v, pv, c, p)
-            _addmul(combo, pc, c, p)
-        if v:
-            pivots[min(v)] = (v, combo)
-        else:
-            null.append(combo)
-    return null
+        return _reduce_bits(columns, tags)
+    return _reduce_dicts(columns, tags, p)
 
 
-def _nullspace_gf2(columns):
-    # map keys to bit positions lazily; vectors become ints
-    index = {}
+def dependent_columns(columns, p):
+    """Indices, ascending, of the columns that lie in the span of the
+    columns before them."""
+    return list(_reduce(columns, [{}] * len(columns), p)[1])
 
-    def to_bits(col):
-        x = 0
-        for k, v in col.items():
-            if v % 2:
-                if k not in index:
-                    index[k] = len(index)
-                x |= 1 << index[k]
-        return x
 
-    ints = [to_bits(c) for c in columns]
-    pivots = {}  # lowest set bit -> (vector, combo int)
-    null = []
-    for i, v in enumerate(ints):
-        combo = 1 << i
-        while v:
-            low = v & -v
-            if low not in pivots:
-                break
-            pv, pc = pivots[low]
-            v ^= pv
-            combo ^= pc
-        if v:
-            pivots[v & -v] = (v, combo)
-        else:
-            null.append({j: 1 for j in range(len(columns)) if combo >> j & 1})
-    return null
+def fp_nullspace(columns, tags, p):
+    """Basis of {sum x_i tags[i] : sum x_i columns[i] = 0} for linearly
+    independent tags; with the unit tags [{i: 1}, ...] it is the kernel of
+    the columns.  Returns one dict per dependent column, in order."""
+    return list(_reduce(columns, tags, p)[1].values())
 
 
 def fp_det(mat, p):
     """Determinant mod p of a square matrix given as a sequence of rows."""
-    m, det = [[x % p for x in row] for row in mat], 1
-    for c in range(len(m)):
-        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv], det = m[piv], m[c], -det
-        top = m[c]
-        det = det * top[c] % p
-        inv = pow(top[c], p - 2, p)
-        for row in m[c + 1:]:
-            if row[c]:
-                f = inv * row[c] % p
-                row[:] = [(x - f * y) % p for x, y in zip(row, top)]
-    return det % p
+    pivots, dependent = _reduce_dicts(
+        [dict(enumerate(row)) for row in mat], [{}] * len(mat), p)
+    if dependent:
+        return 0
+    order = list(pivots)
+    flips = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    return (-1) ** flips * prod(pv[k] for k, pv in pivots.items()) % p

@@ -25,7 +25,7 @@ from .errors import (
     RankMismatchError,
     TheoremViolationError,
 )
-from .fplinalg import fp_det, fp_nullspace
+from .fplinalg import dependent_columns, fp_det, fp_nullspace
 from .fpoly import (
     FpPolynomial,
     Substitution,
@@ -272,10 +272,7 @@ def build_module(lam, n, p):
     basis, polys, weights = [], [], []
     for w in sorted(by_weight):
         block = [_expand_monomial(n, p, mono) for mono in by_weight[w]]
-        # fp_nullspace reduces the columns in order, so each combination it
-        # returns ends at a monomial dependent on the ones before it
-        dependent = {max(combo)
-                     for combo in fp_nullspace([f.terms for f in block], p)}
+        dependent = set(dependent_columns([f.terms for f in block], p))
         for i, (mono, poly) in enumerate(zip(by_weight[w], block)):
             if i not in dependent:
                 basis.append(mono)
@@ -311,16 +308,14 @@ def invariants_finite_group(module):
     X -> X g per generator.  Right translation is a group action, so a
     vector fixed by the generators is fixed by every product of them, and
     the word certificate of ``group_generators`` proves those products
-    are all of GL_n(F_p): the kernel is the full fixed space.  Returns a
-    list of {basis index: coefficient} dicts.
+    are all of GL_n(F_p): the kernel is the full fixed space.  Each
+    generator's kernel is written on the current basis, its vectors
+    tagging their columns, so it is the next basis.  Returns a list of
+    {basis index: coefficient} dicts.
     """
     n, p = module.n, module.p
     gens = group_generators(n, p)
-    d = module.dim
-    if d == 0:
-        return []
-
-    current = [{i: 1} for i in range(d)]
+    current = [{i: 1} for i in range(module.dim)]
     for g in gens:
         if not current:
             break
@@ -329,20 +324,7 @@ def invariants_finite_group(module):
         for vec in current:
             num = module.element(vec).num
             cols.append((rho(num) - num).terms)
-        null = fp_nullspace(cols, p)
-        new = []
-        for combo in null:
-            merged = {}
-            for j, cj in combo.items():
-                for i, ci in current[j].items():
-                    v = (merged.get(i, 0) + cj * ci) % p
-                    if v:
-                        merged[i] = v
-                    else:
-                        merged.pop(i, None)
-            if merged:
-                new.append(merged)
-        current = new
+        current = fp_nullspace(cols, current, p)
     return current
 
 
@@ -358,14 +340,9 @@ def intersection_dimension(module, fixed):
     """dim of (weight-nonpositive part) meet (finite-group invariants),
     given the basis ``fixed`` that invariants_finite_group(module) returns."""
     good = set(subspace_leq0(module))
-    if not fixed:
-        return 0
     # impose vanishing of coefficients on eigenvectors outside the part
-    cols = []
-    for vec in fixed:
-        cols.append({("c", i): c for i, c in vec.items() if i not in good})
-    null = fp_nullspace(cols, module.p)
-    return len(null)
+    cols = [{i: c for i, c in vec.items() if i not in good} for vec in fixed]
+    return len(dependent_columns(cols, module.p))
 
 
 def highest_weight_vector(module):

@@ -1,7 +1,7 @@
 """The dimension oracle: h0 of a weight on the matrix space, by brute force.
 
 ``h0_dimension`` enumerates the monomials of a given weight by their row
-and column degrees and computes the nullspace over F_p of the conditions
+and column degrees and takes the nullity over F_p of the conditions
 of invariance under the simple-root generators (its docstring), which
 ``unipotent_defect`` sums over one polynomial.  It is the brute-force side
 for the structured descriptions, and a leaf of the package: it builds no
@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .errors import GuardExceededError, ZipconeError
-from .fplinalg import fp_nullspace
+from .fplinalg import dependent_columns
 from .weights import EXPONENT_LIMIT, Weight, validate_n_p
 
 MONOMIAL_CAP = 2 * 10 ** 5
@@ -179,7 +179,7 @@ def h0_dimension(lam, n, p, monomial_cap=MONOMIAL_CAP):
     monos = enumerate_weight_monomials(lam, n, p, cap=monomial_cap)
     if not monos:
         return 0
-    return len(fp_nullspace(_columns(monos, n, p)[0], p))
+    return len(dependent_columns(_columns(monos, n, p)[0], p))
 
 
 def unipotent_defect(terms, n, p):

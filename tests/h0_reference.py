@@ -12,8 +12,8 @@ weights and on sections.
 
 from functools import lru_cache
 
+from fp_reference import fp_nullspace
 from zipcones.errors import TheoremViolationError
-from zipcones.fplinalg import fp_nullspace
 from zipcones.fpoly import (
     _FIELD,
     FpPolynomial,

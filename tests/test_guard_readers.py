@@ -1,7 +1,11 @@
-"""``DD_RAY_GUARD`` bounds the package's one polyhedral eliminator, the
-double description.  A second eliminator under that guard would read it
-too, so the readers are pinned here, the way ``test_imports.py`` pins the
-import graph."""
+"""The package has one polyhedral eliminator and one F_p eliminator, and
+these tests pin both, the way ``test_imports.py`` pins the import graph.
+
+``DD_RAY_GUARD`` bounds the double description; a second polyhedral
+eliminator under that guard would read it too.  Every F_p elimination
+divides by a pivot through the modular inverse ``pow(x, p - 2, p)``, so
+the inverse may sit only in the ``fplinalg`` reduction and in
+``fpoly.exact_divide``, which divides polynomials, not linear systems."""
 
 import ast
 from pathlib import Path
@@ -12,32 +16,51 @@ PACKAGE = Path(zipcones.__file__).resolve().parent
 GUARD = "DD_RAY_GUARD"
 
 
-def _guard_reads(path):
-    """``file:function`` for every read or import of the guard in ``path``;
-    ``<module>`` stands for module level."""
-    reads = []
+def _places(match):
+    """``file:function`` for every node of the package that ``match``
+    accepts; ``<module>`` stands for module level."""
+    places = set()
 
-    def visit(node, scope):
+    def visit(path, node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+                visit(path, child, child.name)
                 continue
-            if isinstance(child, ast.Name):
-                read = child.id == GUARD and isinstance(child.ctx, ast.Load)
-            elif isinstance(child, ast.Attribute):
-                read = child.attr == GUARD and isinstance(child.ctx, ast.Load)
-            else:
-                read = isinstance(child, ast.alias) and child.name == GUARD
-            if read:
-                reads.append("%s:%s" % (path.name, scope))
-            visit(child, scope)
+            if match(child):
+                places.add("%s:%s" % (path.name, scope))
+            visit(path, child, scope)
 
-    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
-    return reads
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(path, ast.parse(path.read_text(), filename=str(path)),
+              "<module>")
+    return places
+
+
+def _reads_guard(node):
+    if isinstance(node, ast.Name):
+        return node.id == GUARD and isinstance(node.ctx, ast.Load)
+    if isinstance(node, ast.Attribute):
+        return node.attr == GUARD and isinstance(node.ctx, ast.Load)
+    return isinstance(node, ast.alias) and node.name == GUARD
+
+
+def _is_modular_inverse(node):
+    """``pow(x, m - 2, m)`` for any expressions x and m."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "pow" and len(node.args) == 3):
+        return False
+    exponent, modulus = node.args[1], node.args[2]
+    return (isinstance(exponent, ast.BinOp)
+            and isinstance(exponent.op, ast.Sub)
+            and isinstance(exponent.right, ast.Constant)
+            and exponent.right.value == 2
+            and ast.dump(exponent.left) == ast.dump(modulus))
 
 
 def test_ray_guard_is_read_only_by_the_double_description():
-    reads = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        reads.update(_guard_reads(path))
-    assert reads == {"cones.py:double_description"}
+    assert _places(_reads_guard) == {"cones.py:double_description"}
+
+
+def test_modular_inverse_only_in_the_reduction_and_polynomial_division():
+    assert _places(_is_modular_inverse) == {"fplinalg.py:_reduce_dicts",
+                                            "fpoly.py:exact_divide"}

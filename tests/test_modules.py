@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fp_reference import fp_nullspace
 from zipcones.cones import Weight
 from zipcones.errors import (
     EmptyModuleError,
@@ -12,7 +13,6 @@ from zipcones.errors import (
     RankMismatchError,
     TheoremViolationError,
 )
-from zipcones.fplinalg import fp_nullspace
 from zipcones.fpoly import FpPolynomial, a_var
 from zipcones.modules import (
     _check_elementary_words,

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fp_reference import fp_nullspace
 from h0_reference import (
     _generator_images,
     defect_by_substitution,
@@ -22,7 +23,7 @@ from zipcones.errors import (
     WeightMismatchError,
     ZipconeError,
 )
-from zipcones.fplinalg import fp_det, fp_nullspace
+from zipcones.fplinalg import fp_det
 from zipcones.fpoly import (
     FpPolynomial,
     MinorBasis,
