@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .cones import GeneratedCone, HalfspaceSystem, halfspaces_of
 from .errors import ZipconeError
-from .rootdata import SymplecticRootDatum
+from .rootdata import SymplecticRootDatum, hw_functional
 from .weights import (Weight, _fundamental, eta_weight, hodge_character,
                       schubert_weight)
 
@@ -135,28 +135,6 @@ def cone_schubert_saturated(datum, p):
     return NamedCone("SchubertSaturated", n, (n, p),
                      generated=GeneratedCone(n, gens),
                      halfspaces=HalfspaceSystem(n, rows))
-
-
-def hw_functional(datum, p, alpha_index=None):
-    """Row vector of the boundary-sign functional attached to a simple
-    root outside the Levi: sum over minimal coset representatives of
-    p^{length} times the permuted coroot."""
-    if alpha_index is None:
-        alpha_index = datum.beta_index
-    if alpha_index in datum.levi_indices:
-        raise ZipconeError("functional is defined for roots outside the Levi")
-    n = datum.n
-    total = [0] * n
-    K = datum.orthogonal_levi_subset(alpha_index)
-    for w in datum.min_coset_reps(K):
-        idx = alpha_index
-        for i in range(datum.r_alpha(alpha_index)):
-            coroot = datum.simple_coroots[idx]
-            moved = w.inverse().act(coroot)
-            for k in range(n):
-                total[k] += p ** (i + w.length()) * moved[k]
-            idx = datum.sigma[idx]
-    return Weight(total)
 
 
 def cone_hw(datum, p):

@@ -16,8 +16,9 @@ and lineality space of a halfspace system, and so every containment and
 equality test between cones; ``DD_RAY_GUARD`` bounds its intermediate
 ray count.  ``saturation_certificate`` reads its answer off that facet
 list: a separating facet for a non-member, and for a member a
-Caratheodory descent through the faces, checked exactly.  Everything is
-deterministic.
+Caratheodory descent through the faces, checked exactly.
+``monoid_membership`` reads the same list, so the double description is
+the only rational eliminator here.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ class GeneratedCone:
             if any(c != 0 for c in w) and w not in seen:
                 seen.append(w)
         self.generators = tuple(seen)
+        self._dual = None
         self._halfspaces = None
 
     def __repr__(self):
@@ -113,60 +115,6 @@ class HalfspaceSystem:
     def to_json_dict(self):
         return {"rank": self.rank,
                 "inequalities": [list(h) for h in self.inequalities]}
-
-
-# ---------------------------------------------------------------------------
-# rational linear algebra helpers (exact, Fraction based)
-
-def rref(rows):
-    """Reduced row echelon form. Returns (matrix, pivot column list)."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
-
-
-def matrix_rank(rows):
-    return len(rref(rows)[1])
-
-
-def solve_unique(rows, rhs):
-    """Solve rows.x = rhs when the columns are linearly independent.
-
-    Returns the Fraction solution vector, or None when inconsistent.
-    Caller must ensure column independence (unique solution if any).
-    """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    mat, pivots = rref(aug)
-    ncols = len(rows[0])
-    if ncols in pivots:
-        return None
-    sol = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        sol[pc] = mat[r][ncols]
-    # verify (guards against under-determined misuse)
-    for row, b in zip(rows, rhs):
-        if sum(Fraction(x) * s for x, s in zip(row, sol)) != b:
-            return None
-    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -256,28 +204,26 @@ def monoid_membership(cone, lam, bound=MONOID_SEARCH_BOUND):
     """Nonnegative-integer coefficients writing ``lam`` over the generators.
 
     Returns a list of ints, or None when ``lam`` is provably not in the
-    monoid.  With linearly independent generators the unique rational
-    solution decides.  With dependent generators the search is complete
-    when every generator has negative coordinate sum (the sum functional
-    bounds all coefficients); otherwise each coefficient is capped at
-    ``bound`` and exhaustion raises UndecidedAtBoundError instead of
-    returning a silent False.
+    monoid.  A facet row of ``halfspaces_of`` negative on ``lam`` separates
+    it from the cone.  Linearly independent generators (as many as the
+    rank minus the lineality count of their double description) write
+    ``lam`` in one rational way, the certificate of
+    ``saturation_certificate``, which decides.  With dependent generators
+    the search is complete when every generator has negative coordinate
+    sum (the sum functional bounds all coefficients); otherwise each
+    coefficient is capped at ``bound`` and exhaustion raises
+    UndecidedAtBoundError instead of returning a silent False.
     """
     lam = _as_weight(lam, cone.rank)
     gens = cone.generators
     if all(c == 0 for c in lam):
         return [0] * len(gens)
-    if not gens:
+    if not halfspaces_of(cone).contains(lam):
         return None
-
-    cols = [list(g) for g in gens]
-    rows = [[cols[j][i] for j in range(len(gens))] for i in range(cone.rank)]
-    if matrix_rank(rows) == len(gens):
-        sol = solve_unique(rows, list(lam))
-        if sol is None:
-            return None
-        if all(x.denominator == 1 and x >= 0 for x in sol):
-            return [int(x) for x in sol]
+    if len(gens) == cone.rank - len(_dual(cone)[1]):
+        mu = saturation_certificate(cone, lam)
+        if all(c.denominator == 1 for c in mu):
+            return [int(c) for c in mu]
         return None
 
     sums = [sum(g) for g in gens]
@@ -407,6 +353,15 @@ def _lineality_combination(vectors, x):
     return ray and [Fraction(c, ray[-1] * d) for c in ray[:-1]]
 
 
+def _dual(cone):
+    """The double description of the generators, computed once: the facet
+    rows of the cone and a basis of the orthogonal complement of its
+    span."""
+    if cone._dual is None:
+        cone._dual = double_description(cone.generators, cone.rank)
+    return cone._dual
+
+
 def halfspaces_of(cone):
     """Dual (inequality) description of the rational hull of a cone.
 
@@ -417,7 +372,7 @@ def halfspaces_of(cone):
     of its lineality basis.  The list is irredundant.
     """
     if cone._halfspaces is None:
-        facets, lin = double_description(cone.generators, cone.rank)
+        facets, lin = _dual(cone)
         rows = list(facets)
         for e in lin:
             rows.append(e)

@@ -44,7 +44,7 @@ from math import isqrt
 from operator import or_
 
 from .errors import GuardExceededError
-from .weights import EXPONENT_LIMIT, Weight
+from .weights import EXPONENT_LIMIT, Weight, schubert_weight
 
 FIELD_BITS = EXPONENT_LIMIT.bit_length() + 1
 _FIELD = (1 << FIELD_BITS) - 1
@@ -607,14 +607,6 @@ class MinorBasis:
             return FpPolynomial.constant(self.p, 1)
         return self.deltas[i - 1]
 
-    def delta_weight(self, i):
-        """Weight of the i-th minor: i leading ones, then -p on the last i."""
-        w = [0] * self.n
-        for k in range(i):
-            w[k] += 1
-            w[self.n - 1 - k] -= self.p
-        return Weight(w)
-
     def product(self, exps):
         out = FpPolynomial.constant(self.p, 1)
         for i, e in enumerate(exps, start=1):
@@ -708,7 +700,7 @@ class RationalFunction:
             return None
         for i, e in enumerate(self.exps, start=1):
             if e:
-                wn = wn - e * self.basis.delta_weight(i)
+                wn = wn - e * schubert_weight(self.basis.n, self.basis.p, i)
         return wn
 
     def __repr__(self):

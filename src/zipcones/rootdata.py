@@ -7,8 +7,9 @@ single simple root outside the Levi is beta = 2e_n with coroot e_n.
 The stored simple-root vectors follow the source convention alpha_i =
 e_{i+1} - e_i; dominance predicates are coordinate tests (L-dominant means
 a_1 >= ... >= a_n), which is what every cone formula downstream consumes.
-A Frobenius permutation of the simple roots can be plugged in, but only
-the split case (identity) is exercised.
+The datum is split: Frobenius fixes every simple root.  ``hw_functional``
+is the boundary functional of the highest-weight cone, the one Levi
+Weyl-group sum of the package.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class LeviWeylElement:
 class SymplecticRootDatum:
     """Roots, coroots and Levi data of Sp(2n) in the Z^n coordinates."""
 
-    def __init__(self, n, sigma=None):
+    def __init__(self, n):
         if n < 1:
             raise ValueError("n must be positive")
         self.n = n
@@ -99,14 +100,6 @@ class SymplecticRootDatum:
         self.simple_coroots = tuple(c for _, c in simple)
         self.beta_index = n - 1
         self.levi_indices = tuple(range(n - 1))
-        if sigma is None:
-            sigma = tuple(range(n))
-        sigma = tuple(int(x) for x in sigma)
-        if sorted(sigma) != list(range(n)):
-            raise ValueError("sigma must permute the simple-root indices")
-        if sigma[self.beta_index] != self.beta_index:
-            raise ValueError("sigma must fix the non-Levi simple root")
-        self.sigma = sigma
 
     # -- pairings and dominance -------------------------------------------
 
@@ -130,9 +123,7 @@ class SymplecticRootDatum:
     # -- maps ---------------------------------------------------------------
 
     def h_map(self, lam, p):
-        """lam - p * (coordinate reversal of lam); split case only."""
-        if self.sigma != tuple(range(self.n)):
-            raise ZipconeError("h_map is implemented for the split datum only")
+        """lam - p * (coordinate reversal of lam)."""
         lam = _as_weight(lam, self.n)
         return lam - p * Weight(reversed(lam))
 
@@ -170,23 +161,27 @@ class SymplecticRootDatum:
         return [i for i in self.levi_indices
                 if self.pairing(self.simple_roots[i], cv) == 0]
 
-    def r_alpha(self, alpha_index):
-        """Smallest r >= 1 with sigma^r fixing the simple root."""
-        r, i = 1, self.sigma[alpha_index]
-        while i != alpha_index:
-            i = self.sigma[i]
-            r += 1
-        return r
 
-    def delta_cocharacter(self, alpha_index, p):
-        """- sum_i p^i sigma^i(alpha^vee); direction of the one-parameter
-        degeneration used by the boundary-valuation formulas."""
-        total = Weight([0] * self.n)
-        i = alpha_index
-        for k in range(self.r_alpha(alpha_index)):
-            total = total + (p ** k) * self.simple_coroots[i]
-            i = self.sigma[i]
-        return -total
+def hw_functional(datum, p, alpha_index=None):
+    """Boundary functional of the highest-weight cone at a simple root
+    alpha outside the Levi: the sum over the minimal coset representatives
+    w of W_K \\ W_L, K the Levi simple roots orthogonal to alpha^vee, of
+    p^{length(w)} w^{-1} alpha^vee.
+
+    A w in W_L is v u with v in W_K, u such a representative and
+    length(w) = length(v) + length(u), and W_K fixes alpha^vee; so the sum
+    over all of W_L is this row times the Poincare polynomial of W_K at p,
+    a positive integer, and has the same sign on every weight.
+    """
+    if alpha_index is None:
+        alpha_index = datum.beta_index
+    if alpha_index in datum.levi_indices:
+        raise ZipconeError("functional is defined for roots outside the Levi")
+    coroot = datum.simple_coroots[alpha_index]
+    total = Weight([0] * datum.n)
+    for w in datum.min_coset_reps(datum.orthogonal_levi_subset(alpha_index)):
+        total = total + p ** w.length() * w.inverse().act(coroot)
+    return total
 
 
 def _subgroup_closure(gens, n):

@@ -388,7 +388,7 @@ def clear_denominators(gm, r, s):
     homog_weight = entry.weight()
     for i, st in enumerate(stated, start=1):
         if st:
-            homog_weight = homog_weight + st * gm.basis.delta_weight(i)
+            homog_weight = homog_weight + st * schubert_weight(n, p, i)
     expect = schubert_weight(n, p, r - 1) + Weight(
         tuple((1 if t == r else 0) - p * (1 if t == s else 0)
               for t in range(1, n + 1)))
@@ -525,25 +525,10 @@ def tilde_section(elem, body_term_cap=NORM_TERM_CAP):
 
 def valuation_sign_predict(lam, n, p, datum=None, alpha_index=None):
     """Sign in {-1, 0, +1} of the boundary valuation predicted for the
-    norm of a highest-weight vector: the negative of the length-weighted
-    sum of the pairings of the Levi orbit of lam against the coroot."""
-    from .rootdata import SymplecticRootDatum
+    norm of a highest-weight vector: minus the sign of the boundary
+    functional ``rootdata.hw_functional`` on lam."""
+    from .rootdata import SymplecticRootDatum, hw_functional
 
-    datum = datum or SymplecticRootDatum(n)
-    if alpha_index is None:
-        alpha_index = datum.beta_index
-    if alpha_index in datum.levi_indices:
-        raise ZipconeError("the prediction needs a simple root outside the Levi")
-    lam = Weight(lam)
-    total = 0
-    for w in datum.levi_weyl_group():
-        idx = alpha_index
-        for i in range(datum.r_alpha(alpha_index)):
-            total += p ** (i + w.length()) * w.act(lam).dot(
-                datum.simple_coroots[idx])
-            idx = datum.sigma[idx]
-    if total > 0:
-        return -1
-    if total < 0:
-        return 1
-    return 0
+    total = hw_functional(datum or SymplecticRootDatum(n), p,
+                          alpha_index).dot(lam)
+    return (total < 0) - (total > 0)

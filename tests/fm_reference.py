@@ -6,14 +6,86 @@ Fourier-Motzkin elimination with back-substitution decides ``mu >= 0``
 over the free coefficients.  It uses no facet list and no double
 description, so tests compare ``saturation_certificate`` and the facets
 of ``halfspaces_of`` with it on small cones.
+
+The Fraction reduced row echelon form (``rref``, ``matrix_rank``) and the
+former monoid membership that solved independent generators with it
+(``monoid_membership``) live here too, as references for the double
+description.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from zipcones.cones import DD_RAY_GUARD, _primitive, rref
-from zipcones.errors import GuardExceededError, TheoremViolationError
+from zipcones.cones import (DD_RAY_GUARD, MONOID_SEARCH_BOUND,
+                            _bounded_search, _primitive)
+from zipcones.errors import (GuardExceededError, TheoremViolationError,
+                             UndecidedAtBoundError)
+
+
+def rref(rows):
+    """Reduced row echelon form. Returns (matrix, pivot column list)."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        pv = mat[r][c]
+        mat[r] = [x / pv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots
+
+
+def matrix_rank(rows):
+    return len(rref(rows)[1])
+
+
+def monoid_membership(cone, lam, bound=MONOID_SEARCH_BOUND):
+    """The former ``cones.monoid_membership``: independent generators are
+    decided by the unique rational solution of the reduced row echelon
+    form; dependent ones by the same bounded search."""
+    lam = list(lam)
+    gens = cone.generators
+    if not any(lam):
+        return [0] * len(gens)
+    if not gens:
+        return None
+    if matrix_rank([[g[i] for g in gens] for i in range(cone.rank)]) \
+            == len(gens):
+        mat, pivots = rref([[g[i] for g in gens] + [lam[i]]
+                            for i in range(cone.rank)])
+        if len(gens) in pivots:
+            return None
+        sol = [mat[r][len(gens)] for r in range(len(pivots))]
+        if all(x.denominator == 1 and x >= 0 for x in sol):
+            return [int(x) for x in sol]
+        return None
+    sums = [sum(g) for g in gens]
+    complete = all(s < 0 for s in sums)
+    if complete:
+        if sum(lam) > 0:
+            return None
+        caps = [sum(lam) // s for s in sums]
+    else:
+        caps = [bound] * len(gens)
+    found = _bounded_search(gens, lam, caps)
+    if found is not None or complete:
+        return found
+    raise UndecidedAtBoundError("no combination with coefficients <= %d"
+                                % bound)
 
 
 def nonneg_combination(vectors, target):

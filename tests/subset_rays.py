@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from zipcones.cones import _primitive, matrix_rank, rref
+from fm_reference import matrix_rank, rref
+from zipcones.cones import _primitive
 from zipcones.errors import NotPointedError
 
 

@@ -14,7 +14,6 @@ from zipcones.catalog import (
     cone_zip_sp6_saturated,
     eta_weight,
     hodge_character,
-    hw_functional,
     schubert_weight,
     sigma1,
     sigma1prime,
@@ -28,7 +27,7 @@ from zipcones.cones import (
     monoid_membership,
     saturated_membership,
 )
-from zipcones.rootdata import SymplecticRootDatum
+from zipcones.rootdata import SymplecticRootDatum, hw_functional
 
 
 def box_points(n, lo, hi):

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import zipcones
-from zipcones import cli
+from zipcones import cli, modules
 from zipcones.cli import main
 
 
@@ -195,7 +195,9 @@ def test_delta_without_an_index_is_an_unknown_section(tmp_path, capsys):
 def test_undecided_membership_exits_2(tmp_path, monkeypatch, capsys):
     # a monoid-presented cone whose generators do not all have negative
     # coordinate sum, so its membership search stops at the bound; the
-    # sweep must fail with a guard error, not print agree:false
+    # sweep must fail with a guard error, not print agree:false.  No facet
+    # separates (7, 7), the first point of the box, and writing it needs a
+    # coefficient above 3
     import zipcones.catalog as catalog
     import zipcones.cones as cones
 
@@ -206,7 +208,7 @@ def test_undecided_membership_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(catalog, "catalog_cone", lambda name, n, p: cone)
     monkeypatch.setattr(cones, "monoid_membership",
                         functools.partial(cones.monoid_membership, bound=3))
-    code, data = run(["sweep", "--n", "2", "--p", "2", "--box", "-1..1",
+    code, data = run(["sweep", "--n", "2", "--p", "2", "--box", "7..8",
                       "--compare", "zip-sp4"], tmp_path)
     assert code == 2 and data == b""
     err = capsys.readouterr().err
@@ -263,6 +265,27 @@ def test_sweep_point_guard_is_the_largest_count_answered(tmp_path,
     code, data = run(argv + ["--box", "-1..1"], tmp_path)
     assert code == 0 and len(json.loads(data)["rows"]) == 9
     code, data = run(argv + ["--box", "-1..2"], tmp_path, "refused.json")
+    assert code == 2 and data == b""
+
+
+def test_vlambda_past_the_dimension_guard_exits_2(tmp_path, capsys):
+    # the Weyl dimension is computed before any module is built, so a
+    # module far past the limit is refused at once, not built out of memory
+    code, data = run(["vlambda", "--n", "2", "--p", "2", "--weight",
+                      "100000,0"], tmp_path)
+    assert code == 2 and data == b""
+    assert capsys.readouterr().err == (
+        "guard error: module V(100000, 0) has dimension 100001, more than "
+        "the limit %d\n" % modules.MODULE_DIM_GUARD)
+
+
+def test_module_dim_guard_is_the_largest_dimension_built(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(modules, "MODULE_DIM_GUARD", 3)
+    argv = ["vlambda", "--n", "2", "--p", "3"]
+    code, data = run(argv + ["--weight", "2,0"], tmp_path)
+    assert code == 0 and json.loads(data)["dim"] == 3
+    code, data = run(argv + ["--weight", "3,0"], tmp_path, "refused.json")
     assert code == 2 and data == b""
 
 

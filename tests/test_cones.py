@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import fm_reference
 import pytest
 import subset_rays
-from fm_reference import nonneg_combination
+from fm_reference import matrix_rank, nonneg_combination
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +20,6 @@ from zipcones.cones import (
     generators_of,
     halfspaces_of,
     lineality_space,
-    matrix_rank,
     monoid_membership,
     saturated_membership,
     saturation_certificate,
@@ -80,11 +80,36 @@ def test_monoid_membership_independent_generators():
 
 def test_monoid_membership_undecided_at_bound():
     # dependent generators with no negative-sum functional: (1,0) and (1,1)
-    # and (2,1); target far outside the reachable set but the search cannot
-    # prove it at a tiny bound
+    # and (2,1); no facet separates (7, 7), and every way to write it needs
+    # a coefficient above the tiny bound
     c = GeneratedCone(2, [(1, 0), (1, 1), (2, 1)])
     with pytest.raises(UndecidedAtBoundError):
-        monoid_membership(c, (-1, 5), bound=3)
+        monoid_membership(c, (7, 7), bound=3)
+    assert monoid_membership(c, (7, 7)) == [0, 7, 0]
+
+
+def test_monoid_membership_separated_by_a_facet():
+    # the same generators: a facet separates these points, so the search
+    # never runs and they are not members whatever the bound
+    c = GeneratedCone(2, [(1, 0), (1, 1), (2, 1)])
+    for lam in [(-1, 0), (-1, 5), (0, 1), (1, -1)]:
+        assert monoid_membership(c, lam, bound=3) is None, lam
+        assert monoid_membership(c, lam, bound=0) is None, lam
+
+
+@pytest.mark.parametrize("name, n, p, lo, hi", [
+    ("schubert", 2, 2, -6, 3), ("schubert", 2, 3, -6, 3),
+    ("schubert", 3, 2, -6, 3), ("schubert", 3, 3, -6, 3),
+    ("schubert", 4, 2, -4, 2),
+    ("zip-sp4", 2, 2, -6, 3), ("zip-sp4", 2, 3, -6, 3),
+])
+def test_monoid_membership_matches_the_rref_reference(name, n, p, lo, hi):
+    # the facet rows and the certificate against the former reduced row
+    # echelon form, coefficients included, on every point of a box
+    cone = catalog_cone(name, n, p).generated
+    for lam in itertools.product(range(lo, hi + 1), repeat=n):
+        assert monoid_membership(cone, lam) \
+            == fm_reference.monoid_membership(cone, lam), lam
 
 
 def test_saturated_membership_sp4():

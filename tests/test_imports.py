@@ -80,6 +80,15 @@ def test_verb_loads_only_its_layers(argv, absent, tmp_path):
     assert "dataclasses" not in loaded
 
 
+def test_valuation_sign_predict_loads_only_rootdata():
+    # the boundary functional lives in rootdata, not in the cone catalog
+    loaded = _loaded_after("from zipcones.sections import "
+                           "valuation_sign_predict\n"
+                           "valuation_sign_predict((1, -2), 2, 2)")
+    assert "zipcones.rootdata" in loaded
+    assert loaded & (_package("catalog", "cones") | {"fractions"}) == set()
+
+
 def test_every_public_name_resolves():
     code = """
 import importlib, zipcones
@@ -122,7 +131,8 @@ BOTTOM = {"errors", "weights", "fplinalg", "fpoly"}
 # package modules each module may import at module level, where restricted
 MODULE_LEVEL = {**{name: BOTTOM for name in BOTTOM},
                 "cli": {"errors", "weights"},
-                "oracle": {"errors", "weights", "fplinalg"}}
+                "oracle": {"errors", "weights", "fplinalg"},
+                "rootdata": {"errors", "weights"}}
 
 
 def _package_imports(node, in_function=False):

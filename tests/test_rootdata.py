@@ -144,16 +144,3 @@ def test_gaussian_binomial_product_rejects_small_p():
     for p in (1, 0, -3):
         with pytest.raises(ValueError):
             gaussian_binomial_product(2, 1, p)
-
-
-def test_delta_cocharacter_split():
-    d = SymplecticRootDatum(2)
-    assert d.r_alpha(d.beta_index) == 1
-    assert d.delta_cocharacter(d.beta_index, 2) == Weight((0, -1))
-
-
-def test_sigma_must_fix_beta():
-    with pytest.raises(ValueError):
-        SymplecticRootDatum(3, sigma=(0, 2, 1))
-    d = SymplecticRootDatum(3, sigma=(1, 0, 2))
-    assert d.r_alpha(0) == 2

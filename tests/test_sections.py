@@ -48,6 +48,7 @@ from zipcones.oracle import (
     image_table,
     unipotent_defect,
 )
+from zipcones.rootdata import SymplecticRootDatum
 from zipcones.sections import (
     catalog_section,
     check_equivariance,
@@ -488,6 +489,33 @@ def test_tilde_signs_at_p3():
         got = tilde_valuation(hw)
         want = valuation_sign_predict(lam, 2, 3)
         assert (got > 0) - (got < 0) == want, (lam, got, want)
+
+
+def _levi_weyl_sign(lam, n, p):
+    """The sign by the former sum over all of W_L: minus the sign of
+    sum_w p^{length(w)} <w lam, beta^vee>."""
+    datum = SymplecticRootDatum(n)
+    coroot = datum.simple_coroots[datum.beta_index]
+    total = sum(p ** w.length() * w.act(lam).dot(coroot)
+                for w in datum.levi_weyl_group())
+    return (total < 0) - (total > 0)
+
+
+def test_valuation_sign_predict_matches_the_levi_weyl_sum():
+    # half the weights lie on the boundary hyperplane of the functional
+    # (p^{n-1}, ..., p, 1), where both signs must be 0
+    rng = random.Random(17)
+    for n in (1, 2, 3, 4):
+        for p in (2, 3, 5, 7):
+            for k in range(60):
+                lam = [rng.randint(-8, 8) for _ in range(n)]
+                if k % 2:
+                    lam[-1] = -sum(p ** (n - 1 - i) * a
+                                   for i, a in enumerate(lam[:-1]))
+                want = _levi_weyl_sign(lam, n, p)
+                assert valuation_sign_predict(lam, n, p) == want, (lam, p)
+                if k % 2:
+                    assert want == 0, (lam, p)
 
 
 def test_valuation_sign_predict():
