@@ -57,8 +57,7 @@ _EXPORTS = {
         "thminter_check",
     ], "modules"),
     "h0_dimension": "oracle",
-    **dict.fromkeys(["LeviWeylElement", "SymplecticRootDatum",
-                     "gaussian_binomial"], "rootdata"),
+    **dict.fromkeys(["SymplecticRootDatum", "gaussian_binomial"], "rootdata"),
     **dict.fromkeys([
         "GammaMatrix",
         "Section",

@@ -15,8 +15,8 @@ from __future__ import annotations
 from .cones import GeneratedCone, HalfspaceSystem, halfspaces_of
 from .errors import ZipconeError
 from .rootdata import SymplecticRootDatum, hw_functional
-from .weights import (Weight, _fundamental, eta_weight, hodge_character,
-                      schubert_weight)
+from .weights import (Weight, _fundamental, _unit, eta_weight,
+                      hodge_character, schubert_weight)
 
 
 class NamedCone:
@@ -64,10 +64,6 @@ class NamedCone:
             # a saturated cone given by generators alone is dualised
             return halfspaces_of(self.generated)
         raise ValueError(kind)
-
-
-def _unit(n, i):
-    return Weight(1 if j == i else 0 for j in range(n))
 
 
 def _dominance_rows(n):

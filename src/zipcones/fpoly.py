@@ -30,6 +30,11 @@ not depend on the packing.
 into the part in the mapped variables and the rest, adds the rest back
 unchanged and memoises the image of the mapped part by its packed value.
 
+``minor`` is the one source of minors of the generic matrix: the Delta_i
+of ``MinorBasis``, the module coordinates and the Cramer numerators of
+the reduction matrix all read the same cache, keyed by p and the row and
+column tuples, in which every minor expands into the smaller ones.
+
 The weight grading assigns ``a_{i,j}`` the character vector
 ``e_i - p*e_j`` of the diagonal torus acting by twisted conjugation
 ``t . A = t A phi(t)^{-1}``; ``weight_of`` recovers the common weight of a
@@ -470,49 +475,21 @@ def matrix_images(M):
     return images
 
 
-def det(M):
-    """Determinant by expansion over column subsets (exact, no division)."""
-    m = len(M)
-    if m == 0:
-        raise ValueError("empty matrix")
-    p = M[0][0].p
-
-    @lru_cache(maxsize=None)
-    def sub(cols):
-        r = m - len(cols)
-        if not cols:
-            return FpPolynomial.constant(p, 1)
-        total = FpPolynomial.zero(p)
-        for idx, c in enumerate(cols):
-            rest = cols[:idx] + cols[idx + 1:]
-            term = M[r][c] * sub(rest)
-            total = total + term if idx % 2 == 0 else total - term
-        return total
-
-    result = sub(tuple(range(m)))
-    sub.cache_clear()
-    return result
-
-
-def submatrix(n, p, rows, cols):
-    return [[a_var(p, i, j) for j in cols] for i in rows]
-
-
-def minor(n, p, rows, cols):
-    """Determinant of the a-variable submatrix (1-indexed selections)."""
+@lru_cache(maxsize=None)
+def minor(p, rows, cols):
+    """Determinant of the a-variable submatrix on the 1-indexed row and
+    column tuples, expanded along its first row into smaller minors that
+    come from the same cache."""
     if len(rows) != len(cols):
         raise ValueError("minor needs equally many rows and columns")
-    return det(submatrix(n, p, rows, cols))
-
-
-@lru_cache(maxsize=None)
-def delta_minor(n, p, i):
-    """Anti-corner minor of rows 1..i against the last i columns."""
-    if i == 0:
+    if not rows:
         return FpPolynomial.constant(p, 1)
-    if not 1 <= i <= n:
-        raise ValueError("need 0 <= i <= n")
-    return minor(n, p, range(1, i + 1), range(n + 1 - i, n + 1))
+    top, rest = rows[0], rows[1:]
+    total = FpPolynomial.zero(p)
+    for idx, c in enumerate(cols):
+        term = a_var(p, top, c) * minor(p, rest, cols[:idx] + cols[idx + 1:])
+        total = total + term if idx % 2 == 0 else total - term
+    return total
 
 
 def exact_divide(f, g):
@@ -595,12 +572,15 @@ def weight_of(f, n):
 
 
 class MinorBasis:
-    """The anti-corner minors of the generic n x n matrix over F_p."""
+    """The anti-corner minors Delta_i of the generic n x n matrix over F_p:
+    rows 1..i against the last i columns."""
 
     def __init__(self, n, p):
         self.n = n
         self.p = p
-        self.deltas = tuple(delta_minor(n, p, i) for i in range(1, n + 1))
+        self.deltas = tuple(minor(p, tuple(range(1, i + 1)),
+                                  tuple(range(n + 1 - i, n + 1)))
+                            for i in range(1, n + 1))
 
     def delta(self, i):
         if i == 0:

@@ -145,11 +145,6 @@ def _primitive_root(p):
 # ---------------------------------------------------------------------------
 # minor coordinates
 
-@lru_cache(maxsize=None)
-def _minor_poly(n, p, level, cols):
-    return minor(n, p, range(1, level + 1), cols)
-
-
 def _minor_weight(n, cols):
     return Weight(1 if j + 1 in cols else 0 for j in range(n))
 
@@ -226,7 +221,7 @@ def weyl_dimension(lam):
 def _expand_monomial(n, p, mono):
     poly = FpPolynomial.constant(p, 1)
     for (level, cols), mult in mono:
-        poly = poly * _minor_poly(n, p, level, cols) ** mult
+        poly = poly * minor(p, tuple(range(1, level + 1)), cols) ** mult
     return poly
 
 

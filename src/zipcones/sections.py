@@ -35,7 +35,6 @@ from .fpoly import (
     RationalFunction,
     _decode,
     a_var,
-    det as poly_det,
     exact_divide,
     mat_identity,
     mat_mul,
@@ -163,9 +162,9 @@ def _delta_section(n, p, i):
 
 def _removal_minor(n, p, i, j):
     """Minor of the generic matrix after removing row i and column j."""
-    rows = [r for r in range(1, n + 1) if r != i]
-    cols = [c for c in range(1, n + 1) if c != j]
-    return minor(n, p, rows, cols)
+    rows = tuple(r for r in range(1, n + 1) if r != i)
+    cols = tuple(c for c in range(1, n + 1) if c != j)
+    return minor(p, rows, cols)
 
 
 def _alpha_sp4(p):
@@ -305,25 +304,17 @@ def gamma_matrix(n, p):
 
     z = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for i in range(2, n + 1):
-        cols = list(range(n + 2 - i, n + 1))
-        if not cols:
-            continue
-        # solve sum_k z_{i,k} a_{k,c} = -a_{i,c} for c in cols by Cramer;
-        # the system determinant is the (i-1)-st anti-corner minor
-        M = [[a_var(p, k, c) for k in range(1, i)] for c in cols]
-        rhs = [-a_var(p, i, c) for c in cols]
-        sysdet = poly_det(M)
-        target = basis.delta(i - 1)
-        if sysdet != target and sysdet != -target:
-            raise TheoremViolationError("unexpected elimination determinant")
-        sign = 1 if sysdet == target else -1
+        # Cramer's rule for sum_k z_{i,k} a_{k,c} = -a_{i,c} over the last
+        # i - 1 columns c: the system matrix is A[1..i-1, cols] transposed,
+        # with determinant Delta_{i-1}; the numerator puts -A[i, cols] in
+        # the place of row k, and moving it to the end takes i - 1 - k
+        # transpositions, so z_{i,k} = (-1)^{i-k} minor / Delta_{i-1}
+        cols = tuple(range(n + 2 - i, n + 1))
+        exps = [0] * n
+        exps[i - 2] = 1
         for k in range(1, i):
-            Mk = [row[:] for row in M]
-            for r in range(len(cols)):
-                Mk[r][k - 1] = rhs[r]
-            num = poly_det(Mk) * sign
-            exps = [0] * n
-            exps[i - 2] = 1
+            rows = tuple(r for r in range(1, i) if r != k) + (i,)
+            num = minor(p, rows, cols) * (-1) ** (i - k)
             z[i - 1][k - 1] = RationalFunction(basis, num, exps).reduce()
 
     phi_z = [[e.frobenius() for e in row] for row in z]
@@ -511,7 +502,7 @@ def tilde_section(elem, body_term_cap=NORM_TERM_CAP):
         if len(prod.terms) > body_term_cap:
             raise GuardExceededError("norm product exceeds %d terms"
                                      % body_term_cap)
-    detp = minor(n, p, range(1, n + 1), range(1, n + 1))
+    detp = minor(p, tuple(range(1, n + 1)), tuple(range(1, n + 1)))
     extra = 0
     while True:
         q = exact_divide(prod, detp)
@@ -523,12 +514,13 @@ def tilde_section(elem, body_term_cap=NORM_TERM_CAP):
                         elem.det_pow * D + extra, tilde_valuation(elem))
 
 
-def valuation_sign_predict(lam, n, p, datum=None, alpha_index=None):
+def valuation_sign_predict(lam, n, p):
     """Sign in {-1, 0, +1} of the boundary valuation predicted for the
     norm of a highest-weight vector: minus the sign of the boundary
-    functional ``rootdata.hw_functional`` on lam."""
+    functional ``rootdata.hw_functional`` on lam.  Raises ValueError for
+    n < 1 and a non-prime p."""
     from .rootdata import SymplecticRootDatum, hw_functional
 
-    total = hw_functional(datum or SymplecticRootDatum(n), p,
-                          alpha_index).dot(lam)
+    validate_n_p(n, p)
+    total = hw_functional(SymplecticRootDatum(n), p).dot(lam)
     return (total < 0) - (total > 0)

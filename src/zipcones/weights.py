@@ -69,6 +69,11 @@ def _as_weight(v, rank=None):
     return w
 
 
+def _unit(n, i):
+    """The i-th (0-based) coordinate vector."""
+    return Weight(1 if j == i else 0 for j in range(n))
+
+
 def _fundamental(n, i):
     """(1,...,1,0,...,0) with i leading ones."""
     return Weight([1] * i + [0] * (n - i))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 from zipcones.catalog import (
     cone_GS,
@@ -86,9 +87,18 @@ def test_hw_cone_sp6_etas():
 
 
 def test_hw_functional_sp2n_form():
-    for n, p in [(2, 2), (2, 3), (3, 2), (4, 2)]:
-        f = hw_functional(SymplecticRootDatum(n), p)
-        assert f == Weight(p ** (n - i) for i in range(1, n + 1))
+    # brute force over all of W_L = S_n: sum_w p^{inv(w)} e_{w(n)} is the
+    # functional times the Poincare polynomial of W_K = S_{n-1} at p
+    for n in range(1, 6):
+        for p in (2, 3, 5, 7):
+            total = [0] * n
+            for w in itertools.permutations(range(n)):
+                inv = sum(a > b for a, b in itertools.combinations(w, 2))
+                total[w[n - 1]] += p ** inv
+            poincare = math.prod(sum(p ** j for j in range(k))
+                                 for k in range(1, n))
+            f = hw_functional(SymplecticRootDatum(n), p)
+            assert Weight(total) == poincare * f, (n, p)
 
 
 def test_hw_presentations_agree():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,8 +12,6 @@ from zipcones.fpoly import (
     MinorBasis,
     RationalFunction,
     a_var,
-    delta_minor,
-    det,
     exact_divide,
     generic_matrix,
     mat_mul,
@@ -47,12 +46,12 @@ def test_basic_arith():
 
 
 def test_delta_minors():
-    assert delta_minor(2, 2, 1) == a_var(2, 1, 2)
-    d2 = delta_minor(2, 3, 2)
+    assert MinorBasis(2, 2).delta(1) == a_var(2, 1, 2)
+    d2 = MinorBasis(2, 3).delta(2)
     expect = a_var(3, 1, 1) * a_var(3, 2, 2) - a_var(3, 1, 2) * a_var(3, 2, 1)
     assert d2 == expect
     # rows {1,2} x columns {2,3} of the generic 3x3 matrix
-    d = delta_minor(3, 2, 2)
+    d = MinorBasis(3, 2).delta(2)
     expect = a_var(2, 1, 2) * a_var(2, 2, 3) - a_var(2, 1, 3) * a_var(2, 2, 2)
     assert d == expect
 
@@ -79,7 +78,8 @@ def test_frobenius_is_pth_power_and_multiplicative():
 
 def test_exact_divide():
     p = 2
-    d1, d2 = delta_minor(2, p, 1), delta_minor(2, p, 2)
+    basis = MinorBasis(2, p)
+    d1, d2 = basis.delta(1), basis.delta(2)
     assert exact_divide(d1 * d2, d1) == d2
     assert exact_divide(a_var(p, 1, 1), a_var(p, 1, 2)) is None
     with pytest.raises(ZeroDivisionError):
@@ -100,7 +100,7 @@ def test_exact_divide_roundtrip_random():
 def test_weight_of():
     p = 2
     assert weight_of(a_var(p, 1, 2), 2) == Weight((1, -2))
-    d = det(generic_matrix(2, p))
+    d = minor(p, (1, 2), (1, 2))
     assert weight_of(d, 2) == Weight((-1, -1))
     assert weight_of(a_var(p, 1, 1) + a_var(p, 1, 2), 2) is None
     t = FpPolynomial.variable(p, ("t",))
@@ -128,20 +128,23 @@ def test_weight_additive_and_minor_weights():
 
 
 def test_det_matches_gf_elimination():
-    # symbolic determinant evaluated at random points equals the exact
-    # Gaussian-elimination determinant over GF(p^k)
+    # every minor of the generic n x n matrix, on every pair of equally
+    # large row and column tuples, contiguous or not, evaluated at random
+    # points equals the exact Gaussian-elimination determinant over GF(p^k)
     rng = random.Random(99)
-    for p, n in [(2, 2), (2, 3), (3, 3), (2, 4)]:
+    for p, n in [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4)]:
         field = field_for(p, 64)
-        sym = det(generic_matrix(n, p))
-        for _ in range(4):
-            assign = {("a", i, j): rng.randrange(field.order)
-                      for i in range(1, n + 1) for j in range(1, n + 1)}
-            lhs = evaluate(sym, assign, field)
-            mat = [[assign[("a", i, j)] for j in range(1, n + 1)]
-                   for i in range(1, n + 1)]
-            rhs = _gf_det(field, mat)
-            assert lhs == rhs
+        for size in range(1, n + 1):
+            for rows in itertools.combinations(range(1, n + 1), size):
+                for cols in itertools.combinations(range(1, n + 1), size):
+                    sym = minor(p, rows, cols)
+                    for _ in range(2):
+                        assign = {("a", i, j): rng.randrange(field.order)
+                                  for i in rows for j in cols}
+                        mat = [[assign[("a", i, j)] for j in cols]
+                               for i in rows]
+                        assert (evaluate(sym, assign, field)
+                                == _gf_det(field, mat)), (p, rows, cols)
 
 
 def _gf_det(field, mat):

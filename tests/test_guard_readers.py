@@ -1,11 +1,15 @@
-"""The package has one polyhedral eliminator and one F_p eliminator, and
-these tests pin both, the way ``test_imports.py`` pins the import graph.
+"""The package has one polyhedral eliminator, one F_p eliminator and one
+place that builds a matrix of entry variables, and these tests pin all
+three, the way ``test_imports.py`` pins the import graph.
 
 ``DD_RAY_GUARD`` bounds the double description; a second polyhedral
 eliminator under that guard would read it too.  Every F_p elimination
 divides by a pivot through the modular inverse ``pow(x, p - 2, p)``, so
 the inverse may sit only in the ``fplinalg`` reduction and in
-``fpoly.exact_divide``, which divides polynomials, not linear systems."""
+``fpoly.exact_divide``, which divides polynomials, not linear systems.
+A matrix of ``a_var`` entries is built only by ``fpoly.generic_matrix``;
+every minor of it comes from the one cache of ``fpoly.minor``, which
+builds no matrix."""
 
 import ast
 from pathlib import Path
@@ -57,6 +61,16 @@ def _is_modular_inverse(node):
             and ast.dump(exponent.left) == ast.dump(modulus))
 
 
+def _is_entry_matrix(node):
+    """``[[a_var(...) for ...] for ...]``: a nested list comprehension of
+    entry variables."""
+    return (isinstance(node, ast.ListComp)
+            and isinstance(node.elt, ast.ListComp)
+            and isinstance(node.elt.elt, ast.Call)
+            and isinstance(node.elt.elt.func, ast.Name)
+            and node.elt.elt.func.id == "a_var")
+
+
 def test_ray_guard_is_read_only_by_the_double_description():
     assert _places(_reads_guard) == {"cones.py:double_description"}
 
@@ -64,3 +78,7 @@ def test_ray_guard_is_read_only_by_the_double_description():
 def test_modular_inverse_only_in_the_reduction_and_polynomial_division():
     assert _places(_is_modular_inverse) == {"fplinalg.py:_reduce_dicts",
                                             "fpoly.py:exact_divide"}
+
+
+def test_entry_matrix_only_in_generic_matrix():
+    assert _places(_is_entry_matrix) == {"fpoly.py:generic_matrix"}

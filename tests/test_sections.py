@@ -30,10 +30,10 @@ from zipcones.fpoly import (
     RationalFunction,
     Substitution,
     a_var,
-    det,
     generic_matrix,
     mat_mul,
     matrix_images,
+    minor,
     weight_of,
 )
 from zipcones.modules import (
@@ -48,7 +48,6 @@ from zipcones.oracle import (
     image_table,
     unipotent_defect,
 )
-from zipcones.rootdata import SymplecticRootDatum
 from zipcones.sections import (
     catalog_section,
     check_equivariance,
@@ -66,7 +65,7 @@ def test_check_equivariance_basic():
     s = check_equivariance(a_var(2, 1, 2), (1, -2), 2, 2)
     assert s.weight == Weight((1, -2))
     for n, p in [(2, 2), (3, 2), (2, 3), (3, 3)]:
-        d = det(generic_matrix(n, p))
+        d = minor(p, tuple(range(1, n + 1)), tuple(range(1, n + 1)))
         s = check_equivariance(d, [1 - p] * n, n, p)
         assert s.weight == hodge_character(n, p)
 
@@ -492,12 +491,13 @@ def test_tilde_signs_at_p3():
 
 
 def _levi_weyl_sign(lam, n, p):
-    """The sign by the former sum over all of W_L: minus the sign of
-    sum_w p^{length(w)} <w lam, beta^vee>."""
-    datum = SymplecticRootDatum(n)
-    coroot = datum.simple_coroots[datum.beta_index]
-    total = sum(p ** w.length() * w.act(lam).dot(coroot)
-                for w in datum.levi_weyl_group())
+    """The sign by the sum over all of W_L = S_n: minus the sign of
+    sum_w p^{length(w)} <w lam, beta^vee>, where <w lam, e_n> is the
+    coordinate of lam at w^{-1}(n) and the length is the inversion count."""
+    total = 0
+    for w in itertools.permutations(range(n)):
+        length = sum(a > b for a, b in itertools.combinations(w, 2))
+        total += p ** length * lam[w.index(n - 1)]
     return (total < 0) - (total > 0)
 
 
@@ -523,8 +523,9 @@ def test_valuation_sign_predict():
     assert valuation_sign_predict((0, -1), 2, 2) == 1
     assert valuation_sign_predict((1, -1), 2, 2) == -1
     assert valuation_sign_predict((1, 1, -6), 3, 2) == 0
-    with pytest.raises(ZipconeError):
-        valuation_sign_predict((1, 0), 2, 2, alpha_index=0)
+    for p in (0, 1, 4):
+        with pytest.raises(ValueError, match="prime"):
+            valuation_sign_predict((1, 0), 2, p)
 
 
 def test_section_names_complete():
