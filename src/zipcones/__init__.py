@@ -57,7 +57,7 @@ _EXPORTS = {
         "thminter_check",
     ], "modules"),
     "h0_dimension": "oracle",
-    **dict.fromkeys(["SymplecticRootDatum", "gaussian_binomial"], "rootdata"),
+    "SymplecticRootDatum": "rootdata",
     **dict.fromkeys([
         "GammaMatrix",
         "Section",
@@ -71,7 +71,7 @@ _EXPORTS = {
         "tilde_valuation",
         "valuation_sign_predict",
     ], "sections"),
-    "Weight": "weights",
+    **dict.fromkeys(["Weight", "gaussian_binomial"], "weights"),
 }
 
 __all__ = sorted(_EXPORTS)

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from .cones import GeneratedCone, HalfspaceSystem, halfspaces_of
 from .errors import ZipconeError
-from .rootdata import SymplecticRootDatum, hw_functional
 from .weights import (Weight, _fundamental, _unit, eta_weight,
-                      hodge_character, schubert_weight)
+                      hodge_character, hw_functional, schubert_weight)
 
 
 class NamedCone:
@@ -84,36 +83,32 @@ def cone_XplusI(n):
                      halfspaces=HalfspaceSystem(n, _dominance_rows(n)))
 
 
-def cone_GS(datum):
-    """Ampleness-type cone: pairings >= 0 on Levi positive roots, <= 0 on
-    the rest; reduces to 0 >= a_1 >= ... >= a_n."""
-    n = datum.n
-    rows = []
-    levi = []
-    for root, coroot in zip(datum.positive_roots, datum.positive_coroots):
-        if sum(root) == 0:
-            # Levi roots e_i - e_j have coordinate sum zero
-            levi.append(list(coroot))
-        else:
-            rows.append([-c for c in coroot])
-    rows = levi + rows
+def cone_GS(n):
+    """Ampleness-type cone: pairings >= 0 on Levi positive coroots
+    e_i - e_j, <= 0 on the rest, e_i + e_j and e_i (i < j); reduces to
+    0 >= a_1 >= ... >= a_n."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rows = [_unit(n, i) - _unit(n, j) for i, j in pairs]
+    rows += [-(_unit(n, i) + _unit(n, j)) for i, j in pairs]
+    rows += [-_unit(n, i) for i in range(n)]
     gens = [Weight([0] * (n - i) + [-1] * i) for i in range(1, n + 1)]
     return NamedCone("GS", n, (n,),
                      generated=GeneratedCone(n, gens),
                      halfspaces=HalfspaceSystem(n, rows))
 
 
-def cone_schubert(datum, p):
+def _schubert_generators(n, p):
+    return GeneratedCone(n, [schubert_weight(n, p, i) for i in range(1, n + 1)])
+
+
+def cone_schubert(n, p):
     """Image of the dominant chamber under lam -> lam - p*reversal; a
     monoid generated by the images of the fundamental weights."""
-    n = datum.n
-    gens = [datum.h_map(_fundamental(n, i), p) for i in range(1, n + 1)]
-    return NamedCone("Schubert", n, (n, p), generated=GeneratedCone(n, gens),
+    return NamedCone("Schubert", n, (n, p), generated=_schubert_generators(n, p),
                      monoid=True)
 
 
-def cone_schubert_saturated(datum, p):
-    n = datum.n
+def cone_schubert_saturated(n, p):
     rows = []
     for i in range(1, n):
         # (p a_{i+1} + a_{n-i}) - (p a_i + a_{n+1-i}) <= 0
@@ -127,18 +122,16 @@ def cone_schubert_saturated(datum, p):
     last[0] -= p
     last[n - 1] -= 1
     rows.append(last)
-    gens = [datum.h_map(_fundamental(n, i), p) for i in range(1, n + 1)]
     return NamedCone("SchubertSaturated", n, (n, p),
-                     generated=GeneratedCone(n, gens),
+                     generated=_schubert_generators(n, p),
                      halfspaces=HalfspaceSystem(n, rows))
 
 
-def cone_hw(datum, p):
+def cone_hw(n, p):
     """Highest-weight cone: L-dominant weights with non-positive boundary
     functional; for Sp(2n) a single inequality sum_i p^{n-i} a_i <= 0."""
-    n = datum.n
     rows = _dominance_rows(n)
-    rows.append([-c for c in hw_functional(datum, p)])
+    rows.append(-hw_functional(n, p))
     gens = [eta_weight(n, p, i) for i in range(1, n)]
     gens.append(hodge_character(n, p))
     return NamedCone("HW", n, (n, p),
@@ -200,11 +193,11 @@ def cone_muord_saturated(n):
 
 
 _CLI_NAMES = {
-    "gs": lambda n, p: cone_GS(SymplecticRootDatum(n)),
-    "schubert": lambda n, p: cone_schubert(SymplecticRootDatum(n), p),
-    "schubert-sat": lambda n, p: cone_schubert_saturated(SymplecticRootDatum(n), p),
-    "hw": lambda n, p: cone_hw(SymplecticRootDatum(n), p),
-    "pol": lambda n, p: cone_pol(n, p),
+    "gs": lambda n, p: cone_GS(n),
+    "schubert": cone_schubert,
+    "schubert-sat": cone_schubert_saturated,
+    "hw": cone_hw,
+    "pol": cone_pol,
     "sigma1": lambda n, p: cone_sigma(sigma1(n), n, p),
     "sigma1p": lambda n, p: cone_sigma(sigma1prime(n), n, p),
     "xplusi": lambda n, p: cone_XplusI(n),

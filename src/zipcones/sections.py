@@ -43,7 +43,8 @@ from .fpoly import (
     weight_of,
 )
 from .oracle import unipotent_defect
-from .weights import Weight, eta_weight, schubert_weight, validate_n_p
+from .weights import (Weight, eta_weight, hw_functional, schubert_weight,
+                      validate_n_p)
 
 GAMMA_RANK_GUARD = 4
 NORM_TERM_CAP = 2 * 10 ** 5
@@ -151,14 +152,19 @@ def check_equivariance(body, lam, n, p, name=None):
     return Section(n, p, body, found, name)
 
 
+def _certify(body, lam, n, p, name):
+    """``check_equivariance`` on a body built here: a body that fails it
+    falsifies the identity it was built from, so the failure is reported
+    as a theorem violation naming the body."""
+    try:
+        return check_equivariance(body, lam, n, p, name)
+    except (InhomogeneousWeightError, WeightMismatchError,
+            NotUnipotentInvariantError) as e:
+        raise TheoremViolationError("%s: %s" % (name, e)) from e
+
+
 # ---------------------------------------------------------------------------
 # the catalog of explicit sections
-
-def _delta_section(n, p, i):
-    basis = MinorBasis(n, p)
-    return check_equivariance(basis.delta(i), schubert_weight(n, p, i),
-                              n, p, name="delta%d" % i)
-
 
 def _removal_minor(n, p, i, j):
     """Minor of the generic matrix after removing row i and column j."""
@@ -169,24 +175,19 @@ def _removal_minor(n, p, i, j):
 
 def _alpha_sp4(p):
     d1 = MinorBasis(2, p).delta(1)
-    body = a_var(p, 1, 1) * d1 ** (p - 1) + a_var(p, 2, 2) ** p
-    return check_equivariance(body, Weight((0, -p * (p - 1))), 2, p,
-                              name="alphasp4")
+    return a_var(p, 1, 1) * d1 ** (p - 1) + a_var(p, 2, 2) ** p
 
 
 def _epsilon_sp6(p):
-    body = (a_var(p, 1, 1) * a_var(p, 1, 3) ** p
+    return (a_var(p, 1, 1) * a_var(p, 1, 3) ** p
             + a_var(p, 1, 2) * a_var(p, 2, 3) ** p
             + a_var(p, 1, 3) * a_var(p, 3, 3) ** p)
-    return check_equivariance(body, Weight((1, 0, -p * p)), 3, p,
-                              name="epsilonsp6")
 
 
 def _f1_sp6(p):
     basis = MinorBasis(3, p)
-    body = a_var(p, 1, 2) * basis.delta(2) ** p \
+    return a_var(p, 1, 2) * basis.delta(2) ** p \
         + basis.delta(1) * _removal_minor(3, p, 2, 1) ** p
-    return check_equivariance(body, eta_weight(3, p, 1), 3, p, name="f1sp6")
 
 
 def _f2_sp6(p):
@@ -195,20 +196,17 @@ def _f2_sp6(p):
     # below is the one that is equivariant, matches the reduction-matrix
     # entry exactly and satisfies the theta division identity at odd p
     basis = MinorBasis(3, p)
-    body = -(basis.delta(1) ** p * _removal_minor(3, p, 3, 2)
+    return -(basis.delta(1) ** p * _removal_minor(3, p, 3, 2)
              + basis.delta(2) * a_var(p, 2, 3) ** p)
-    return check_equivariance(body, eta_weight(3, p, 2), 3, p, name="f2sp6")
 
 
 def _divided_sp6(p, which):
     """theta, rho, tau: numerators divisible by the stated power of the
     corner entry; a division failure falsifies the defining identities and
-    is surfaced as a theorem violation."""
+    is surfaced as a theorem violation.  Only the quotient is certified."""
     basis = MinorBasis(3, p)
     d1, d2 = basis.delta(1), basis.delta(2)
-    eps = _epsilon_sp6(p).body
-    f1 = _f1_sp6(p).body
-    f2 = _f2_sp6(p).body
+    eps, f1, f2 = _epsilon_sp6(p), _f1_sp6(p), _f2_sp6(p)
     if which == "theta":
         numerator, power = d2 ** (p + 1) * eps + f1 * f2, p + 1
     elif which == "rho":
@@ -219,11 +217,24 @@ def _divided_sp6(p, which):
     if body is None:
         raise TheoremViolationError(
             "%s numerator is not divisible by Delta_1^%d" % (which, power))
-    return check_equivariance(body, None, 3, p, name="%ssp6" % which)
+    return body
+
+
+# the sections of a fixed matrix size: name -> (matrix size, body of p,
+# stated weight of p or None to accept the weight found)
+_SECTIONS = {
+    "alphasp4": (2, _alpha_sp4, lambda p: Weight((0, -p * (p - 1)))),
+    "epsilonsp6": (3, _epsilon_sp6, lambda p: Weight((1, 0, -p * p))),
+    "f1sp6": (3, _f1_sp6, lambda p: eta_weight(3, p, 1)),
+    "f2sp6": (3, _f2_sp6, lambda p: eta_weight(3, p, 2)),
+    "thetasp6": (3, lambda p: _divided_sp6(p, "theta"), None),
+    "rhosp6": (3, lambda p: _divided_sp6(p, "rho"), None),
+    "tausp6": (3, lambda p: _divided_sp6(p, "tau"), None),
+}
 
 
 def catalog_section(name, n, p):
-    """Build one of the named sections and verify it; see catalog_names.
+    """Build one of the named sections and certify it; see section_names.
 
     ``n`` may be None for the sections of a fixed matrix size; a given n
     below 1 and a non-prime p raise ValueError.
@@ -234,38 +245,24 @@ def catalog_section(name, n, p):
     if delta or key == "hasse":
         if n is None:
             raise ZipconeError("section %s needs the matrix size n" % name)
-    if delta:
-        i = int(key[5:])
+        i = int(key[5:]) if delta else n
         if not 1 <= i <= n:
             raise ZipconeError("delta index out of range for n=%d" % n)
-        return _delta_section(n, p, i)
-    if key == "hasse":
-        s = _delta_section(n, p, n)
-        return Section(s.n, s.p, s.body, s.weight, "hasse")
-    table = {
-        "alphasp4": (2, lambda: _alpha_sp4(p)),
-        "epsilonsp6": (3, lambda: _epsilon_sp6(p)),
-        "f1sp6": (3, lambda: _f1_sp6(p)),
-        "f2sp6": (3, lambda: _f2_sp6(p)),
-        "thetasp6": (3, lambda: _divided_sp6(p, "theta")),
-        "rhosp6": (3, lambda: _divided_sp6(p, "rho")),
-        "tausp6": (3, lambda: _divided_sp6(p, "tau")),
-    }
-    if key not in table:
+        return _certify(MinorBasis(n, p).delta(i), schubert_weight(n, p, i),
+                        n, p, "delta%d" % i if delta else "hasse")
+    if key not in _SECTIONS:
         raise ZipconeError("unknown section %r" % name)
-    need_n, build = table[key]
-    if n not in (None, need_n):
-        raise ZipconeError("section %s lives on %d x %d matrices" % (name, need_n, need_n))
-    return build()
+    size, body, weight = _SECTIONS[key]
+    if n not in (None, size):
+        raise ZipconeError("section %s lives on %d x %d matrices"
+                           % (name, size, size))
+    return _certify(body(p), None if weight is None else weight(p),
+                    size, p, key)
 
 
 def section_names(n):
-    names = ["delta%d" % i for i in range(1, n + 1)] + ["hasse"]
-    if n == 2:
-        names.append("alphasp4")
-    if n == 3:
-        names += ["epsilonsp6", "f1sp6", "f2sp6", "thetasp6", "rhosp6", "tausp6"]
-    return names
+    return (["delta%d" % i for i in range(1, n + 1)] + ["hasse"]
+            + [name for name, (size, _, _) in _SECTIONS.items() if size == n])
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +331,7 @@ def gamma_matrix(n, p):
                                       for t in range(1, n + 1)))
                 # uniqueness of z makes every entry equivariant of weight
                 # e_r - p e_s; verified rather than trusted
-                check_equivariance(entry, expect, n, p,
-                                   name="gamma_%d_%d" % (r, s))
+                _certify(entry, expect, n, p, "gamma_%d_%d" % (r, s))
     return GammaMatrix(n, p, basis, z, gamma)
 
 
@@ -389,8 +385,7 @@ def clear_denominators(gm, r, s):
         raise TheoremViolationError(
             "cleared (%d, %d) weight %s differs from the stated %s"
             % (r, s, homog_weight, expect))
-    return check_equivariance(entry.num, None, n, p,
-                              name="gamma_%d_%d_cleared" % (r, s))
+    return _certify(entry.num, None, n, p, "gamma_%d_%d_cleared" % (r, s))
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +512,8 @@ def tilde_section(elem, body_term_cap=NORM_TERM_CAP):
 def valuation_sign_predict(lam, n, p):
     """Sign in {-1, 0, +1} of the boundary valuation predicted for the
     norm of a highest-weight vector: minus the sign of the boundary
-    functional ``rootdata.hw_functional`` on lam.  Raises ValueError for
+    functional ``weights.hw_functional`` on lam.  Raises ValueError for
     n < 1 and a non-prime p."""
-    from .rootdata import SymplecticRootDatum, hw_functional
-
     validate_n_p(n, p)
-    total = hw_functional(SymplecticRootDatum(n), p).dot(lam)
+    total = hw_functional(n, p).dot(lam)
     return (total < 0) - (total > 0)

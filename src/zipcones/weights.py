@@ -1,7 +1,7 @@
 """Integer character vectors, the named weights of the section catalog,
+the boundary functional and Gaussian binomial of Sp(2n) with Levi GL_n,
 the primality test and the input checks every layer shares: the leaf of
-the package's import graph (only ``eta_weight`` imports ``rootdata``,
-when it is called).
+the package's import graph, importing nothing but ``errors``.
 
 Every layer that handles weights imports them from here, so a verb that
 runs only polynomial code does not load the polyhedral kernel, and the
@@ -88,10 +88,40 @@ def schubert_weight(n, p, i):
     return _fundamental(n, i) - p * Weight(reversed(_fundamental(n, i)))
 
 
+def hw_functional(n, p):
+    """Boundary functional of the highest-weight cone at beta: the sum
+    over the minimal coset representatives w of W_K \\ W_L of
+    p^{length(w)} w^{-1} beta^vee, with W_L = S_n, beta^vee = e_n and W_K =
+    S_{n-1} the Levi Weyl group of the roots orthogonal to beta^vee.
+
+    W_K fixes e_n, so w^{-1} beta^vee = e_{w^{-1}(n)} depends only on the
+    coset, and the coset with w^{-1}(n) = i has as minimal representative
+    the w that moves i past i+1, ..., n, of length n - i; so the sum is
+    (p^{n-1}, ..., p, 1).  A w in W_L is v u with v in W_K and u such a
+    representative and length(w) = length(v) + length(u), so the sum over
+    all of W_L is this row times the Poincare polynomial of W_K at p, a
+    positive integer, and has the same sign on every weight.
+    """
+    return Weight(p ** (n - i) for i in range(1, n + 1))
+
+
+def gaussian_binomial(n, i, p):
+    """Number of F_p-points of the Grassmannian-type quotient, exact: the
+    product of (p^{n-k} - 1) / (p^{k+1} - 1) over k < i.  Each partial
+    product is the Gaussian binomial [n, k+1] at p, an integer, so every
+    division is exact."""
+    if p < 2:
+        raise ValueError("need p >= 2, got %r" % (p,))
+    if not 0 <= i <= n:
+        raise ValueError("need 0 <= i <= n")
+    out = 1
+    for k in range(i):
+        out = out * (p ** (n - k) - 1) // (p ** (k + 1) - 1)
+    return out
+
+
 def eta_weight(n, p, i):
     """Boundary generator of the highest-weight cone, 1 <= i <= n-1."""
-    from .rootdata import gaussian_binomial
-
     a = gaussian_binomial(n - 1, i, p)
     b = -p ** (n - i) * gaussian_binomial(n - 1, i - 1, p)
     return Weight([a] * i + [b] * (n - i))

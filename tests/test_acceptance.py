@@ -40,7 +40,6 @@ from zipcones.modules import (
     thminter_check,
 )
 from zipcones.oracle import h0_dimension
-from zipcones.rootdata import SymplecticRootDatum
 from zipcones.sections import (
     catalog_section,
     check_equivariance,
@@ -200,8 +199,7 @@ def test_criterion_8_cone_inclusion_suite():
     # the multiplier bound p^2 - 1 (the saturation denominators divide
     # p + 1 and the monoid needs a further p - 1)
     for p in (2, 3):
-        datum = SymplecticRootDatum(2)
-        gs, hw = cone_GS(datum), cone_hw(datum, p)
+        gs, hw = cone_GS(2), cone_hw(2, p)
         pol = cone_pol(2, p)
         sig = cone_sigma(sigma1prime(2), 2, p)
         xpi = cone_XplusI(2)
@@ -230,8 +228,7 @@ def test_criterion_8_cone_inclusion_suite():
     # witnessed by an explicit verified section, with the oracle run
     # directly whenever the monomial enumeration fits the default cap
     p = 2
-    datum = SymplecticRootDatum(3)
-    gs, hw = cone_GS(datum), cone_hw(datum, p)
+    gs, hw = cone_GS(3), cone_hw(3, p)
     pol3, sig3, xpi3 = cone_pol(3, p), cone_sigma(sigma1prime(3), 3, p), cone_XplusI(3)
     halfspaces_of(pol3.generated)
     halfspaces_of(sig3.generated)
@@ -289,10 +286,9 @@ def test_criterion_8_cone_inclusion_suite():
     # ranks 4 and 5: exact inclusions of the whole cones, each side
     # dualised by the double description
     for n in (4, 5):
-        datum = SymplecticRootDatum(n)
-        gs, xpi = cone_GS(datum), cone_XplusI(n)
+        gs, xpi = cone_GS(n), cone_XplusI(n)
         for p in (2, 3):
-            hw, pol = cone_hw(datum, p), cone_pol(n, p)
+            hw, pol = cone_hw(n, p), cone_pol(n, p)
             sig = cone_sigma(sigma1(n), n, p)
             sigp = cone_sigma(sigma1prime(n), n, p)
             assert cone_contains_saturated(hw.halfspaces, gs.halfspaces)

@@ -28,7 +28,8 @@ from zipcones.cones import (
     monoid_membership,
     saturated_membership,
 )
-from zipcones.rootdata import SymplecticRootDatum, hw_functional
+from zipcones.rootdata import SymplecticRootDatum
+from zipcones.weights import _fundamental, hw_functional
 
 
 def box_points(n, lo, hi):
@@ -36,49 +37,74 @@ def box_points(n, lo, hi):
 
 
 def test_gs_halfspaces_reduce_to_chain():
-    gs = cone_GS(SymplecticRootDatum(2))
+    gs = cone_GS(2)
     assert gs.halfspaces.contains((-1, -1))
     assert gs.halfspaces.contains((0, 0))
     assert not gs.halfspaces.contains((1, -2))
     for pt in box_points(3, -2, 2):
         chain = 0 >= pt[0] >= pt[1] >= pt[2]
-        assert cone_GS(SymplecticRootDatum(3)).halfspaces.contains(pt) == chain
+        assert cone_GS(3).halfspaces.contains(pt) == chain
+
+
+def test_gs_rows_follow_the_positive_root_walk():
+    # reference: pairings >= 0 on the Levi coroots (coordinate sum zero),
+    # <= 0 on the others, in the order of the root datum's positive roots
+    for n in range(1, 7):
+        d = SymplecticRootDatum(n)
+        levi, rest = [], []
+        for root, coroot in zip(d.positive_roots, d.positive_coroots):
+            if sum(root) == 0:
+                levi.append(tuple(coroot))
+            else:
+                rest.append(tuple(-c for c in coroot))
+        assert cone_GS(n).halfspaces.inequalities == tuple(levi + rest), n
 
 
 def test_gs_presentations_agree():
     for n in (2, 3):
-        gs = cone_GS(SymplecticRootDatum(n))
+        gs = cone_GS(n)
         assert cones_equal_saturated(gs.generated, gs.halfspaces)
 
 
 def test_schubert_generators():
-    d = SymplecticRootDatum(2)
-    c = cone_schubert(d, 2)
+    c = cone_schubert(2, 2)
     assert set(c.generated.generators) == {Weight((1, -2)), Weight((-1, -1))}
-    d3 = SymplecticRootDatum(3)
-    c3 = cone_schubert_saturated(d3, 2)
+    c3 = cone_schubert_saturated(3, 2)
     assert Weight((1, -1, -2)) in c3.generated.generators  # S_2 at p=2
     assert schubert_weight(3, 2, 2) == Weight((1, -1, -2))
 
 
+def test_schubert_generators_are_fundamental_minus_p_reversal():
+    # reference: lam - p * (coordinate reversal of lam) on the fundamental
+    # weights, for the monoid and for its saturation
+    for n in range(1, 5):
+        for p in (2, 3, 5):
+            expect = []
+            for i in range(1, n + 1):
+                lam = _fundamental(n, i)
+                expect.append(tuple(a - p * b for a, b in zip(lam, lam[::-1])))
+            for cone in (cone_schubert(n, p), cone_schubert_saturated(n, p)):
+                assert cone.generated.generators == tuple(expect), (n, p)
+
+
 def test_schubert_saturated_presentations_agree():
     for n, p in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-        c = cone_schubert_saturated(SymplecticRootDatum(n), p)
+        c = cone_schubert_saturated(n, p)
         assert cones_equal_saturated(c.generated, c.halfspaces)
 
 
 def test_hodge_character_in_saturated_schubert():
     for n, p in [(2, 2), (3, 2), (3, 3)]:
-        c = cone_schubert_saturated(SymplecticRootDatum(n), p)
+        c = cone_schubert_saturated(n, p)
         assert c.halfspaces.contains(hodge_character(n, p))
 
 
 def test_hw_cone_sp6_etas():
     assert eta_weight(3, 2, 1) == Weight((3, -4, -4))
     assert eta_weight(3, 2, 2) == Weight((1, 1, -6))
-    hw = cone_hw(SymplecticRootDatum(3), 2)
+    hw = cone_hw(3, 2)
     # S_2 on the boundary: functional vanishes
-    f = hw_functional(SymplecticRootDatum(3), 2)
+    f = hw_functional(3, 2)
     assert f.dot(schubert_weight(3, 2, 2)) == 0
     assert hw.halfspaces.contains(schubert_weight(3, 2, 2))
     # S_1 strictly outside
@@ -97,19 +123,19 @@ def test_hw_functional_sp2n_form():
                 total[w[n - 1]] += p ** inv
             poincare = math.prod(sum(p ** j for j in range(k))
                                  for k in range(1, n))
-            f = hw_functional(SymplecticRootDatum(n), p)
+            f = hw_functional(n, p)
             assert Weight(total) == poincare * f, (n, p)
 
 
 def test_hw_presentations_agree():
     for n, p in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-        hw = cone_hw(SymplecticRootDatum(n), p)
+        hw = cone_hw(n, p)
         assert cones_equal_saturated(hw.generated, hw.halfspaces)
 
 
 def test_etas_on_boundary_hyperplane():
     for n, p in [(3, 2), (3, 3), (4, 2), (4, 3)]:
-        f = hw_functional(SymplecticRootDatum(n), p)
+        f = hw_functional(n, p)
         for i in range(1, n):
             assert f.dot(eta_weight(n, p, i)) == 0
 
@@ -169,8 +195,7 @@ def test_inclusion_chain_boxes():
                        (2, 3, cone_zip_sp4_saturated(3)),
                        (3, 2, cone_zip_sp6_saturated(2)),
                        (3, 3, cone_zip_sp6_saturated(3))]:
-        d = SymplecticRootDatum(n)
-        gs, hw = cone_GS(d), cone_hw(d, p)
+        gs, hw = cone_GS(n), cone_hw(n, p)
         for pt in box_points(n, -3, 3):
             in_gs = gs.halfspaces.contains(pt)
             in_hw = hw.halfspaces.contains(pt)
@@ -181,10 +206,10 @@ def test_inclusion_chain_boxes():
 
 def test_schubert_inside_zip():
     for p, zipc in [(2, cone_zip_sp4_saturated(2)), (3, cone_zip_sp4_saturated(3))]:
-        sbt = cone_schubert_saturated(SymplecticRootDatum(2), p)
+        sbt = cone_schubert_saturated(2, p)
         assert cone_contains_saturated(zipc.generated, sbt.generated)
     for p in (2, 3):
-        sbt = cone_schubert_saturated(SymplecticRootDatum(3), p)
+        sbt = cone_schubert_saturated(3, p)
         assert cone_contains_saturated(cone_zip_sp6_saturated(p).generated,
                                        sbt.generated)
 

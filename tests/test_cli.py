@@ -216,6 +216,26 @@ def test_undecided_membership_exits_2(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_failed_certificate_of_a_built_section_exits_3(tmp_path, monkeypatch,
+                                                      capsys):
+    # a body the library builds that fails its certificate falsifies the
+    # identity behind it: a theorem violation, not a usage error
+    from zipcones import sections
+
+    sections.gamma_matrix.cache_clear()
+    monkeypatch.setattr(sections, "_defect", lambda poly, n: (2, 3))
+    monkeypatch.setattr(sections, "_minors_are_invariant", lambda n, p: True)
+    for argv in (["gamma", "--n", "2", "--p", "3"],
+                 ["verify-section", "--name", "delta2", "--n", "2", "--p", "3"],
+                 ["verify-section", "--name", "thetasp6", "--p", "3"]):
+        code, data = run(argv, tmp_path)
+        assert code == 3 and data == b"", argv
+        err = capsys.readouterr().err
+        assert err.startswith("theorem violation: "), argv
+        assert "not invariant under the unipotent generator (2, 1)" in err
+        assert "Traceback" not in err
+
+
 def test_matrix_size_below_one_is_a_usage_error(tmp_path):
     for argv in (["gamma", "--n", "0", "--p", "2"],
                  ["vlambda", "--n", "0", "--p", "2", "--weight", "0"],

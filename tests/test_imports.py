@@ -65,14 +65,14 @@ def test_package_import_loads_no_submodule():
     (["vlambda", "--n", "2", "--p", "3", "--weight", "2,0"],
      _package("sections", "catalog", "cones") | {"fractions"}),
     (["cone", "--name", "hw", "--n", "3", "--p", "2"],
-     _package("fpoly", "sections", "modules")),
+     _package("fpoly", "sections", "modules", "rootdata")),
     (["slice", "--cone", "zip-sp6-sat", "--p", "2"],
-     _package("fpoly", "sections", "modules")),
+     _package("fpoly", "sections", "modules", "rootdata")),
     (["rootdata", "--n", "3"],
      _package("fpoly", "sections", "modules", "cones", "catalog")),
     (["sweep", "--n", "2", "--p", "2", "--box", "-1..1", "--compare",
       "zip-sp4"],
-     _package("fpoly", "sections", "modules")),
+     _package("fpoly", "sections", "modules", "rootdata")),
 ])
 def test_verb_loads_only_its_layers(argv, absent, tmp_path):
     loaded = _loaded_after_verb(argv, tmp_path)
@@ -80,13 +80,13 @@ def test_verb_loads_only_its_layers(argv, absent, tmp_path):
     assert "dataclasses" not in loaded
 
 
-def test_valuation_sign_predict_loads_only_rootdata():
-    # the boundary functional lives in rootdata, not in the cone catalog
+def test_valuation_sign_predict_loads_no_layer():
+    # the boundary functional lives in weights, not in the cone catalog
     loaded = _loaded_after("from zipcones.sections import "
                            "valuation_sign_predict\n"
                            "valuation_sign_predict((1, -2), 2, 2)")
-    assert "zipcones.rootdata" in loaded
-    assert loaded & (_package("catalog", "cones") | {"fractions"}) == set()
+    assert loaded & (_package("catalog", "cones", "rootdata")
+                     | {"fractions"}) == set()
 
 
 def test_every_public_name_resolves():
@@ -130,6 +130,8 @@ def test_help_text_is_unchanged(verb):
 BOTTOM = {"errors", "weights", "fplinalg", "fpoly"}
 # package modules each module may import at module level, where restricted
 MODULE_LEVEL = {**{name: BOTTOM for name in BOTTOM},
+                "weights": {"errors"},
+                "catalog": {"errors", "weights", "cones"},
                 "cli": {"errors", "weights"},
                 "oracle": {"errors", "weights", "fplinalg"},
                 "rootdata": {"errors", "weights"}}
@@ -180,3 +182,9 @@ def test_module_level_imports_keep_the_layering():
                   for line, target in _absolute_imports(tree)
                   if target == "dataclasses"]
     assert found == []
+
+
+def test_weights_imports_only_errors_anywhere():
+    # weights is the leaf: not even a function body imports another layer
+    tree = ast.parse((PACKAGE / "weights.py").read_text())
+    assert {target for _, target, _ in _package_imports(tree)} == {"errors"}
