@@ -15,7 +15,8 @@ from __future__ import annotations
 from .cones import GeneratedCone, HalfspaceSystem, halfspaces_of
 from .errors import ZipconeError
 from .weights import (Weight, _fundamental, _unit, eta_weight,
-                      hodge_character, hw_functional, schubert_weight)
+                      hodge_character, hw_functional, schubert_weight,
+                      validate_n_p)
 
 
 class NamedCone:
@@ -223,6 +224,7 @@ def catalog_cone(name, n, p):
         n = 3
     elif n is None:
         raise ZipconeError("cone %r needs --n" % name)
+    validate_n_p(n, p)
     return _CLI_NAMES[key](n, p)
 
 

@@ -314,9 +314,20 @@ def gamma_matrix(n, p):
             num = minor(p, rows, cols) * (-1) ** (i - k)
             z[i - 1][k - 1] = RationalFunction(basis, num, exps).reduce()
 
-    phi_z = [[e.frobenius() for e in row] for row in z]
-    inv = _unipotent_inverse(phi_z, one, zero)
-    gamma = mat_mul(mat_mul(z, A), inv)
+    # z^{-1} is the unit lower LU factor of A with its columns reversed:
+    # (z^{-1})_{i,k} = minor((1..k-1, i), last k columns) / Delta_k for
+    # k < i; phi is a ring map, so phi(z)^{-1} = phi(z^{-1})
+    phi_inv = [[one if i == k else zero for k in range(1, n + 1)]
+               for i in range(1, n + 1)]
+    for k in range(1, n):
+        cols = tuple(range(n + 1 - k, n + 1))
+        exps = [0] * n
+        exps[k - 1] = 1
+        for i in range(k + 1, n + 1):
+            num = minor(p, tuple(range(1, k)) + (i,), cols)
+            phi_inv[i - 1][k - 1] = RationalFunction(basis, num,
+                                                     exps).frobenius()
+    gamma = mat_mul(mat_mul(z, A), phi_inv)
     gamma = [[e.reduce() for e in row] for row in gamma]
 
     for r in range(1, n + 1):
@@ -333,21 +344,6 @@ def gamma_matrix(n, p):
                 # e_r - p e_s; verified rather than trusted
                 _certify(entry, expect, n, p, "gamma_%d_%d" % (r, s))
     return GammaMatrix(n, p, basis, z, gamma)
-
-
-def _unipotent_inverse(mat, one, zero):
-    n = len(mat)
-    N = [[mat[i][j] if i != j else zero for j in range(n)] for i in range(n)]
-    ident = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    out = [row[:] for row in ident]
-    power = ident
-    sign = -1
-    for _ in range(1, n):
-        power = mat_mul(power, N)
-        out = [[out[i][j] + (power[i][j] * sign) for j in range(n)]
-               for i in range(n)]
-        sign = -sign
-    return out
 
 
 def clear_denominators(gm, r, s):

@@ -1,7 +1,11 @@
 import itertools
 import math
 
+import pytest
+
 from zipcones.catalog import (
+    catalog_cone,
+    catalog_names,
     cone_GS,
     cone_hw,
     cone_muord_saturated,
@@ -229,3 +233,19 @@ def test_muord_saturated_is_dominant_chamber():
     assert cones_equal_saturated(c.generated, c.halfspaces)
     assert c.halfspaces.contains((5, 5, 5)) and c.halfspaces.contains((-1, -2, -3))
     assert not c.halfspaces.contains((0, 1, 0))
+
+
+_FIXED_RANK = {"zip-sp4": 2, "zip-sp4-sat": 2, "zip-sp6-sat": 3}
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_cone_rejects_a_bad_n_or_p(name):
+    n = _FIXED_RANK.get(name, 2)
+    assert catalog_cone(name, n, 2).rank == n
+    for p in (4, 1, 0, -2):
+        with pytest.raises(ValueError):
+            catalog_cone(name, n, p)
+    if name not in _FIXED_RANK:
+        for bad_n in (0, -1):
+            with pytest.raises(ValueError):
+                catalog_cone(name, bad_n, 2)

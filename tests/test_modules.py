@@ -71,17 +71,32 @@ def _closure(gens, n, p):
     return closure
 
 
+def _primitive_diagonal(n, p):
+    """diag(g, 1, ..., 1) for a generator g of F_p^*, found by search."""
+    g = next(g for g in range(1, p)
+             if len({pow(g, e, p) for e in range(1, p)}) == p - 1)
+    return tuple(tuple(g if i == j == 0 else int(i == j) for j in range(n))
+                 for i in range(n))
+
+
 @pytest.mark.parametrize("n, p", [(2, 2), (2, 3), (2, 5), (2, 7),
                                   (3, 2), (3, 3)])
 def test_generators_close_to_the_whole_group(n, p):
-    # the word certificate against the enumeration it replaced
-    assert len(_closure(group_generators(n, p), n, p)) == group_order(n, p)
+    # the word certificate against the enumeration it replaced: T and C
+    # close to SL_n(F_p) times the subgroup of F_p^* that det C = +-1
+    # generates, and the primitive diagonal closes that to GL_n(F_p)
+    gens = group_generators(n, p)
+    det_c = (-1) ** (n - 1) % p
+    sl_order = group_order(n, p) // (p - 1)
+    assert len(_closure(gens, n, p)) == sl_order * len({1, det_c})
+    diagonal = _primitive_diagonal(n, p)
+    assert len(_closure(gens + (diagonal,), n, p)) == group_order(n, p)
 
 
 def test_word_certificate_rejects_a_wrong_generating_set():
     n, p = 3, 5
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    t12, cycle = group_generators(n, p)[:2]
+    t12, cycle = group_generators(n, p)
     t13 = tuple(tuple(int(i == j or (i, j) == (0, 2)) for j in range(n))
                 for i in range(n))
     _check_elementary_words(t12, cycle, p)
@@ -93,8 +108,8 @@ def test_word_certificate_rejects_a_wrong_generating_set():
 def test_generators_need_no_closure():
     # the words scale with n, not with |GL_n(F_p)| = 1488000 at (3, 5),
     # which the closure enumeration refused
-    assert len(group_generators(3, 5)) == 3
-    assert len(group_generators(3, 7)) == 3
+    assert len(group_generators(3, 5)) == 2
+    assert len(group_generators(3, 7)) == 2
     assert len(group_generators(4, 2)) == 2
     for lam in [(0, 0, 0), (1, 0, -2), (2, 0, -2), (4, 0, -4)]:
         lhs, rhs, agree = thminter_check(lam, 3, 5)
@@ -295,8 +310,11 @@ def _binet_translate(m, i, s):
 
 
 def _sample(n, p, size, seed):
-    """A fixed sample of GL_n(F_p) that contains the generators."""
+    """A fixed sample of GL_n(F_p) that contains the generators and, for
+    p > 2, the primitive diagonal."""
     gens = list(group_generators(n, p))
+    if p > 2:
+        gens.append(_primitive_diagonal(n, p))
     rest = [s for s in group_elements(n, p) if s not in gens]
     return gens + random.Random(seed).sample(rest, size - len(gens))
 
@@ -328,13 +346,16 @@ def _rank(vectors, p):
     return len(vectors) - len(fp_nullspace(vectors, p))
 
 
-def _assert_generator_kernel_is_fixed_space(m):
-    # independent route: impose f(X s) = f(X) for every element of the
-    # group, and compare the span with the kernel of the generators
+def _assert_generator_kernel_is_fixed_space(m, elements=None):
+    # independent route: impose f(X s) = f(X) for every element s of the
+    # group (or of ``elements``, a generating set), and compare the span
+    # with the torus-filtered kernel of the SL_n generators
     n, p = m.n, m.p
     fast = invariants_finite_group(m)
     cols = [{} for _ in range(m.dim)]
-    for si, s in enumerate(group_elements(n, p)):
+    if elements is None:
+        elements = group_elements(n, p)
+    for si, s in enumerate(elements):
         rho = _right_translation(m, s)
         for i, col in enumerate(cols):
             diff = rho(m.basis_polys[i]) - m.basis_polys[i]
@@ -354,8 +375,28 @@ def test_invariants_match_full_group_bruteforce():
         _assert_generator_kernel_is_fixed_space(build_module(lam, len(lam), p))
 
 
+@pytest.mark.parametrize("lam, p", [
+    # T and C alone fix a vector here that a diagonal moves; (4, 4) at
+    # p = 5 is fixed, since 4 = 0 mod p - 1 though not mod p
+    ((-6, -6), 5), ((-2, -2), 5), ((-1, -7), 5), ((2, 2), 5), ((3, -3), 5),
+    ((4, -8), 5), ((6, 6), 5), ((7, 1), 5), ((8, -4), 5), ((4, 4), 5),
+    ((-8, -8), 7), ((-4, -4), 7), ((-2, -2), 7), ((2, 2), 7), ((3, -5), 7),
+    ((4, 4), 7), ((5, -3), 7), ((8, 8), 7),
+])
+def test_torus_filter_matches_full_group(lam, p):
+    _assert_generator_kernel_is_fixed_space(build_module(lam, 2, p))
+
+
+@pytest.mark.parametrize("lam", [(1, 1, 1), (2, 2, 2)])
+def test_torus_filter_matches_three_generators_gl3_f3(lam):
+    # |GL_3(F_3)| = 11232 is past the element guard; the reference is the
+    # kernel of T, C and the primitive diagonal, which generate GL_3(F_3)
+    gens = group_generators(3, 3) + (_primitive_diagonal(3, 3),)
+    _assert_generator_kernel_is_fixed_space(build_module(lam, 3, 3), gens)
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.integers(-6, 4), st.integers(0, 6), st.sampled_from([2, 3]))
+@given(st.integers(-6, 4), st.integers(0, 6), st.sampled_from([2, 3, 5]))
 def test_invariants_match_full_group_random_rank2(low, gap, p):
     m = build_module((low + gap, low), 2, p)
     _assert_generator_kernel_is_fixed_space(m)

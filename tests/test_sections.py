@@ -170,6 +170,47 @@ def test_gamma_zero_pattern_and_weights_n4():
         gamma_matrix(5, 2)
 
 
+def _neumann_inverse(mat, one, zero):
+    """(1 + N)^{-1} = sum_j (-N)^j for a unitriangular 1 + N."""
+    n = len(mat)
+    N = [[mat[i][j] if i != j else zero for j in range(n)] for i in range(n)]
+    ident = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    out = [row[:] for row in ident]
+    power = ident
+    sign = -1
+    for _ in range(1, n):
+        power = mat_mul(power, N)
+        out = [[out[i][j] + (power[i][j] * sign) for j in range(n)]
+               for i in range(n)]
+        sign = -sign
+    return out
+
+
+@pytest.mark.parametrize("n, p", list(itertools.product((1, 2, 3, 4),
+                                                         (2, 3, 5))))
+def test_gamma_inverse_is_the_lu_factor(n, p):
+    # z^{-1} is the unit lower LU factor of A with its columns reversed,
+    # (z^{-1})_{i,k} = minor((1..k-1, i), last k columns) / Delta_k; the
+    # Neumann series of z and of phi(z) are the second reference
+    g = gamma_matrix(n, p)
+    one = RationalFunction(g.basis, FpPolynomial.constant(p, 1))
+    zero = RationalFunction(g.basis, FpPolynomial.zero(p))
+    ident = [[one if i == k else zero for k in range(n)] for i in range(n)]
+    closed = [row[:] for row in ident]
+    for k, i in itertools.combinations(range(1, n + 1), 2):
+        num = minor(p, tuple(range(1, k)) + (i,),
+                    tuple(range(n + 1 - k, n + 1)))
+        closed[i - 1][k - 1] = RationalFunction(
+            g.basis, num, [int(t == k) for t in range(1, n + 1)])
+    assert mat_mul(closed, g.z) == ident
+    assert closed == _neumann_inverse(g.z, one, zero)
+    A = [[RationalFunction(g.basis, a_var(p, i, j)) for j in range(1, n + 1)]
+         for i in range(1, n + 1)]
+    phi_z = [[e.frobenius() for e in row] for row in g.z]
+    assert mat_mul(mat_mul(g.z, A), _neumann_inverse(phi_z, one, zero)) \
+        == g.gamma
+
+
 def test_clear_denominators_examples():
     g = gamma_matrix(2, 2)
     s = clear_denominators(g, 1, 1)
@@ -453,7 +494,8 @@ def test_tilde_body_is_fixed_by_right_translation():
     for lam, p in [((1, -2), 2), ((2, 0), 3)]:
         ts = tilde_section(highest_weight_vector(build_module(lam, 2, p)))
         assert ts.body_num.total_degree() > 0
-        for g in group_generators(2, p):
+        # the SL_2 generators and diag(-1, 1), which generate GL_2(F_3)
+        for g in group_generators(2, p) + (((p - 1, 0), (0, 1)),):
             images = matrix_images(mat_mul(generic_matrix(2, p), g))
             assert ts.body_num.substitute(images) \
                 == pow(fp_det(g, p), -ts.body_det_power, p) * ts.body_num
