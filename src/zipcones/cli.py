@@ -229,6 +229,9 @@ def _cmd_sweep(args):
     except ValueError:
         raise _UsageError("ZIPCONE_THREADS must be an integer, got %r"
                           % threads)
+    # the pool forks all its workers at the first submit, so no more are
+    # asked for than there are points or cores
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # per-weight tasks are independent; map preserves input order, so
         # the emitted document does not depend on scheduling

@@ -31,9 +31,10 @@ into the part in the mapped variables and the rest, adds the rest back
 unchanged and memoises the image of the mapped part by its packed value.
 
 ``minor`` is the one source of minors of the generic matrix: the Delta_i
-of ``MinorBasis``, the module coordinates and the Cramer numerators of
-the reduction matrix all read the same cache, keyed by p and the row and
-column tuples, in which every minor expands into the smaller ones.
+of ``MinorBasis``, the module coordinates, the Cramer numerators of z and
+the numerators of the entries of the reduction matrix Gamma all read the
+same cache, keyed by p and the row and column tuples, in which every
+minor expands into the smaller ones.
 
 The weight grading assigns ``a_{i,j}`` the character vector
 ``e_i - p*e_j`` of the diagonal torus acting by twisted conjugation

@@ -298,23 +298,23 @@ def _right_translation(module, g):
 def invariants_finite_group(module):
     """Basis of the subspace fixed by right translation under GL_n(F_p).
 
-    GL_n(F_p) is generated by SL_n(F_p) and {diag(g, 1, ..., 1) : g in
-    F_p^*}, and right translation is a group action, so a vector fixed by
-    the generators of both is fixed by the whole group.  The torus part is
-    read off the weights: basis vector i is an eigenvector of rho(t) with
-    eigenvalue t^{w_i} (det twist included), so diag(g, 1, ..., 1) scales
-    it by g^{w_i[0]}; F_p^* is cyclic of order p - 1, and on an eigenbasis
-    the fixed vectors of every such matrix are spanned by the indices with
-    w_i[0] = 0 mod p - 1.  SL_n(F_p) is imposed through the generators of
-    ``group_generators``, whose word certificate proves they generate it:
-    the common kernel of rho(g) - 1, cut out one generator at a time with
-    one ``Substitution`` of X -> X g each.  Each generator's kernel is
-    written on the current basis, its vectors tagging their columns, so it
-    is the next basis.  Returns a list of {basis index: coefficient} dicts.
+    GL_n(F_p) is generated by SL_n(F_p) and the diagonal torus, and right
+    translation is a group action, so a vector fixed by the generators of
+    both is fixed by the whole group.  The torus part is read off the
+    weights: basis vector i is an eigenvector of rho(t) with eigenvalue
+    t^{w_i} (det twist included), and F_p^* is cyclic of order p - 1, so on
+    this eigenbasis the torus fixes exactly the span of the indices whose
+    every coordinate w_i[k] is 0 mod p - 1.  SL_n(F_p) is imposed through
+    the generators of ``group_generators``, whose word certificate proves
+    they generate it: the common kernel of rho(g) - 1, cut out one
+    generator at a time with one ``Substitution`` of X -> X g each.  Each
+    generator's kernel is written on the current basis, its vectors
+    tagging their columns, so it is the next basis.  Returns a list of
+    {basis index: coefficient} dicts.
     """
     n, p = module.n, module.p
     current = [{i: 1} for i, w in enumerate(module.weights)
-               if w[0] % (p - 1) == 0]
+               if all(c % (p - 1) == 0 for c in w)]
     for g in group_generators(n, p):
         if not current:
             break

@@ -14,6 +14,11 @@ coefficients of the image, the conditions that the dimension oracle
 docstrings say why these suffice and why the least t-degree that moves
 is a power of p.  ``rzip_sp4_graded_dimension`` here counts the same
 dimension at rank 2 from the generators of the ring.
+
+The reduction matrix Gamma = z A phi(z)^{-1} is written in closed form
+(``gamma_entry``), so its zeros hold by construction and the weights of
+its other entries are certified; alpha, epsilon, f1 and f2 are numerators
+of its entries.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .fpoly import (
     MinorBasis,
     RationalFunction,
     _decode,
-    a_var,
     exact_divide,
     mat_identity,
     mat_mul,
@@ -166,38 +170,11 @@ def _certify(body, lam, n, p, name):
 # ---------------------------------------------------------------------------
 # the catalog of explicit sections
 
-def _removal_minor(n, p, i, j):
-    """Minor of the generic matrix after removing row i and column j."""
-    rows = tuple(r for r in range(1, n + 1) if r != i)
-    cols = tuple(c for c in range(1, n + 1) if c != j)
-    return minor(p, rows, cols)
-
-
-def _alpha_sp4(p):
-    d1 = MinorBasis(2, p).delta(1)
-    return a_var(p, 1, 1) * d1 ** (p - 1) + a_var(p, 2, 2) ** p
-
-
-def _epsilon_sp6(p):
-    return (a_var(p, 1, 1) * a_var(p, 1, 3) ** p
-            + a_var(p, 1, 2) * a_var(p, 2, 3) ** p
-            + a_var(p, 1, 3) * a_var(p, 3, 3) ** p)
-
-
-def _f1_sp6(p):
-    basis = MinorBasis(3, p)
-    return a_var(p, 1, 2) * basis.delta(2) ** p \
-        + basis.delta(1) * _removal_minor(3, p, 2, 1) ** p
-
-
-def _f2_sp6(p):
-    # the (3,2) removal minor enters as a cofactor: with a plain-minor
-    # reading the two terms are only compatible mod 2, and the version
-    # below is the one that is equivariant, matches the reduction-matrix
-    # entry exactly and satisfies the theta division identity at odd p
-    basis = MinorBasis(3, p)
-    return -(basis.delta(1) ** p * _removal_minor(3, p, 3, 2)
-             + basis.delta(2) * a_var(p, 2, 3) ** p)
+def _gamma_numerator(n, p, r, s):
+    """Numerator of the reduced entry (r, s) of the n x n reduction matrix:
+    alpha is entry (1, 1) at n = 2, and epsilon, f1 and f2 are entries
+    (1, 1), (1, 2) and (2, 1) at n = 3."""
+    return gamma_entry(MinorBasis(n, p), r, s).reduce().num
 
 
 def _divided_sp6(p, which):
@@ -206,7 +183,8 @@ def _divided_sp6(p, which):
     is surfaced as a theorem violation.  Only the quotient is certified."""
     basis = MinorBasis(3, p)
     d1, d2 = basis.delta(1), basis.delta(2)
-    eps, f1, f2 = _epsilon_sp6(p), _f1_sp6(p), _f2_sp6(p)
+    eps, f1, f2 = (_gamma_numerator(3, p, r, s)
+                   for r, s in ((1, 1), (1, 2), (2, 1)))
     if which == "theta":
         numerator, power = d2 ** (p + 1) * eps + f1 * f2, p + 1
     elif which == "rho":
@@ -223,10 +201,14 @@ def _divided_sp6(p, which):
 # the sections of a fixed matrix size: name -> (matrix size, body of p,
 # stated weight of p or None to accept the weight found)
 _SECTIONS = {
-    "alphasp4": (2, _alpha_sp4, lambda p: Weight((0, -p * (p - 1)))),
-    "epsilonsp6": (3, _epsilon_sp6, lambda p: Weight((1, 0, -p * p))),
-    "f1sp6": (3, _f1_sp6, lambda p: eta_weight(3, p, 1)),
-    "f2sp6": (3, _f2_sp6, lambda p: eta_weight(3, p, 2)),
+    "alphasp4": (2, lambda p: _gamma_numerator(2, p, 1, 1),
+                 lambda p: Weight((0, -p * (p - 1)))),
+    "epsilonsp6": (3, lambda p: _gamma_numerator(3, p, 1, 1),
+                   lambda p: Weight((1, 0, -p * p))),
+    "f1sp6": (3, lambda p: _gamma_numerator(3, p, 1, 2),
+              lambda p: eta_weight(3, p, 1)),
+    "f2sp6": (3, lambda p: _gamma_numerator(3, p, 2, 1),
+              lambda p: eta_weight(3, p, 2)),
     "thetasp6": (3, lambda p: _divided_sp6(p, "theta"), None),
     "rhosp6": (3, lambda p: _divided_sp6(p, "rho"), None),
     "tausp6": (3, lambda p: _divided_sp6(p, "tau"), None),
@@ -271,7 +253,7 @@ def section_names(n):
 class GammaMatrix:
     """The reduction matrix: ``z`` is lower unitriangular and ``gamma`` is
     z A phi(z)^{-1}, both with RationalFunction entries over ``basis``,
-    those of ``gamma`` reduced."""
+    those of ``gamma`` read off ``gamma_entry`` and reduced."""
 
     def __init__(self, n, p, basis, z, gamma):
         self.n = n
@@ -281,13 +263,45 @@ class GammaMatrix:
         self.gamma = gamma
 
 
+def gamma_entry(basis, r, s):
+    """Entry (r, s) of the reduction matrix z A phi(z)^{-1}, unreduced:
+
+      (-1)^{r-1} sum_{k=s}^{n+1-r} M_r(k) phi(L_s(k)) / (Delta_{r-1} Delta_s^p)
+
+    with M_r(k) = minor((1..r), (k, n+2-r, ..., n)) and L_s(k) =
+    minor((1..s-1, k), (n+1-s, ..., n)).  By the Schur complement
+    (z A)_{r,k} is (-1)^{r-1} M_r(k) / Delta_{r-1}, the sign counting the
+    moves of column k to the front, and zero for k > n + 1 - r; L_s(k) /
+    Delta_s is the unit lower LU factor z^{-1} of A with its columns
+    reversed, and phi(z)^{-1} = phi(z^{-1}).  The sum is empty for
+    r + s > n + 1; on the anti-diagonal only k = s remains, whose
+    L_s(s) = Delta_s cancels: the entry is (-1)^{r-1} Delta_r / Delta_{r-1}.
+    """
+    n, p = basis.n, basis.p
+    sign = (-1) ** (r - 1)
+    exps = [0] * n
+    if r > 1:
+        exps[r - 2] = 1
+    if r + s == n + 1:
+        return RationalFunction(basis, basis.delta(r) * sign, exps)
+    exps[s - 1] += p
+    rows, tail = tuple(range(1, r + 1)), tuple(range(n + 2 - r, n + 1))
+    last_s = tuple(range(n + 1 - s, n + 1))
+    num = FpPolynomial.zero(p)
+    for k in range(s, n + 2 - r):
+        num = num + minor(p, rows, (k,) + tail) * minor(
+            p, tuple(range(1, s)) + (k,), last_s).frobenius()
+    return RationalFunction(basis, num * sign, exps)
+
+
 @lru_cache(maxsize=None)
 def gamma_matrix(n, p):
     """The twisted conjugate of the generic matrix by the unique lower
     unitriangular z that kills the strict anti-lower triangle of z A.
 
-    Entry (r, s) vanishes for r + s > n + 1 and is homogeneous of weight
-    e_r - p e_s; both facts are checked.
+    Entry (r, s) is ``gamma_entry`` in lowest terms.  It vanishes for
+    r + s > n + 1 by construction; every other entry is certified
+    equivariant of weight e_r - p e_s.
     """
     validate_n_p(n, p)
     if n > GAMMA_RANK_GUARD:
@@ -296,8 +310,6 @@ def gamma_matrix(n, p):
     basis = MinorBasis(n, p)
     one = RationalFunction(basis, FpPolynomial.constant(p, 1))
     zero = RationalFunction(basis, FpPolynomial.zero(p))
-    A = [[RationalFunction(basis, a_var(p, i, j)) for j in range(1, n + 1)]
-         for i in range(1, n + 1)]
 
     z = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for i in range(2, n + 1):
@@ -314,35 +326,15 @@ def gamma_matrix(n, p):
             num = minor(p, rows, cols) * (-1) ** (i - k)
             z[i - 1][k - 1] = RationalFunction(basis, num, exps).reduce()
 
-    # z^{-1} is the unit lower LU factor of A with its columns reversed:
-    # (z^{-1})_{i,k} = minor((1..k-1, i), last k columns) / Delta_k for
-    # k < i; phi is a ring map, so phi(z)^{-1} = phi(z^{-1})
-    phi_inv = [[one if i == k else zero for k in range(1, n + 1)]
-               for i in range(1, n + 1)]
-    for k in range(1, n):
-        cols = tuple(range(n + 1 - k, n + 1))
-        exps = [0] * n
-        exps[k - 1] = 1
-        for i in range(k + 1, n + 1):
-            num = minor(p, tuple(range(1, k)) + (i,), cols)
-            phi_inv[i - 1][k - 1] = RationalFunction(basis, num,
-                                                     exps).frobenius()
-    gamma = mat_mul(mat_mul(z, A), phi_inv)
-    gamma = [[e.reduce() for e in row] for row in gamma]
-
+    gamma = [[gamma_entry(basis, r, s).reduce() for s in range(1, n + 1)]
+             for r in range(1, n + 1)]
     for r in range(1, n + 1):
-        for s in range(1, n + 1):
-            entry = gamma[r - 1][s - 1]
-            if r + s > n + 1:
-                if not entry.is_zero():
-                    raise TheoremViolationError(
-                        "gamma[%d][%d] should vanish" % (r, s))
-            else:
-                expect = Weight(tuple((1 if t == r else 0) - p * (1 if t == s else 0)
-                                      for t in range(1, n + 1)))
-                # uniqueness of z makes every entry equivariant of weight
-                # e_r - p e_s; verified rather than trusted
-                _certify(entry, expect, n, p, "gamma_%d_%d" % (r, s))
+        for s in range(1, n + 2 - r):
+            expect = Weight(tuple(int(t == r) - p * int(t == s)
+                                  for t in range(1, n + 1)))
+            # uniqueness of z makes every entry equivariant of weight
+            # e_r - p e_s; verified rather than trusted
+            _certify(gamma[r - 1][s - 1], expect, n, p, "gamma_%d_%d" % (r, s))
     return GammaMatrix(n, p, basis, z, gamma)
 
 

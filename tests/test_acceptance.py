@@ -7,6 +7,7 @@ tolerances anywhere.
 
 import itertools
 
+from gamma_reference import displayed_gamma
 from zipcones.catalog import (
     cone_GS,
     cone_hw,
@@ -31,7 +32,6 @@ from zipcones.cones import (
     saturation_certificate,
 )
 from zipcones.errors import GuardExceededError
-from zipcones.fpoly import RationalFunction
 from zipcones.modules import (
     build_module,
     group_order,
@@ -124,45 +124,29 @@ def test_criterion_4_section_catalog():
 
 
 def test_criterion_5_gamma_matrix():
+    # the n = 2 and n = 3 displays, with the entries written out by hand
+    # (the (2,2) entry sign is written out mod 2 in the source;
+    # symbolically it is -Delta_2/Delta_1); every entry below the
+    # anti-diagonal vanishes, every other has weight e_r - p e_s, and
+    # denominator clearing gives a polynomial
     for p in (2, 3):
-        # n = 2 display
-        g = gamma_matrix(2, p)
-        b = g.basis
-        alpha = catalog_section("alphasp4", 2, p).body
-        assert g.gamma[0][0] == RationalFunction(b, alpha, (p - 1, 0))
-        assert g.gamma[0][1] == RationalFunction(b, b.delta(1))
-        assert g.gamma[1][0] == RationalFunction(b, -b.delta(2), (1, 0))
-        assert g.gamma[1][1].is_zero()
-        # n = 3 display (the (2,2) entry sign is written out mod 2 in the
-        # source; symbolically it is -Delta_2/Delta_1)
-        g = gamma_matrix(3, p)
-        b = g.basis
-        eps = catalog_section("epsilonsp6", 3, p).body
-        f1 = catalog_section("f1sp6", 3, p).body
-        f2 = catalog_section("f2sp6", 3, p).body
-        expect = [
-            [RationalFunction(b, eps, (p, 0, 0)),
-             RationalFunction(b, f1, (0, p, 0)),
-             RationalFunction(b, b.delta(1))],
-            [RationalFunction(b, f2, (p + 1, 0, 0)),
-             RationalFunction(b, -b.delta(2), (1, 0, 0)), None],
-            [RationalFunction(b, b.delta(3), (0, 1, 0)), None, None],
-        ]
-        for r in range(3):
-            for s in range(3):
-                if expect[r][s] is None:
-                    assert g.gamma[r][s].is_zero(), (p, r, s)
-                else:
-                    assert g.gamma[r][s] == expect[r][s], (p, r, s)
-        # zero pattern and entry weights are asserted inside gamma_matrix;
-        # denominator clearing must give polynomials for all admissible (r,s)
         for n in (2, 3):
-            gm = gamma_matrix(n, p)
+            g = gamma_matrix(n, p)
+            display = displayed_gamma(n, p)
             for r in range(1, n + 1):
                 for s in range(1, n + 1):
-                    if r + s <= n + 1:
-                        sec = clear_denominators(gm, r, s)
-                        assert not sec.body.is_zero()
+                    entry = g.gamma[r - 1][s - 1]
+                    if r + s > n + 1:
+                        assert display[r - 1][s - 1] is None
+                        assert entry.is_zero(), (n, p, r, s)
+                        continue
+                    assert entry == display[r - 1][s - 1], (n, p, r, s)
+                    weight = [0] * n
+                    weight[r - 1] += 1
+                    weight[s - 1] -= p
+                    assert entry.weight() == Weight(weight), (n, p, r, s)
+                    sec = clear_denominators(g, r, s)
+                    assert not sec.body.is_zero()
     _report(5, True, "gamma matches the displayed matrices and clears "
             "denominators, n in {2,3}, p in {2,3}")
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import zipcones
 from zipcones import cli, modules
 from zipcones.cli import main
@@ -160,6 +162,47 @@ def test_sweep_worker_fanout_matches(tmp_path, monkeypatch):
     monkeypatch.setenv("ZIPCONE_THREADS", "3")
     _, fanned = run(argv, tmp_path, "fanned.json")
     assert serial == fanned
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps
+    in this process, so no worker is ever started."""
+
+    def __init__(self, max_workers):
+        self.requests.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("threads, box, cores, expect", [
+    ("1000000", "0..0", 8, []),      # one point: no pool at all
+    ("1000000", "-1..1", 4, [4]),    # nine points on four cores
+    ("1000000", "-1..1", None, []),  # cores unknown: counted as one
+    ("3", "-1..1", 8, [3]),
+    ("1000000", "-1..0", 8, [4]),    # four points on eight cores
+])
+def test_sweep_pool_is_clamped(tmp_path, monkeypatch, threads, box, cores,
+                               expect):
+    import concurrent.futures
+
+    argv = ["sweep", "--n", "2", "--p", "2", "--box", box,
+            "--compare", "zip-sp4"]
+    _, serial = run(argv, tmp_path, "serial.json")
+    monkeypatch.setattr(_RecordingPool, "requests", [], raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    monkeypatch.setenv("ZIPCONE_THREADS", threads)
+    _, pooled = run(argv, tmp_path, "pooled.json")
+    assert _RecordingPool.requests == expect
+    assert pooled == serial
 
 
 def test_exit_codes(tmp_path):

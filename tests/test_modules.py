@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fp_reference import fp_nullspace
+from zipcones import modules
 from zipcones.cones import Weight
 from zipcones.errors import (
     EmptyModuleError,
@@ -400,6 +401,24 @@ def test_torus_filter_matches_three_generators_gl3_f3(lam):
 def test_invariants_match_full_group_random_rank2(low, gap, p):
     m = build_module((low + gap, low), 2, p)
     _assert_generator_kernel_is_fixed_space(m)
+
+
+def test_torus_filter_reads_every_weight_coordinate(monkeypatch):
+    # V(2, 2, 0) at p = 3 has 6 basis vectors, 4 of them with w_1 even but
+    # only 3 with every coordinate even; the diagonal torus moves the
+    # fourth, so only 3 columns reach the first generator's nullspace
+    m = build_module((2, 2, 0), 3, 3)
+    assert sum(w[0] % 2 == 0 for w in m.weights) == 4
+    received = []
+    real = modules.fp_nullspace
+
+    def recording(cols, tags, p):
+        received.append(len(cols))
+        return real(cols, tags, p)
+
+    monkeypatch.setattr(modules, "fp_nullspace", recording)
+    assert invariants_finite_group(m) == []
+    assert received[0] == 3
 
 
 def test_invariants_full_group_gl2_f3():

@@ -7,11 +7,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fp_reference import fp_nullspace
+from gamma_reference import (
+    alpha_sp4,
+    displayed_gamma,
+    epsilon_sp6,
+    f1_sp6,
+    f2_sp6,
+)
 from h0_reference import (
     _generator_images,
     defect_by_substitution,
     h0_by_substitution,
 )
+from zipcones import sections
 from zipcones.catalog import eta_weight, hodge_character, schubert_weight
 from zipcones.cones import Weight
 from zipcones.errors import (
@@ -125,47 +133,47 @@ def test_catalog_unknown_name():
         catalog_section("nope", 2, 2)
 
 
+def _assert_displayed(n, p):
+    g = gamma_matrix(n, p)
+    for r, row in enumerate(displayed_gamma(n, p)):
+        for s, expect in enumerate(row):
+            if expect is None:
+                assert g.gamma[r][s].is_zero(), (n, p, r, s)
+            else:
+                assert g.gamma[r][s] == expect, (n, p, r, s)
+
+
 def test_gamma_displayed_matrix_n2():
-    for p in (2, 3):
-        g = gamma_matrix(2, p)
-        basis = g.basis
-        d1 = basis.delta(1)
-        alpha = catalog_section("alphasp4", 2, p).body
-        assert g.gamma[0][0] == RationalFunction(basis, alpha, (p - 1, 0))
-        assert g.gamma[0][1] == RationalFunction(basis, d1)
-        assert g.gamma[1][0] == RationalFunction(basis, -basis.delta(2), (1, 0))
-        assert g.gamma[1][1].is_zero()
+    for p in (2, 3, 5):
+        _assert_displayed(2, p)
+        assert catalog_section("alphasp4", 2, p).body == alpha_sp4(p)
 
 
 def test_gamma_displayed_matrix_n3():
-    for p in (2, 3):
-        g = gamma_matrix(3, p)
-        basis = g.basis
-        eps = catalog_section("epsilonsp6", 3, p).body
-        f1 = catalog_section("f1sp6", 3, p).body
-        f2 = catalog_section("f2sp6", 3, p).body
-        assert g.gamma[0][0] == RationalFunction(basis, eps, (p, 0, 0))
-        assert g.gamma[0][1] == RationalFunction(basis, f1, (0, p, 0))
-        assert g.gamma[0][2] == RationalFunction(basis, basis.delta(1))
-        assert g.gamma[1][0] == RationalFunction(basis, f2, (p + 1, 0, 0))
-        # (zA)_{22} = a22 - a23 a12 / a13 = -Delta_2 / Delta_1; the sign is
-        # invisible mod 2
-        assert g.gamma[1][1] == RationalFunction(basis, -basis.delta(2), (1, 0, 0))
-        assert g.gamma[2][0] == RationalFunction(basis, basis.delta(3), (0, 1, 0))
-        for r, s in [(2, 3), (3, 2), (3, 3)]:
-            assert g.gamma[r - 1][s - 1].is_zero()
+    for p in (2, 3, 5):
+        _assert_displayed(3, p)
+        for name, reference in (("epsilonsp6", epsilon_sp6),
+                                ("f1sp6", f1_sp6), ("f2sp6", f2_sp6)):
+            assert catalog_section(name, 3, p).body == reference(p), name
 
 
 def test_gamma_zero_pattern_and_weights_n4():
-    # zero pattern, weights and entry equivariance are asserted inside
-    # gamma_matrix itself
+    # the zeros hold by construction and the weights are certified inside
+    # gamma_matrix; both are asserted here as well
     for p in (2, 3):
         g = gamma_matrix(4, p)
         for r in range(1, 5):
             for s in range(1, 5):
-                if r + s <= 5:
-                    sec = clear_denominators(g, r, s)
-                    assert not sec.body.is_zero()
+                entry = g.gamma[r - 1][s - 1]
+                if r + s > 5:
+                    assert entry.is_zero(), (p, r, s)
+                    continue
+                weight = [0] * 4
+                weight[r - 1] += 1
+                weight[s - 1] -= p
+                assert entry.weight() == Weight(weight), (p, r, s)
+                sec = clear_denominators(g, r, s)
+                assert not sec.body.is_zero()
     with pytest.raises(GuardExceededError):
         gamma_matrix(5, 2)
 
@@ -187,12 +195,20 @@ def _neumann_inverse(mat, one, zero):
 
 
 @pytest.mark.parametrize("n, p", list(itertools.product((1, 2, 3, 4),
-                                                         (2, 3, 5))))
-def test_gamma_inverse_is_the_lu_factor(n, p):
+                                                         (2, 3, 5, 7)))
+                         + [(5, 2), (5, 3)])
+def test_gamma_inverse_is_the_lu_factor(n, p, monkeypatch):
     # z^{-1} is the unit lower LU factor of A with its columns reversed,
     # (z^{-1})_{i,k} = minor((1..k-1, i), last k columns) / Delta_k; the
-    # Neumann series of z and of phi(z) are the second reference
-    g = gamma_matrix(n, p)
+    # Neumann series of z and of phi(z) are the second reference, and
+    # their product with A the reference for gamma
+    if n > sections.GAMMA_RANK_GUARD:
+        # past the rank guard, uncached, so that no guarded matrix is left
+        # in the cache for the guard tests to find
+        monkeypatch.setattr(sections, "GAMMA_RANK_GUARD", n)
+        g = gamma_matrix.__wrapped__(n, p)
+    else:
+        g = gamma_matrix(n, p)
     one = RationalFunction(g.basis, FpPolynomial.constant(p, 1))
     zero = RationalFunction(g.basis, FpPolynomial.zero(p))
     ident = [[one if i == k else zero for k in range(n)] for i in range(n)]
@@ -214,13 +230,13 @@ def test_gamma_inverse_is_the_lu_factor(n, p):
 def test_clear_denominators_examples():
     g = gamma_matrix(2, 2)
     s = clear_denominators(g, 1, 1)
-    assert s.body == catalog_section("alphasp4", 2, 2).body
+    assert s.body == alpha_sp4(2)
     assert s.weight == Weight((0, -2))
     g3 = gamma_matrix(3, 2)
     s = clear_denominators(g3, 1, 3)
     assert s.body == MinorBasis(3, 2).delta(1)
     s = clear_denominators(g3, 2, 1)
-    assert s.body == catalog_section("f2sp6", 3, 2).body
+    assert s.body == f2_sp6(2)
     assert s.weight == eta_weight(3, 2, 2)
     with pytest.raises(ZipconeError):
         clear_denominators(g3, 3, 3)
