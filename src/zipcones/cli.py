@@ -19,7 +19,7 @@ from .errors import (
     TheoremViolationError,
     ZipconeError,
 )
-from .weights import Weight, is_prime
+from .weights import MONOMIAL_CAP, Weight, is_prime
 
 # Each verb imports the layers it runs when it runs, so a job compiles
 # only those; tests/test_imports.py checks which modules each verb loads.
@@ -87,19 +87,6 @@ def _parse_box(text):
     return lo, hi
 
 
-def _poly_json(poly):
-    return poly.to_json_dict()
-
-
-def _body_json(body):
-    from .fpoly import RationalFunction
-
-    if isinstance(body, RationalFunction):
-        return {"num": _poly_json(body.num),
-                "den": {str(i + 1): e for i, e in enumerate(body.exps) if e}}
-    return _poly_json(body)
-
-
 def _cmd_cone(args):
     from .catalog import catalog_cone
 
@@ -133,31 +120,29 @@ def _cmd_verify_section(args):
     s = catalog_section(args.name, args.n, args.p)
     doc = {"schema": SCHEMA, "name": s.name, "n": s.n, "p": s.p,
            "weight": list(s.weight), "verified": True,
-           "body": _body_json(s.body)}
+           "body": s.body.to_json_dict()}
     _emit(args, _json(doc))
 
 
 def _cmd_gamma(args):
     from .sections import gamma_matrix
 
+    def fraction(e):
+        return {"num": e.num.to_json_dict(),
+                "den": {str(i): k for i, k in enumerate(e.exps, start=1) if k}}
+
     g = gamma_matrix(args.n, args.p)
     doc = {"schema": SCHEMA, "n": g.n, "p": g.p,
-           "z": [[_body_json(e.reduce()) for e in row] for row in g.z],
-           "gamma": [[_body_json(e) for e in row] for row in g.gamma]}
+           "z": [[fraction(e) for e in row] for row in g.z],
+           "gamma": [[fraction(e) for e in row] for row in g.gamma]}
     _emit(args, _json(doc))
-
-
-def _monomial_cap(args):
-    from .oracle import MONOMIAL_CAP
-
-    return MONOMIAL_CAP if args.monomial_cap is None else args.monomial_cap
 
 
 def _cmd_h0(args):
     from .oracle import h0_dimension
 
     lam = _parse_weight(args.weight)
-    dim = h0_dimension(lam, args.n, args.p, monomial_cap=_monomial_cap(args))
+    dim = h0_dimension(lam, args.n, args.p, monomial_cap=args.monomial_cap)
     doc = {"schema": SCHEMA, "n": args.n, "p": args.p,
            "weight": list(lam), "dim": dim}
     _emit(args, _json(doc))
@@ -221,8 +206,7 @@ def _cmd_sweep(args):
         raise _UsageError("cone rank does not match --n")
     points = [Weight(pt) for pt in
               itertools.product(range(lo, hi + 1), repeat=args.n)]
-    cap = _monomial_cap(args)
-    tasks = [(lam, args.n, args.p, cap) for lam in points]
+    tasks = [(lam, args.n, args.p, args.monomial_cap) for lam in points]
     threads = os.environ.get("ZIPCONE_THREADS", "1")
     try:
         workers = int(threads)
@@ -355,22 +339,19 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--weight", required=True)
-    # None stands for oracle.MONOMIAL_CAP, read when the verb runs
-    p.add_argument("--monomial-cap", type=int, default=None)
+    p.add_argument("--monomial-cap", type=int, default=MONOMIAL_CAP)
 
     p = add("vlambda", _cmd_vlambda)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--weight", required=True)
-    p.add_argument("--report", choices=["dims"], default="dims")
 
     p = add("sweep", _cmd_sweep)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--box", default="-8..8")
     p.add_argument("--compare", required=True)
-    # None stands for oracle.MONOMIAL_CAP, read when the verb runs
-    p.add_argument("--monomial-cap", type=int, default=None)
+    p.add_argument("--monomial-cap", type=int, default=MONOMIAL_CAP)
 
     p = add("slice", _cmd_slice)
     p.add_argument("--cone", required=True)

@@ -46,11 +46,11 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
-from math import isqrt
+from math import factorial, isqrt
 from operator import or_
 
 from .errors import GuardExceededError
-from .weights import EXPONENT_LIMIT, Weight, schubert_weight
+from .weights import EXPONENT_LIMIT, MONOMIAL_CAP, Weight, schubert_weight
 
 FIELD_BITS = EXPONENT_LIMIT.bit_length() + 1
 _FIELD = (1 << FIELD_BITS) - 1
@@ -480,9 +480,15 @@ def matrix_images(M):
 def minor(p, rows, cols):
     """Determinant of the a-variable submatrix on the 1-indexed row and
     column tuples, expanded along its first row into smaller minors that
-    come from the same cache."""
+    come from the same cache.  A k x k minor has k! terms; past
+    ``MONOMIAL_CAP`` of them it is refused before anything is expanded."""
     if len(rows) != len(cols):
         raise ValueError("minor needs equally many rows and columns")
+    terms = factorial(len(rows))
+    if terms > MONOMIAL_CAP:
+        raise GuardExceededError(
+            "a %d x %d minor has %d terms, more than the limit %d"
+            % (len(rows), len(rows), terms, MONOMIAL_CAP))
     if not rows:
         return FpPolynomial.constant(p, 1)
     top, rest = rows[0], rows[1:]
@@ -574,30 +580,21 @@ def weight_of(f, n):
 
 class MinorBasis:
     """The anti-corner minors Delta_i of the generic n x n matrix over F_p:
-    rows 1..i against the last i columns."""
+    rows 1..i against the last i columns, each read from the ``minor``
+    cache when it is asked for."""
 
     def __init__(self, n, p):
         self.n = n
         self.p = p
-        self.deltas = tuple(minor(p, tuple(range(1, i + 1)),
-                                  tuple(range(n + 1 - i, n + 1)))
-                            for i in range(1, n + 1))
 
     def delta(self, i):
-        if i == 0:
-            return FpPolynomial.constant(self.p, 1)
-        return self.deltas[i - 1]
-
-    def product(self, exps):
-        out = FpPolynomial.constant(self.p, 1)
-        for i, e in enumerate(exps, start=1):
-            if e:
-                out = out * self.delta(i) ** e
-        return out
+        return minor(self.p, tuple(range(1, i + 1)),
+                     tuple(range(self.n + 1 - i, self.n + 1)))
 
 
 class RationalFunction:
-    """Fraction num / prod Delta_i^{e_i} with a factored minor denominator."""
+    """The record num / prod Delta_i^{e_i} of a fraction with a factored
+    minor denominator; it has no arithmetic."""
 
     __slots__ = ("basis", "num", "exps")
 
@@ -611,60 +608,10 @@ class RationalFunction:
     def is_zero(self):
         return self.num.is_zero()
 
-    def _lift(self, exps):
-        diff = tuple(e - s for e, s in zip(exps, self.exps))
-        if any(d < 0 for d in diff):
-            raise ValueError("cannot lift %r to the smaller denominator "
-                             "exponents %r" % (self, exps))
-        return self.num * self.basis.product(diff)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        exps = tuple(max(a, b) for a, b in zip(self.exps, other.exps))
-        return RationalFunction(self.basis,
-                                self._lift(exps) + other._lift(exps), exps)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __neg__(self):
-        return RationalFunction(self.basis, -self.num, self.exps)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(self.basis, self.num * other.num,
-                                tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, FpPolynomial):
-            return RationalFunction(self.basis, other)
-        if isinstance(other, int):
-            return RationalFunction(
-                self.basis, FpPolynomial.constant(self.basis.p, other))
-        raise TypeError(repr(other))
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunction):
-            other = self._coerce(other)
-        exps = tuple(max(a, b) for a, b in zip(self.exps, other.exps))
-        return self._lift(exps) == other._lift(exps)
-
-    def __hash__(self):
-        r = self.reduce()
-        return hash((r.num, r.exps))
-
-    def frobenius(self):
-        return RationalFunction(self.basis, self.num.frobenius(),
-                                tuple(e * self.basis.p for e in self.exps))
-
     def reduce(self):
         """Lowest terms with respect to the minor denominators."""
         num = self.num
         exps = list(self.exps)
-        if num.is_zero():
-            return RationalFunction(self.basis, num)
         for i in range(self.basis.n):
             while exps[i] > 0:
                 q = exact_divide(num, self.basis.delta(i + 1))

@@ -1,4 +1,4 @@
-"""Explicit induced modules for GL_n over F_p (n <= 3).
+"""Explicit induced modules for GL_n over F_p.
 
 V(lam) is realized as polynomial functions on GL_n spanned by products of
 top-justified minors times a determinant twist: the level-i factors are
@@ -37,7 +37,6 @@ from .fpoly import (
 from .weights import Weight, validate_n_p
 
 GROUP_ORDER_GUARD = 10 ** 4
-MODULE_RANK_GUARD = 3
 # the largest Weyl dimension built; on 2 shared cores under Python 3.11,
 # vlambda on V(999, 0) takes 1.1 s at p = 2, 1.0 s at p = 7 and 1.3 s at
 # p = 13, and on V(1999, 0) 3.4 s at p = 2 and 7.8 s and 90 MB at p = 7
@@ -114,15 +113,18 @@ def group_generators(n, p):
 def _check_elementary_words(transvection, cycle, p):
     """Raise TheoremViolationError unless words in T = ``transvection``
     and C = ``cycle`` multiply out mod p to every 1 + E_ik, i != k:
-    T_{i,i+1} = C^{-i} T C^i (indices mod n, C^{-1} = C^{n-1}), then gap
-    by gap T_ik = [T_ij, T_jk] with j = i + 1 and a^{-1} = a^{p-1}."""
+    T_{i,i+1} = C^{-i} T C^i (indices mod n, C^{-1} = C^{n-1}), each
+    multiplied out as C^{-1} T_{i-1,i} C, then gap by gap
+    T_ik = [T_ij, T_jk] with j = i + 1 and a^{-1} = a^{p-1}."""
     n = len(cycle)
+    inverse = _mat_product([cycle] * (n - 1), p)
     found = {}
     for gap in range(1, n):
         for i in range(n):
             j, k = (i + 1) % n, (i + gap) % n
             if gap == 1:
-                word = [cycle] * ((n - 1) * i) + [transvection] + [cycle] * i
+                word = ([inverse, found[i - 1, i], cycle] if i
+                        else [transvection])
             else:
                 a, b = found[i, j], found[j, k]
                 word = [a, b] + [a] * (p - 1) + [b] * (p - 1)
@@ -235,9 +237,6 @@ def build_module(lam, n, p):
     lam = Weight(lam)
     if lam.rank != n:
         raise RankMismatchError("weight rank %d, expected %d" % (lam.rank, n))
-    if n > MODULE_RANK_GUARD:
-        raise GuardExceededError("induced modules are built for n <= %d"
-                                 % MODULE_RANK_GUARD)
     if any(lam[i] < lam[i + 1] for i in range(n - 1)):
         raise EmptyModuleError("%s is not L-dominant; the module is zero"
                                % (lam,))
@@ -247,15 +246,16 @@ def build_module(lam, n, p):
             "module V%s has dimension %d, more than the limit %d"
             % (lam, expected, MODULE_DIM_GUARD))
     mults = tuple(lam[i] - lam[i + 1] for i in range(n - 1))
-    level_choices = []
-    for level in range(1, n):
-        cols = list(itertools.combinations(range(1, n + 1), level))
-        level_choices.append(list(
-            itertools.combinations_with_replacement(cols, mults[level - 1])))
+    # a level of multiplicity 0 contributes no factor, and its 2^n column
+    # sets are never listed
+    levels = [level for level in range(1, n) if mults[level - 1]]
+    level_choices = [list(itertools.combinations_with_replacement(
+        itertools.combinations(range(1, n + 1), level), mults[level - 1]))
+        for level in levels]
     spanning = []
     for pick in itertools.product(*level_choices):
         factors = {}
-        for level, chosen in enumerate(pick, start=1):
+        for level, chosen in zip(levels, pick):
             for cols in chosen:
                 factors[(level, cols)] = factors.get((level, cols), 0) + 1
         spanning.append(tuple(sorted(factors.items())))

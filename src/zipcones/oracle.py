@@ -18,9 +18,7 @@ from math import factorial, prod
 
 from .errors import GuardExceededError, ZipconeError
 from .fplinalg import dependent_columns
-from .weights import EXPONENT_LIMIT, Weight, validate_n_p
-
-MONOMIAL_CAP = 2 * 10 ** 5
+from .weights import EXPONENT_LIMIT, MONOMIAL_CAP, Weight, validate_n_p
 
 
 def _compositions(total, caps):

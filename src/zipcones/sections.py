@@ -57,8 +57,8 @@ _T = ("t",)
 
 
 class Section:
-    """A verified equivariant function with its weight; ``body`` is an
-    FpPolynomial or a RationalFunction.  Equal when all fields are."""
+    """A verified equivariant polynomial ``body`` with its weight.  Equal
+    when all fields are."""
 
     __slots__ = ("n", "p", "body", "weight", "name")
 
@@ -94,17 +94,11 @@ class Section:
                        self.weight + other.weight, None)
 
     def power(self, k):
-        out = Section(self.n, self.p, _body_one(self), Weight([0] * self.n))
+        out = Section(self.n, self.p, FpPolynomial.constant(self.p, 1),
+                      Weight([0] * self.n))
         for _ in range(k):
             out = out * self
         return out
-
-
-def _body_one(section):
-    if isinstance(section.body, RationalFunction):
-        return RationalFunction(section.body.basis,
-                                FpPolynomial.constant(section.p, 1))
-    return FpPolynomial.constant(section.p, 1)
 
 
 def _defect(poly, n):
@@ -125,30 +119,23 @@ def _minors_are_invariant(n, p):
 
 
 def check_equivariance(body, lam, n, p, name=None):
-    """Verify weight homogeneity and unipotent invariance; return a Section.
+    """Verify that the polynomial ``body`` is weight homogeneous and
+    unipotent invariant; return a Section.
 
     ``lam`` may be None to accept the discovered weight.  Raises
     InhomogeneousWeightError, WeightMismatchError or
     NotUnipotentInvariantError (with the offending generator), and
-    ValueError for n < 1, a non-prime p, an entry outside the n x n matrix
-    or minor denominators of another size.
+    ValueError for n < 1, a non-prime p or an entry outside the n x n
+    matrix.
     """
     validate_n_p(n, p)
-    fraction = isinstance(body, RationalFunction)
-    if fraction and body.basis.n != n:
-        raise ValueError("minors of %d x %d matrices checked at n = %d"
-                         % (body.basis.n, body.basis.n, n))
-    num = body.num if fraction else body
-    found = body.weight() if fraction else weight_of(body, n)
+    found = weight_of(body, n)
     if found is None:
         raise InhomogeneousWeightError(
             "body is zero or mixes weight components")
     if lam is not None and Weight(lam) != found:
         raise WeightMismatchError(found, Weight(lam))
-    if fraction and not _minors_are_invariant(n, p):
-        raise TheoremViolationError(
-            "minor denominators move under a unipotent generator")
-    defect = _defect(num, n)
+    defect = _defect(body, n)
     if defect is not None:
         k, degree = defect
         raise NotUnipotentInvariantError((k, k - 1),
@@ -252,8 +239,8 @@ def section_names(n):
 
 class GammaMatrix:
     """The reduction matrix: ``z`` is lower unitriangular and ``gamma`` is
-    z A phi(z)^{-1}, both with RationalFunction entries over ``basis``,
-    those of ``gamma`` read off ``gamma_entry`` and reduced."""
+    z A phi(z)^{-1}, both with RationalFunction entries over ``basis`` in
+    lowest terms, those of ``gamma`` read off ``gamma_entry``."""
 
     def __init__(self, n, p, basis, z, gamma):
         self.n = n
@@ -301,7 +288,9 @@ def gamma_matrix(n, p):
 
     Entry (r, s) is ``gamma_entry`` in lowest terms.  It vanishes for
     r + s > n + 1 by construction; every other entry is certified
-    equivariant of weight e_r - p e_s.
+    equivariant of weight e_r - p e_s: the minors Delta_i once, and the
+    numerator with weight e_r - p e_s + sum_i e_i wt(Delta_i) for the
+    denominator exponents e_i.
     """
     validate_n_p(n, p)
     if n > GAMMA_RANK_GUARD:
@@ -328,13 +317,19 @@ def gamma_matrix(n, p):
 
     gamma = [[gamma_entry(basis, r, s).reduce() for s in range(1, n + 1)]
              for r in range(1, n + 1)]
+    # uniqueness of z makes every entry equivariant of weight e_r - p e_s;
+    # verified rather than trusted
+    if not _minors_are_invariant(n, p):
+        raise TheoremViolationError(
+            "minor denominators move under a unipotent generator")
     for r in range(1, n + 1):
         for s in range(1, n + 2 - r):
+            entry = gamma[r - 1][s - 1]
             expect = Weight(tuple(int(t == r) - p * int(t == s)
                                   for t in range(1, n + 1)))
-            # uniqueness of z makes every entry equivariant of weight
-            # e_r - p e_s; verified rather than trusted
-            _certify(gamma[r - 1][s - 1], expect, n, p, "gamma_%d_%d" % (r, s))
+            for i, e in enumerate(entry.exps, start=1):
+                expect = expect + e * schubert_weight(n, p, i)
+            _certify(entry.num, expect, n, p, "gamma_%d_%d" % (r, s))
     return GammaMatrix(n, p, basis, z, gamma)
 
 
@@ -350,7 +345,7 @@ def clear_denominators(gm, r, s):
     n, p = gm.n, gm.p
     if r + s > n + 1:
         raise ZipconeError("entry (%d, %d) vanishes for n = %d" % (r, s, n))
-    entry = gm.gamma[r - 1][s - 1].reduce()
+    entry = gm.gamma[r - 1][s - 1]
     stated = [0] * n
     if r >= 2:
         stated[r - 2] += 1

@@ -8,7 +8,7 @@ of the sum of minor products that ``sections.gamma_entry`` evaluates, so
 a test that compares the two does not compare Gamma with itself.
 """
 
-from zipcones.fpoly import MinorBasis, RationalFunction, a_var, minor
+from zipcones.fpoly import MinorBasis, a_var, minor
 
 
 def _removal_minor(n, p, i, j):
@@ -46,18 +46,16 @@ def f2_sp6(p):
 
 
 def displayed_gamma(n, p):
-    """Rows of the displayed matrix for n = 2 or 3: RationalFunctions,
+    """Rows of the displayed matrix for n = 2 or 3 in lowest terms: the
+    pair (numerator, exponents of Delta_1..Delta_n in the denominator),
     None where the entry vanishes."""
     b = MinorBasis(n, p)
     if n == 2:
-        return [[RationalFunction(b, alpha_sp4(p), (p - 1, 0)),
-                 RationalFunction(b, b.delta(1))],
-                [RationalFunction(b, -b.delta(2), (1, 0)), None]]
+        return [[(alpha_sp4(p), (p - 1, 0)), (b.delta(1), (0, 0))],
+                [(-b.delta(2), (1, 0)), None]]
     # (zA)_{22} = a22 - a23 a12 / a13 = -Delta_2 / Delta_1; the sign is
     # invisible mod 2
-    return [[RationalFunction(b, epsilon_sp6(p), (p, 0, 0)),
-             RationalFunction(b, f1_sp6(p), (0, p, 0)),
-             RationalFunction(b, b.delta(1))],
-            [RationalFunction(b, f2_sp6(p), (p + 1, 0, 0)),
-             RationalFunction(b, -b.delta(2), (1, 0, 0)), None],
-            [RationalFunction(b, b.delta(3), (0, 1, 0)), None, None]]
+    return [[(epsilon_sp6(p), (p, 0, 0)), (f1_sp6(p), (0, p, 0)),
+             (b.delta(1), (0, 0, 0))],
+            [(f2_sp6(p), (p + 1, 0, 0)), (-b.delta(2), (1, 0, 0)), None],
+            [(b.delta(3), (0, 1, 0)), None, None]]

@@ -182,6 +182,31 @@ def gf_matrix_rank(field, rows):
     return rank
 
 
+def gf_gauss_jordan(field, rows, width):
+    """Gauss-Jordan elimination on the first ``width`` columns of the
+    first ``width`` rows: (determinant of that square block, the rows
+    reduced so that the block is the identity).  A singular block gives
+    determinant zero and rows reduced only part of the way."""
+    rows = [list(r) for r in rows]
+    det = field.one
+    for c in range(width):
+        piv = next((r for r in range(c, width) if rows[r][c]), None)
+        if piv is None:
+            return field.zero, rows
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = field.neg(det)
+        det = field.mul(det, rows[c][c])
+        inv = field.inv(rows[c][c])
+        rows[c] = [field.mul(inv, x) for x in rows[c]]
+        for r in range(len(rows)):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [field.sub(x, field.mul(f, y))
+                           for x, y in zip(rows[r], rows[c])]
+    return det, rows
+
+
 def evaluate(poly, assign, field):
     """Value of ``poly`` at ``assign`` (variable -> field element)."""
     total = field.zero

@@ -140,7 +140,8 @@ def test_criterion_5_gamma_matrix():
                         assert display[r - 1][s - 1] is None
                         assert entry.is_zero(), (n, p, r, s)
                         continue
-                    assert entry == display[r - 1][s - 1], (n, p, r, s)
+                    assert (entry.num, entry.exps) == display[r - 1][s - 1], \
+                        (n, p, r, s)
                     weight = [0] * n
                     weight[r - 1] += 1
                     weight[s - 1] -= p

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import zipcones
-from zipcones import cli, modules
+from zipcones import cli, fpoly, modules
 from zipcones.cli import main
 
 
@@ -84,8 +84,8 @@ def test_gamma_verb(tmp_path):
 
 
 def test_vlambda_verb(tmp_path):
-    code, data = run(["vlambda", "--n", "2", "--p", "2", "--weight", "2,0",
-                      "--report", "dims"], tmp_path)
+    code, data = run(["vlambda", "--n", "2", "--p", "2", "--weight", "2,0"],
+                     tmp_path)
     assert code == 0
     doc = json.loads(data)
     assert (doc["dim"], doc["dim_leq0"], doc["dim_invariants"],
@@ -350,6 +350,48 @@ def test_module_dim_guard_is_the_largest_dimension_built(tmp_path,
     assert code == 0 and json.loads(data)["dim"] == 3
     code, data = run(argv + ["--weight", "3,0"], tmp_path, "refused.json")
     assert code == 2 and data == b""
+
+
+def test_vlambda_rank4(tmp_path):
+    # no rank is refused as such, and the intersection dimension is h0
+    argv = ["--n", "4", "--p", "2", "--weight", "1,1,-2,-2"]
+    code, data = run(["vlambda"] + argv, tmp_path)
+    assert code == 0
+    doc = json.loads(data)
+    assert (doc["dim"], doc["dim_leq0"], doc["dim_invariants"],
+            doc["dim_intersection"]) == (50, 40, 1, 1)
+    code, data = run(["h0"] + argv, tmp_path, "h0.json")
+    assert code == 0 and json.loads(data)["dim"] == 1
+
+
+def test_minor_guard_is_the_largest_minor_expanded(tmp_path, monkeypatch,
+                                                   capsys):
+    # a 4 x 4 minor has 24 terms and a 5 x 5 minor 120; the cache is
+    # emptied so that no minor expanded under the full cap answers
+    monkeypatch.setattr(fpoly, "MONOMIAL_CAP", 24)
+    fpoly.minor.cache_clear()
+    argv = ["verify-section", "--name", "hasse", "--p", "2", "--n"]
+    code, data = run(argv + ["4"], tmp_path)
+    assert code == 0 and json.loads(data)["name"] == "hasse"
+    code, data = run(argv + ["5"], tmp_path, "refused.json")
+    assert code == 2 and data == b""
+    assert capsys.readouterr().err == (
+        "guard error: a 5 x 5 minor has 120 terms, more than the limit 24\n")
+
+
+def test_minor_past_the_guard_exits_2_at_once(tmp_path, capsys):
+    # hasse at n = 9 has 9! = 362880 terms: refused before any expansion,
+    # where it used to take minutes and gigabytes; delta1 needs only a
+    # 1 x 1 minor and answers
+    code, data = run(["verify-section", "--name", "hasse", "--n", "9",
+                      "--p", "2"], tmp_path)
+    assert code == 2 and data == b""
+    assert capsys.readouterr().err == (
+        "guard error: a 9 x 9 minor has 362880 terms, more than the limit "
+        "%d\n" % fpoly.MONOMIAL_CAP)
+    code, data = run(["verify-section", "--name", "delta1", "--n", "9",
+                      "--p", "2"], tmp_path, "delta1.json")
+    assert code == 0 and json.loads(data)["weight"] == [1] + [0] * 7 + [-2]
 
 
 def test_exponent_past_the_limit_exits_2(tmp_path, capsys):

@@ -9,7 +9,10 @@ the inverse may sit only in the ``fplinalg`` reduction and in
 ``fpoly.exact_divide``, which divides polynomials, not linear systems.
 A matrix of ``a_var`` entries is built only by ``fpoly.generic_matrix``;
 every minor of it comes from the one cache of ``fpoly.minor``, which
-builds no matrix."""
+builds no matrix.  A section body is a polynomial: a ``RationalFunction``
+is the record of an entry of the reduction matrix or of z, built only in
+``sections`` (and as its own lowest terms by ``reduce``), so no code
+branches on whether a body is a fraction."""
 
 import ast
 from pathlib import Path
@@ -82,3 +85,26 @@ def test_modular_inverse_only_in_the_reduction_and_polynomial_division():
 
 def test_entry_matrix_only_in_generic_matrix():
     assert _places(_is_entry_matrix) == {"fpoly.py:generic_matrix"}
+
+
+def _names_fraction(node):
+    return isinstance(node, ast.Name) and node.id == "RationalFunction"
+
+
+def _is_fraction_type_test(node):
+    """``isinstance(x, RationalFunction)``, alone or in a tuple of types."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and any(_names_fraction(child)
+                    for child in ast.walk(node.args[1])))
+
+
+def _is_fraction_construction(node):
+    return isinstance(node, ast.Call) and _names_fraction(node.func)
+
+
+def test_fraction_is_a_record_built_by_sections():
+    assert _places(_is_fraction_type_test) == set()
+    assert _places(_is_fraction_construction) == {
+        "fpoly.py:reduce", "sections.py:gamma_entry",
+        "sections.py:gamma_matrix"}

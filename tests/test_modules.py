@@ -130,8 +130,10 @@ def test_build_module_examples():
 def test_build_module_rejects_non_dominant():
     with pytest.raises(EmptyModuleError):
         build_module((0, 1), 2, 2)
+    # no rank is refused as such, only a dimension past the guard
+    assert build_module((1, 0, 0, 0), 4, 2).dim == 4
     with pytest.raises(GuardExceededError):
-        build_module((1, 0, 0, 0), 4, 2)
+        build_module((modules.MODULE_DIM_GUARD, 0), 2, 2)
 
 
 def test_weight_of_the_wrong_rank_is_not_an_empty_module():
@@ -461,6 +463,19 @@ def test_thminter_rank3_p3():
     # certificate of the generators, never the element list
     for lam in [(0, 0, 0), (1, 0, -2), (2, 0, -2), (2, -2, -6)]:
         lhs, rhs, agree = thminter_check(lam, 3, 3)
+        assert agree, (lam, lhs, rhs)
+
+
+@pytest.mark.parametrize("n, p, low, high", [(4, 2, -2, 1), (4, 3, -3, 1),
+                                             (5, 2, -1, 1)])
+def test_thminter_agrees_past_rank_3(n, p, low, high):
+    # every L-dominant weight of the box: 35, 70 and 21 of them
+    weights = [lam for lam in itertools.product(range(high, low - 1, -1),
+                                                repeat=n)
+               if all(lam[i] >= lam[i + 1] for i in range(n - 1))]
+    assert len(weights) == {4: {2: 35, 3: 70}, 5: {2: 21}}[n][p]
+    for lam in weights:
+        lhs, rhs, agree = thminter_check(lam, n, p)
         assert agree, (lam, lhs, rhs)
 
 

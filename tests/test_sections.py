@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fp_reference import fp_nullspace
+from gfq import evaluate, field_for, gf_gauss_jordan
 from gamma_reference import (
     alpha_sp4,
     displayed_gamma,
@@ -35,7 +36,6 @@ from zipcones.fplinalg import fp_det
 from zipcones.fpoly import (
     FpPolynomial,
     MinorBasis,
-    RationalFunction,
     Substitution,
     a_var,
     generic_matrix,
@@ -137,10 +137,11 @@ def _assert_displayed(n, p):
     g = gamma_matrix(n, p)
     for r, row in enumerate(displayed_gamma(n, p)):
         for s, expect in enumerate(row):
+            entry = g.gamma[r][s]
             if expect is None:
-                assert g.gamma[r][s].is_zero(), (n, p, r, s)
+                assert entry.is_zero(), (n, p, r, s)
             else:
-                assert g.gamma[r][s] == expect, (n, p, r, s)
+                assert (entry.num, entry.exps) == expect, (n, p, r, s)
 
 
 def test_gamma_displayed_matrix_n2():
@@ -178,30 +179,43 @@ def test_gamma_zero_pattern_and_weights_n4():
         gamma_matrix(5, 2)
 
 
-def _neumann_inverse(mat, one, zero):
-    """(1 + N)^{-1} = sum_j (-N)^j for a unitriangular 1 + N."""
-    n = len(mat)
-    N = [[mat[i][j] if i != j else zero for j in range(n)] for i in range(n)]
-    ident = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    out = [row[:] for row in ident]
-    power = ident
-    sign = -1
-    for _ in range(1, n):
-        power = mat_mul(power, N)
-        out = [[out[i][j] + (power[i][j] * sign) for j in range(n)]
-               for i in range(n)]
-        sign = -sign
+def _field_product(field, X, Y):
+    out = []
+    for row in X:
+        out.append([])
+        for col in zip(*Y):
+            acc = field.zero
+            for x, y in zip(row, col):
+                acc = field.add(acc, field.mul(x, y))
+            out[-1].append(acc)
     return out
+
+
+def _field_inverse(field, M):
+    m = len(M)
+    det, rows = gf_gauss_jordan(
+        field, [row + [int(i == j) for j in range(m)]
+                for i, row in enumerate(M)], m)
+    assert det
+    return [row[m:] for row in rows]
+
+
+def _field_det(field, A, rows, cols):
+    return gf_gauss_jordan(
+        field, [[A[i - 1][j - 1] for j in cols] for i in rows], len(rows))[0]
 
 
 @pytest.mark.parametrize("n, p", list(itertools.product((1, 2, 3, 4),
                                                          (2, 3, 5, 7)))
                          + [(5, 2), (5, 3)])
 def test_gamma_inverse_is_the_lu_factor(n, p, monkeypatch):
-    # z^{-1} is the unit lower LU factor of A with its columns reversed,
-    # (z^{-1})_{i,k} = minor((1..k-1, i), last k columns) / Delta_k; the
-    # Neumann series of z and of phi(z) are the second reference, and
-    # their product with A the reference for gamma
+    # evaluated at random matrices A over GF(p^k) whose Delta_i are all
+    # nonzero: z, solved for by elimination in the field, is the value of
+    # the z of gamma_matrix; z^{-1} is the unit lower LU factor of A with
+    # its columns reversed, (z^{-1})_{i,k} = minor((1..k-1, i), last k
+    # columns) / Delta_k; and z A phi(z)^{-1}, with phi the Frobenius of
+    # the field, is the value of gamma.  The reference forms no
+    # polynomial; only the entries of gamma_matrix are evaluated.
     if n > sections.GAMMA_RANK_GUARD:
         # past the rank guard, uncached, so that no guarded matrix is left
         # in the cache for the guard tests to find
@@ -209,22 +223,49 @@ def test_gamma_inverse_is_the_lu_factor(n, p, monkeypatch):
         g = gamma_matrix.__wrapped__(n, p)
     else:
         g = gamma_matrix(n, p)
-    one = RationalFunction(g.basis, FpPolynomial.constant(p, 1))
-    zero = RationalFunction(g.basis, FpPolynomial.zero(p))
-    ident = [[one if i == k else zero for k in range(n)] for i in range(n)]
-    closed = [row[:] for row in ident]
-    for k, i in itertools.combinations(range(1, n + 1), 2):
-        num = minor(p, tuple(range(1, k)) + (i,),
-                    tuple(range(n + 1 - k, n + 1)))
-        closed[i - 1][k - 1] = RationalFunction(
-            g.basis, num, [int(t == k) for t in range(1, n + 1)])
-    assert mat_mul(closed, g.z) == ident
-    assert closed == _neumann_inverse(g.z, one, zero)
-    A = [[RationalFunction(g.basis, a_var(p, i, j)) for j in range(1, n + 1)]
-         for i in range(1, n + 1)]
-    phi_z = [[e.frobenius() for e in row] for row in g.z]
-    assert mat_mul(mat_mul(g.z, A), _neumann_inverse(phi_z, one, zero)) \
-        == g.gamma
+    field = field_for(p)
+    rng = random.Random(100 * n + p)
+
+    def last(k):
+        return tuple(range(n + 1 - k, n + 1))
+
+    points = 0
+    while points < 3:
+        A = [[rng.randrange(field.order) for _ in range(n)] for _ in range(n)]
+        deltas = [_field_det(field, A, range(1, k + 1), last(k))
+                  for k in range(1, n + 1)]
+        if not all(deltas):
+            continue
+        points += 1
+        # row i of z A vanishes on the last i - 1 columns:
+        # sum_{k<i} z_{i,k} A[k][c] = -A[i][c]
+        z = [[int(i == k) for k in range(n)] for i in range(n)]
+        for i in range(1, n):
+            cols = range(n - i, n)
+            _, rows = gf_gauss_jordan(
+                field, [[A[k][c] for k in range(i)] + [field.neg(A[i][c])]
+                        for c in cols], i)
+            z[i][:i] = [row[i] for row in rows]
+        z_inv = _field_inverse(field, z)
+        for k, i in itertools.combinations(range(1, n + 1), 2):
+            num = _field_det(field, A, tuple(range(1, k)) + (i,), last(k))
+            assert z_inv[i - 1][k - 1] == field.mul(
+                num, field.inv(deltas[k - 1])), (i, k)
+        phi_z = [[field.pow(x, p) for x in row] for row in z]
+        gamma = _field_product(field, _field_product(field, z, A),
+                               _field_inverse(field, phi_z))
+        assign = {("a", i + 1, j + 1): A[i][j]
+                  for i in range(n) for j in range(n)}
+
+        def value(entry):
+            den = field.one
+            for d, e in zip(deltas, entry.exps):
+                den = field.mul(den, field.pow(d, e))
+            return field.mul(evaluate(entry.num, assign, field),
+                             field.inv(den))
+
+        assert [[value(e) for e in row] for row in g.z] == z
+        assert [[value(e) for e in row] for row in g.gamma] == gamma
 
 
 def test_clear_denominators_examples():
@@ -617,8 +658,8 @@ def test_check_equivariance_rejects_entries_outside_the_matrix():
     # a_{3,1} has no weight for n = 2; weight_of used to raise IndexError
     with pytest.raises(ValueError, match="2 x 2"):
         check_equivariance(a_var(2, 3, 1), None, 2, 2)
-    with pytest.raises(ValueError, match="3 x 3"):
-        check_equivariance(gamma_matrix(3, 2).gamma[0][0], None, 2, 2)
+    with pytest.raises(ValueError, match="2 x 2"):
+        check_equivariance(gamma_matrix(3, 2).gamma[0][0].num, None, 2, 2)
 
 
 def test_tilde_valuation_rejects_a_vanishing_element():
@@ -719,21 +760,17 @@ def test_h0_matches_rank2_ring_beyond_criterion_box(p, degree, a):
 # unipotent invariance: the oracle's columns against the substitution
 
 
-def _verdict(body, n, p):
+def _verdict(body, weight, n, p):
     """check_equivariance's (generator, message) of a moving body, or None."""
     try:
-        check_equivariance(body, None, n, p)
+        check_equivariance(body, weight, n, p)
     except NotUnipotentInvariantError as exc:
         return exc.generator, str(exc)
     return None
 
 
-def _numerator(body):
-    return body.num if isinstance(body, RationalFunction) else body
-
-
 def _reference_verdict(body, n, p):
-    defect = defect_by_substitution(_numerator(body), n, p)
+    defect = defect_by_substitution(body, n, p)
     if defect is None:
         return None
     k, degree = defect
@@ -743,16 +780,26 @@ def _reference_verdict(body, n, p):
 
 
 def _verified_bodies():
-    """(n, p, body) of every catalog section at n = 2, 3, 4 and of every
-    nonzero entry of the reduction matrix at n = 3 and 4."""
+    """(n, p, body, weight) of every catalog section at n = 2, 3, 4 and of
+    the numerator of every nonzero entry (r, s) of the reduction matrix
+    at n = 3 and 4, whose weight is e_r - p e_s plus that of the minors
+    in the denominator."""
     for n in (2, 3, 4):
         for p in (2, 3, 5, 7):
             for name in section_names(n):
-                yield n, p, catalog_section(name, n, p).body
+                s = catalog_section(name, n, p)
+                yield n, p, s.body, s.weight
     for n, primes in ((3, (2, 3, 5, 7)), (4, (2, 3, 5))):
         for p in primes:
-            for row in gamma_matrix(n, p).gamma:
-                yield from ((n, p, e) for e in row if not e.is_zero())
+            for r, row in enumerate(gamma_matrix(n, p).gamma, start=1):
+                for s, entry in enumerate(row, start=1):
+                    if entry.is_zero():
+                        continue
+                    weight = Weight(int(t == r) - p * int(t == s)
+                                    for t in range(1, n + 1))
+                    for i, e in enumerate(entry.exps, start=1):
+                        weight = weight + e * schubert_weight(n, p, i)
+                    yield n, p, entry.num, weight
 
 
 def _entries(n):
@@ -760,23 +807,20 @@ def _entries(n):
 
 
 def _bumps(rng, n, p, body, count):
-    """``count`` copies of body with one coefficient of its numerator
-    raised: a monomial of its own or another of the numerator's weight."""
-    num = _numerator(body)
-    monomials = [mono for mono, _ in num.sorted_terms()]
+    """``count`` copies of body with one coefficient raised: a monomial
+    of its own or another of its weight."""
+    monomials = [mono for mono, _ in body.sorted_terms()]
     try:
         monomials += [tuple(zip(_entries(n), exps)) for exps in
-                      enumerate_weight_monomials(weight_of(num, n), n, p,
+                      enumerate_weight_monomials(weight_of(body, n), n, p,
                                                  cap=500)]
     except GuardExceededError:
         pass
     for _ in range(count):
         bump = FpPolynomial.monomial(p, rng.choice(monomials),
                                      rng.randrange(1, p))
-        if (num + bump).is_zero():
-            continue
-        yield (RationalFunction(body.basis, num + bump, body.exps)
-               if isinstance(body, RationalFunction) else num + bump)
+        if not (body + bump).is_zero():
+            yield body + bump
 
 
 def _is_power_of(q, p):
@@ -790,12 +834,12 @@ def test_equivariance_matches_the_substitution_reference():
     # columns and from the whole t-polynomial of the image
     rng = random.Random(14)
     verified = moved = 0
-    for n, p, body in _verified_bodies():
-        assert _verdict(body, n, p) is None \
+    for n, p, body, weight in _verified_bodies():
+        assert _verdict(body, weight, n, p) is None \
             and _reference_verdict(body, n, p) is None, (n, p, body)
         verified += 1
         for bumped in _bumps(rng, n, p, body, 3):
-            got = _verdict(bumped, n, p)
+            got = _verdict(bumped, weight, n, p)
             assert got == _reference_verdict(bumped, n, p), (n, p, bumped)
             if got is not None:
                 moved += 1
@@ -809,11 +853,10 @@ def test_unipotent_defect_of_mixed_degrees():
     # so a polynomial of mixed degree gets the substitution's answer
     rng = random.Random(15)
     cases = 0
-    for n, p, body in _verified_bodies():
-        num = _numerator(body)
+    for n, p, body, _ in _verified_bodies():
         extra = {entry: rng.randrange(3) for entry in
                  rng.sample(_entries(n), 2)}
-        mixed = num + FpPolynomial.monomial(p, extra.items(),
+        mixed = body + FpPolynomial.monomial(p, extra.items(),
                                             rng.randrange(1, p))
         terms = {}
         for mono, c in mixed.sorted_terms():
