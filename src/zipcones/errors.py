@@ -16,7 +16,7 @@ class RankMismatchError(ZipconeError):
 
 
 class GuardExceededError(ZipconeError):
-    """A resource guard (rank, group size, monomial count, ...) was hit."""
+    """A resource guard (group size, term count, ...) was hit."""
 
 
 class UndecidedAtBoundError(GuardExceededError):

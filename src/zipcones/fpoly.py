@@ -16,7 +16,8 @@ inverts the map.  A product of monomials is one integer addition: two
 exponents within the limit sum to less than ``2**FIELD_BITS``, so nothing
 carries into the next field, and a sum that reaches a guard bit raises
 ``GuardExceededError`` naming the exponent and the limit.  The constant
-monomial is 0.
+monomial is 0.  Likewise no term dict built here (a product, sum,
+substitution image or quotient) grows past ``MONOMIAL_CAP`` terms.
 
 Two orders are in use.  The kernel (``leading``, ``exact_divide``)
 compares packed monomials as integers, which is the lexicographic order
@@ -163,6 +164,13 @@ def _grlex_key(m):
 
 # -- the term-dict kernel -----------------------------------------------------
 
+def _check_size(what, terms):
+    """Raise once a term dict under construction passes ``MONOMIAL_CAP``."""
+    if len(terms) > MONOMIAL_CAP:
+        raise GuardExceededError("%s has %d terms, more than the limit %d"
+                                 % (what, len(terms), MONOMIAL_CAP))
+
+
 def _reduce_mod(acc, p):
     _check_exponents(acc)
     out = {}
@@ -189,6 +197,7 @@ def _mul_terms(f, g, p):
         for m2, c2 in g.items():
             m = m1 + m2
             acc[m] = get(m, 0) + c1 * c2
+        _check_size("a product", acc)
     return _reduce_mod(acc, p)
 
 
@@ -281,6 +290,7 @@ class FpPolynomial:
                 terms[m] = c
             else:
                 terms.pop(m, None)
+        _check_size("a sum", terms)
         return FpPolynomial._of(p, terms)
 
     def __add__(self, other):
@@ -431,6 +441,7 @@ class Substitution:
         for m, c in poly.terms.items():
             for key, ci in self.image_terms(m).items():
                 acc[key] = get(key, 0) + c * ci
+            _check_size("a substitution image", acc)
         return FpPolynomial._of(p, _reduce_mod(acc, p))
 
 
@@ -533,6 +544,7 @@ def exact_divide(f, g):
             return None
         qc = fc * gc_inv % p
         quot[qm] = qc
+        _check_size("a quotient", quot)
         for m, c in tail:
             key = qm + m
             if key & guard:
@@ -613,12 +625,9 @@ class RationalFunction:
         num = self.num
         exps = list(self.exps)
         for i in range(self.basis.n):
-            while exps[i] > 0:
-                q = exact_divide(num, self.basis.delta(i + 1))
-                if q is None:
-                    break
-                num = q
-                exps[i] -= 1
+            while exps[i] > 0 and (q := exact_divide(
+                    num, self.basis.delta(i + 1))) is not None:
+                num, exps[i] = q, exps[i] - 1
         return RationalFunction(self.basis, num, exps)
 
     def weight(self):

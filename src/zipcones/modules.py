@@ -74,15 +74,6 @@ def group_elements(n, p):
     return tuple(out)
 
 
-def _mat_product(factors, p):
-    """Product mod p of a nonempty list of square matrices."""
-    out = factors[0]
-    for b in factors[1:]:
-        out = tuple(tuple(sum(x * y for x, y in zip(row, col)) % p
-                          for col in zip(*b)) for row in out)
-    return out
-
-
 def _elementary(n, i, k):
     return tuple(tuple(int(r == c or (r, c) == (i, k)) for c in range(n))
                  for r in range(n))
@@ -113,25 +104,36 @@ def group_generators(n, p):
 def _check_elementary_words(transvection, cycle, p):
     """Raise TheoremViolationError unless words in T = ``transvection``
     and C = ``cycle`` multiply out mod p to every 1 + E_ik, i != k:
-    T_{i,i+1} = C^{-i} T C^i (indices mod n, C^{-1} = C^{n-1}), each
-    multiplied out as C^{-1} T_{i-1,i} C, then gap by gap
-    T_ik = [T_ij, T_jk] with j = i + 1 and a^{-1} = a^{p-1}."""
+    T_{i,i+1} = C^{-1} T_{i-1,i} C (indices mod n), then gap by gap
+    T_ik = [T_ij, T_jk] with j = i + 1 and a^{-1} = a^{p-1}.  C must be a
+    permutation matrix sum_r E_{r,sigma(r)}, so C^{-1} M C has the entry
+    (r, c) of M at (sigma(r), sigma(c)).  The factors of a commutator are
+    1 + E_ij and 1 + E_jk, checked one gap earlier, so its word is
+    multiplied out on the identity by column operations: a right factor
+    1 + E_xy adds column x to column y."""
     n = len(cycle)
-    inverse = _mat_product([cycle] * (n - 1), p)
-    found = {}
+    sigma = [row.index(1) if 1 in row else n for row in cycle]
+    if sorted(sigma) != list(range(n)) or cycle != tuple(
+            tuple(int(c == s) for c in range(n)) for s in sigma):
+        raise TheoremViolationError("C = %s is not a permutation matrix"
+                                    % (cycle,))
+    source = sorted(range(n), key=sigma.__getitem__)
     for gap in range(1, n):
         for i in range(n):
             j, k = (i + 1) % n, (i + gap) % n
             if gap == 1:
-                word = ([inverse, found[i - 1, i], cycle] if i
-                        else [transvection])
+                out = transvection if i == 0 else tuple(
+                    tuple(out[source[r]][source[c]] for c in range(n))
+                    for r in range(n))
             else:
-                a, b = found[i, j], found[j, k]
-                word = [a, b] + [a] * (p - 1) + [b] * (p - 1)
-            found[i, k] = _mat_product(word, p)
-            if found[i, k] != _elementary(n, i, k):
+                cols = [[int(r == c) for r in range(n)] for c in range(n)]
+                for x, y in ([(i, j), (j, k)] + [(i, j)] * (p - 1)
+                             + [(j, k)] * (p - 1)):
+                    cols[y] = [(a + b) % p for a, b in zip(cols[y], cols[x])]
+                out = tuple(zip(*cols))
+            if out != _elementary(n, i, k):
                 raise TheoremViolationError("word for 1 + E_%d,%d gives %s"
-                                            % (i + 1, k + 1, found[i, k]))
+                                            % (i + 1, k + 1, out))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import (
-    GuardExceededError,
     InhomogeneousWeightError,
     NotUnipotentInvariantError,
     RankMismatchError,
@@ -49,9 +48,6 @@ from .fpoly import (
 from .oracle import unipotent_defect
 from .weights import (Weight, eta_weight, hw_functional, schubert_weight,
                       validate_n_p)
-
-GAMMA_RANK_GUARD = 4
-NORM_TERM_CAP = 2 * 10 ** 5
 
 _T = ("t",)
 
@@ -115,7 +111,7 @@ def _defect(poly, n):
 @lru_cache(maxsize=None)
 def _minors_are_invariant(n, p):
     basis = MinorBasis(n, p)
-    return all(_defect(basis.delta(i), n) is None for i in range(1, n + 1))
+    return all(_defect(basis.delta(i), n) is None for i in range(n, 0, -1))
 
 
 def check_equivariance(body, lam, n, p, name=None):
@@ -284,7 +280,8 @@ def gamma_entry(basis, r, s):
 @lru_cache(maxsize=None)
 def gamma_matrix(n, p):
     """The twisted conjugate of the generic matrix by the unique lower
-    unitriangular z that kills the strict anti-lower triangle of z A.
+    unitriangular z that kills the strict anti-lower triangle of z A, at
+    any n whose polynomials stay within the term cap of ``fpoly``.
 
     Entry (r, s) is ``gamma_entry`` in lowest terms.  It vanishes for
     r + s > n + 1 by construction; every other entry is certified
@@ -293,9 +290,11 @@ def gamma_matrix(n, p):
     denominator exponents e_i.
     """
     validate_n_p(n, p)
-    if n > GAMMA_RANK_GUARD:
-        raise GuardExceededError("gamma matrix is guarded to n <= %d"
-                                 % GAMMA_RANK_GUARD)
+    # uniqueness of z makes every entry equivariant of weight e_r - p e_s;
+    # verified rather than trusted, from the largest denominator Delta_n on
+    if not _minors_are_invariant(n, p):
+        raise TheoremViolationError(
+            "minor denominators move under a unipotent generator")
     basis = MinorBasis(n, p)
     one = RationalFunction(basis, FpPolynomial.constant(p, 1))
     zero = RationalFunction(basis, FpPolynomial.zero(p))
@@ -317,11 +316,6 @@ def gamma_matrix(n, p):
 
     gamma = [[gamma_entry(basis, r, s).reduce() for s in range(1, n + 1)]
              for r in range(1, n + 1)]
-    # uniqueness of z makes every entry equivariant of weight e_r - p e_s;
-    # verified rather than trusted
-    if not _minors_are_invariant(n, p):
-        raise TheoremViolationError(
-            "minor denominators move under a unipotent generator")
     for r in range(1, n + 1):
         for s in range(1, n + 2 - r):
             entry = gamma[r - 1][s - 1]
@@ -465,7 +459,7 @@ def tilde_valuation(elem):
     return total
 
 
-def tilde_section(elem, body_term_cap=NORM_TERM_CAP):
+def tilde_section(elem):
     """Norm product over GL_n(F_p) of a module element, with valuations."""
     from .modules import _right_translation, group_elements, group_order
 
@@ -477,17 +471,10 @@ def tilde_section(elem, body_term_cap=NORM_TERM_CAP):
     prod = FpPolynomial.constant(p, 1)
     for s in group:
         prod = prod * _right_translation(elem, s)(elem.num)
-        if len(prod.terms) > body_term_cap:
-            raise GuardExceededError("norm product exceeds %d terms"
-                                     % body_term_cap)
     detp = minor(p, tuple(range(1, n + 1)), tuple(range(1, n + 1)))
     extra = 0
-    while True:
-        q = exact_divide(prod, detp)
-        if q is None:
-            break
-        prod = q
-        extra += 1
+    while (q := exact_divide(prod, detp)) is not None:
+        prod, extra = q, extra + 1
     return TildeSection(n, p, D * elem.weight, prod,
                         elem.det_pow * D + extra, tilde_valuation(elem))
 

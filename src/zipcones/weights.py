@@ -15,9 +15,10 @@ from .errors import RankMismatchError
 # the largest exponent of a matrix entry or of t that any layer takes;
 # fpoly packs each exponent into a field of one more bit
 EXPONENT_LIMIT = (1 << 31) - 1
-# the most monomials the dimension oracle enumerates for one weight, and
-# the most terms of one expanded minor: certifying a polynomial builds one
-# oracle column per term
+# the most terms of one polynomial (fpoly.minor, fpoly._check_size) and the
+# default most monomials of one weight in the dimension oracle
+# (oracle.enumerate_weight_monomials, oracle.h0_dimension, cli.build_parser):
+# certifying a polynomial builds one oracle column per term
 MONOMIAL_CAP = 2 * 10 ** 5
 
 

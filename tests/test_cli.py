@@ -217,7 +217,7 @@ def test_exit_codes(tmp_path):
     assert code == 1
     code, _ = run(["h0", "--n", "2", "--p", "2", "--weight", "zzz"], tmp_path)
     assert code == 1
-    code, _ = run(["gamma", "--n", "5", "--p", "2"], tmp_path)
+    code, _ = run(["gamma", "--n", "9", "--p", "2"], tmp_path)
     assert code == 2
     code, _ = run(["slice", "--cone", "xplusi", "--n", "3", "--p", "2"],
                   tmp_path)
@@ -379,16 +379,41 @@ def test_minor_guard_is_the_largest_minor_expanded(tmp_path, monkeypatch,
         "guard error: a 5 x 5 minor has 120 terms, more than the limit 24\n")
 
 
+def test_gamma_past_rank_4_answers(tmp_path):
+    # no rank is refused; the zeros below the anti-diagonal hold at n = 5
+    code, data = run(["gamma", "--n", "5", "--p", "2"], tmp_path)
+    assert code == 0
+    gamma = json.loads(data)["gamma"]
+    for r, row in enumerate(gamma, start=1):
+        for s, entry in enumerate(row, start=1):
+            assert (entry["num"]["terms"] == []) == (r + s > 6), (r, s)
+
+
+def test_gamma_past_the_term_cap_exits_2(monkeypatch, capsys):
+    # the largest reduced numerator of gamma at (6, 7) has 1536 terms:
+    # under a cap of 1000 the division that builds it stops at 1001
+    from zipcones import sections
+
+    sections.gamma_matrix.cache_clear()
+    monkeypatch.setattr(fpoly, "MONOMIAL_CAP", 1000)
+    code = main(["gamma", "--n", "6", "--p", "7"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == ("guard error: a quotient has 1001 terms, more than the "
+                   "limit 1000\n")
+
+
 def test_minor_past_the_guard_exits_2_at_once(tmp_path, capsys):
     # hasse at n = 9 has 9! = 362880 terms: refused before any expansion,
-    # where it used to take minutes and gigabytes; delta1 needs only a
-    # 1 x 1 minor and answers
-    code, data = run(["verify-section", "--name", "hasse", "--n", "9",
-                      "--p", "2"], tmp_path)
-    assert code == 2 and data == b""
-    assert capsys.readouterr().err == (
-        "guard error: a 9 x 9 minor has 362880 terms, more than the limit "
-        "%d\n" % fpoly.MONOMIAL_CAP)
+    # where it used to take minutes and gigabytes, and gamma at n = 9
+    # certifies Delta_9 before any entry; delta1 needs only a 1 x 1 minor
+    # and answers
+    for verb in (["verify-section", "--name", "hasse"], ["gamma"]):
+        code, data = run(verb + ["--n", "9", "--p", "2"], tmp_path)
+        assert code == 2 and data == b""
+        assert capsys.readouterr().err == (
+            "guard error: a 9 x 9 minor has 362880 terms, more than the "
+            "limit %d\n" % fpoly.MONOMIAL_CAP)
     code, data = run(["verify-section", "--name", "delta1", "--n", "9",
                       "--p", "2"], tmp_path, "delta1.json")
     assert code == 0 and json.loads(data)["weight"] == [1] + [0] * 7 + [-2]

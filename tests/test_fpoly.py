@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zipcones import fpoly
 from zipcones.cones import Weight
 from zipcones.errors import GuardExceededError
 from zipcones.fpoly import (
@@ -314,6 +315,29 @@ def test_frobenius_overflow_raises():
         over = ok * a_var(p, 2, 1) ** (EXPONENT_LIMIT // p + 1)
         with pytest.raises(GuardExceededError, match="exceeds"):
             over.frobenius()
+
+
+def test_every_term_dict_built_stops_at_the_cap(monkeypatch):
+    # f and g have 4 terms each; under a cap of 3 each way of growing a
+    # term dict past it raises, naming what grew, its size and the limit
+    p = 5
+    x, y, u, v, w = (a_var(p, 1, j) for j in (1, 2, 3, 4, 5))
+    f, g = (x + 1) ** 3, (y + 1) ** 3
+    fg, two = f * g, x + y
+    monkeypatch.setattr(fpoly, "MONOMIAL_CAP", 3)
+    with pytest.raises(GuardExceededError,
+                       match="^a product has 4 terms, more than the limit 3$"):
+        f * g
+    with pytest.raises(GuardExceededError, match="^a sum has 7 terms"):
+        f + g
+    with pytest.raises(GuardExceededError,
+                       match="^a substitution image has 4 terms"):
+        two.substitute({("a", 1, 1): u + v, ("a", 1, 2): w + 1})
+    with pytest.raises(GuardExceededError, match="^a quotient has 4 terms"):
+        exact_divide(fg, g)
+    # what stays within the cap answers
+    assert two.substitute({("a", 1, 1): u + v, ("a", 1, 2): w}) == u + v + w
+    assert exact_divide(fg, fg) == FpPolynomial.constant(p, 1)
 
 
 @settings(max_examples=60, deadline=None)

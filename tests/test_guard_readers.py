@@ -1,12 +1,16 @@
-"""The package has one polyhedral eliminator, one F_p eliminator and one
-place that builds a matrix of entry variables, and these tests pin all
-three, the way ``test_imports.py`` pins the import graph.
+"""The package has one polyhedral eliminator, one F_p eliminator, one
+term cap and one place that builds a matrix of entry variables, and these
+tests pin all four, the way ``test_imports.py`` pins the import graph.
 
 ``DD_RAY_GUARD`` bounds the double description; a second polyhedral
-eliminator under that guard would read it too.  Every F_p elimination
-divides by a pivot through the modular inverse ``pow(x, p - 2, p)``, so
-the inverse may sit only in the ``fplinalg`` reduction and in
-``fpoly.exact_divide``, which divides polynomials, not linear systems.
+eliminator under that guard would read it too.  ``MONOMIAL_CAP`` is the
+one size limit of the polynomial layer and the default of the dimension
+oracle's monomial cap; a guard on the rank of one verb, or a second copy
+of the cap, is a module-level name that one test refuses.  Every F_p
+elimination divides by a pivot through the modular inverse
+``pow(x, p - 2, p)``, so the inverse may sit only in the ``fplinalg``
+reduction and in ``fpoly.exact_divide``, which divides polynomials, not
+linear systems.
 A matrix of ``a_var`` entries is built only by ``fpoly.generic_matrix``;
 every minor of it comes from the one cache of ``fpoly.minor``, which
 builds no matrix.  A section body is a polynomial: a ``RationalFunction``
@@ -15,12 +19,12 @@ is the record of an entry of the reduction matrix or of z, built only in
 branches on whether a body is a fraction."""
 
 import ast
+from fnmatch import fnmatch
 from pathlib import Path
 
 import zipcones
 
 PACKAGE = Path(zipcones.__file__).resolve().parent
-GUARD = "DD_RAY_GUARD"
 
 
 def _places(match):
@@ -43,12 +47,14 @@ def _places(match):
     return places
 
 
-def _reads_guard(node):
-    if isinstance(node, ast.Name):
-        return node.id == GUARD and isinstance(node.ctx, ast.Load)
-    if isinstance(node, ast.Attribute):
-        return node.attr == GUARD and isinstance(node.ctx, ast.Load)
-    return isinstance(node, ast.alias) and node.name == GUARD
+def _reads(name):
+    def match(node):
+        if isinstance(node, ast.Name):
+            return node.id == name and isinstance(node.ctx, ast.Load)
+        if isinstance(node, ast.Attribute):
+            return node.attr == name and isinstance(node.ctx, ast.Load)
+        return isinstance(node, ast.alias) and node.name == name
+    return match
 
 
 def _is_modular_inverse(node):
@@ -75,7 +81,32 @@ def _is_entry_matrix(node):
 
 
 def test_ray_guard_is_read_only_by_the_double_description():
-    assert _places(_reads_guard) == {"cones.py:double_description"}
+    assert _places(_reads("DD_RAY_GUARD")) == {"cones.py:double_description"}
+
+
+def test_term_cap_readers():
+    # the imports, the two fpoly guards, and the defaults of the oracle's
+    # and the command line's monomial cap
+    assert _places(_reads("MONOMIAL_CAP")) == {
+        "cli.py:<module>", "cli.py:build_parser",
+        "fpoly.py:<module>", "fpoly.py:_check_size", "fpoly.py:minor",
+        "oracle.py:<module>", "oracle.py:enumerate_weight_monomials",
+        "oracle.py:h0_dimension"}
+
+
+def test_no_rank_guard_or_second_term_cap():
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.add(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                names |= {node.id for node in ast.walk(stmt)
+                          if isinstance(node, ast.Name)
+                          and isinstance(node.ctx, ast.Store)}
+    assert "MONOMIAL_CAP" in names
+    assert [name for name in names if fnmatch(name, "*_RANK_GUARD")
+            or name == "NORM_TERM_CAP"] == []
 
 
 def test_modular_inverse_only_in_the_reduction_and_polynomial_division():

@@ -18,7 +18,6 @@ from zipcones.fpoly import FpPolynomial, a_var
 from zipcones.modules import (
     _check_elementary_words,
     _expand_monomial,
-    _mat_product,
     _right_translation,
     build_module,
     group_elements,
@@ -56,6 +55,11 @@ def test_group_elements_rejects_a_non_prime():
         group_elements(2, 4)
 
 
+def _product(a, b, p):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p
+                       for col in zip(*b)) for row in a)
+
+
 def _closure(gens, n, p):
     # reference certificate: every product of the generators, breadth first
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
@@ -64,7 +68,7 @@ def _closure(gens, n, p):
         new = []
         for m in frontier:
             for g in gens:
-                x = _mat_product([g, m], p)
+                x = _product(g, m, p)
                 if x not in closure:
                     closure.add(x)
                     new.append(x)
@@ -104,6 +108,13 @@ def test_word_certificate_rejects_a_wrong_generating_set():
     for transvection, c in [(t12, ident), (t13, cycle)]:
         with pytest.raises(TheoremViolationError):
             _check_elementary_words(transvection, c, p)
+    # the conjugates are read off the index map of C, which a matrix that
+    # is not a permutation does not have: 2 C, and C with an extra 1
+    for c in [tuple(tuple(2 * x for x in row) for row in cycle),
+              (cycle[0], cycle[1], (1, 1, 0))]:
+        with pytest.raises(TheoremViolationError,
+                           match="not a permutation matrix"):
+            _check_elementary_words(t12, c, p)
 
 
 def test_generators_need_no_closure():

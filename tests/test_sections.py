@@ -20,7 +20,7 @@ from h0_reference import (
     defect_by_substitution,
     h0_by_substitution,
 )
-from zipcones import sections
+from zipcones import fpoly
 from zipcones.catalog import eta_weight, hodge_character, schubert_weight
 from zipcones.cones import Weight
 from zipcones.errors import (
@@ -175,8 +175,17 @@ def test_gamma_zero_pattern_and_weights_n4():
                 assert entry.weight() == Weight(weight), (p, r, s)
                 sec = clear_denominators(g, r, s)
                 assert not sec.body.is_zero()
-    with pytest.raises(GuardExceededError):
-        gamma_matrix(5, 2)
+
+
+def test_gamma_is_bounded_by_the_term_cap(monkeypatch):
+    # no rank is refused: gamma_matrix(6, 7) answers at the full cap, and
+    # its largest reduced numerator, 1536 terms, is refused under a cap of
+    # 1000; uncached, so that the refused matrix is built afresh
+    g = gamma_matrix(6, 7)
+    assert max(len(e.num.terms) for row in g.gamma for e in row) == 1536
+    monkeypatch.setattr(fpoly, "MONOMIAL_CAP", 1000)
+    with pytest.raises(GuardExceededError, match="more than the limit 1000"):
+        gamma_matrix.__wrapped__(6, 7)
 
 
 def _field_product(field, X, Y):
@@ -207,8 +216,8 @@ def _field_det(field, A, rows, cols):
 
 @pytest.mark.parametrize("n, p", list(itertools.product((1, 2, 3, 4),
                                                          (2, 3, 5, 7)))
-                         + [(5, 2), (5, 3)])
-def test_gamma_inverse_is_the_lu_factor(n, p, monkeypatch):
+                         + [(5, 2), (5, 3), (6, 2), (6, 3)])
+def test_gamma_inverse_is_the_lu_factor(n, p):
     # evaluated at random matrices A over GF(p^k) whose Delta_i are all
     # nonzero: z, solved for by elimination in the field, is the value of
     # the z of gamma_matrix; z^{-1} is the unit lower LU factor of A with
@@ -216,13 +225,7 @@ def test_gamma_inverse_is_the_lu_factor(n, p, monkeypatch):
     # columns) / Delta_k; and z A phi(z)^{-1}, with phi the Frobenius of
     # the field, is the value of gamma.  The reference forms no
     # polynomial; only the entries of gamma_matrix are evaluated.
-    if n > sections.GAMMA_RANK_GUARD:
-        # past the rank guard, uncached, so that no guarded matrix is left
-        # in the cache for the guard tests to find
-        monkeypatch.setattr(sections, "GAMMA_RANK_GUARD", n)
-        g = gamma_matrix.__wrapped__(n, p)
-    else:
-        g = gamma_matrix(n, p)
+    g = gamma_matrix(n, p)
     field = field_for(p)
     rng = random.Random(100 * n + p)
 
@@ -543,6 +546,17 @@ def test_tilde_det_power():
         # boundary valuation has the opposite sign: det^k extends iff k <= 0
         assert ts.det_valuation == -k * group_order(2, 2)
         assert ts.extends == (k <= 0)
+
+
+def test_norm_product_is_bounded_by_the_term_cap(monkeypatch):
+    # the norm of the highest-weight vector of V(1, 0) at p = 3 has 4
+    # terms, but the running product of its 48 right translates reaches
+    # 18; the product guard of fpoly refuses it under a cap of 10
+    hw = highest_weight_vector(build_module((1, 0), 2, 3))
+    assert len(tilde_section(hw).body_num.terms) == 4
+    monkeypatch.setattr(fpoly, "MONOMIAL_CAP", 10)
+    with pytest.raises(GuardExceededError, match="a product has"):
+        tilde_section(hw)
 
 
 def test_tilde_body_is_fixed_by_right_translation():
