@@ -39,19 +39,22 @@ minor expands into the smaller ones.
 
 The weight grading assigns ``a_{i,j}`` the character vector
 ``e_i - p*e_j`` of the diagonal torus acting by twisted conjugation
-``t . A = t A phi(t)^{-1}``; ``weight_of`` recovers the common weight of a
-homogeneous polynomial.
+``t . A = t A phi(t)^{-1}``.  ``entry_exponents`` is the one reader from
+packed monomials to the exponents of the n x n entries, row by row, outside
+the output path; ``weight_of`` and the certificates of ``sections`` read
+its tuples.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from math import factorial, isqrt
 from operator import or_
 
 from .errors import GuardExceededError
-from .weights import EXPONENT_LIMIT, MONOMIAL_CAP, Weight, schubert_weight
+from .weights import EXPONENT_LIMIT, MONOMIAL_CAP, Weight
 
 FIELD_BITS = EXPONENT_LIMIT.bit_length() + 1
 _FIELD = (1 << FIELD_BITS) - 1
@@ -115,17 +118,16 @@ def _pack(pairs):
     return m
 
 
+def _words(m, count):
+    """The first ``count`` fields of m, split at once: FIELD_BITS is 32, so
+    a field is one little-endian 4-byte word."""
+    return struct.unpack("<%dI" % count, m.to_bytes(4 * count, "little"))
+
+
 def _fields(m):
     """(field index, exponent) of every variable present in m."""
-    out = []
-    f = 0
-    while m:
-        e = m & _FIELD
-        if e:
-            out.append((f, e))
-        m >>= FIELD_BITS
-        f += 1
-    return out
+    words = _words(m, -(-m.bit_length() // FIELD_BITS))
+    return [(f, e) for f, e in enumerate(words) if e]
 
 
 def _decode(m):
@@ -561,33 +563,39 @@ def exact_divide(f, g):
     return FpPolynomial._of(p, quot)
 
 
-def weight_of(f, n):
-    """Common twisted-conjugation weight of the monomials of f, if any.
+def entry_exponents(f, n):
+    """{exponent tuple: coefficient} of f, each tuple the exponents of the
+    n x n entries row by row; ValueError for any other variable.  The
+    first 2 n^2 fields hold t and the a and b of the n^2 cells that the
+    n x n entries fill, a in the odd ones."""
+    count = 2 * n * n
+    order = [_field(("a", i, j)) for i in range(1, n + 1)
+             for j in range(1, n + 1)]
+    out = {}
+    for m, c in f.terms.items():
+        words = () if m >> FIELD_BITS * count else _words(m, count)
+        if not words or any(words[::2]):
+            v = next(_var_of(g) for g, _ in _fields(m)
+                     if g % 2 == 0 or g >= count)
+            raise ValueError("weight grading is defined on the %d x %d "
+                             "matrix entries only, found %r" % (n, n, v))
+        out[tuple(map(words.__getitem__, order))] = c
+    return out
 
-    Returns a Weight, or None when f is zero or not homogeneous.  Raises
-    ValueError when f involves variables other than the n x n matrix
-    entries.
-    """
-    if f.is_zero():
-        return None
-    p = f.p
-    common = None
-    for m in f.terms:
-        wt = [0] * n
-        for field, e in _fields(m):
-            v = _var_of(field)
-            if v[0] != "a" or max(v[1:]) > n:
-                raise ValueError("weight grading is defined on the %d x %d "
-                                 "matrix entries only, found %r" % (n, n, v))
-            _, i, j = v
-            wt[i - 1] += e
-            wt[j - 1] -= p * e
-        wt = Weight(wt)
-        if common is None:
-            common = wt
-        elif common != wt:
-            return None
-    return common
+
+def exponent_weight(terms, n, p):
+    """Common twisted-conjugation weight of the exponent tuples of
+    ``terms``: row sums minus p times column sums; None when there are no
+    terms or their weights differ."""
+    found = {tuple(sum(e[i * n:i * n + n]) - p * sum(e[i::n])
+                   for i in range(n)) for e in terms}
+    return Weight(found.pop()) if len(found) == 1 else None
+
+
+def weight_of(f, n):
+    """Common twisted-conjugation weight of the monomials of f, or None;
+    ValueError for variables other than the n x n matrix entries."""
+    return exponent_weight(entry_exponents(f, n), n, f.p)
 
 
 class MinorBasis:
@@ -629,16 +637,6 @@ class RationalFunction:
                     num, self.basis.delta(i + 1))) is not None:
                 num, exps[i] = q, exps[i] - 1
         return RationalFunction(self.basis, num, exps)
-
-    def weight(self):
-        """Weight of the fraction; None when the numerator is inhomogeneous."""
-        wn = weight_of(self.num, self.basis.n)
-        if wn is None:
-            return None
-        for i, e in enumerate(self.exps, start=1):
-            if e:
-                wn = wn - e * schubert_weight(self.basis.n, self.basis.p, i)
-        return wn
 
     def __repr__(self):
         return "(%r) / %s" % (

@@ -37,17 +37,17 @@ from .fpoly import (
     FpPolynomial,
     MinorBasis,
     RationalFunction,
-    _decode,
+    entry_exponents,
     exact_divide,
+    exponent_weight,
     mat_identity,
     mat_mul,
     matrix_images,
     minor,
-    weight_of,
 )
 from .oracle import unipotent_defect
-from .weights import (Weight, eta_weight, hw_functional, schubert_weight,
-                      validate_n_p)
+from .weights import (Weight, _unit, eta_weight, hw_functional,
+                      schubert_weight, validate_n_p)
 
 _T = ("t",)
 
@@ -97,23 +97,6 @@ class Section:
         return out
 
 
-def _defect(poly, n):
-    """``oracle.unipotent_defect`` of a polynomial in the n x n entries."""
-    terms = {}
-    for m, c in poly.terms.items():
-        exps = [0] * (n * n)
-        for (_, i, j), e in _decode(m):
-            exps[(i - 1) * n + j - 1] = e
-        terms[tuple(exps)] = c
-    return unipotent_defect(terms, n, poly.p)
-
-
-@lru_cache(maxsize=None)
-def _minors_are_invariant(n, p):
-    basis = MinorBasis(n, p)
-    return all(_defect(basis.delta(i), n) is None for i in range(n, 0, -1))
-
-
 def check_equivariance(body, lam, n, p, name=None):
     """Verify that the polynomial ``body`` is weight homogeneous and
     unipotent invariant; return a Section.
@@ -125,13 +108,14 @@ def check_equivariance(body, lam, n, p, name=None):
     matrix.
     """
     validate_n_p(n, p)
-    found = weight_of(body, n)
+    terms = entry_exponents(body, n)
+    found = exponent_weight(terms, n, body.p)
     if found is None:
         raise InhomogeneousWeightError(
             "body is zero or mixes weight components")
     if lam is not None and Weight(lam) != found:
         raise WeightMismatchError(found, Weight(lam))
-    defect = _defect(body, n)
+    defect = unipotent_defect(terms, n, body.p)
     if defect is not None:
         k, degree = defect
         raise NotUnipotentInvariantError((k, k - 1),
@@ -278,23 +262,38 @@ def gamma_entry(basis, r, s):
 
 
 @lru_cache(maxsize=None)
+def _certify_minors(n, p):
+    """Certify every Delta_i with its weight, from the largest, Delta_n, on."""
+    basis = MinorBasis(n, p)
+    for i in range(n, 0, -1):
+        _certify(basis.delta(i), schubert_weight(n, p, i), n, p, "delta%d" % i)
+
+
+def _numerator_weight(n, p, r, s, exps):
+    """Weight of the numerator over prod Delta_i^exps_i of entry (r, s)."""
+    weight = _unit(n, r - 1) - p * _unit(n, s - 1)
+    for i, e in enumerate(exps, start=1):
+        weight = weight + e * schubert_weight(n, p, i)
+    return weight
+
+
+@lru_cache(maxsize=None)
 def gamma_matrix(n, p):
     """The twisted conjugate of the generic matrix by the unique lower
     unitriangular z that kills the strict anti-lower triangle of z A, at
     any n whose polynomials stay within the term cap of ``fpoly``.
 
     Entry (r, s) is ``gamma_entry`` in lowest terms.  It vanishes for
-    r + s > n + 1 by construction; every other entry is certified
-    equivariant of weight e_r - p e_s: the minors Delta_i once, and the
-    numerator with weight e_r - p e_s + sum_i e_i wt(Delta_i) for the
-    denominator exponents e_i.
+    r + s > n + 1 by construction; every other entry is proved equivariant
+    of weight e_r - p e_s once.  The minors Delta_i are certified with
+    their weights; an anti-diagonal entry, +-Delta_r / Delta_{r-1} by
+    construction, is checked by that identity and its weight bookkeeping;
+    every other numerator is certified with weight e_r - p e_s +
+    sum_i e_i wt(Delta_i) for the denominator exponents e_i.
     """
     validate_n_p(n, p)
-    # uniqueness of z makes every entry equivariant of weight e_r - p e_s;
-    # verified rather than trusted, from the largest denominator Delta_n on
-    if not _minors_are_invariant(n, p):
-        raise TheoremViolationError(
-            "minor denominators move under a unipotent generator")
+    # uniqueness of z makes every entry equivariant: verified, not trusted
+    _certify_minors(n, p)
     basis = MinorBasis(n, p)
     one = RationalFunction(basis, FpPolynomial.constant(p, 1))
     zero = RationalFunction(basis, FpPolynomial.zero(p))
@@ -319,22 +318,25 @@ def gamma_matrix(n, p):
     for r in range(1, n + 1):
         for s in range(1, n + 2 - r):
             entry = gamma[r - 1][s - 1]
-            expect = Weight(tuple(int(t == r) - p * int(t == s)
-                                  for t in range(1, n + 1)))
-            for i, e in enumerate(entry.exps, start=1):
-                expect = expect + e * schubert_weight(n, p, i)
-            _certify(entry.num, expect, n, p, "gamma_%d_%d" % (r, s))
+            expect = _numerator_weight(n, p, r, s, entry.exps)
+            name = "gamma_%d_%d" % (r, s)
+            if r + s <= n:
+                _certify(entry.num, expect, n, p, name)
+            elif (entry.num not in (basis.delta(r), -basis.delta(r))
+                  or expect != schubert_weight(n, p, r)):
+                raise TheoremViolationError(
+                    "%s is not +-Delta_%d / Delta_%d" % (name, r, r - 1))
     return GammaMatrix(n, p, basis, z, gamma)
 
 
 def clear_denominators(gm, r, s):
     """Polynomial section carried by a gamma entry.
 
-    First certifies the structural claim that multiplying by
-    Delta_{r-1} (prod_{m=s}^{n-r} Delta_m)^p clears all denominators and
-    that this product has the stated weight; then returns the minimal
-    clearing (the entry's numerator in lowest terms) as a verified
-    Section.
+    Certifies the structural claim that multiplying by
+    Delta_{r-1} (prod_{m=s}^{n-r} Delta_m)^p clears all denominators (no
+    denominator exponent passes the stated one), then returns the minimal
+    clearing, the numerator that ``gamma_matrix`` certified, as a Section
+    of weight e_r - p e_s + sum_i e_i wt(Delta_i).
     """
     n, p = gm.n, gm.p
     if r + s > n + 1:
@@ -349,20 +351,8 @@ def clear_denominators(gm, r, s):
         raise TheoremViolationError(
             "stated minor product does not clear the (%d, %d) denominators"
             % (r, s))
-    homog_weight = entry.weight()
-    for i, st in enumerate(stated, start=1):
-        if st:
-            homog_weight = homog_weight + st * schubert_weight(n, p, i)
-    expect = schubert_weight(n, p, r - 1) + Weight(
-        tuple((1 if t == r else 0) - p * (1 if t == s else 0)
-              for t in range(1, n + 1)))
-    for m in range(s, n - r + 1):
-        expect = expect + p * schubert_weight(n, p, m)
-    if homog_weight != expect:
-        raise TheoremViolationError(
-            "cleared (%d, %d) weight %s differs from the stated %s"
-            % (r, s, homog_weight, expect))
-    return _certify(entry.num, None, n, p, "gamma_%d_%d_cleared" % (r, s))
+    return Section(n, p, entry.num, _numerator_weight(n, p, r, s, entry.exps),
+                   "gamma_%d_%d_cleared" % (r, s))
 
 
 # ---------------------------------------------------------------------------

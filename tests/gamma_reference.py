@@ -6,9 +6,24 @@ are written out by hand in the matrix entries, the minors Delta_i and the
 minors of the matrix with one row and one column removed, independently
 of the sum of minor products that ``sections.gamma_entry`` evaluates, so
 a test that compares the two does not compare Gamma with itself.
+
+``entry_weight`` reads the weight of an entry off its numerator and its
+minor denominator, on the test side only: the package proves it once,
+inside ``sections.gamma_matrix``.
 """
 
-from zipcones.fpoly import MinorBasis, a_var, minor
+from zipcones.fpoly import MinorBasis, a_var, minor, weight_of
+from zipcones.weights import schubert_weight
+
+
+def entry_weight(entry):
+    """Weight of a numerator-over-minors record: the weight of its
+    numerator minus exps_i wt(Delta_i) for each denominator exponent."""
+    n, p = entry.basis.n, entry.basis.p
+    weight = weight_of(entry.num, n)
+    for i, e in enumerate(entry.exps, start=1):
+        weight = weight - e * schubert_weight(n, p, i)
+    return weight
 
 
 def _removal_minor(n, p, i, j):

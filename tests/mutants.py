@@ -1,0 +1,76 @@
+"""Mutation checks: each entry breaks the package in one known way, and the
+tests it names must catch that.
+
+``MUTANTS`` lists (file under ``src/zipcones``, exact old text, new text,
+test node ids).  ``python tests/mutants.py`` takes the mutants one at a
+time: it copies ``src/`` to a temporary directory, applies the edit there
+(it stops if the old text does not occur exactly once), runs the named
+tests against the copy and prints whether they caught it.  A mutant
+whose tests all pass survives; the run exits 1 if any survives or a test
+run errs.  It is not part of the test suite, which checks only that every
+old text still occurs exactly once (``tests/test_mutants.py``), so a
+refactor that moves the code moves its mutant in the same change.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "zipcones"
+
+MUTANTS = [
+    ("sections.py", "last_s).frobenius()", "last_s)",
+     ["tests/test_sections.py::test_gamma_displayed_matrix_n2"]),
+    ("sections.py", "sign = (-1) ** (r - 1)", "sign = (-1) ** r",
+     ["tests/test_sections.py::test_gamma_displayed_matrix_n3"]),
+    ("fpoly.py", "total + term if idx % 2 == 0 else total - term",
+     "total - term if idx % 2 == 0 else total + term",
+     ["tests/test_sections.py::test_gamma_displayed_matrix_n2"]),
+    ("modules.py", "if all(c % (p - 1) == 0 for c in w)",
+     "if all(c % p == 0 for c in w)",
+     ["tests/test_modules.py::test_invariants_full_group_gl2_f3"]),
+    ("fplinalg.py", "flips = sum(a > b for", "flips = sum(a < b for",
+     ["tests/test_fplinalg.py::"
+      "test_det_matches_the_references_on_all_small_matrices"]),
+    ("fpoly.py", 'order = [_field(("a", i, j))', 'order = [_field(("a", j, i))',
+     ["tests/test_sections.py::test_entry_exponents_match_the_decoded_reference"]),
+]
+
+
+def run(path, old, new, tests):
+    """pytest's exit code for ``tests`` against the package with ``old``
+    replaced by ``new`` in ``path``: 0 means the mutant survived."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(PACKAGE, src / "zipcones",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / "zipcones" / path
+        text = target.read_text()
+        if text.count(old) != 1:
+            sys.exit("%s: %r occurs %d times" % (path, old, text.count(old)))
+        target.write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "-o", "pythonpath=" + str(src)] + list(tests),
+            cwd=ROOT, env=env, stdout=subprocess.DEVNULL).returncode
+
+
+def main():
+    bad = 0
+    for path, old, new, tests in MUTANTS:
+        code = run(path, old, new, tests)
+        verdict = {0: "SURVIVED", 1: "killed"}.get(code, "error %d" % code)
+        bad += code != 1
+        print("%-8s %s: %r -> %r" % (verdict, path, old, new), flush=True)
+    return int(bad > 0)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,7 +7,7 @@ tolerances anywhere.
 
 import itertools
 
-from gamma_reference import displayed_gamma
+from gamma_reference import displayed_gamma, entry_weight
 from zipcones.catalog import (
     cone_GS,
     cone_hw,
@@ -145,7 +145,7 @@ def test_criterion_5_gamma_matrix():
                     weight = [0] * n
                     weight[r - 1] += 1
                     weight[s - 1] -= p
-                    assert entry.weight() == Weight(weight), (n, p, r, s)
+                    assert entry_weight(entry) == Weight(weight), (n, p, r, s)
                     sec = clear_denominators(g, r, s)
                     assert not sec.body.is_zero()
     _report(5, True, "gamma matches the displayed matrices and clears "

@@ -266,8 +266,9 @@ def test_failed_certificate_of_a_built_section_exits_3(tmp_path, monkeypatch,
     from zipcones import sections
 
     sections.gamma_matrix.cache_clear()
-    monkeypatch.setattr(sections, "_defect", lambda poly, n: (2, 3))
-    monkeypatch.setattr(sections, "_minors_are_invariant", lambda n, p: True)
+    sections._certify_minors.cache_clear()
+    monkeypatch.setattr(sections, "unipotent_defect",
+                        lambda terms, n, p: (2, 3))
     for argv in (["gamma", "--n", "2", "--p", "3"],
                  ["verify-section", "--name", "delta2", "--n", "2", "--p", "3"],
                  ["verify-section", "--name", "thetasp6", "--p", "3"]):

