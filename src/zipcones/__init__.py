@@ -45,8 +45,7 @@ _EXPORTS = {
         "WeightMismatchError",
         "ZipconeError",
     ], "errors"),
-    **dict.fromkeys(["FpPolynomial", "MinorBasis", "RationalFunction"],
-                    "fpoly"),
+    "FpPolynomial": "fpoly",
     **dict.fromkeys([
         "InducedModule",
         "build_module",
@@ -59,7 +58,6 @@ _EXPORTS = {
     "h0_dimension": "oracle",
     "SymplecticRootDatum": "rootdata",
     **dict.fromkeys([
-        "GammaMatrix",
         "Section",
         "TildeSection",
         "catalog_section",

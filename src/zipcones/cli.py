@@ -127,14 +127,14 @@ def _cmd_verify_section(args):
 def _cmd_gamma(args):
     from .sections import gamma_matrix
 
-    def fraction(e):
-        return {"num": e.num.to_json_dict(),
-                "den": {str(i): k for i, k in enumerate(e.exps, start=1) if k}}
+    def fraction(num, exps):
+        return {"num": num.to_json_dict(),
+                "den": {str(i): k for i, k in enumerate(exps, start=1) if k}}
 
-    g = gamma_matrix(args.n, args.p)
-    doc = {"schema": SCHEMA, "n": g.n, "p": g.p,
-           "z": [[fraction(e) for e in row] for row in g.z],
-           "gamma": [[fraction(e) for e in row] for row in g.gamma]}
+    z, gamma = gamma_matrix(args.n, args.p)
+    doc = {"schema": SCHEMA, "n": args.n, "p": args.p,
+           "z": [[fraction(*e) for e in row] for row in z],
+           "gamma": [[fraction(*e) for e in row] for row in gamma]}
     _emit(args, _json(doc))
 
 

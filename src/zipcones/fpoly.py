@@ -32,7 +32,7 @@ into the part in the mapped variables and the rest, adds the rest back
 unchanged and memoises the image of the mapped part by its packed value.
 
 ``minor`` is the one source of minors of the generic matrix: the Delta_i
-of ``MinorBasis``, the module coordinates, the Cramer numerators of z and
+of ``delta_minor``, the module coordinates, the Cramer numerators of z and
 the numerators of the entries of the reduction matrix Gamma all read the
 same cache, keyed by p and the row and column tuples, in which every
 minor expands into the smaller ones.
@@ -512,6 +512,12 @@ def minor(p, rows, cols):
     return total
 
 
+def delta_minor(n, p, i):
+    """Delta_i of the generic n x n matrix over F_p: rows 1..i against the
+    last i columns, from the ``minor`` cache."""
+    return minor(p, tuple(range(1, i + 1)), tuple(range(n + 1 - i, n + 1)))
+
+
 def exact_divide(f, g):
     """Quotient f/g when g divides f exactly, else None.
 
@@ -597,49 +603,3 @@ def weight_of(f, n):
     ValueError for variables other than the n x n matrix entries."""
     return exponent_weight(entry_exponents(f, n), n, f.p)
 
-
-class MinorBasis:
-    """The anti-corner minors Delta_i of the generic n x n matrix over F_p:
-    rows 1..i against the last i columns, each read from the ``minor``
-    cache when it is asked for."""
-
-    def __init__(self, n, p):
-        self.n = n
-        self.p = p
-
-    def delta(self, i):
-        return minor(self.p, tuple(range(1, i + 1)),
-                     tuple(range(self.n + 1 - i, self.n + 1)))
-
-
-class RationalFunction:
-    """The record num / prod Delta_i^{e_i} of a fraction with a factored
-    minor denominator; it has no arithmetic."""
-
-    __slots__ = ("basis", "num", "exps")
-
-    def __init__(self, basis, num, exps=None):
-        self.basis = basis
-        self.num = num
-        self.exps = tuple(exps) if exps is not None else (0,) * basis.n
-        if num.is_zero():
-            self.exps = (0,) * basis.n
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def reduce(self):
-        """Lowest terms with respect to the minor denominators."""
-        num = self.num
-        exps = list(self.exps)
-        for i in range(self.basis.n):
-            while exps[i] > 0 and (q := exact_divide(
-                    num, self.basis.delta(i + 1))) is not None:
-                num, exps[i] = q, exps[i] - 1
-        return RationalFunction(self.basis, num, exps)
-
-    def __repr__(self):
-        return "(%r) / %s" % (
-            self.num,
-            "*".join("D%d^%d" % (i + 1, e)
-                     for i, e in enumerate(self.exps) if e) or "1")

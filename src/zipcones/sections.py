@@ -17,8 +17,10 @@ dimension at rank 2 from the generators of the ring.
 
 The reduction matrix Gamma = z A phi(z)^{-1} is written in closed form
 (``gamma_entry``), so its zeros hold by construction and the weights of
-its other entries are certified; alpha, epsilon, f1 and f2 are numerators
-of its entries.
+its other entries are certified.  An entry of Gamma or z is the pair
+(numerator, exponents of Delta_1..Delta_n in its denominator), and
+``gamma_matrix`` is their one cached, certified source; alpha, epsilon,
+f1 and f2 are numerators of entries of Gamma.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from .errors import (
 )
 from .fpoly import (
     FpPolynomial,
-    MinorBasis,
-    RationalFunction,
+    delta_minor,
     entry_exponents,
     exact_divide,
     exponent_weight,
@@ -90,11 +91,7 @@ class Section:
                        self.weight + other.weight, None)
 
     def power(self, k):
-        out = Section(self.n, self.p, FpPolynomial.constant(self.p, 1),
-                      Weight([0] * self.n))
-        for _ in range(k):
-            out = out * self
-        return out
+        return Section(self.n, self.p, self.body ** k, k * self.weight)
 
 
 def check_equivariance(body, lam, n, p, name=None):
@@ -141,15 +138,14 @@ def _gamma_numerator(n, p, r, s):
     """Numerator of the reduced entry (r, s) of the n x n reduction matrix:
     alpha is entry (1, 1) at n = 2, and epsilon, f1 and f2 are entries
     (1, 1), (1, 2) and (2, 1) at n = 3."""
-    return gamma_entry(MinorBasis(n, p), r, s).reduce().num
+    return _lowest_terms(n, p, *gamma_entry(n, p, r, s))[0]
 
 
 def _divided_sp6(p, which):
     """theta, rho, tau: numerators divisible by the stated power of the
     corner entry; a division failure falsifies the defining identities and
     is surfaced as a theorem violation.  Only the quotient is certified."""
-    basis = MinorBasis(3, p)
-    d1, d2 = basis.delta(1), basis.delta(2)
+    d1, d2 = delta_minor(3, p, 1), delta_minor(3, p, 2)
     eps, f1, f2 = (_gamma_numerator(3, p, r, s)
                    for r, s in ((1, 1), (1, 2), (2, 1)))
     if which == "theta":
@@ -197,7 +193,7 @@ def catalog_section(name, n, p):
         i = int(key[5:]) if delta else n
         if not 1 <= i <= n:
             raise ZipconeError("delta index out of range for n=%d" % n)
-        return _certify(MinorBasis(n, p).delta(i), schubert_weight(n, p, i),
+        return _certify(delta_minor(n, p, i), schubert_weight(n, p, i),
                         n, p, "delta%d" % i if delta else "hasse")
     if key not in _SECTIONS:
         raise ZipconeError("unknown section %r" % name)
@@ -217,21 +213,9 @@ def section_names(n):
 # ---------------------------------------------------------------------------
 # the triangular reduction matrix
 
-class GammaMatrix:
-    """The reduction matrix: ``z`` is lower unitriangular and ``gamma`` is
-    z A phi(z)^{-1}, both with RationalFunction entries over ``basis`` in
-    lowest terms, those of ``gamma`` read off ``gamma_entry``."""
-
-    def __init__(self, n, p, basis, z, gamma):
-        self.n = n
-        self.p = p
-        self.basis = basis
-        self.z = z
-        self.gamma = gamma
-
-
-def gamma_entry(basis, r, s):
-    """Entry (r, s) of the reduction matrix z A phi(z)^{-1}, unreduced:
+def gamma_entry(n, p, r, s):
+    """Entry (r, s) of the reduction matrix z A phi(z)^{-1}, unreduced, as
+    (numerator, exponents of Delta_1..Delta_n in the denominator):
 
       (-1)^{r-1} sum_{k=s}^{n+1-r} M_r(k) phi(L_s(k)) / (Delta_{r-1} Delta_s^p)
 
@@ -244,13 +228,12 @@ def gamma_entry(basis, r, s):
     r + s > n + 1; on the anti-diagonal only k = s remains, whose
     L_s(s) = Delta_s cancels: the entry is (-1)^{r-1} Delta_r / Delta_{r-1}.
     """
-    n, p = basis.n, basis.p
     sign = (-1) ** (r - 1)
     exps = [0] * n
     if r > 1:
         exps[r - 2] = 1
     if r + s == n + 1:
-        return RationalFunction(basis, basis.delta(r) * sign, exps)
+        return delta_minor(n, p, r) * sign, tuple(exps)
     exps[s - 1] += p
     rows, tail = tuple(range(1, r + 1)), tuple(range(n + 2 - r, n + 1))
     last_s = tuple(range(n + 1 - s, n + 1))
@@ -258,15 +241,26 @@ def gamma_entry(basis, r, s):
     for k in range(s, n + 2 - r):
         num = num + minor(p, rows, (k,) + tail) * minor(
             p, tuple(range(1, s)) + (k,), last_s).frobenius()
-    return RationalFunction(basis, num * sign, exps)
+    return num * sign, tuple(exps)
+
+
+def _lowest_terms(n, p, num, exps):
+    """(num, exps) with each Delta_i that divides num cancelled against
+    its denominator exponent; a zero numerator keeps no denominator."""
+    exps = list(exps)
+    for i in range(n):
+        while exps[i] > 0 and (q := exact_divide(
+                num, delta_minor(n, p, i + 1))) is not None:
+            num, exps[i] = q, exps[i] - 1
+    return num, tuple(exps)
 
 
 @lru_cache(maxsize=None)
 def _certify_minors(n, p):
     """Certify every Delta_i with its weight, from the largest, Delta_n, on."""
-    basis = MinorBasis(n, p)
     for i in range(n, 0, -1):
-        _certify(basis.delta(i), schubert_weight(n, p, i), n, p, "delta%d" % i)
+        _certify(delta_minor(n, p, i), schubert_weight(n, p, i), n, p,
+                 "delta%d" % i)
 
 
 def _numerator_weight(n, p, r, s, exps):
@@ -283,7 +277,9 @@ def gamma_matrix(n, p):
     unitriangular z that kills the strict anti-lower triangle of z A, at
     any n whose polynomials stay within the term cap of ``fpoly``.
 
-    Entry (r, s) is ``gamma_entry`` in lowest terms.  It vanishes for
+    Returns (z, gamma), rows of (numerator, exponents of Delta_1..Delta_n
+    in the denominator) pairs in lowest terms: z is lower unitriangular and
+    entry (r, s) of gamma is ``gamma_entry``.  It vanishes for
     r + s > n + 1 by construction; every other entry is proved equivariant
     of weight e_r - p e_s once.  The minors Delta_i are certified with
     their weights; an anti-diagonal entry, +-Delta_r / Delta_{r-1} by
@@ -294,11 +290,9 @@ def gamma_matrix(n, p):
     validate_n_p(n, p)
     # uniqueness of z makes every entry equivariant: verified, not trusted
     _certify_minors(n, p)
-    basis = MinorBasis(n, p)
-    one = RationalFunction(basis, FpPolynomial.constant(p, 1))
-    zero = RationalFunction(basis, FpPolynomial.zero(p))
-
-    z = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    no_den = (0,) * n
+    z = [[(FpPolynomial.constant(p, int(i == j)), no_den) for j in range(n)]
+         for i in range(n)]
     for i in range(2, n + 1):
         # Cramer's rule for sum_k z_{i,k} a_{k,c} = -a_{i,c} over the last
         # i - 1 columns c: the system matrix is A[1..i-1, cols] transposed,
@@ -311,26 +305,27 @@ def gamma_matrix(n, p):
         for k in range(1, i):
             rows = tuple(r for r in range(1, i) if r != k) + (i,)
             num = minor(p, rows, cols) * (-1) ** (i - k)
-            z[i - 1][k - 1] = RationalFunction(basis, num, exps).reduce()
+            z[i - 1][k - 1] = _lowest_terms(n, p, num, exps)
 
-    gamma = [[gamma_entry(basis, r, s).reduce() for s in range(1, n + 1)]
-             for r in range(1, n + 1)]
+    gamma = [[_lowest_terms(n, p, *gamma_entry(n, p, r, s))
+              for s in range(1, n + 1)] for r in range(1, n + 1)]
     for r in range(1, n + 1):
         for s in range(1, n + 2 - r):
-            entry = gamma[r - 1][s - 1]
-            expect = _numerator_weight(n, p, r, s, entry.exps)
+            num, exps = gamma[r - 1][s - 1]
+            expect = _numerator_weight(n, p, r, s, exps)
             name = "gamma_%d_%d" % (r, s)
             if r + s <= n:
-                _certify(entry.num, expect, n, p, name)
-            elif (entry.num not in (basis.delta(r), -basis.delta(r))
+                _certify(num, expect, n, p, name)
+            elif (num not in (delta_minor(n, p, r), -delta_minor(n, p, r))
                   or expect != schubert_weight(n, p, r)):
                 raise TheoremViolationError(
                     "%s is not +-Delta_%d / Delta_%d" % (name, r, r - 1))
-    return GammaMatrix(n, p, basis, z, gamma)
+    return z, gamma
 
 
-def clear_denominators(gm, r, s):
-    """Polynomial section carried by a gamma entry.
+def clear_denominators(n, p, r, s):
+    """Polynomial section carried by entry (r, s) of ``gamma_matrix(n, p)``,
+    for 1 <= r, 1 <= s and r + s <= n + 1 (ZipconeError otherwise).
 
     Certifies the structural claim that multiplying by
     Delta_{r-1} (prod_{m=s}^{n-r} Delta_m)^p clears all denominators (no
@@ -338,20 +333,21 @@ def clear_denominators(gm, r, s):
     clearing, the numerator that ``gamma_matrix`` certified, as a Section
     of weight e_r - p e_s + sum_i e_i wt(Delta_i).
     """
-    n, p = gm.n, gm.p
-    if r + s > n + 1:
-        raise ZipconeError("entry (%d, %d) vanishes for n = %d" % (r, s, n))
-    entry = gm.gamma[r - 1][s - 1]
+    if min(r, s) < 1 or r + s > n + 1:
+        raise ZipconeError("(%d, %d) is not a nonzero entry of the %d x %d "
+                           "reduction matrix" % (r, s, n, n))
+    _, gamma = gamma_matrix(n, p)
+    num, exps = gamma[r - 1][s - 1]
     stated = [0] * n
     if r >= 2:
         stated[r - 2] += 1
     for m in range(s, n - r + 1):
         stated[m - 1] += p
-    if any(e > st for e, st in zip(entry.exps, stated)):
+    if any(e > st for e, st in zip(exps, stated)):
         raise TheoremViolationError(
             "stated minor product does not clear the (%d, %d) denominators"
             % (r, s))
-    return Section(n, p, entry.num, _numerator_weight(n, p, r, s, entry.exps),
+    return Section(n, p, num, _numerator_weight(n, p, r, s, exps),
                    "gamma_%d_%d_cleared" % (r, s))
 
 

@@ -7,22 +7,23 @@ minors of the matrix with one row and one column removed, independently
 of the sum of minor products that ``sections.gamma_entry`` evaluates, so
 a test that compares the two does not compare Gamma with itself.
 
-``entry_weight`` reads the weight of an entry off its numerator and its
-minor denominator, on the test side only: the package proves it once,
-inside ``sections.gamma_matrix``.
+``entry_weight`` reads the weight of an entry, a (numerator, exponents
+of Delta_1..Delta_n) pair, off its numerator and its minor denominator,
+on the test side only: the package proves it once, inside
+``sections.gamma_matrix``.
 """
 
-from zipcones.fpoly import MinorBasis, a_var, minor, weight_of
+from zipcones.fpoly import a_var, delta_minor, minor, weight_of
 from zipcones.weights import schubert_weight
 
 
-def entry_weight(entry):
-    """Weight of a numerator-over-minors record: the weight of its
-    numerator minus exps_i wt(Delta_i) for each denominator exponent."""
-    n, p = entry.basis.n, entry.basis.p
-    weight = weight_of(entry.num, n)
-    for i, e in enumerate(entry.exps, start=1):
-        weight = weight - e * schubert_weight(n, p, i)
+def entry_weight(entry, n):
+    """Weight of an n x n numerator-over-minors pair (num, exps): the
+    weight of num minus exps_i wt(Delta_i) for each denominator exponent."""
+    num, exps = entry
+    weight = weight_of(num, n)
+    for i, e in enumerate(exps, start=1):
+        weight = weight - e * schubert_weight(n, num.p, i)
     return weight
 
 
@@ -34,8 +35,8 @@ def _removal_minor(n, p, i, j):
 
 
 def alpha_sp4(p):
-    d1 = MinorBasis(2, p).delta(1)
-    return a_var(p, 1, 1) * d1 ** (p - 1) + a_var(p, 2, 2) ** p
+    return (a_var(p, 1, 1) * delta_minor(2, p, 1) ** (p - 1)
+            + a_var(p, 2, 2) ** p)
 
 
 def epsilon_sp6(p):
@@ -45,9 +46,8 @@ def epsilon_sp6(p):
 
 
 def f1_sp6(p):
-    basis = MinorBasis(3, p)
-    return a_var(p, 1, 2) * basis.delta(2) ** p \
-        + basis.delta(1) * _removal_minor(3, p, 2, 1) ** p
+    return a_var(p, 1, 2) * delta_minor(3, p, 2) ** p \
+        + delta_minor(3, p, 1) * _removal_minor(3, p, 2, 1) ** p
 
 
 def f2_sp6(p):
@@ -55,22 +55,23 @@ def f2_sp6(p):
     # reading the two terms are only compatible mod 2, and the version
     # below is the one that is equivariant and satisfies the theta
     # division identity at odd p
-    basis = MinorBasis(3, p)
-    return -(basis.delta(1) ** p * _removal_minor(3, p, 3, 2)
-             + basis.delta(2) * a_var(p, 2, 3) ** p)
+    return -(delta_minor(3, p, 1) ** p * _removal_minor(3, p, 3, 2)
+             + delta_minor(3, p, 2) * a_var(p, 2, 3) ** p)
 
 
 def displayed_gamma(n, p):
     """Rows of the displayed matrix for n = 2 or 3 in lowest terms: the
     pair (numerator, exponents of Delta_1..Delta_n in the denominator),
     None where the entry vanishes."""
-    b = MinorBasis(n, p)
+    def d(i):
+        return delta_minor(n, p, i)
+
     if n == 2:
-        return [[(alpha_sp4(p), (p - 1, 0)), (b.delta(1), (0, 0))],
-                [(-b.delta(2), (1, 0)), None]]
+        return [[(alpha_sp4(p), (p - 1, 0)), (d(1), (0, 0))],
+                [(-d(2), (1, 0)), None]]
     # (zA)_{22} = a22 - a23 a12 / a13 = -Delta_2 / Delta_1; the sign is
     # invisible mod 2
     return [[(epsilon_sp6(p), (p, 0, 0)), (f1_sp6(p), (0, p, 0)),
-             (b.delta(1), (0, 0, 0))],
-            [(f2_sp6(p), (p + 1, 0, 0)), (-b.delta(2), (1, 0, 0)), None],
-            [(b.delta(3), (0, 1, 0)), None, None]]
+             (d(1), (0, 0, 0))],
+            [(f2_sp6(p), (p + 1, 0, 0)), (-d(2), (1, 0, 0)), None],
+            [(d(3), (0, 1, 0)), None, None]]

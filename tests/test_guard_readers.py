@@ -1,6 +1,7 @@
 """The package has one polyhedral eliminator, one F_p eliminator, one
-term cap and one place that builds a matrix of entry variables, and these
-tests pin all four, the way ``test_imports.py`` pins the import graph.
+term cap, one place that builds a matrix of entry variables and one
+certified source of the reduction matrix, and these tests pin all five,
+the way ``test_imports.py`` pins the import graph.
 
 ``DD_RAY_GUARD`` bounds the double description; a second polyhedral
 eliminator under that guard would read it too.  ``MONOMIAL_CAP`` is the
@@ -13,10 +14,13 @@ reduction and in ``fpoly.exact_divide``, which divides polynomials, not
 linear systems.
 A matrix of ``a_var`` entries is built only by ``fpoly.generic_matrix``;
 every minor of it comes from the one cache of ``fpoly.minor``, which
-builds no matrix.  A section body is a polynomial: a ``RationalFunction``
-is the record of an entry of the reduction matrix or of z, built only in
-``sections`` (and as its own lowest terms by ``reduce``), so no code
-branches on whether a body is a fraction."""
+builds no matrix.  An entry of the reduction matrix Gamma is written
+out by ``sections.gamma_entry``, which only ``gamma_matrix``, where each
+entry is certified, and the catalog's ``_gamma_numerator``, whose bodies
+``catalog_section`` certifies, read; every other reader,
+``clear_denominators`` among them, takes the entries from the cached
+``gamma_matrix``, so none of them is handed an entry that was not
+certified."""
 
 import ast
 from fnmatch import fnmatch
@@ -118,24 +122,8 @@ def test_entry_matrix_only_in_generic_matrix():
     assert _places(_is_entry_matrix) == {"fpoly.py:generic_matrix"}
 
 
-def _names_fraction(node):
-    return isinstance(node, ast.Name) and node.id == "RationalFunction"
-
-
-def _is_fraction_type_test(node):
-    """``isinstance(x, RationalFunction)``, alone or in a tuple of types."""
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "isinstance" and len(node.args) == 2
-            and any(_names_fraction(child)
-                    for child in ast.walk(node.args[1])))
-
-
-def _is_fraction_construction(node):
-    return isinstance(node, ast.Call) and _names_fraction(node.func)
-
-
-def test_fraction_is_a_record_built_by_sections():
-    assert _places(_is_fraction_type_test) == set()
-    assert _places(_is_fraction_construction) == {
-        "fpoly.py:reduce", "sections.py:gamma_entry",
-        "sections.py:gamma_matrix"}
+def test_gamma_entries_are_read_off_the_certified_matrix():
+    assert _places(_reads("gamma_entry")) == {
+        "sections.py:_gamma_numerator", "sections.py:gamma_matrix"}
+    assert _places(_reads("gamma_matrix")) == {
+        "cli.py:_cmd_gamma", "sections.py:clear_denominators"}

@@ -36,10 +36,9 @@ from zipcones.errors import (
 from zipcones.fplinalg import fp_det
 from zipcones.fpoly import (
     FpPolynomial,
-    MinorBasis,
-    RationalFunction,
     Substitution,
     a_var,
+    delta_minor,
     generic_matrix,
     mat_mul,
     matrix_images,
@@ -59,6 +58,7 @@ from zipcones.oracle import (
     unipotent_defect,
 )
 from zipcones.sections import (
+    Section,
     catalog_section,
     check_equivariance,
     clear_denominators,
@@ -100,6 +100,17 @@ def test_section_product_is_verified():
         assert again.weight == d1.weight + d2.weight
 
 
+def test_power_is_the_repeated_product():
+    for name, n in (("delta1", 3), ("alphasp4", 2)):
+        for p in (2, 3):
+            sec = catalog_section(name, n, p)
+            product = Section(n, p, FpPolynomial.constant(p, 1),
+                              Weight([0] * n))
+            for k in range(5):
+                assert sec.power(k) == product, (name, p, k)
+                product = product * sec
+
+
 CATALOG_WEIGHTS = {
     # name -> (n, expected weight as function of p)
     "delta1": (2, lambda p: schubert_weight(2, p, 1)),
@@ -136,14 +147,12 @@ def test_catalog_unknown_name():
 
 
 def _assert_displayed(n, p):
-    g = gamma_matrix(n, p)
+    _, gamma = gamma_matrix(n, p)
     for r, row in enumerate(displayed_gamma(n, p)):
         for s, expect in enumerate(row):
-            entry = g.gamma[r][s]
             if expect is None:
-                assert entry.is_zero(), (n, p, r, s)
-            else:
-                assert (entry.num, entry.exps) == expect, (n, p, r, s)
+                expect = (FpPolynomial.zero(p), (0,) * n)
+            assert gamma[r][s] == expect, (n, p, r, s)
 
 
 def test_gamma_displayed_matrix_n2():
@@ -164,18 +173,18 @@ def test_gamma_zero_pattern_and_weights_n4():
     # the zeros hold by construction and the weights are certified inside
     # gamma_matrix; both are asserted here as well
     for p in (2, 3):
-        g = gamma_matrix(4, p)
+        _, gamma = gamma_matrix(4, p)
         for r in range(1, 5):
             for s in range(1, 5):
-                entry = g.gamma[r - 1][s - 1]
+                entry = gamma[r - 1][s - 1]
                 if r + s > 5:
-                    assert entry.is_zero(), (p, r, s)
+                    assert entry[0].is_zero(), (p, r, s)
                     continue
                 weight = [0] * 4
                 weight[r - 1] += 1
                 weight[s - 1] -= p
-                assert entry_weight(entry) == Weight(weight), (p, r, s)
-                sec = clear_denominators(g, r, s)
+                assert entry_weight(entry, 4) == Weight(weight), (p, r, s)
+                sec = clear_denominators(4, p, r, s)
                 assert not sec.body.is_zero()
 
 
@@ -183,8 +192,8 @@ def test_gamma_is_bounded_by_the_term_cap(monkeypatch):
     # no rank is refused: gamma_matrix(6, 7) answers at the full cap, and
     # its largest reduced numerator, 1536 terms, is refused under a cap of
     # 1000; uncached, so that the refused matrix is built afresh
-    g = gamma_matrix(6, 7)
-    assert max(len(e.num.terms) for row in g.gamma for e in row) == 1536
+    _, gamma = gamma_matrix(6, 7)
+    assert max(len(num.terms) for row in gamma for num, _ in row) == 1536
     monkeypatch.setattr(fpoly, "MONOMIAL_CAP", 1000)
     with pytest.raises(GuardExceededError, match="more than the limit 1000"):
         gamma_matrix.__wrapped__(6, 7)
@@ -219,12 +228,11 @@ def test_anti_diagonal_identity_check_is_live(monkeypatch):
     # unipotent certificate left to catch it
     build = sections.gamma_entry
 
-    def tampered(basis, r, s):
-        entry = build(basis, r, s)
-        if r + s != basis.n + 1:
-            return entry
-        return RationalFunction(basis, entry.num * a_var(basis.p, 1, 1),
-                                entry.exps)
+    def tampered(n, p, r, s):
+        num, exps = build(n, p, r, s)
+        if r + s == n + 1:
+            num = num * a_var(p, 1, 1)
+        return num, exps
 
     monkeypatch.setattr(sections, "gamma_entry", tampered)
     for n, p in ((2, 3), (3, 2), (4, 3)):
@@ -233,11 +241,11 @@ def test_anti_diagonal_identity_check_is_live(monkeypatch):
 
 
 def test_clear_denominators_reproves_nothing(monkeypatch):
-    g = gamma_matrix(4, 3)
+    gamma_matrix(4, 3)
     calls = _count_defects(monkeypatch)
     for r in range(1, 5):
         for s in range(1, 6 - r):
-            sec = clear_denominators(g, r, s)
+            sec = clear_denominators(4, 3, r, s)
             assert sec.weight == weight_of(sec.body, 4), (r, s)
     assert calls == []
 
@@ -259,9 +267,9 @@ def decoded_exponents(poly, n):
 def test_entry_exponents_match_the_decoded_reference():
     for p in (2, 3):
         for n in range(1, 5):
-            g = gamma_matrix(n, p)
-            polys = [g.basis.delta(i) for i in range(1, n + 1)]
-            polys += [e.num for row in g.gamma + g.z for e in row]
+            z, gamma = gamma_matrix(n, p)
+            polys = [delta_minor(n, p, i) for i in range(1, n + 1)]
+            polys += [num for row in gamma + z for num, _ in row]
             for f in polys:
                 assert fpoly.entry_exponents(f, n) == decoded_exponents(f, n)
     rng = random.Random(25)
@@ -314,7 +322,7 @@ def test_gamma_inverse_is_the_lu_factor(n, p):
     # columns) / Delta_k; and z A phi(z)^{-1}, with phi the Frobenius of
     # the field, is the value of gamma.  The reference forms no
     # polynomial; only the entries of gamma_matrix are evaluated.
-    g = gamma_matrix(n, p)
+    z_entries, gamma_entries = gamma_matrix(n, p)
     field = field_for(p)
     rng = random.Random(100 * n + p)
 
@@ -349,40 +357,55 @@ def test_gamma_inverse_is_the_lu_factor(n, p):
         assign = {("a", i + 1, j + 1): A[i][j]
                   for i in range(n) for j in range(n)}
 
-        def value(entry):
+        def value(num, exps):
             den = field.one
-            for d, e in zip(deltas, entry.exps):
+            for d, e in zip(deltas, exps):
                 den = field.mul(den, field.pow(d, e))
-            return field.mul(evaluate(entry.num, assign, field),
-                             field.inv(den))
+            return field.mul(evaluate(num, assign, field), field.inv(den))
 
-        assert [[value(e) for e in row] for row in g.z] == z
-        assert [[value(e) for e in row] for row in g.gamma] == gamma
+        assert [[value(*e) for e in row] for row in z_entries] == z
+        assert [[value(*e) for e in row] for row in gamma_entries] == gamma
 
 
 def test_clear_denominators_examples():
-    g = gamma_matrix(2, 2)
-    s = clear_denominators(g, 1, 1)
+    s = clear_denominators(2, 2, 1, 1)
     assert s.body == alpha_sp4(2)
     assert s.weight == Weight((0, -2))
-    g3 = gamma_matrix(3, 2)
-    s = clear_denominators(g3, 1, 3)
-    assert s.body == MinorBasis(3, 2).delta(1)
-    s = clear_denominators(g3, 2, 1)
+    s = clear_denominators(3, 2, 1, 3)
+    assert s.body == delta_minor(3, 2, 1)
+    s = clear_denominators(3, 2, 2, 1)
     assert s.body == f2_sp6(2)
     assert s.weight == eta_weight(3, 2, 2)
     with pytest.raises(ZipconeError):
-        clear_denominators(g3, 3, 3)
+        clear_denominators(3, 2, 3, 3)
+
+
+@pytest.mark.parametrize("r, s", [(0, 1), (1, 0), (0, 0), (-1, 2), (3, 3)])
+def test_clear_denominators_rejects_an_index_off_the_triangle(r, s):
+    # only 1 <= r, 1 <= s, r + s <= n + 1 name a nonzero entry; (0, 1) used
+    # to come back as a section with a wrong weight, (0, 0) with a zero
+    # body, and (-1, 2) raised IndexError
+    with pytest.raises(ZipconeError, match="not a nonzero entry"):
+        clear_denominators(3, 2, r, s)
 
 
 def test_clear_denominators_all_admissible():
     for n, p in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-        g = gamma_matrix(n, p)
         for r in range(1, n + 1):
             for s in range(1, n + 1):
                 if r + s <= n + 1:
-                    sec = clear_denominators(g, r, s)
+                    sec = clear_denominators(n, p, r, s)
                     assert not sec.body.is_zero()
+
+
+def test_lowest_terms_divides_out_minors():
+    # Delta_1 = a_12 cancels once, and a_22 is left over Delta_1; a zero
+    # numerator keeps no denominator
+    num = delta_minor(2, 2, 1) * a_var(2, 2, 2)
+    assert sections._lowest_terms(2, 2, num, (2, 0)) == (a_var(2, 2, 2),
+                                                         (1, 0))
+    zero = FpPolynomial.zero(3)
+    assert sections._lowest_terms(2, 3, zero, (1, 3)) == (zero, (0, 0))
 
 
 def test_h0_examples():
@@ -761,8 +784,9 @@ def test_check_equivariance_rejects_entries_outside_the_matrix():
     # a_{3,1} has no weight for n = 2; weight_of used to raise IndexError
     with pytest.raises(ValueError, match="2 x 2"):
         check_equivariance(a_var(2, 3, 1), None, 2, 2)
+    _, gamma = gamma_matrix(3, 2)
     with pytest.raises(ValueError, match="2 x 2"):
-        check_equivariance(gamma_matrix(3, 2).gamma[0][0].num, None, 2, 2)
+        check_equivariance(gamma[0][0][0], None, 2, 2)
 
 
 def test_tilde_valuation_rejects_a_vanishing_element():
@@ -894,15 +918,16 @@ def _verified_bodies():
                 yield n, p, s.body, s.weight
     for n, primes in ((3, (2, 3, 5, 7)), (4, (2, 3, 5))):
         for p in primes:
-            for r, row in enumerate(gamma_matrix(n, p).gamma, start=1):
-                for s, entry in enumerate(row, start=1):
-                    if entry.is_zero():
+            _, gamma = gamma_matrix(n, p)
+            for r, row in enumerate(gamma, start=1):
+                for s, (num, exps) in enumerate(row, start=1):
+                    if num.is_zero():
                         continue
                     weight = Weight(int(t == r) - p * int(t == s)
                                     for t in range(1, n + 1))
-                    for i, e in enumerate(entry.exps, start=1):
+                    for i, e in enumerate(exps, start=1):
                         weight = weight + e * schubert_weight(n, p, i)
-                    yield n, p, entry.num, weight
+                    yield n, p, num, weight
 
 
 def _entries(n):
