@@ -406,13 +406,12 @@ def verify_left_borel_law(module):
     return True
 
 
-def thminter_check(lam, n, p, monomial_cap=None):
+def thminter_check(lam, n, p):
     """Both dimension computations for H^0 of weight lam: the matrix-space
     oracle and the representation-theoretic intersection."""
     from .oracle import h0_dimension
 
-    kwargs = {} if monomial_cap is None else {"monomial_cap": monomial_cap}
-    lhs = h0_dimension(lam, n, p, **kwargs)
+    lhs = h0_dimension(lam, n, p)
     try:
         module = build_module(lam, n, p)
     except EmptyModuleError:

@@ -18,9 +18,13 @@ dimension at rank 2 from the generators of the ring.
 The reduction matrix Gamma = z A phi(z)^{-1} is written in closed form
 (``gamma_entry``), so its zeros hold by construction and the weights of
 its other entries are certified.  An entry of Gamma or z is the pair
-(numerator, exponents of Delta_1..Delta_n in its denominator), and
-``gamma_matrix`` is their one cached, certified source; alpha, epsilon,
-f1 and f2 are numerators of entries of Gamma.
+(numerator, exponents of Delta_1..Delta_n in its denominator).  Each
+Delta_i is certified once (``_delta_section``) and each entry of Gamma on
+or above the anti-diagonal once (``_gamma_section``); ``gamma_matrix``,
+the catalog and ``clear_denominators`` read those certificates.  alpha,
+epsilon, f1 and f2 are numerators of entries of Gamma, and theta, rho
+and tau are built from the certified Delta_1, Delta_2, epsilon, f1 and
+f2 by steps that keep invariance, so none of them is proved again.
 """
 
 from __future__ import annotations
@@ -101,10 +105,13 @@ def check_equivariance(body, lam, n, p, name=None):
     ``lam`` may be None to accept the discovered weight.  Raises
     InhomogeneousWeightError, WeightMismatchError or
     NotUnipotentInvariantError (with the offending generator), and
-    ValueError for n < 1, a non-prime p or an entry outside the n x n
-    matrix.
+    ValueError for n < 1, a non-prime p, a body over a field other than
+    F_p or an entry outside the n x n matrix.
     """
     validate_n_p(n, p)
+    if body.p != p:
+        raise ValueError("body is a polynomial over F_%d, not F_%d"
+                         % (body.p, p))
     terms = entry_exponents(body, n)
     found = exponent_weight(terms, n, body.p)
     if found is None:
@@ -134,52 +141,54 @@ def _certify(body, lam, n, p, name):
 # ---------------------------------------------------------------------------
 # the catalog of explicit sections
 
-def _gamma_numerator(n, p, r, s):
-    """Numerator of the reduced entry (r, s) of the n x n reduction matrix:
-    alpha is entry (1, 1) at n = 2, and epsilon, f1 and f2 are entries
-    (1, 1), (1, 2) and (2, 1) at n = 3."""
-    return _lowest_terms(n, p, *gamma_entry(n, p, r, s))[0]
-
-
 def _divided_sp6(p, which):
-    """theta, rho, tau: numerators divisible by the stated power of the
-    corner entry; a division failure falsifies the defining identities and
-    is surfaced as a theorem violation.  Only the quotient is certified."""
-    d1, d2 = delta_minor(3, p, 1), delta_minor(3, p, 2)
-    eps, f1, f2 = (_gamma_numerator(3, p, r, s)
+    """theta, rho, tau: a sum or difference of two products of the
+    certified Delta_1, Delta_2, epsilon, f1 and f2, divided exactly by
+    Delta_1^k, with nothing proved again.  Products of invariants are
+    invariant (``Section.__mul__``), a sum of invariants of one weight is
+    invariant of that weight, and so is an exact quotient of invariants in
+    a domain, of weight the summands' weight minus k wt(Delta_1).  Summands
+    of different weights or a failed division falsify the defining
+    identities: a theorem violation."""
+    d1, d2 = _delta_section(3, p, 1), _delta_section(3, p, 2)
+    eps, f1, f2 = (_gamma_section(3, p, r, s)[0]
                    for r, s in ((1, 1), (1, 2), (2, 1)))
     if which == "theta":
-        numerator, power = d2 ** (p + 1) * eps + f1 * f2, p + 1
+        first, second, sign, power = d2.power(p + 1) * eps, f1 * f2, 1, p + 1
     elif which == "rho":
-        numerator, power = d2 * f2 ** (p - 1) - eps ** p, p
+        first, second, sign, power = d2 * f2.power(p - 1), eps.power(p), -1, p
     else:
-        numerator, power = d2 ** (p * p) - f1 ** (p - 1) * eps, p
-    body = exact_divide(numerator, d1 ** power)
-    if body is None:
+        first, second, sign, power = (d2.power(p * p), f1.power(p - 1) * eps,
+                                      -1, p)
+    if first.weight != second.weight:
         raise TheoremViolationError(
-            "%s numerator is not divisible by Delta_1^%d" % (which, power))
-    return body
+            "%s summands have weights %s and %s" % (
+                which, tuple(first.weight), tuple(second.weight)))
+    body = exact_divide(first.body + second.body * sign, d1.body ** power)
+    if body is None or body.is_zero():
+        raise TheoremViolationError(
+            "%s numerator is not a nonzero multiple of Delta_1^%d"
+            % (which, power))
+    return Section(3, p, body, first.weight - power * d1.weight, which)
 
 
-# the sections of a fixed matrix size: name -> (matrix size, body of p,
-# stated weight of p or None to accept the weight found)
+# the sections of a fixed matrix size: name -> (matrix size, the entry
+# (r, s) of Gamma whose numerator it is and its stated weight of p, or the
+# quotient it is and None)
 _SECTIONS = {
-    "alphasp4": (2, lambda p: _gamma_numerator(2, p, 1, 1),
-                 lambda p: Weight((0, -p * (p - 1)))),
-    "epsilonsp6": (3, lambda p: _gamma_numerator(3, p, 1, 1),
-                   lambda p: Weight((1, 0, -p * p))),
-    "f1sp6": (3, lambda p: _gamma_numerator(3, p, 1, 2),
-              lambda p: eta_weight(3, p, 1)),
-    "f2sp6": (3, lambda p: _gamma_numerator(3, p, 2, 1),
-              lambda p: eta_weight(3, p, 2)),
-    "thetasp6": (3, lambda p: _divided_sp6(p, "theta"), None),
-    "rhosp6": (3, lambda p: _divided_sp6(p, "rho"), None),
-    "tausp6": (3, lambda p: _divided_sp6(p, "tau"), None),
+    "alphasp4": (2, (1, 1), lambda p: Weight((0, -p * (p - 1)))),
+    "epsilonsp6": (3, (1, 1), lambda p: Weight((1, 0, -p * p))),
+    "f1sp6": (3, (1, 2), lambda p: eta_weight(3, p, 1)),
+    "f2sp6": (3, (2, 1), lambda p: eta_weight(3, p, 2)),
+    "thetasp6": (3, "theta", None),
+    "rhosp6": (3, "rho", None),
+    "tausp6": (3, "tau", None),
 }
 
 
 def catalog_section(name, n, p):
-    """Build one of the named sections and certify it; see section_names.
+    """Build one of the named sections from the certified Delta_i and
+    Gamma entries; see section_names.
 
     ``n`` may be None for the sections of a fixed matrix size; a given n
     below 1 and a non-prime p raise ValueError.
@@ -193,16 +202,25 @@ def catalog_section(name, n, p):
         i = int(key[5:]) if delta else n
         if not 1 <= i <= n:
             raise ZipconeError("delta index out of range for n=%d" % n)
-        return _certify(delta_minor(n, p, i), schubert_weight(n, p, i),
-                        n, p, "delta%d" % i if delta else "hasse")
-    if key not in _SECTIONS:
+        size, section = n, _delta_section(n, p, i)
+        key = section.name if delta else key
+    elif key not in _SECTIONS:
         raise ZipconeError("unknown section %r" % name)
-    size, body, weight = _SECTIONS[key]
-    if n not in (None, size):
-        raise ZipconeError("section %s lives on %d x %d matrices"
-                           % (name, size, size))
-    return _certify(body(p), None if weight is None else weight(p),
-                    size, p, key)
+    else:
+        size, source, stated = _SECTIONS[key]
+        if n not in (None, size):
+            raise ZipconeError("section %s lives on %d x %d matrices"
+                               % (name, size, size))
+        if stated is None:
+            section = _divided_sp6(p, source)
+        else:
+            # the certified weight against the paper's, in integers
+            section = _gamma_section(size, p, *source)[0]
+            if section.weight != stated(p):
+                raise TheoremViolationError(
+                    "%s has weight %s, not the stated %s"
+                    % (key, tuple(section.weight), tuple(stated(p))))
+    return Section(size, p, section.body, section.weight, key)
 
 
 def section_names(n):
@@ -255,20 +273,43 @@ def _lowest_terms(n, p, num, exps):
     return num, tuple(exps)
 
 
-@lru_cache(maxsize=None)
-def _certify_minors(n, p):
-    """Certify every Delta_i with its weight, from the largest, Delta_n, on."""
-    for i in range(n, 0, -1):
-        _certify(delta_minor(n, p, i), schubert_weight(n, p, i), n, p,
-                 "delta%d" % i)
-
-
 def _numerator_weight(n, p, r, s, exps):
     """Weight of the numerator over prod Delta_i^exps_i of entry (r, s)."""
     weight = _unit(n, r - 1) - p * _unit(n, s - 1)
     for i, e in enumerate(exps, start=1):
         weight = weight + e * schubert_weight(n, p, i)
     return weight
+
+
+@lru_cache(maxsize=None)
+def _delta_section(n, p, i):
+    """Delta_i of the generic n x n matrix, certified once with its weight."""
+    return _certify(delta_minor(n, p, i), schubert_weight(n, p, i), n, p,
+                    "delta%d" % i)
+
+
+@lru_cache(maxsize=None)
+def _gamma_section(n, p, r, s):
+    """Entry (r, s) of Gamma, r + s <= n + 1, proved once: (Section of its
+    numerator, exponents of Delta_1..Delta_n in its denominator), in
+    lowest terms.
+
+    The numerator's weight is e_r - p e_s + sum_i e_i wt(Delta_i) for the
+    denominator exponents e_i.  Off the anti-diagonal the numerator is
+    certified with that weight; on it the entry is +-Delta_r / Delta_{r-1}
+    by construction, so it is checked by that identity against the
+    certified Delta_r, and its weight by integers only.
+    """
+    num, exps = _lowest_terms(n, p, *gamma_entry(n, p, r, s))
+    weight = _numerator_weight(n, p, r, s, exps)
+    name = "gamma_%d_%d" % (r, s)
+    if r + s <= n:
+        return _certify(num, weight, n, p, name), exps
+    delta = _delta_section(n, p, r)
+    if num not in (delta.body, -delta.body) or weight != delta.weight:
+        raise TheoremViolationError(
+            "%s is not +-Delta_%d / Delta_%d" % (name, r, r - 1))
+    return Section(n, p, num, weight, name), exps
 
 
 @lru_cache(maxsize=None)
@@ -281,15 +322,13 @@ def gamma_matrix(n, p):
     in the denominator) pairs in lowest terms: z is lower unitriangular and
     entry (r, s) of gamma is ``gamma_entry``.  It vanishes for
     r + s > n + 1 by construction; every other entry is proved equivariant
-    of weight e_r - p e_s once.  The minors Delta_i are certified with
-    their weights; an anti-diagonal entry, +-Delta_r / Delta_{r-1} by
-    construction, is checked by that identity and its weight bookkeeping;
-    every other numerator is certified with weight e_r - p e_s +
-    sum_i e_i wt(Delta_i) for the denominator exponents e_i.
+    of weight e_r - p e_s once, by ``_gamma_section``, after the minors
+    Delta_i are certified from the largest, Delta_n, on.
     """
     validate_n_p(n, p)
     # uniqueness of z makes every entry equivariant: verified, not trusted
-    _certify_minors(n, p)
+    for i in range(n, 0, -1):
+        _delta_section(n, p, i)
     no_den = (0,) * n
     z = [[(FpPolynomial.constant(p, int(i == j)), no_den) for j in range(n)]
          for i in range(n)]
@@ -307,19 +346,11 @@ def gamma_matrix(n, p):
             num = minor(p, rows, cols) * (-1) ** (i - k)
             z[i - 1][k - 1] = _lowest_terms(n, p, num, exps)
 
-    gamma = [[_lowest_terms(n, p, *gamma_entry(n, p, r, s))
-              for s in range(1, n + 1)] for r in range(1, n + 1)]
+    gamma = [[(FpPolynomial.zero(p), no_den)] * n for _ in range(n)]
     for r in range(1, n + 1):
         for s in range(1, n + 2 - r):
-            num, exps = gamma[r - 1][s - 1]
-            expect = _numerator_weight(n, p, r, s, exps)
-            name = "gamma_%d_%d" % (r, s)
-            if r + s <= n:
-                _certify(num, expect, n, p, name)
-            elif (num not in (delta_minor(n, p, r), -delta_minor(n, p, r))
-                  or expect != schubert_weight(n, p, r)):
-                raise TheoremViolationError(
-                    "%s is not +-Delta_%d / Delta_%d" % (name, r, r - 1))
+            section, exps = _gamma_section(n, p, r, s)
+            gamma[r - 1][s - 1] = (section.body, exps)
     return z, gamma
 
 

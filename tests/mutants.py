@@ -43,8 +43,20 @@ MUTANTS = [
     ("sections.py", "if min(r, s) < 1 or r + s > n + 1:", "if r + s > n + 1:",
      ["tests/test_sections.py::"
       "test_clear_denominators_rejects_an_index_off_the_triangle"]),
-    ("sections.py", "elif (num not in", "elif False and (num not in",
+    ("sections.py", "if num not in (delta.body, -delta.body)", "if False",
      ["tests/test_sections.py::test_anti_diagonal_identity_check_is_live"]),
+    ("sections.py", "if section.weight != stated(p):", "if False:",
+     ["tests/test_sections.py::test_stated_weight_check_is_live"]),
+    ("sections.py", "if first.weight != second.weight:", "if False:",
+     ["tests/test_sections.py::test_summand_weight_check_is_live"]),
+    ("fplinalg.py", "for j, c in tag.items() if c % p)",
+     "for j, c in tag.items() if c % p and j)",
+     ["tests/test_fplinalg.py::"
+      "test_reduction_matches_the_reference_eliminations"]),
+    ("weights.py", "Weight(p ** (n - i) for i", "Weight(p ** (i - 1) for i",
+     ["tests/test_catalog.py::test_hw_functional_sp2n_form"]),
+    ("modules.py", "if all(c % (p - 1) == 0 for c in w)", "if True",
+     ["tests/test_modules.py::test_torus_filter_reads_every_weight_coordinate"]),
 ]
 
 

@@ -6,6 +6,9 @@ tolerances anywhere.
 """
 
 import itertools
+import json
+import random
+from pathlib import Path
 
 from gamma_reference import displayed_gamma, entry_weight
 from zipcones.catalog import (
@@ -49,6 +52,9 @@ from zipcones.sections import (
     tilde_section,
     valuation_sign_predict,
 )
+
+
+RECORDED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 def _report(num, ok, detail):
@@ -161,6 +167,49 @@ def test_criterion_6_thminter():
             total += 1
     _report(6, True, "oracle == representation-theoretic dimension at %d "
             "weights for (n,p) in {(2,2),(2,3),(3,2)}" % total)
+
+
+def _recorded_h0_weights():
+    """(lam, n, p) of every ``h0`` job recorded in the benchmark's
+    expected outputs, which are only read."""
+    for domains in json.loads(RECORDED.read_text())["workloads"].values():
+        for jobs in domains.values():
+            for job in jobs:
+                verb, *argv = job["argv"]
+                if verb == "h0":
+                    opt = dict(zip(argv[::2], argv[1::2]))
+                    yield (Weight(map(int, opt["--weight"].split(","))),
+                           int(opt["--n"]), int(opt["--p"]))
+
+
+def _seeded_box(n, p, low, high, count, seed):
+    """``count`` L-dominant weights of [low, high]^n with a monomial degree
+    -sum(lam) / (p - 1) that is a whole number >= 0, drawn with ``seed``."""
+    box = [lam for lam in _dominant_box(n, max(-low, high))
+           if low <= min(lam) and max(lam) <= high
+           and sum(lam) <= 0 and sum(lam) % (p - 1) == 0]
+    return random.Random(seed).sample(box, count)
+
+
+def test_criterion_6_recorded_weights_and_seeded_boxes():
+    # the two sides of the theorem at every recorded h0 weight (ranks 2
+    # and 3) and on seeded boxes at p = 5 and p = 3, with the rank-2 ring
+    # as a third side
+    recorded = list(_recorded_h0_weights())
+    assert {(n, p) for _, n, p in recorded} >= {(2, 2), (2, 3), (3, 2)}
+    seeded = [(lam, n, p) for n, p, low, high, count in
+              ((2, 5, -40, 8, 80), (3, 3, -9, 3, 40))
+              for lam in _seeded_box(n, p, low, high, count, 28)]
+    positive = 0
+    for lam, n, p in recorded + seeded:
+        lhs, rhs, agree = thminter_check(lam, n, p)
+        assert agree, (n, p, lam, lhs, rhs)
+        if n == 2:
+            assert lhs == rzip_sp4_graded_dimension(lam, p), (p, lam)
+        positive += lhs > 0
+    _report(6, True, "oracle == representation-theoretic dimension at %d "
+            "recorded and %d seeded weights, %d with sections"
+            % (len(recorded), len(seeded), positive))
 
 
 def test_criterion_7_valuation_signs():

@@ -265,8 +265,9 @@ def test_failed_certificate_of_a_built_section_exits_3(tmp_path, monkeypatch,
     # identity behind it: a theorem violation, not a usage error
     from zipcones import sections
 
-    sections.gamma_matrix.cache_clear()
-    sections._certify_minors.cache_clear()
+    for cached in (sections.gamma_matrix, sections._delta_section,
+                   sections._gamma_section):
+        cached.cache_clear()
     monkeypatch.setattr(sections, "unipotent_defect",
                         lambda terms, n, p: (2, 3))
     for argv in (["gamma", "--n", "2", "--p", "3"],
@@ -396,6 +397,7 @@ def test_gamma_past_the_term_cap_exits_2(monkeypatch, capsys):
     from zipcones import sections
 
     sections.gamma_matrix.cache_clear()
+    sections._gamma_section.cache_clear()
     monkeypatch.setattr(fpoly, "MONOMIAL_CAP", 1000)
     code = main(["gamma", "--n", "6", "--p", "7"])
     out, err = capsys.readouterr()

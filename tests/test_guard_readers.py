@@ -15,12 +15,13 @@ linear systems.
 A matrix of ``a_var`` entries is built only by ``fpoly.generic_matrix``;
 every minor of it comes from the one cache of ``fpoly.minor``, which
 builds no matrix.  An entry of the reduction matrix Gamma is written
-out by ``sections.gamma_entry``, which only ``gamma_matrix``, where each
-entry is certified, and the catalog's ``_gamma_numerator``, whose bodies
-``catalog_section`` certifies, read; every other reader,
-``clear_denominators`` among them, takes the entries from the cached
+out by ``sections.gamma_entry``, which only ``_gamma_section`` reads;
+it certifies each entry once, as ``_delta_section`` certifies each
+Delta_i once, and these two are the only callers of ``_certify``.  The
+catalog and ``gamma_matrix`` read their cached certificates, and
+``clear_denominators`` and the ``gamma`` verb the cached
 ``gamma_matrix``, so none of them is handed an entry that was not
-certified."""
+certified, and nothing is certified twice."""
 
 import ast
 from fnmatch import fnmatch
@@ -123,7 +124,11 @@ def test_entry_matrix_only_in_generic_matrix():
 
 
 def test_gamma_entries_are_read_off_the_certified_matrix():
-    assert _places(_reads("gamma_entry")) == {
-        "sections.py:_gamma_numerator", "sections.py:gamma_matrix"}
+    assert _places(_reads("gamma_entry")) == {"sections.py:_gamma_section"}
     assert _places(_reads("gamma_matrix")) == {
         "cli.py:_cmd_gamma", "sections.py:clear_denominators"}
+
+
+def test_each_minor_and_gamma_entry_is_certified_in_one_place():
+    assert _places(_reads("_certify")) == {"sections.py:_delta_section",
+                                           "sections.py:_gamma_section"}

@@ -191,12 +191,22 @@ def test_gamma_zero_pattern_and_weights_n4():
 def test_gamma_is_bounded_by_the_term_cap(monkeypatch):
     # no rank is refused: gamma_matrix(6, 7) answers at the full cap, and
     # its largest reduced numerator, 1536 terms, is refused under a cap of
-    # 1000; uncached, so that the refused matrix is built afresh
+    # 1000; the matrix and its entries are uncached, so that the refused
+    # entries are built afresh
     _, gamma = gamma_matrix(6, 7)
     assert max(len(num.terms) for row in gamma for num, _ in row) == 1536
+    _clear_certificates()
     monkeypatch.setattr(fpoly, "MONOMIAL_CAP", 1000)
     with pytest.raises(GuardExceededError, match="more than the limit 1000"):
-        gamma_matrix.__wrapped__(6, 7)
+        gamma_matrix(6, 7)
+
+
+def _clear_certificates():
+    """Empty the caches of the certified Delta_i, Gamma entries and Gamma,
+    so that the next call proves them afresh."""
+    for cached in (sections._delta_section, sections._gamma_section,
+                   sections.gamma_matrix):
+        cached.cache_clear()
 
 
 def _count_defects(monkeypatch):
@@ -217,10 +227,68 @@ def test_gamma_proves_each_minor_and_numerator_once(monkeypatch, p):
     # the anti-diagonal; the anti-diagonal entries are checked by identity
     calls = _count_defects(monkeypatch)
     for n in range(2, 6):
-        sections._certify_minors.cache_clear()
+        _clear_certificates()
         del calls[:]
-        sections.gamma_matrix.__wrapped__(n, p)
+        gamma_matrix(n, p)
         assert len(calls) == n + n * (n - 1) // 2, (n, p)
+        gamma_matrix.cache_clear()
+        gamma_matrix(n, p)
+        assert len(calls) == n + n * (n - 1) // 2, (n, p)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_catalog_proves_only_the_minors_and_gamma_entries(monkeypatch, p):
+    # theta, rho and tau read the five certificates of Delta_1, Delta_2,
+    # epsilon, f1 and f2 and prove nothing about their quotient; every
+    # other catalog section is one certificate
+    calls = _count_defects(monkeypatch)
+    names = [("thetasp6", 5), ("rhosp6", 5), ("tausp6", 5), ("alphasp4", 1),
+             ("epsilonsp6", 1), ("f1sp6", 1), ("f2sp6", 1)]
+    names += [("delta%d" % i, 1) for i in (1, 2, 3)] + [("hasse", 1)]
+    for name, count in names:
+        _clear_certificates()
+        del calls[:]
+        section = catalog_section(name, 2 if name == "alphasp4" else 3, p)
+        assert len(calls) == count, (name, p)
+        assert section.weight == weight_of(section.body, section.n), name
+        assert catalog_section(name, section.n, p) == section
+        assert len(calls) == count, (name, p)
+
+
+def _shifted_epsilon(monkeypatch):
+    """Hand the catalog an epsilon whose certified weight is off by
+    e_1 - e_2 from its body's."""
+    certified = sections._gamma_section
+
+    def tampered(n, p, r, s):
+        section, exps = certified(n, p, r, s)
+        if (n, r, s) == (3, 1, 1):
+            section = Section(n, p, section.body,
+                              section.weight + Weight((1, -1, 0)),
+                              section.name)
+        return section, exps
+
+    monkeypatch.setattr(sections, "_gamma_section", tampered)
+
+
+def test_stated_weight_check_is_live(monkeypatch):
+    # the paper's weight of epsilon is checked against its certificate
+    _shifted_epsilon(monkeypatch)
+    for p in (2, 3):
+        with pytest.raises(TheoremViolationError, match="not the stated"):
+            catalog_section("epsilonsp6", None, p)
+        catalog_section("f1sp6", None, p)
+
+
+@pytest.mark.parametrize("name", ("thetasp6", "rhosp6", "tausp6"))
+def test_summand_weight_check_is_live(monkeypatch, name):
+    # each of theta, rho and tau has epsilon in exactly one summand, so a
+    # wrong weight of epsilon makes the summands' weights differ
+    _shifted_epsilon(monkeypatch)
+    for p in (2, 3):
+        with pytest.raises(TheoremViolationError,
+                           match="summands have weights"):
+            catalog_section(name, None, p)
 
 
 def test_anti_diagonal_identity_check_is_live(monkeypatch):
@@ -236,8 +304,9 @@ def test_anti_diagonal_identity_check_is_live(monkeypatch):
 
     monkeypatch.setattr(sections, "gamma_entry", tampered)
     for n, p in ((2, 3), (3, 2), (4, 3)):
+        _clear_certificates()
         with pytest.raises(TheoremViolationError, match="is not \\+-Delta"):
-            sections.gamma_matrix.__wrapped__(n, p)
+            gamma_matrix(n, p)
 
 
 def test_clear_denominators_reproves_nothing(monkeypatch):
@@ -778,6 +847,13 @@ def test_rzip_rejects_a_non_prime_p(p):
     # p = 0 and 1 used to divide by zero, and p = 4 to answer 0
     with pytest.raises(ValueError, match="prime"):
         rzip_sp4_graded_dimension((0, 0), p)
+
+
+def test_check_equivariance_rejects_a_body_over_another_field():
+    # Delta_1 over F_3 used to come back as a section at p = 2 with the
+    # weight (1, -3) that it has at p = 3
+    with pytest.raises(ValueError, match="over F_3, not F_2"):
+        check_equivariance(delta_minor(2, 3, 1), None, 2, 2)
 
 
 def test_check_equivariance_rejects_entries_outside_the_matrix():
