@@ -48,26 +48,26 @@ _EXPORTS = {
     "FpPolynomial": "fpoly",
     **dict.fromkeys([
         "InducedModule",
+        "TildeSection",
         "build_module",
         "highest_weight_vector",
         "intersection_dimension",
         "invariants_finite_group",
         "subspace_leq0",
         "thminter_check",
+        "tilde_section",
+        "tilde_valuation",
+        "valuation_sign_predict",
     ], "modules"),
     "h0_dimension": "oracle",
     "SymplecticRootDatum": "rootdata",
     **dict.fromkeys([
         "Section",
-        "TildeSection",
         "catalog_section",
         "check_equivariance",
         "clear_denominators",
         "gamma_matrix",
         "rzip_sp4_graded_dimension",
-        "tilde_section",
-        "tilde_valuation",
-        "valuation_sign_predict",
     ], "sections"),
     **dict.fromkeys(["Weight", "gaussian_binomial"], "weights"),
 }

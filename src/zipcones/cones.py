@@ -209,10 +209,13 @@ def monoid_membership(cone, lam, bound=MONOID_SEARCH_BOUND):
     rank minus the lineality count of their double description) write
     ``lam`` in one rational way, the certificate of
     ``saturation_certificate``, which decides.  With dependent generators
-    the search is complete when every generator has negative coordinate
-    sum (the sum functional bounds all coefficients); otherwise each
-    coefficient is capped at ``bound`` and exhaustion raises
-    UndecidedAtBoundError instead of returning a silent False.
+    the search is capped by the sum h of the facet rows: h is nonnegative
+    on every generator and positive exactly on those outside the lineality
+    space, so such a coefficient is at most floor(<h, lam> / <h, g>).  A
+    generator inside the lineality space is capped at ``bound``, and only
+    those can leave the search undecided: exhausting it then raises
+    UndecidedAtBoundError instead of returning a silent False.  On a
+    pointed cone the search decides.
     """
     lam = _as_weight(lam, cone.rank)
     gens = cone.generators
@@ -220,27 +223,19 @@ def monoid_membership(cone, lam, bound=MONOID_SEARCH_BOUND):
         return [0] * len(gens)
     if not halfspaces_of(cone).contains(lam):
         return None
-    if len(gens) == cone.rank - len(_dual(cone)[1]):
+    facets, lin = _dual(cone)
+    if len(gens) == cone.rank - len(lin):
         mu = saturation_certificate(cone, lam)
         if all(c.denominator == 1 for c in mu):
             return [int(c) for c in mu]
         return None
 
-    sums = [sum(g) for g in gens]
-    lam_sum = sum(lam)
-    complete = all(s < 0 for s in sums)
-    if complete:
-        if lam_sum > 0:
-            return None
-        caps = [lam_sum // s for s in sums]  # floor of positive ratio
-    else:
-        caps = [bound] * len(gens)
-
+    h = [sum(col) for col in zip(*facets)]
+    heights = [_dot(h, g) for g in gens]
+    caps = [_dot(h, lam) // w if w else bound for w in heights]
     found = _bounded_search(gens, lam, caps)
-    if found is not None:
+    if found is not None or all(heights):
         return found
-    if complete:
-        return None
     raise UndecidedAtBoundError(
         "no combination with coefficients <= %d; membership undecided" % bound)
 

@@ -12,6 +12,9 @@ right-translation eigenvalue f(X t) = chi(t) f(X).
 Right translation X -> X g by a matrix g of GL_n(F_p) is the
 substitution ``matrix_images(mat_mul(X, g))`` of the expanded numerators,
 times det(g)^{det_pow}; all linear algebra stays sparse and exact.
+
+The norm of a module element, the product of its right translates over
+GL_n(F_p), and its boundary valuation are read off one walk of the group.
 """
 
 from __future__ import annotations
@@ -24,17 +27,20 @@ from .errors import (
     GuardExceededError,
     RankMismatchError,
     TheoremViolationError,
+    ZipconeError,
 )
 from .fplinalg import dependent_columns, fp_det, fp_nullspace
 from .fpoly import (
     FpPolynomial,
     Substitution,
+    exact_divide,
     generic_matrix,
+    mat_identity,
     mat_mul,
     matrix_images,
     minor,
 )
-from .weights import Weight, validate_n_p
+from .weights import Weight, hw_functional, validate_n_p
 
 GROUP_ORDER_GUARD = 10 ** 4
 # the largest Weyl dimension built; on 2 shared cores under Python 3.11,
@@ -353,6 +359,7 @@ def highest_weight_vector(module):
     coordinate reversal of lam, then certified by a symbolic check of
     stability under a generic lower-triangular right translation.
     """
+    n, p = module.n, module.p
     target = Weight(reversed(module.lam))
     hits = [i for i, w in enumerate(module.weights) if w == target]
     if len(hits) != 1:
@@ -360,7 +367,15 @@ def highest_weight_vector(module):
             "eigenspace of %s in V(%s) has dimension %d, expected 1"
             % (target, module.lam, len(hits)))
     elem = module.basis_element(hits[0])
-    _check_lower_stability(module, elem)
+    exps = [c - module.det_pow for c in elem.tweight]
+    if min(exps) < 0:
+        raise TheoremViolationError(
+            "eigenvalue %s lies below the twist det^%d"
+            % (elem.tweight, module.det_pow))
+    images = matrix_images(mat_mul(generic_matrix(n, p), _generic_lower(n, p)))
+    _check_borel_law(p, images, [elem.num], exps,
+                     "candidate line is not stable under lower-triangular "
+                     "translation")
     return elem
 
 
@@ -371,38 +386,28 @@ def _generic_lower(n, p):
              for j in range(1, n + 1)] for i in range(1, n + 1)]
 
 
-def _check_lower_stability(module, elem):
-    n, p = module.n, module.p
-    images = matrix_images(mat_mul(generic_matrix(n, p), _generic_lower(n, p)))
-    moved = elem.num.substitute(images)
-    chi = elem.tweight
-    scale = FpPolynomial.constant(p, 1)
-    for j in range(1, n + 1):
-        e = chi[j - 1] - module.det_pow
-        if e < 0:
-            raise TheoremViolationError(
-                "eigenvalue %s lies below the twist det^%d"
-                % (chi, module.det_pow))
-        scale = scale * FpPolynomial.variable(p, ("b", j, j), e) if e else scale
-    if moved != elem.num * scale:
-        raise TheoremViolationError(
-            "candidate line is not stable under lower-triangular translation")
+def _check_borel_law(p, images, polys, exps, message):
+    """Raise TheoremViolationError(message) unless f(images) equals
+    f * prod_j b_jj^{exps_j} for every f in ``polys``; one Substitution
+    serves them all, so its memo is shared."""
+    act = Substitution(p, images)
+    scale = FpPolynomial.monomial(
+        p, [(("b", j, j), e) for j, e in enumerate(exps, start=1)])
+    for f in polys:
+        if act(f) != f * scale:
+            raise TheoremViolationError(message)
 
 
 def verify_left_borel_law(module):
     """Symbolic proof that every basis numerator transforms on the left
     through the module character: num(bX) = num(X) * prod over levels of
-    the leading diagonal minors of b."""
+    the leading diagonal minors of b, so b_rr carries the multiplicities
+    of the levels r..n-1."""
     n, p = module.n, module.p
     images = matrix_images(mat_mul(_generic_lower(n, p), generic_matrix(n, p)))
-    scale = FpPolynomial.constant(p, 1)
-    for level, mult in enumerate(module.level_mults, start=1):
-        for r in range(1, level + 1):
-            if mult:
-                scale = scale * FpPolynomial.variable(p, ("b", r, r), mult)
-    for poly in module.basis_polys:
-        if poly.substitute(images) != poly * scale:
-            raise TheoremViolationError("left Borel transformation law fails")
+    _check_borel_law(p, images, module.basis_polys,
+                     [sum(module.level_mults[r:]) for r in range(n)],
+                     "left Borel transformation law fails")
     return True
 
 
@@ -419,3 +424,98 @@ def thminter_check(lam, n, p):
     else:
         rhs = intersection_dimension(module, invariants_finite_group(module))
     return lhs, rhs, lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# the norm construction and its boundary valuation
+
+_T = ("t",)
+
+
+class TildeSection:
+    """Norm product of a module element over the finite Levi group.
+
+    ``body_num * det^body_det_power`` is the product of right translates,
+    with the determinant factored out of the numerator completely.
+    ``det_valuation`` is the boundary valuation (the t-adic total computed
+    along the one-parameter degeneration of the last row); the section
+    extends across the boundary iff it is nonnegative.  Only its sign is
+    contractually meaningful.
+    """
+
+    def __init__(self, n, p, weight, body_num, body_det_power, det_valuation):
+        self.n = n
+        self.p = p
+        self.weight = weight
+        self.body_num = body_num
+        self.body_det_power = body_det_power
+        self.det_valuation = det_valuation
+
+    @property
+    def extends(self):
+        return self.det_valuation >= 0
+
+
+def _walk_translates(elem, multiply):
+    """One walk of GL_n(F_p) over the right translates rho(s) f of a
+    module element f: their product (None unless ``multiply``) and the
+    boundary valuation, the sum of ord_t rho(s) f - deg f - det_pow along
+    X = b delta(t), b generic upper unitriangular and delta(t) =
+    diag(t, ..., t, 1) (the last row scaled by 1/t, the common t^{-1}
+    pulled out).  As rho(s) f(X) = det(s)^det_pow f(X s), that is the
+    order of f along b delta(t) s.  A translate vanishing there is a
+    theorem violation, raised after the walk, so the product's term cap
+    comes first.  Reads only n, p, num and det_pow."""
+    n, p = elem.n, elem.p
+    group = group_elements(n, p)
+    if elem.num.is_zero():
+        raise ZipconeError("zero module element")
+    b, delta = mat_identity(n, p), mat_identity(n, p)
+    for i in range(n - 1):
+        delta[i][i] = FpPolynomial.variable(p, _T)
+        for k in range(i + 1, n):
+            b[i][k] = FpPolynomial.variable(p, ("b", i + 1, k + 1))
+    along = Substitution(p, matrix_images(mat_mul(b, delta)))
+    shift = elem.num.total_degree() + elem.det_pow
+    prod = FpPolynomial.constant(p, 1) if multiply else None
+    total, vanishes = 0, False
+    for s in group:
+        moved = _right_translation(elem, s)(elem.num)
+        if multiply:
+            prod = prod * moved
+        image = along(moved)
+        vanishes = vanishes or image.is_zero()
+        total += image.min_exponent(_T) - shift
+    if vanishes:
+        raise TheoremViolationError(
+            "a nonzero module element vanishes along b delta(t) s")
+    return prod, total
+
+
+def tilde_valuation(elem):
+    """Boundary valuation of the norm product of a module element: the
+    sum over GL_n(F_p) of its t-adic valuations along b delta(t) s, exact."""
+    return _walk_translates(elem, False)[1]
+
+
+def tilde_section(elem):
+    """Norm product over GL_n(F_p) of a module element, with valuations."""
+    n, p = elem.n, elem.p
+    prod, valuation = _walk_translates(elem, True)
+    D = group_order(n, p)
+    detp = minor(p, tuple(range(1, n + 1)), tuple(range(1, n + 1)))
+    extra = 0
+    while (q := exact_divide(prod, detp)) is not None:
+        prod, extra = q, extra + 1
+    return TildeSection(n, p, D * elem.weight, prod,
+                        elem.det_pow * D + extra, valuation)
+
+
+def valuation_sign_predict(lam, n, p):
+    """Sign in {-1, 0, +1} of the boundary valuation predicted for the
+    norm of a highest-weight vector: minus the sign of the boundary
+    functional ``weights.hw_functional`` on lam.  Raises ValueError for
+    n < 1 and a non-prime p."""
+    validate_n_p(n, p)
+    total = hw_functional(n, p).dot(lam)
+    return (total < 0) - (total > 0)

@@ -1,5 +1,7 @@
 """Sections in the matrix model: equivariance checks, the triangular
-reduction matrix, the rank-2 ring dimension and the norm construction.
+reduction matrix and the rank-2 ring dimension.  This is the layer of
+certified invariant polynomials; it imports nothing from ``modules``,
+where the norm construction over GL_n(F_p) lives.
 
 A section of weight lam is a polynomial f on the n x n matrix space that
 is homogeneous for the weight grading and invariant under the twisted
@@ -45,16 +47,10 @@ from .fpoly import (
     entry_exponents,
     exact_divide,
     exponent_weight,
-    mat_identity,
-    mat_mul,
-    matrix_images,
     minor,
 )
 from .oracle import unipotent_defect
-from .weights import (Weight, _unit, eta_weight, hw_functional,
-                      schubert_weight, validate_n_p)
-
-_T = ("t",)
+from .weights import Weight, _unit, eta_weight, schubert_weight, validate_n_p
 
 
 class Section:
@@ -224,6 +220,8 @@ def catalog_section(name, n, p):
 
 
 def section_names(n):
+    """The catalog sections on n x n matrices; ValueError for n < 1."""
+    validate_n_p(n, 2)  # the names do not depend on p
     return (["delta%d" % i for i in range(1, n + 1)] + ["hasse"]
             + [name for name, (size, _, _) in _SECTIONS.items() if size == n])
 
@@ -410,97 +408,3 @@ def rzip_sp4_graded_dimension(lam, p):
         if rem >= 0 and rem % (p * (p - 1)) == 0:
             count += 1
     return count
-
-
-# ---------------------------------------------------------------------------
-# the norm construction and its boundary valuation
-
-class TildeSection:
-    """Norm product of a module element over the finite Levi group.
-
-    ``body_num * det^body_det_power`` is the product of right translates,
-    with the determinant factored out of the numerator completely.
-    ``det_valuation`` is the boundary valuation (the t-adic total computed
-    along the one-parameter degeneration of the last row); the section
-    extends across the boundary iff it is nonnegative.  Only its sign is
-    contractually meaningful.
-    """
-
-    def __init__(self, n, p, weight, body_num, body_det_power, det_valuation):
-        self.n = n
-        self.p = p
-        self.weight = weight
-        self.body_num = body_num
-        self.body_det_power = body_det_power
-        self.det_valuation = det_valuation
-
-    @property
-    def extends(self):
-        return self.det_valuation >= 0
-
-
-def _upper_unitriangular_images(n, p, s):
-    """Images of the matrix entries under X = b delta(t) s with b generic
-    upper unitriangular and delta scaling the last row by 1/t; the common
-    factor t^{-1} is pulled out, so delta(t) = diag(t, ..., t, 1) and the
-    images are polynomial in t."""
-    b, delta = mat_identity(n, p), mat_identity(n, p)
-    for i in range(n - 1):
-        delta[i][i] = FpPolynomial.variable(p, _T)
-        for k in range(i + 1, n):
-            b[i][k] = FpPolynomial.variable(p, ("b", i + 1, k + 1))
-    return matrix_images(mat_mul(mat_mul(b, delta), s))
-
-
-def tilde_valuation(elem):
-    """Boundary valuation of the norm product of a module element.
-
-    Computed as the sum over the finite group of the t-adic valuations of
-    the element along b delta(t) s, exactly and symbolically.
-    """
-    from .modules import group_elements
-
-    n, p = elem.n, elem.p
-    group = group_elements(n, p)
-    if elem.num.is_zero():
-        raise ZipconeError("zero module element")
-    deg = elem.num.total_degree()
-    total = 0
-    for s in group:
-        sub = elem.num.substitute(_upper_unitriangular_images(n, p, s))
-        if sub.is_zero():
-            raise TheoremViolationError(
-                "a nonzero module element vanishes along b delta(t) s")
-        tmin = sub.min_exponent(_T)
-        total += tmin - deg - elem.det_pow
-    return total
-
-
-def tilde_section(elem):
-    """Norm product over GL_n(F_p) of a module element, with valuations."""
-    from .modules import _right_translation, group_elements, group_order
-
-    n, p = elem.n, elem.p
-    group = group_elements(n, p)
-    if elem.num.is_zero():
-        raise ZipconeError("zero module element")
-    D = group_order(n, p)
-    prod = FpPolynomial.constant(p, 1)
-    for s in group:
-        prod = prod * _right_translation(elem, s)(elem.num)
-    detp = minor(p, tuple(range(1, n + 1)), tuple(range(1, n + 1)))
-    extra = 0
-    while (q := exact_divide(prod, detp)) is not None:
-        prod, extra = q, extra + 1
-    return TildeSection(n, p, D * elem.weight, prod,
-                        elem.det_pow * D + extra, tilde_valuation(elem))
-
-
-def valuation_sign_predict(lam, n, p):
-    """Sign in {-1, 0, +1} of the boundary valuation predicted for the
-    norm of a highest-weight vector: minus the sign of the boundary
-    functional ``weights.hw_functional`` on lam.  Raises ValueError for
-    n < 1 and a non-prime p."""
-    validate_n_p(n, p)
-    total = hw_functional(n, p).dot(lam)
-    return (total < 0) - (total > 0)

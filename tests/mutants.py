@@ -57,6 +57,15 @@ MUTANTS = [
      ["tests/test_catalog.py::test_hw_functional_sp2n_form"]),
     ("modules.py", "if all(c % (p - 1) == 0 for c in w)", "if True",
      ["tests/test_modules.py::test_torus_filter_reads_every_weight_coordinate"]),
+    ("modules.py", "if act(f) != f * scale:", "if False:",
+     ["tests/test_modules.py::test_left_borel_law_check_is_live"]),
+    ("modules.py", "_check_borel_law(p, images, [elem.num],",
+     "_check_borel_law(p, images, [],",
+     ["tests/test_modules.py::test_lower_stability_check_is_live"]),
+    ("modules.py", "if vanishes:", "if False:",
+     ["tests/test_sections.py::test_tilde_valuation_rejects_a_vanishing_element"]),
+    ("cones.py", "_dot(h, lam) // w if w", "_dot(h, lam) // w - 1 if w",
+     ["tests/test_cones.py::test_monoid_membership_decides_on_a_pointed_cone"]),
 ]
 
 

@@ -41,6 +41,8 @@ from zipcones.modules import (
     highest_weight_vector,
     invariants_finite_group,
     thminter_check,
+    tilde_section,
+    valuation_sign_predict,
 )
 from zipcones.oracle import h0_dimension
 from zipcones.sections import (
@@ -49,8 +51,6 @@ from zipcones.sections import (
     clear_denominators,
     gamma_matrix,
     rzip_sp4_graded_dimension,
-    tilde_section,
-    valuation_sign_predict,
 )
 
 

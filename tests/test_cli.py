@@ -236,8 +236,8 @@ def test_delta_without_an_index_is_an_unknown_section(tmp_path, capsys):
 
 
 def test_undecided_membership_exits_2(tmp_path, monkeypatch, capsys):
-    # a monoid-presented cone whose generators do not all have negative
-    # coordinate sum, so its membership search stops at the bound; the
+    # a monoid-presented cone with a line, whose membership search stops
+    # at the bound on the generators (1,0) and (-1,0) of that line; the
     # sweep must fail with a guard error, not print agree:false.  No facet
     # separates (7, 7), the first point of the box, and writing it needs a
     # coefficient above 3
@@ -246,7 +246,7 @@ def test_undecided_membership_exits_2(tmp_path, monkeypatch, capsys):
 
     cone = catalog.NamedCone(
         "Bounded", 2, (2,),
-        generated=cones.GeneratedCone(2, [(1, 0), (1, 1), (2, 1)]),
+        generated=cones.GeneratedCone(2, [(1, 0), (-1, 0), (0, 1)]),
         monoid=True)
     monkeypatch.setattr(catalog, "catalog_cone", lambda name, n, p: cone)
     monkeypatch.setattr(cones, "monoid_membership",

@@ -79,13 +79,23 @@ def test_monoid_membership_independent_generators():
 
 
 def test_monoid_membership_undecided_at_bound():
-    # dependent generators with no negative-sum functional: (1,0) and (1,1)
-    # and (2,1); no facet separates (7, 7), and every way to write it needs
-    # a coefficient above the tiny bound
-    c = GeneratedCone(2, [(1, 0), (1, 1), (2, 1)])
+    # a cone with a line: (1,0) and (-1,0) span its lineality space, so
+    # only the bound caps them; no facet separates (7, 7), and every way to
+    # write it needs a coefficient above the tiny bound
+    c = GeneratedCone(2, [(1, 0), (-1, 0), (0, 1)])
     with pytest.raises(UndecidedAtBoundError):
         monoid_membership(c, (7, 7), bound=3)
-    assert monoid_membership(c, (7, 7)) == [0, 7, 0]
+    assert monoid_membership(c, (7, 7)) == [7, 0, 7]
+
+
+def test_monoid_membership_decides_on_a_pointed_cone():
+    # (70, 70) = 70 (1,1) is the only way to write it, past the bound; the
+    # facet rows (0,1) and (1,-1) sum to h = (1, 0), which caps the
+    # coefficient of (1,1) at exactly <h, lam> / <h, (1,1)> = 70
+    c = GeneratedCone(2, [(1, 0), (1, 1), (2, 1)])
+    assert monoid_membership(c, (70, 70)) == [0, 70, 0]
+    assert monoid_membership(c, (70, 70), bound=3) == [0, 70, 0]
+    assert monoid_membership(c, (7, 7), bound=3) == [0, 7, 0]
 
 
 def test_monoid_membership_separated_by_a_facet():

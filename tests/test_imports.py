@@ -82,7 +82,7 @@ def test_verb_loads_only_its_layers(argv, absent, tmp_path):
 
 def test_valuation_sign_predict_loads_no_layer():
     # the boundary functional lives in weights, not in the cone catalog
-    loaded = _loaded_after("from zipcones.sections import "
+    loaded = _loaded_after("from zipcones.modules import "
                            "valuation_sign_predict\n"
                            "valuation_sign_predict((1, -2), 2, 2)")
     assert loaded & (_package("catalog", "cones", "rootdata")
@@ -188,3 +188,10 @@ def test_weights_imports_only_errors_anywhere():
     # weights is the leaf: not even a function body imports another layer
     tree = ast.parse((PACKAGE / "weights.py").read_text())
     assert {target for _, target, _ in _package_imports(tree)} == {"errors"}
+
+
+def test_sections_imports_nothing_from_modules_anywhere():
+    # the norm construction lives next to the group it walks, so the
+    # layer of certified invariant polynomials needs no module code
+    tree = ast.parse((PACKAGE / "sections.py").read_text())
+    assert "modules" not in {target for _, target, _ in _package_imports(tree)}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fp_reference import fp_nullspace
+from valuation_reference import valuation_by_element
 from zipcones import modules
 from zipcones.cones import Weight
 from zipcones.errors import (
@@ -28,6 +29,7 @@ from zipcones.modules import (
     invariants_finite_group,
     subspace_leq0,
     thminter_check,
+    tilde_valuation,
     verify_left_borel_law,
     weyl_dimension,
 )
@@ -238,6 +240,43 @@ def test_left_borel_law():
     for lam, n in [((1, 0), 2), ((2, -1), 2), ((1, 1, 0), 3), ((2, 0, -1), 3)]:
         assert verify_left_borel_law(build_module(lam, n, 2))
     assert verify_left_borel_law(build_module((2, -1), 2, 3))
+
+
+def test_left_borel_law_check_is_live():
+    # a_{2,1}(bX) = b_21 a_11 + b_22 a_21 is not a_21 times b_11
+    m = build_module((1, 0), 2, 2)
+    m.basis_polys += (a_var(2, 2, 1),)
+    with pytest.raises(TheoremViolationError, match="left Borel"):
+        verify_left_borel_law(m)
+
+
+def test_lower_stability_check_is_live():
+    # with the basis numerators a_11, a_12 swapped, the weight (0, 1) of
+    # the highest-weight line names a_11, and a_11(Xb) = a_11 b_11 +
+    # a_12 b_21 is not a_11 times b_22
+    m = build_module((1, 0), 2, 2)
+    m.basis_polys = m.basis_polys[::-1]
+    with pytest.raises(TheoremViolationError, match="not stable"):
+        highest_weight_vector(m)
+
+
+def _dominant(n, bound):
+    for lam in itertools.product(range(bound, -bound - 1, -1), repeat=n):
+        if all(lam[i] >= lam[i + 1] for i in range(n - 1)):
+            yield lam
+
+
+@pytest.mark.parametrize("n, p, weights", [
+    (2, 2, list(_dominant(2, 3))),
+    (2, 3, list(_dominant(2, 2))),
+    (3, 2, [(0, 0, -1), (1, -1, -2), (1, 1, -2), (2, 0, -2)]),
+])
+def test_tilde_valuation_matches_the_substitution_per_element(n, p, weights):
+    # the one walk over the right translates against a substitution
+    # X -> b delta(t) s per group element, exactly, not only in sign
+    for lam in weights:
+        hw = highest_weight_vector(build_module(lam, n, p))
+        assert tilde_valuation(hw) == valuation_by_element(hw), lam
 
 
 def test_subspace_leq0_examples():

@@ -50,6 +50,9 @@ from zipcones.modules import (
     group_generators,
     group_order,
     highest_weight_vector,
+    tilde_section,
+    tilde_valuation,
+    valuation_sign_predict,
 )
 from zipcones.oracle import (
     enumerate_weight_monomials,
@@ -65,9 +68,6 @@ from zipcones.sections import (
     gamma_matrix,
     rzip_sp4_graded_dimension,
     section_names,
-    tilde_section,
-    tilde_valuation,
-    valuation_sign_predict,
 )
 
 
@@ -889,6 +889,10 @@ def test_entry_points_reject_bad_n_and_p(n, p):
         catalog_section("alphasp4", None if n == 2 else n, p)
     with pytest.raises(ValueError):
         check_equivariance(a_var(2, 1, 2), None, n, p)
+    if n < 1:
+        # the names do not depend on p; they used to list 'hasse' here
+        with pytest.raises(ValueError, match="matrix size"):
+            section_names(n)
 
 
 def test_h0_exponent_past_the_limit_is_a_guard_error():
