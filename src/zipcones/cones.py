@@ -14,24 +14,24 @@ kernel, the integer double description (``double_description``), gives
 the facets and implicit equalities of a generated cone, the extreme rays
 and lineality space of a halfspace system, and so every containment and
 equality test between cones; ``DD_RAY_GUARD`` bounds its intermediate
-ray count.  ``saturation_certificate`` reads its answer off that facet
-list: a separating facet for a non-member, and for a member a
-Caratheodory descent through the faces, checked exactly.
-``monoid_membership`` reads the same list, so the double description is
-the only rational eliminator here.  Everything is deterministic.
+ray count.  Saturated membership is read off that facet list.
+``monoid_membership`` rules a point out by a separating facet, caps its
+one search by the same list, and solves the independent tail of the
+generators from the extreme rays of the tail's own double description,
+so the double description is the only rational eliminator here.
+Everything is deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import (
     GuardExceededError,
     NotPointedError,
     RankMismatchError,
-    TheoremViolationError,
     UndecidedAtBoundError,
 )
 from .weights import Weight, _as_weight
@@ -68,6 +68,7 @@ class GeneratedCone:
         self.generators = tuple(seen)
         self._dual = None
         self._halfspaces = None
+        self._tail = None
 
     def __repr__(self):
         return "GeneratedCone(rank=%d, generators=%s)" % (
@@ -185,8 +186,11 @@ def double_description(rows, n):
         for rp, zp, dp in pos:
             for rn, zn, dn in neg:
                 common = zp & zn
-                if any(z & common == common and z != zp and z != zn
-                       for z in masks):
+                # adjacent rays span a face of dimension len(lin) + 2, so
+                # their common tight rows have rank n - len(lin) - 2
+                if common.bit_count() < n - len(lin) - 2 or any(
+                        z & common == common and z != zp and z != zn
+                        for z in masks):
                     continue
                 kept.append((_onto_hyperplane(rn, dn, rp, dp), common | bit))
                 if len(kept) > DD_RAY_GUARD:
@@ -203,149 +207,82 @@ def double_description(rows, n):
 def monoid_membership(cone, lam, bound=MONOID_SEARCH_BOUND):
     """Nonnegative-integer coefficients writing ``lam`` over the generators.
 
-    Returns a list of ints, or None when ``lam`` is provably not in the
-    monoid.  A facet row of ``halfspaces_of`` negative on ``lam`` separates
-    it from the cone.  Linearly independent generators (as many as the
-    rank minus the lineality count of their double description) write
-    ``lam`` in one rational way, the certificate of
-    ``saturation_certificate``, which decides.  With dependent generators
-    the search is capped by the sum h of the facet rows: h is nonnegative
-    on every generator and positive exactly on those outside the lineality
-    space, so such a coefficient is at most floor(<h, lam> / <h, g>).  A
-    generator inside the lineality space is capped at ``bound``, and only
-    those can leave the search undecided: exhausting it then raises
-    UndecidedAtBoundError instead of returning a silent False.  On a
-    pointed cone the search decides.
+    Returns a list of ints, the first solution in lexicographic order, or
+    None when ``lam`` is provably not in the monoid.  A facet row of
+    ``halfspaces_of`` negative on ``lam`` separates it from the cone.
+    Otherwise one search walks the generators in order.  The sum h of the
+    facet rows is nonnegative on every generator and positive exactly on
+    those outside the lineality space, so such a coefficient is at most
+    floor(<h, lam> / <h, g>); a generator inside the lineality space is
+    capped at ``bound``.  The longest linearly independent tail of the
+    generators (``_tail``) is not searched but solved: its combination is
+    unique, and each coefficient is read off one extreme ray of the
+    tail's double description, then checked exactly.  Only generators
+    inside the lineality space can leave the search undecided: exhausting
+    it then raises UndecidedAtBoundError instead of returning a silent
+    False.  On a pointed cone the search decides.
     """
     lam = _as_weight(lam, cone.rank)
-    gens = cone.generators
-    if all(c == 0 for c in lam):
-        return [0] * len(gens)
     if not halfspaces_of(cone).contains(lam):
         return None
-    facets, lin = _dual(cone)
-    if len(gens) == cone.rank - len(lin):
-        mu = saturation_certificate(cone, lam)
-        if all(c.denominator == 1 for c in mu):
-            return [int(c) for c in mu]
-        return None
-
+    gens = cone.generators
+    facets, _ = _dual(cone)
+    start, solved = _tail(cone)
     h = [sum(col) for col in zip(*facets)]
     heights = [_dot(h, g) for g in gens]
     caps = [_dot(h, lam) // w if w else bound for w in heights]
-    found = _bounded_search(gens, lam, caps)
+
+    def rec(idx, residual):
+        if idx < start:
+            for c in range(caps[idx] + 1):
+                sub = rec(idx + 1, [x - c * y
+                                    for x, y in zip(residual, gens[idx])])
+                if sub is not None:
+                    return [c] + sub
+            return None
+        coeffs = []
+        for j, (ray, d) in enumerate(solved, start):
+            c, rem = divmod(_dot(ray, residual), d)
+            if rem or not 0 <= c <= caps[j]:
+                return None
+            coeffs.append(c)
+            # the later rays are tight on gens[j], so they read the same
+            residual = [x - c * y for x, y in zip(residual, gens[j])]
+        # a tail that spans less than the rank can leave a remainder
+        if any(residual):
+            return None
+        return coeffs
+
+    found = rec(0, list(lam))
     if found is not None or all(heights):
         return found
     raise UndecidedAtBoundError(
         "no combination with coefficients <= %d; membership undecided" % bound)
 
 
-def _bounded_search(gens, lam, caps):
-    n = len(lam)
-    m = len(gens)
-
-    def rec(idx, residual):
-        if idx == m:
-            return [] if all(x == 0 for x in residual) else None
-        g = gens[idx]
-        if idx == m - 1:
-            # solve residual = c * g directly
-            c = None
-            for gi, ri in zip(g, residual):
-                if gi != 0:
-                    if ri % gi != 0 or ri // gi < 0:
-                        return None
-                    q = ri // gi
-                    if c is None:
-                        c = q
-                    elif c != q:
-                        return None
-                elif ri != 0:
-                    return None
-            if c is None:
-                c = 0
-            return [c] if c <= caps[idx] else None
-        for c in range(caps[idx] + 1):
-            rest = [ri - c * gi for ri, gi in zip(residual, g)]
-            sub = rec(idx + 1, rest)
-            if sub is not None:
-                return [c] + sub
-        return None
-
-    return rec(0, list(lam))
+def _tail(cone):
+    """The longest linearly independent tail ``generators[start:]``, found
+    once: ``(start, [(ray, <ray, g>) for each tail generator g])``.  Each
+    extreme ray of the tail's double description is tight on every tail
+    generator but one, so it reads that generator's coefficient off any
+    combination of the tail."""
+    if cone._tail is None:
+        gens = cone.generators
+        start, rays = len(gens), []
+        while start:
+            more, lin = double_description(gens[start - 1:], cone.rank)
+            if len(gens) - start + 1 + len(lin) != cone.rank:
+                break
+            start, rays = start - 1, more
+        cone._tail = start, [(r, _dot(r, g)) for g in gens[start:]
+                             for r in rays if _dot(r, g)]
+    return cone._tail
 
 
 def saturated_membership(cone, lam):
     """True iff ``lam`` is a nonnegative rational combination of generators,
     decided by the cached dual description."""
     return halfspaces_of(cone).contains(lam)
-
-
-def saturation_certificate(cone, lam):
-    """Rational coefficients writing ``lam`` over the generators, or None.
-
-    Read off the cached rows of ``halfspaces_of``.  A row ``h`` with
-    ``<h, lam> < 0`` separates ``lam`` from the cone (Farkas 1902): None.
-    Otherwise a Caratheodory descent (Schrijver 1986, section 7.7) writes
-    ``lam``.  From ``x = lam``, take a generator ``g`` tight on every row
-    tight at ``x``, so in the minimal face of ``x``, and positive on some
-    row; subtract ``t g`` for the largest ``t`` that keeps every row.  A
-    new row is then tight and ``g`` leaves the face, so each step takes a
-    new generator and lowers the face dimension.  When every generator of
-    the face is tight on every row, the face is the lineality space, and
-    one double description writes ``x`` over independent generators of
-    it.  So at most rank generators carry the certificate, which is
-    checked exactly; a failed check raises TheoremViolationError.
-    """
-    lam = _as_weight(lam, cone.rank)
-    rows = halfspaces_of(cone).inequalities
-    if any(_dot(h, lam) < 0 for h in rows):
-        return None
-    gens = cone.generators
-    mu = [Fraction(0)] * len(gens)
-    x = list(lam)
-    for _ in range(cone.rank + 1):
-        if not any(x):
-            break
-        tight = [h for h in rows if _dot(h, x) == 0]
-        face = [i for i, g in enumerate(gens)
-                if all(_dot(h, g) == 0 for h in tight)]
-        i = next((i for i in face if any(_dot(h, gens[i]) for h in rows)),
-                 None)
-        if i is None:
-            coeffs = _lineality_combination([gens[j] for j in face], x)
-            for j, c in zip(face, coeffs or []):
-                mu[j] += c
-            break
-        g = gens[i]
-        t = min(Fraction(_dot(h, x), _dot(h, g))
-                for h in rows if _dot(h, g) > 0)
-        mu[i] += t
-        x = [a - t * b for a, b in zip(x, g)]
-    if any(c < 0 for c in mu) or any(
-            sum(c * g[k] for c, g in zip(mu, gens)) != lam[k]
-            for k in range(cone.rank)):
-        raise TheoremViolationError(
-            "descent is not a certificate for %s" % (tuple(lam),))
-    return mu
-
-
-def _lineality_combination(vectors, x):
-    """Nonnegative coefficients writing ``x`` over ``vectors``, or None.
-
-    With ``d`` clearing the denominators of ``x``, an extreme ray ``(r, s)``
-    of ``{(r, s) >= 0 : sum r_i v_i = s d x}`` with ``s > 0`` gives
-    ``r / (s d)`` on linearly independent vectors.  Such a ray exists
-    exactly when ``x`` is a nonnegative combination of the vectors.
-    """
-    d = lcm(*(Fraction(c).denominator for c in x))
-    m = len(vectors) + 1
-    eqs = [[v[k] for v in vectors] + [-int(c * d)] for k, c in enumerate(x)]
-    units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
-    rays, _ = double_description(
-        units + eqs + [[-a for a in row] for row in eqs], m)
-    ray = next((r for r in rays if r[-1]), None)
-    return ray and [Fraction(c, ray[-1] * d) for c in ray[:-1]]
 
 
 def _dual(cone):

@@ -26,11 +26,16 @@ class Weight(tuple):
     """Integer character vector with component-wise vector arithmetic.
 
     ``Weight`` subclasses ``tuple`` (hashable, immutable, indexable) but
-    redefines ``+``, ``-`` and integer ``*`` as vector operations.
+    redefines ``+``, ``-`` and integer ``*`` as vector operations.  A
+    coordinate that is not an integer raises ValueError.
     """
 
     def __new__(cls, coords):
-        return super().__new__(cls, tuple(int(c) for c in coords))
+        coords = tuple(coords)
+        ints = tuple(map(int, coords))
+        if ints != coords:
+            raise ValueError("non-integer weight coordinates %r" % (coords,))
+        return super().__new__(cls, ints)
 
     @property
     def rank(self):

@@ -4,13 +4,14 @@ The former certificate routine of ``zipcones.cones``: the equalities
 ``sum mu_i v_i = target`` are solved by reduced row echelon form, and
 Fourier-Motzkin elimination with back-substitution decides ``mu >= 0``
 over the free coefficients.  It uses no facet list and no double
-description, so tests compare ``saturation_certificate`` and the facets
-of ``halfspaces_of`` with it on small cones.
+description, so tests compare the facets of ``halfspaces_of`` with it on
+small cones.
 
-The Fraction reduced row echelon form (``rref``, ``matrix_rank``) and the
-former monoid membership that solved independent generators with it
-(``monoid_membership``) live here too, as references for the double
-description.
+The Fraction reduced row echelon form (``rref``, ``matrix_rank``) and a
+monoid membership that solves independent generators with it and searches
+every coefficient of dependent ones (``monoid_membership``, with the former
+search ``_bounded_search``) live here too, as references for the double
+description and for the one search of ``cones.monoid_membership``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from zipcones.cones import (DD_RAY_GUARD, MONOID_SEARCH_BOUND,
-                            _bounded_search, _primitive)
+                            _primitive, halfspaces_of)
 from zipcones.errors import (GuardExceededError, TheoremViolationError,
                              UndecidedAtBoundError)
 
@@ -54,38 +55,70 @@ def matrix_rank(rows):
 
 
 def monoid_membership(cone, lam, bound=MONOID_SEARCH_BOUND):
-    """The former ``cones.monoid_membership``: independent generators are
+    """``cones.monoid_membership`` without its solved tail.
+
+    ``nonneg_combination`` rules a point out.  Independent generators are
     decided by the unique rational solution of the reduced row echelon
-    form; dependent ones by the same bounded search."""
+    form; dependent ones by the former search of every coefficient up to
+    the caps of ``cones.monoid_membership``: floor(<h, lam> / <h, g>), with
+    h the sum of the rows of ``halfspaces_of``, and ``bound`` where
+    <h, g> = 0."""
     lam = list(lam)
     gens = cone.generators
-    if not any(lam):
-        return [0] * len(gens)
-    if not gens:
+    if nonneg_combination([list(g) for g in gens], lam) is None:
         return None
     if matrix_rank([[g[i] for g in gens] for i in range(cone.rank)]) \
             == len(gens):
         mat, pivots = rref([[g[i] for g in gens] + [lam[i]]
                             for i in range(cone.rank)])
-        if len(gens) in pivots:
-            return None
         sol = [mat[r][len(gens)] for r in range(len(pivots))]
-        if all(x.denominator == 1 and x >= 0 for x in sol):
+        if all(x.denominator == 1 for x in sol):
             return [int(x) for x in sol]
         return None
-    sums = [sum(g) for g in gens]
-    complete = all(s < 0 for s in sums)
-    if complete:
-        if sum(lam) > 0:
-            return None
-        caps = [sum(lam) // s for s in sums]
-    else:
-        caps = [bound] * len(gens)
+    h = [sum(col) for col in zip(*halfspaces_of(cone).inequalities)]
+    heights = [sum(a * b for a, b in zip(h, g)) for g in gens]
+    caps = [sum(a * b for a, b in zip(h, lam)) // w if w else bound
+            for w in heights]
     found = _bounded_search(gens, lam, caps)
-    if found is not None or complete:
+    if found is not None or all(heights):
         return found
     raise UndecidedAtBoundError("no combination with coefficients <= %d"
                                 % bound)
+
+
+def _bounded_search(gens, lam, caps):
+    n = len(lam)
+    m = len(gens)
+
+    def rec(idx, residual):
+        if idx == m:
+            return [] if all(x == 0 for x in residual) else None
+        g = gens[idx]
+        if idx == m - 1:
+            # solve residual = c * g directly
+            c = None
+            for gi, ri in zip(g, residual):
+                if gi != 0:
+                    if ri % gi != 0 or ri // gi < 0:
+                        return None
+                    q = ri // gi
+                    if c is None:
+                        c = q
+                    elif c != q:
+                        return None
+                elif ri != 0:
+                    return None
+            if c is None:
+                c = 0
+            return [c] if c <= caps[idx] else None
+        for c in range(caps[idx] + 1):
+            rest = [ri - c * gi for ri, gi in zip(residual, g)]
+            sub = rec(idx + 1, rest)
+            if sub is not None:
+                return [c] + sub
+        return None
+
+    return rec(0, list(lam))
 
 
 def nonneg_combination(vectors, target):

@@ -66,6 +66,12 @@ MUTANTS = [
      ["tests/test_sections.py::test_tilde_valuation_rejects_a_vanishing_element"]),
     ("cones.py", "_dot(h, lam) // w if w", "_dot(h, lam) // w - 1 if w",
      ["tests/test_cones.py::test_monoid_membership_decides_on_a_pointed_cone"]),
+    ("cones.py", "if any(residual):", "if False:",
+     ["tests/test_cones.py::test_monoid_membership_tail_below_the_rank"]),
+    ("cones.py", "not 0 <= c <= caps[j]", "not 0 <= c",
+     ["tests/test_cones.py::test_monoid_membership_undecided_at_bound"]),
+    ("cones.py", "z & common == common and z != zp and z != zn", "False",
+     ["tests/test_cones.py::test_halfspaces_of_reaches_rank_4"]),
 ]
 
 

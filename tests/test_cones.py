@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import fm_reference
 import pytest
@@ -22,7 +23,6 @@ from zipcones.cones import (
     lineality_space,
     monoid_membership,
     saturated_membership,
-    saturation_certificate,
 )
 from zipcones.errors import (
     GuardExceededError,
@@ -45,6 +45,17 @@ def test_weight_arithmetic():
     assert a.dot((3, 1)) == 1
     with pytest.raises(RankMismatchError):
         a + Weight((1, 2, 3))
+
+
+def test_weight_refuses_non_integer_coordinates():
+    assert Weight((1.0, Fraction(-4, 2))) == Weight((1, -2))
+    for coords in [(0.5, -1.9), (Fraction(1, 2), -1), (0, 2.5)]:
+        with pytest.raises(ValueError):
+            Weight(coords)
+    with pytest.raises(ValueError):
+        HalfspaceSystem(2, [(1, -1)]).contains((0.5, 0.7))
+    with pytest.raises(ValueError):
+        monoid_membership(SP4_P2_MONOID, (Fraction(1, 2), -1))
 
 
 def test_generated_cone_dedupes_and_drops_zero():
@@ -86,6 +97,10 @@ def test_monoid_membership_undecided_at_bound():
     with pytest.raises(UndecidedAtBoundError):
         monoid_membership(c, (7, 7), bound=3)
     assert monoid_membership(c, (7, 7)) == [7, 0, 7]
+    # (-1, 0) and (0, 1) are the solved tail; its coefficient of (-1, 0)
+    # is 7 + c for every c <= 3 of (1, 0), past the bound
+    with pytest.raises(UndecidedAtBoundError):
+        monoid_membership(c, (-7, 7), bound=3)
 
 
 def test_monoid_membership_decides_on_a_pointed_cone():
@@ -114,23 +129,61 @@ def test_monoid_membership_separated_by_a_facet():
     ("zip-sp4", 2, 2, -6, 3), ("zip-sp4", 2, 3, -6, 3),
 ])
 def test_monoid_membership_matches_the_rref_reference(name, n, p, lo, hi):
-    # the facet rows and the certificate against the former reduced row
-    # echelon form, coefficients included, on every point of a box
+    # the one search against the reference's reduced row echelon form and
+    # full search, coefficients included, on every point of a box
     cone = catalog_cone(name, n, p).generated
     for lam in itertools.product(range(lo, hi + 1), repeat=n):
         assert monoid_membership(cone, lam) \
             == fm_reference.monoid_membership(cone, lam), lam
 
 
+def test_monoid_membership_without_generators():
+    c = GeneratedCone(2, [])
+    assert monoid_membership(c, (0, 0)) == []
+    assert monoid_membership(c, (1, 0)) is None
+
+
+def test_monoid_membership_tail_below_the_rank():
+    # the tail is (2,0,0) alone; with no (0,1,0) taken its ray reads 1
+    # off (2,1,0), and only the exact sum rules that out
+    c = GeneratedCone(3, [(0, 1, 0), (1, 0, 0), (2, 0, 0)])
+    assert monoid_membership(c, (2, 1, 0)) == [1, 0, 1]
+
+
+def test_monoid_membership_large_weights_at_p3():
+    # one coefficient of (1, -3) is searched, the rest is solved: a
+    # non-member at (0, -3001) is decided without a quadratic search
+    cone = catalog_cone("zip-sp4", 2, 3).generated
+    for lam in [(0, -301), (0, -1001), (0, -3001)]:
+        assert monoid_membership(cone, lam) is None, lam
+    assert monoid_membership(cone, (0, -3000)) == [0, 0, 500]
+
+
+def test_monoid_membership_matches_the_reference_on_random_cones():
+    # rank 1-3, up to 5 generators, lines and lower-dimensional cones
+    # included; undecided calls must agree too
+    def call(f, cone, lam):
+        try:
+            return f(cone, lam, bound=4)
+        except UndecidedAtBoundError:
+            return "undecided"
+
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(rng.randint(0, 5))]
+        cone = GeneratedCone(n, gens)
+        for _ in range(10):
+            lam = tuple(rng.randint(-6, 6) for _ in range(n))
+            assert call(monoid_membership, cone, lam) \
+                == call(fm_reference.monoid_membership, cone, lam), (cone, lam)
+
+
 def test_saturated_membership_sp4():
     assert saturated_membership(SP4_P2_SAT, (1, -2)) is True
     assert saturated_membership(SP4_P2_SAT, (0, -1)) is True
     assert saturated_membership(SP4_P2_SAT, (1, 0)) is False
-
-
-def test_saturation_certificate_exact():
-    cert = saturation_certificate(SP4_P2_SAT, (0, -1))
-    assert cert == [Fraction(1, 3), Fraction(1, 3)]
 
 
 def test_halfspaces_of_halfline():
@@ -157,6 +210,27 @@ def test_halfspaces_rank_guard():
     units = [tuple(int(i == j) for i in range(9)) for j in range(9)]
     hs = halfspaces_of(GeneratedCone(9, units))
     assert hs.inequalities == tuple(sorted(units))
+
+
+def test_double_description_with_duplicate_and_redundant_rows():
+    # a repeated, a scaled and a summed row add tight rows to the masks, so
+    # the count before the combinatorial test passes pairs that are not
+    # adjacent; the rays must still be those of the subset enumeration
+    rng = random.Random(5)
+    for _ in range(80):
+        n = rng.randint(2, 4)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(rng.randint(n, n + 3))]
+        a, b = rng.choice(rows), rng.choice(rows)
+        rows += [a, tuple(2 * x for x in b), tuple(x + y for x, y in zip(a, b))]
+        rows = [r for r in rows if any(r)]
+        rng.shuffle(rows)
+        system = HalfspaceSystem(n, rows)
+        rays, lin = cones.double_description(rows, n)
+        ref_lin = subset_rays.lineality_space(system)
+        assert len(lin) == len(ref_lin) == _span_rank(lin + ref_lin), rows
+        if not ref_lin:
+            assert rays == subset_rays.extreme_rays(system), rows
 
 
 def test_double_description_ray_guard(monkeypatch):
@@ -285,7 +359,7 @@ def test_saturated_iff_multiple_in_monoid(gens, lam):
     if not gens:
         return
     cone = GeneratedCone(2, gens)
-    cert = saturation_certificate(cone, lam)
+    cert = nonneg_combination([list(g) for g in cone.generators], list(lam))
     if cert is None:
         # no positive multiple can be in the monoid either
         for m in range(1, 4):
@@ -338,32 +412,10 @@ def test_halfspace_dual_agrees_with_direct_feasibility(case):
     # negated sum often outside: points where a wrong facet would show
     total = [sum(g[i] for g in gens) for i in range(n)]
     diffs = [[a - b for a, b in zip(g, gens[0])] for g in gens[1:]]
-    for pt in points + gens + diffs + [total, [-x for x in total]]:
-        assert hs.contains(pt) == (nonneg_combination(gens, pt) is not None)
-
-
-@settings(max_examples=150, deadline=None)
-@given(generator_sets())
-def test_saturation_certificate_from_facets(case):
-    # None exactly on a separating row; otherwise an exact nonnegative
-    # combination on at most rank generators, also when the cone has a line
-    n, gens, points = case
-    cone = GeneratedCone(n, gens)
-    rows = halfspaces_of(cone).inequalities
-    gens = [list(g) for g in cone.generators]
-    total = [sum(g[i] for g in gens) for i in range(n)]
     halves = [[a + b for a, b in zip(g, total)] for g in gens]
-    for pt in points + gens + halves + [total, [-x for x in total]]:
-        cert = saturation_certificate(cone, pt)
-        separated = any(sum(a * b for a, b in zip(h, pt)) < 0 for h in rows)
-        assert (cert is None) == separated
-        assert (cert is None) == (nonneg_combination(gens, pt) is None)
-        if cert is None:
-            continue
-        assert all(c >= 0 for c in cert)
-        assert [sum(c * g[i] for c, g in zip(cert, gens))
-                for i in range(n)] == list(pt)
-        assert sum(1 for c in cert if c) <= n
+    for pt in (points + gens + diffs + halves
+               + [total, [-x for x in total]]):
+        assert hs.contains(pt) == (nonneg_combination(gens, pt) is not None)
 
 
 def test_halfspaces_of_reaches_rank_4():
@@ -376,17 +428,11 @@ def test_halfspaces_of_reaches_rank_4():
             assert cones_equal_saturated(gen, hs)
             assert cones_equal_saturated(GeneratedCone(n, extreme_rays(hs)),
                                          gen)
-    # certificates from the facet list at n = 6 and 7: a facet separates
-    # criterion 8's Sigma_1 witness, and the sum of Pol's generators
-    # descends onto exactly n of them
+    # at n = 6 and 7 a facet separates criterion 8's Sigma_1 witness
     for n in (6, 7):
         for p in (2, 3):
-            pol = catalog_cone("pol", n, p).generated
             sig = catalog_cone("sigma1", n, p).generated
-            assert saturation_certificate(sig, [1, -p] + [0] * (n - 2)) is None
-            total = [sum(g[i] for g in pol.generators) for i in range(n)]
-            cert = saturation_certificate(pol, total)
-            assert sum(1 for c in cert if c) == n, (n, p)
+            assert not saturated_membership(sig, [1, -p] + [0] * (n - 2))
 
 
 @st.composite
