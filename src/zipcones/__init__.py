@@ -41,7 +41,6 @@ _EXPORTS = {
         "NotUnipotentInvariantError",
         "RankMismatchError",
         "TheoremViolationError",
-        "UndecidedAtBoundError",
         "WeightMismatchError",
         "ZipconeError",
     ], "errors"),

@@ -178,8 +178,8 @@ def _member(cone, lam):
     from .cones import monoid_membership
 
     if cone.monoid:
-        # an undecided search raises UndecidedAtBoundError (exit 2); it is
-        # never reported as "not a member"
+        # the search always decides; a monoid with a line raises
+        # NotPointedError (exit 1)
         return monoid_membership(cone.generated, lam) is not None
     return cone.presentation("halfspaces").contains(lam)
 
@@ -212,6 +212,9 @@ def _cmd_sweep(args):
         workers = int(threads)
     except ValueError:
         raise _UsageError("ZIPCONE_THREADS must be an integer, got %r"
+                          % threads)
+    if workers < 1:
+        raise _UsageError("ZIPCONE_THREADS must be at least 1, got %r"
                           % threads)
     # the pool forks all its workers at the first submit, so no more are
     # asked for than there are points or cores
@@ -256,6 +259,8 @@ def _cmd_slice(args):
     center = Weight([1 - args.p] * 3)
     u = _parse_weight(args.frame_u)
     v = _parse_weight(args.frame_v)
+    if len(u) != 3 or len(v) != 3:
+        raise _UsageError("frame vectors must have 3 coordinates")
     if center.dot(u) != 0 or center.dot(v) != 0:
         raise _UsageError("frame vectors must be orthogonal to the axis")
     if not any(u[i] * v[i - 1] - u[i - 1] * v[i] for i in range(3)):

@@ -15,11 +15,12 @@ the facets and implicit equalities of a generated cone, the extreme rays
 and lineality space of a halfspace system, and so every containment and
 equality test between cones; ``DD_RAY_GUARD`` bounds its intermediate
 ray count.  Saturated membership is read off that facet list.
-``monoid_membership`` rules a point out by a separating facet, caps its
-one search by the same list, and solves the independent tail of the
-generators from the extreme rays of the tail's own double description,
-so the double description is the only rational eliminator here.
-Everything is deterministic.
+``monoid_membership`` refuses a cone with a line, rules a point out by
+a separating facet, caps its one search by the same list, and solves the
+independent tail of the generators from the extreme rays of the tail's
+own double description, so the double description is the only rational
+eliminator here and every membership is decided.  Everything is
+deterministic.
 """
 
 from __future__ import annotations
@@ -28,16 +29,10 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from .errors import (
-    GuardExceededError,
-    NotPointedError,
-    RankMismatchError,
-    UndecidedAtBoundError,
-)
+from .errors import GuardExceededError, NotPointedError, RankMismatchError
 from .weights import Weight, _as_weight
 
 DD_RAY_GUARD = 10 ** 4
-MONOID_SEARCH_BOUND = 64
 
 
 def _primitive(row):
@@ -204,33 +199,33 @@ def double_description(rows, n):
 # ---------------------------------------------------------------------------
 # cone operations
 
-def monoid_membership(cone, lam, bound=MONOID_SEARCH_BOUND):
+def monoid_membership(cone, lam):
     """Nonnegative-integer coefficients writing ``lam`` over the generators.
 
     Returns a list of ints, the first solution in lexicographic order, or
-    None when ``lam`` is provably not in the monoid.  A facet row of
-    ``halfspaces_of`` negative on ``lam`` separates it from the cone.
-    Otherwise one search walks the generators in order.  The sum h of the
-    facet rows is nonnegative on every generator and positive exactly on
-    those outside the lineality space, so such a coefficient is at most
-    floor(<h, lam> / <h, g>); a generator inside the lineality space is
-    capped at ``bound``.  The longest linearly independent tail of the
-    generators (``_tail``) is not searched but solved: its combination is
-    unique, and each coefficient is read off one extreme ray of the
-    tail's double description, then checked exactly.  Only generators
-    inside the lineality space can leave the search undecided: exhausting
-    it then raises UndecidedAtBoundError instead of returning a silent
-    False.  On a pointed cone the search decides.
+    None when ``lam`` is provably not in the monoid.  The sum h of the
+    facet rows of ``halfspaces_of`` is nonnegative on every generator, and
+    zero exactly on those in the lineality space, so a generator with
+    <h, g> = 0 means the cone contains a line: such a cone is refused with
+    NotPointedError.  A facet row negative on ``lam`` separates it from
+    the cone.  Otherwise one search walks the generators in order, each
+    coefficient capped at floor(<h, lam> / <h, g>).  The longest linearly
+    independent tail of the generators (``_tail``) is not searched but
+    solved: its combination is unique, and each coefficient is read off
+    one extreme ray of the tail's double description, then checked
+    exactly.  The search is finite, so it always decides.
     """
     lam = _as_weight(lam, cone.rank)
-    if not halfspaces_of(cone).contains(lam):
-        return None
     gens = cone.generators
     facets, _ = _dual(cone)
-    start, solved = _tail(cone)
     h = [sum(col) for col in zip(*facets)]
     heights = [_dot(h, g) for g in gens]
-    caps = [_dot(h, lam) // w if w else bound for w in heights]
+    if not all(heights):
+        raise NotPointedError("monoid generators span a line")
+    if not halfspaces_of(cone).contains(lam):
+        return None
+    start, solved = _tail(cone)
+    caps = [_dot(h, lam) // w for w in heights]
 
     def rec(idx, residual):
         if idx < start:
@@ -243,7 +238,8 @@ def monoid_membership(cone, lam, bound=MONOID_SEARCH_BOUND):
         coeffs = []
         for j, (ray, d) in enumerate(solved, start):
             c, rem = divmod(_dot(ray, residual), d)
-            if rem or not 0 <= c <= caps[j]:
+            # c <= caps[j] follows from c >= 0 and the exact sum below
+            if rem or c < 0:
                 return None
             coeffs.append(c)
             # the later rays are tight on gens[j], so they read the same
@@ -253,11 +249,7 @@ def monoid_membership(cone, lam, bound=MONOID_SEARCH_BOUND):
             return None
         return coeffs
 
-    found = rec(0, list(lam))
-    if found is not None or all(heights):
-        return found
-    raise UndecidedAtBoundError(
-        "no combination with coefficients <= %d; membership undecided" % bound)
+    return rec(0, list(lam))
 
 
 def _tail(cone):

@@ -19,12 +19,10 @@ class GuardExceededError(ZipconeError):
     """A resource guard (group size, term count, ...) was hit."""
 
 
-class UndecidedAtBoundError(GuardExceededError):
-    """Monoid membership search hit its coefficient bound without a verdict."""
-
-
 class NotPointedError(ZipconeError):
-    """Extreme rays requested for a cone with a nonzero lineality space."""
+    """A cone with a nonzero lineality space (it contains a line) where a
+    pointed one is needed: for its extreme rays, or for monoid membership
+    over its generators."""
 
 
 class TheoremViolationError(ZipconeError):

@@ -86,6 +86,8 @@ def _unit(n, i):
 
 def _fundamental(n, i):
     """(1,...,1,0,...,0) with i leading ones."""
+    if not 0 <= i <= n:
+        raise ValueError("need 0 <= i <= n")
     return Weight([1] * i + [0] * (n - i))
 
 

@@ -18,10 +18,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from zipcones.cones import (DD_RAY_GUARD, MONOID_SEARCH_BOUND,
-                            _primitive, halfspaces_of)
-from zipcones.errors import (GuardExceededError, TheoremViolationError,
-                             UndecidedAtBoundError)
+from zipcones.cones import DD_RAY_GUARD, _primitive, halfspaces_of
+from zipcones.errors import GuardExceededError, TheoremViolationError
+
+# the cap of a coefficient of a generator in the lineality space, where
+# the facet sum caps nothing; ``cones.monoid_membership`` refuses such a
+# cone instead
+SEARCH_BOUND = 64
+
+
+class UndecidedAtBound(Exception):
+    """The bounded search found no combination, and a generator in the
+    lineality space was capped only by the bound: no verdict."""
 
 
 def rref(rows):
@@ -54,7 +62,7 @@ def matrix_rank(rows):
     return len(rref(rows)[1])
 
 
-def monoid_membership(cone, lam, bound=MONOID_SEARCH_BOUND):
+def monoid_membership(cone, lam, bound=SEARCH_BOUND):
     """``cones.monoid_membership`` without its solved tail.
 
     ``nonneg_combination`` rules a point out.  Independent generators are
@@ -82,8 +90,7 @@ def monoid_membership(cone, lam, bound=MONOID_SEARCH_BOUND):
     found = _bounded_search(gens, lam, caps)
     if found is not None or all(heights):
         return found
-    raise UndecidedAtBoundError("no combination with coefficients <= %d"
-                                % bound)
+    raise UndecidedAtBound("no combination with coefficients <= %d" % bound)
 
 
 def _bounded_search(gens, lam, caps):

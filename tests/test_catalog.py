@@ -78,6 +78,18 @@ def test_schubert_generators():
     assert schubert_weight(3, 2, 2) == Weight((1, -1, -2))
 
 
+def test_schubert_weight_refuses_an_index_outside_0_to_n():
+    # at n = 2 it used to return the rank-3 weights (-1, -1, -1) for
+    # i = 3 and (0, 0, 0) for i = -1
+    assert schubert_weight(2, 2, 0) == Weight((0, 0))
+    assert schubert_weight(2, 2, 2) == Weight((-1, -1))
+    for i in (-1, 3):
+        with pytest.raises(ValueError):
+            schubert_weight(2, 2, i)
+        with pytest.raises(ValueError):
+            _fundamental(2, i)
+
+
 def test_schubert_generators_are_fundamental_minus_p_reversal():
     # reference: lam - p * (coordinate reversal of lam) on the fundamental
     # weights, for the monoid and for its saturation

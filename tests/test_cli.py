@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import subprocess
@@ -145,6 +144,14 @@ def test_degenerate_slice_frame_is_a_usage_error(tmp_path, capsys):
     assert err.count("usage error: frame vectors must be nonzero and not "
                      "parallel") == 3
     assert "Traceback" not in err
+    # a frame of the wrong length used to fail in Weight.dot with
+    # "error: rank 3 vs 2"
+    for u, v in (("1,-1", "1,1,-2"), ("1,-1,0", "1,1,-2,0")):
+        code, data = run(["slice", "--cone", "zip-sp6-sat", "--p", "2",
+                          "--frame-u", u, "--frame-v", v], tmp_path, "o.csv")
+        assert (code, data) == (1, b""), (u, v)
+        assert capsys.readouterr().err \
+            == "usage error: frame vectors must have 3 coordinates\n"
 
 
 def test_deterministic_bytes(tmp_path):
@@ -235,28 +242,22 @@ def test_delta_without_an_index_is_an_unknown_section(tmp_path, capsys):
             == "error: unknown section %r\n" % name
 
 
-def test_undecided_membership_exits_2(tmp_path, monkeypatch, capsys):
-    # a monoid-presented cone with a line, whose membership search stops
-    # at the bound on the generators (1,0) and (-1,0) of that line; the
-    # sweep must fail with a guard error, not print agree:false.  No facet
-    # separates (7, 7), the first point of the box, and writing it needs a
-    # coefficient above 3
+def test_monoid_with_a_line_is_refused(tmp_path, monkeypatch, capsys):
+    # a monoid-presented cone with a line: nothing caps the coefficients of
+    # its generators (1,0) and (-1,0), so the sweep refuses the cone with
+    # one error line instead of printing a row
     import zipcones.catalog as catalog
     import zipcones.cones as cones
 
     cone = catalog.NamedCone(
-        "Bounded", 2, (2,),
+        "Lined", 2, (2,),
         generated=cones.GeneratedCone(2, [(1, 0), (-1, 0), (0, 1)]),
         monoid=True)
     monkeypatch.setattr(catalog, "catalog_cone", lambda name, n, p: cone)
-    monkeypatch.setattr(cones, "monoid_membership",
-                        functools.partial(cones.monoid_membership, bound=3))
     code, data = run(["sweep", "--n", "2", "--p", "2", "--box", "7..8",
                       "--compare", "zip-sp4"], tmp_path)
-    assert code == 2 and data == b""
-    err = capsys.readouterr().err
-    assert err.startswith("guard error: no combination with coefficients <= 3")
-    assert "Traceback" not in err
+    assert code == 1 and data == b""
+    assert capsys.readouterr().err == "error: monoid generators span a line\n"
 
 
 def test_failed_certificate_of_a_built_section_exits_3(tmp_path, monkeypatch,
@@ -467,6 +468,17 @@ def test_non_integer_thread_count_is_a_usage_error():
                              ZIPCONE_THREADS="abc")
     assert code == 1 and "Traceback" not in err
     assert err == "usage error: ZIPCONE_THREADS must be an integer, got 'abc'\n"
+
+
+def test_thread_count_below_one_is_a_usage_error():
+    # 0 and -3 used to run the sweep serially without a word
+    for threads in ("0", "-3"):
+        code, err = _run_process(["sweep", "--n", "2", "--p", "2", "--box",
+                                  "-1..1", "--compare", "zip-sp4"],
+                                 ZIPCONE_THREADS=threads)
+        assert code == 1 and "Traceback" not in err, threads
+        assert err == ("usage error: ZIPCONE_THREADS must be at least 1, "
+                       "got %r\n" % threads)
 
 
 def test_vlambda_rank3_p3(tmp_path):

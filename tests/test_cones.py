@@ -28,7 +28,6 @@ from zipcones.errors import (
     GuardExceededError,
     NotPointedError,
     RankMismatchError,
-    UndecidedAtBoundError,
 )
 
 SP4_P2_MONOID = GeneratedCone(2, [(1, -2), (-1, -1), (0, -2)])
@@ -89,37 +88,37 @@ def test_monoid_membership_independent_generators():
     assert monoid_membership(c, (2, -3)) is None
 
 
-def test_monoid_membership_undecided_at_bound():
-    # a cone with a line: (1,0) and (-1,0) span its lineality space, so
-    # only the bound caps them; no facet separates (7, 7), and every way to
-    # write it needs a coefficient above the tiny bound
+def test_monoid_membership_refuses_a_cone_with_a_line():
+    # (1,0) and (-1,0) span the lineality space: the facet sum is zero on
+    # them, so nothing caps their coefficients, and the cone is refused at
+    # every point, a facet-separated one such as (0, -1) included
     c = GeneratedCone(2, [(1, 0), (-1, 0), (0, 1)])
-    with pytest.raises(UndecidedAtBoundError):
-        monoid_membership(c, (7, 7), bound=3)
-    assert monoid_membership(c, (7, 7)) == [7, 0, 7]
-    # (-1, 0) and (0, 1) are the solved tail; its coefficient of (-1, 0)
-    # is 7 + c for every c <= 3 of (1, 0), past the bound
-    with pytest.raises(UndecidedAtBoundError):
-        monoid_membership(c, (-7, 7), bound=3)
+    for lam in [(7, 7), (-7, 7), (0, 0), (0, -1)]:
+        with pytest.raises(NotPointedError):
+            monoid_membership(c, lam)
+    # a line alone, and the whole plane, which has no facet at all
+    for rank, gens in [(1, [(1,), (-1,)]), (2, [(1, 0), (0, 1), (-1, -1)])]:
+        with pytest.raises(NotPointedError):
+            monoid_membership(GeneratedCone(rank, gens), (0,) * rank)
 
 
 def test_monoid_membership_decides_on_a_pointed_cone():
-    # (70, 70) = 70 (1,1) is the only way to write it, past the bound; the
-    # facet rows (0,1) and (1,-1) sum to h = (1, 0), which caps the
-    # coefficient of (1,1) at exactly <h, lam> / <h, (1,1)> = 70
+    # the facet rows (0,1) and (1,-1) sum to h = (1, 0); (1,0) is searched
+    # and (1,1), (2,1) are the solved tail.  (70, 0) = 70 (1,0) needs the
+    # searched coefficient at exactly its cap <h, lam> / <h, (1,0)> = 70,
+    # and (70, 70) = 70 (1,1) is the only way to write that point
     c = GeneratedCone(2, [(1, 0), (1, 1), (2, 1)])
+    assert monoid_membership(c, (70, 0)) == [70, 0, 0]
     assert monoid_membership(c, (70, 70)) == [0, 70, 0]
-    assert monoid_membership(c, (70, 70), bound=3) == [0, 70, 0]
-    assert monoid_membership(c, (7, 7), bound=3) == [0, 7, 0]
+    assert monoid_membership(c, (7, 7)) == [0, 7, 0]
 
 
 def test_monoid_membership_separated_by_a_facet():
     # the same generators: a facet separates these points, so the search
-    # never runs and they are not members whatever the bound
+    # never runs and they are not members
     c = GeneratedCone(2, [(1, 0), (1, 1), (2, 1)])
     for lam in [(-1, 0), (-1, 5), (0, 1), (1, -1)]:
-        assert monoid_membership(c, lam, bound=3) is None, lam
-        assert monoid_membership(c, lam, bound=0) is None, lam
+        assert monoid_membership(c, lam) is None, lam
 
 
 @pytest.mark.parametrize("name, n, p, lo, hi", [
@@ -160,24 +159,30 @@ def test_monoid_membership_large_weights_at_p3():
 
 
 def test_monoid_membership_matches_the_reference_on_random_cones():
-    # rank 1-3, up to 5 generators, lines and lower-dimensional cones
-    # included; undecided calls must agree too
-    def call(f, cone, lam):
-        try:
-            return f(cone, lam, bound=4)
-        except UndecidedAtBoundError:
-            return "undecided"
-
+    # rank 1-3, up to 5 generators, lower-dimensional cones included.  A
+    # cone contains a line iff the negative of some generator lies in it;
+    # such a cone is refused at every point, and the pointed ones agree
+    # with the reference
     rng = random.Random(11)
+    lines = 0
     for _ in range(300):
         n = rng.randint(1, 3)
         gens = [tuple(rng.randint(-3, 3) for _ in range(n))
                 for _ in range(rng.randint(0, 5))]
         cone = GeneratedCone(n, gens)
+        vecs = [list(g) for g in cone.generators]
+        line = any(nonneg_combination(vecs, [-x for x in g]) is not None
+                   for g in vecs)
+        lines += line
         for _ in range(10):
             lam = tuple(rng.randint(-6, 6) for _ in range(n))
-            assert call(monoid_membership, cone, lam) \
-                == call(fm_reference.monoid_membership, cone, lam), (cone, lam)
+            if line:
+                with pytest.raises(NotPointedError):
+                    monoid_membership(cone, lam)
+            else:
+                assert monoid_membership(cone, lam) \
+                    == fm_reference.monoid_membership(cone, lam), (cone, lam)
+    assert lines == 84
 
 
 def test_saturated_membership_sp4():
@@ -354,7 +359,8 @@ def test_membership_additivity(gens, u, v):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(small_vec, min_size=1, max_size=3), small_vec)
 def test_saturated_iff_multiple_in_monoid(gens, lam):
-    # restrict to cones where the bounded search is complete
+    # restrict to pointed cones: every generator has a negative
+    # coordinate sum
     gens = [g for g in gens if g[0] + g[1] < 0]
     if not gens:
         return
