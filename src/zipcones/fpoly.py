@@ -315,15 +315,17 @@ class FpPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        """f**k digit by digit in base p: f**(d p^i) is frobenius applied
+        i times to f, raised to d by repeated multiplication."""
         if k < 0:
             raise ValueError("negative power of a polynomial")
         result = FpPolynomial.constant(self.p, 1)
         base = self
         while k:
-            if k & 1:
+            k, digit = divmod(k, self.p)
+            for _ in range(digit):
                 result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
+            base = base.frobenius() if k else base
         return result
 
     def frobenius(self):

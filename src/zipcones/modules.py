@@ -13,8 +13,11 @@ Right translation X -> X g by a matrix g of GL_n(F_p) is the
 substitution ``matrix_images(mat_mul(X, g))`` of the expanded numerators,
 times det(g)^{det_pow}; all linear algebra stays sparse and exact.
 
-The norm of a module element, the product of its right translates over
-GL_n(F_p), and its boundary valuation are read off one walk of the group.
+The norm of the highest-weight vector f of V(lam), the product of its
+right translates over GL_n(F_p), and its boundary valuation are read off
+one walk of the coset representatives of GL_n(F_p)/B^-, enumerated flag
+by flag: f spans a line stable under B^-, so each coset holds |B^-|
+scalar multiples of one translate.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .errors import (
     GuardExceededError,
     RankMismatchError,
     TheoremViolationError,
-    ZipconeError,
 )
 from .fplinalg import dependent_columns, fp_det, fp_nullspace
 from .fpoly import (
@@ -42,7 +44,7 @@ from .fpoly import (
 )
 from .weights import Weight, hw_functional, validate_n_p
 
-GROUP_ORDER_GUARD = 10 ** 4
+FLAG_GUARD = 10 ** 4
 # the largest Weyl dimension built; on 2 shared cores under Python 3.11,
 # vlambda on V(999, 0) takes 1.1 s at p = 2, 1.0 s at p = 7 and 1.3 s at
 # p = 13, and on V(1999, 0) 3.4 s at p = 2 and 7.8 s and 90 MB at p = 7
@@ -50,7 +52,7 @@ MODULE_DIM_GUARD = 1000
 
 
 # ---------------------------------------------------------------------------
-# the finite group GL_n(F_p)
+# the finite group GL_n(F_p) and its flags
 
 def group_order(n, p):
     q = p ** n
@@ -60,23 +62,34 @@ def group_order(n, p):
     return order
 
 
+def borel_order(n, p):
+    """|B^-|: n diagonal entries in F_p^* and n(n-1)/2 free ones below."""
+    return (p - 1) ** n * p ** (n * (n - 1) // 2)
+
+
 @lru_cache(maxsize=None)
-def group_elements(n, p):
-    """All invertible n x n matrices over F_p, as tuples of row tuples."""
+def flag_representatives(n, p):
+    """One matrix per coset s B^- of GL_n(F_p), B^- lower triangular, as
+    tuples of row tuples.  s B^- is fixed by the flag <c_n> in <c_{n-1},
+    c_n> in ... of the columns of s; its representative has in column j a
+    leading 1 on a row that no later column leads on, zeros on those rows
+    and above its own lead, and free entries below (one Bruhat cell per
+    permutation of the leads)."""
     validate_n_p(n, p)
-    if group_order(n, p) > GROUP_ORDER_GUARD:
+    count = group_order(n, p) // borel_order(n, p)
+    if count > FLAG_GUARD:
         raise GuardExceededError(
-            "|GL_%d(F_%d)| = %d exceeds the group guard %d"
-            % (n, p, group_order(n, p), GROUP_ORDER_GUARD))
+            "|GL_%d(F_%d)/B^-| = %d exceeds the flag guard %d"
+            % (n, p, count, FLAG_GUARD))
     out = []
-    for flat in itertools.product(range(p), repeat=n * n):
-        mat = tuple(flat[i * n:(i + 1) * n] for i in range(n))
-        if fp_det(mat, p):
-            out.append(mat)
-    if len(out) != group_order(n, p):
-        raise TheoremViolationError(
-            "enumerated %d invertible matrices, |GL_%d(F_%d)| = %d"
-            % (len(out), n, p, group_order(n, p)))
+    for leads in itertools.permutations(range(n)):
+        free = [(r, j) for j in range(n) for r in range(leads[j] + 1, n)
+                if r not in leads[j + 1:]]
+        for values in itertools.product(range(p), repeat=len(free)):
+            mat = [[int(r == lead) for lead in leads] for r in range(n)]
+            for (r, j), v in zip(free, values):
+                mat[r][j] = v
+            out.append(tuple(map(tuple, mat)))
     return tuple(out)
 
 
@@ -150,16 +163,15 @@ def _minor_weight(n, cols):
 
 
 class ModuleElement:
-    """num * det^{det_pow} with its module weight and torus eigenvalue."""
+    """num * det^{det_pow} with its torus eigenvalue."""
 
-    __slots__ = ("n", "p", "num", "det_pow", "weight", "tweight")
+    __slots__ = ("n", "p", "num", "det_pow", "tweight")
 
-    def __init__(self, n, p, num, det_pow, weight, tweight=None):
+    def __init__(self, n, p, num, det_pow, tweight=None):
         self.n = n
         self.p = p
         self.num = num
         self.det_pow = det_pow
-        self.weight = weight
         self.tweight = tweight
 
     def is_zero(self):
@@ -195,11 +207,11 @@ class InducedModule:
         num = FpPolynomial.zero(self.p)
         for i, c in coeffs.items():
             num = num + c * self.basis_polys[i]
-        return ModuleElement(self.n, self.p, num, self.det_pow, self.lam)
+        return ModuleElement(self.n, self.p, num, self.det_pow)
 
     def basis_element(self, i):
         return ModuleElement(self.n, self.p, self.basis_polys[i],
-                             self.det_pow, self.lam, self.weights[i])
+                             self.det_pow, self.weights[i])
 
 
 def weyl_dimension(lam):
@@ -457,19 +469,18 @@ class TildeSection:
 
 
 def _walk_translates(elem, multiply):
-    """One walk of GL_n(F_p) over the right translates rho(s) f of a
-    module element f: their product (None unless ``multiply``) and the
-    boundary valuation, the sum of ord_t rho(s) f - deg f - det_pow along
-    X = b delta(t), b generic upper unitriangular and delta(t) =
-    diag(t, ..., t, 1) (the last row scaled by 1/t, the common t^{-1}
-    pulled out).  As rho(s) f(X) = det(s)^det_pow f(X s), that is the
-    order of f along b delta(t) s.  A translate vanishing there is a
-    theorem violation, raised after the walk, so the product's term cap
-    comes first.  Reads only n, p, num and det_pow."""
+    """One walk of the coset representatives s of GL_n(F_p)/B^- over the
+    right translates rho(s) f of a module element f: their product (None
+    unless ``multiply``) and the boundary valuation, |B^-| times the sum
+    of ord_t rho(s) f - deg f - det_pow along X = b delta(t), b generic
+    upper unitriangular and delta(t) = diag(t, ..., t, 1) (the last row
+    scaled by 1/t, the common t^{-1} pulled out).  As rho(s) f(X) =
+    det(s)^det_pow f(X s), that is the order of f along b delta(t) s; for
+    the f of ``highest_weight_vector``, rho(s b) f = chi(b) rho(s) f, b in
+    B^-, has the same order.  A translate vanishing there is a theorem
+    violation, raised after the walk, so the product's term cap comes
+    first.  Reads only n, p, num and det_pow."""
     n, p = elem.n, elem.p
-    group = group_elements(n, p)
-    if elem.num.is_zero():
-        raise ZipconeError("zero module element")
     b, delta = mat_identity(n, p), mat_identity(n, p)
     for i in range(n - 1):
         delta[i][i] = FpPolynomial.variable(p, _T)
@@ -479,7 +490,7 @@ def _walk_translates(elem, multiply):
     shift = elem.num.total_degree() + elem.det_pow
     prod = FpPolynomial.constant(p, 1) if multiply else None
     total, vanishes = 0, False
-    for s in group:
+    for s in flag_representatives(n, p):
         moved = _right_translation(elem, s)(elem.num)
         if multiply:
             prod = prod * moved
@@ -489,26 +500,33 @@ def _walk_translates(elem, multiply):
     if vanishes:
         raise TheoremViolationError(
             "a nonzero module element vanishes along b delta(t) s")
-    return prod, total
+    return prod, borel_order(n, p) * total
 
 
-def tilde_valuation(elem):
-    """Boundary valuation of the norm product of a module element: the
-    sum over GL_n(F_p) of its t-adic valuations along b delta(t) s, exact."""
-    return _walk_translates(elem, False)[1]
+def tilde_valuation(lam, n, p):
+    """Boundary valuation of the norm product of the highest-weight
+    vector of V(lam), exact."""
+    return _walk_translates(highest_weight_vector(build_module(lam, n, p)),
+                            False)[1]
 
 
-def tilde_section(elem):
-    """Norm product over GL_n(F_p) of a module element, with valuations."""
-    n, p = elem.n, elem.p
-    prod, valuation = _walk_translates(elem, True)
-    D = group_order(n, p)
+def tilde_section(lam, n, p):
+    """Norm product over GL_n(F_p) of the highest-weight vector f of
+    V(lam), with valuations: prod_b chi(b) per coset times Q^{|B^-|}, Q
+    the product over the coset representatives with det divided out."""
+    module = build_module(lam, n, p)
+    hw = highest_weight_vector(module)
+    prod, valuation = _walk_translates(hw, True)
+    D, B = group_order(n, p), borel_order(n, p)
     detp = minor(p, tuple(range(1, n + 1)), tuple(range(1, n + 1)))
     extra = 0
     while (q := exact_divide(prod, detp)) is not None:
         prod, extra = q, extra + 1
-    return TildeSection(n, p, D * elem.weight, prod,
-                        elem.det_pow * D + extra, valuation)
+    # chi(b) = prod_j b_jj^{tweight_j}; over all cosets each b_jj runs
+    # D / (p - 1) times through F_p^*, whose product is -1 (Wilson)
+    sign = (-1) ** (sum(hw.tweight) * D // (p - 1) % 2)
+    return TildeSection(n, p, D * module.lam, sign * prod ** B,
+                        module.det_pow * D + extra * B, valuation)
 
 
 def valuation_sign_predict(lam, n, p):

@@ -64,6 +64,11 @@ MUTANTS = [
      ["tests/test_modules.py::test_lower_stability_check_is_live"]),
     ("modules.py", "if vanishes:", "if False:",
      ["tests/test_sections.py::test_tilde_valuation_rejects_a_vanishing_element"]),
+    ("modules.py", "sign * prod ** B", "prod ** B",
+     ["tests/test_modules.py::test_norm_carries_chi_at_rank_one"]),
+    ("modules.py", "return prod, borel_order(n, p) * total", "return prod, total",
+     ["tests/test_modules.py::"
+      "test_tilde_valuation_matches_the_substitution_per_element"]),
     ("cones.py", "_dot(h, lam) // w for w", "_dot(h, lam) // w - 1 for w",
      ["tests/test_cones.py::test_monoid_membership_decides_on_a_pointed_cone"]),
     ("cones.py", "if any(residual):", "if False:",

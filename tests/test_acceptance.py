@@ -37,10 +37,10 @@ from zipcones.errors import GuardExceededError
 from zipcones.modules import (
     build_module,
     group_order,
-    highest_weight_vector,
     invariants_finite_group,
     thminter_check,
     tilde_section,
+    tilde_valuation,
     valuation_sign_predict,
 )
 from zipcones.oracle import h0_dimension
@@ -214,16 +214,23 @@ def test_criterion_6_recorded_weights_and_seeded_boxes():
 def test_criterion_7_valuation_signs():
     checked = 0
     for lam in _dominant_box(2, 3):
-        module = build_module(lam, 2, 2)
-        hw = highest_weight_vector(module)
-        ts = tilde_section(hw)
+        ts = tilde_section(lam, 2, 2)
         got = (ts.det_valuation > 0) - (ts.det_valuation < 0)
         want = valuation_sign_predict(lam, 2, 2)
         assert got == want, (lam, ts.det_valuation, want)
         assert ts.extends == (2 * lam[0] + lam[1] <= 0), lam
         checked += 1
+    # seeded L-dominant weights of [-2, 2]^3 and [-1, 1]^4, where a walk
+    # of all of GL_n(F_p) was refused by its guard at (3, 3) and (4, 2)
+    rng = random.Random(7)
+    for n, p, bound, count in ((3, 2, 2, 8), (3, 3, 2, 8), (4, 2, 1, 6)):
+        for lam in rng.sample(list(_dominant_box(n, bound)), count):
+            got = tilde_valuation(lam, n, p)
+            want = valuation_sign_predict(lam, n, p)
+            assert (got > 0) - (got < 0) == want, (lam, n, p, got, want)
+            checked += 1
     _report(7, True, "boundary-valuation signs match the prediction at %d "
-            "weights (n=2, p=2)" % checked)
+            "weights (n=2, p=2; seeded at (3,2), (3,3), (4,2))" % checked)
 
 
 def test_criterion_8_cone_inclusion_suite():
@@ -359,8 +366,7 @@ def test_criterion_9_mu_ordinary_saturation():
         inv = invariants_finite_group(big)
         assert len(inv) > 0, lam
         # witnessed by the norm of a nonzero element of V(lam)
-        hw = highest_weight_vector(build_module(lam, 2, 2))
-        ts = tilde_section(hw)
+        ts = tilde_section(lam, 2, 2)
         assert not ts.body_num.is_zero()
         assert ts.weight == Weight([D * x for x in lam])
         checked += 1

@@ -77,6 +77,48 @@ def test_frobenius_is_pth_power_and_multiplicative():
             assert (f * g).frobenius() == f.frobenius() * g.frobenius()
 
 
+def test_power_matches_repeated_multiplication():
+    # __pow__ takes k digit by digit in base p, through frobenius; against
+    # the running product f * ... * f for every k < p^3, on seeded
+    # polynomials of two terms in two fields and of three terms in one
+    rng = random.Random(11)
+    x, t = ("a", 1, 1), ("t",)
+    for p in (2, 3, 5, 7):
+        for _ in range(2):
+            two = sum((FpPolynomial.monomial(
+                p, [(x, rng.randrange(3)), (t, rng.randrange(3))],
+                rng.randrange(1, p)) for _ in range(2)),
+                FpPolynomial.zero(p))
+            three = sum((FpPolynomial.variable(p, x, e) * rng.randrange(1, p)
+                         for e in range(3)), FpPolynomial.zero(p))
+            for f in (two, three):
+                expect = FpPolynomial.constant(p, 1)
+                for k in range(p ** 3):
+                    assert f ** k == expect, (p, f, k)
+                    expect = expect * f
+
+
+def test_power_keeps_the_exponent_limit_and_the_term_cap(monkeypatch):
+    for p in (2, 3, 5, 7):
+        x = a_var(p, 1, 1)
+        assert (x ** EXPONENT_LIMIT).total_degree() == EXPONENT_LIMIT
+        with pytest.raises(GuardExceededError, match="exceeds"):
+            x ** (EXPONENT_LIMIT + 1)
+    # (x + 1)^(2^31) = x^(2^31) + 1 at p = 2: 31 frobenius steps, the last
+    # of them past the limit
+    with pytest.raises(GuardExceededError, match="2147483648 exceeds"):
+        (a_var(2, 1, 1) + 1) ** (EXPONENT_LIMIT + 1)
+    # (x + y + 1)^3 is f f f with 10 terms at p = 5 and f frobenius(f)
+    # with 9 at p = 2; a cap of 8 refuses both products
+    for p in (2, 5):
+        f = a_var(p, 1, 1) + a_var(p, 1, 2) + 1
+        assert len((f ** 3).terms) == {2: 9, 5: 10}[p]
+        monkeypatch.setattr(fpoly, "MONOMIAL_CAP", 8)
+        with pytest.raises(GuardExceededError, match="^a product has"):
+            f ** 3
+        monkeypatch.undo()
+
+
 def test_exact_divide():
     p = 2
     d1, d2 = delta_minor(2, p, 1), delta_minor(2, p, 2)

@@ -1,7 +1,7 @@
 """The package has one polyhedral eliminator, one F_p eliminator, one
 term cap, one place that builds a matrix of entry variables, one
 certified source of the reduction matrix and one module that walks the
-finite group, and these tests pin all six, the way ``test_imports.py``
+finite group and its cosets, and these tests pin all six, the way ``test_imports.py``
 pins the import graph.
 
 ``DD_RAY_GUARD`` bounds the double description; a second polyhedral
@@ -22,9 +22,10 @@ Delta_i once, and these two are the only callers of ``_certify``.  The
 catalog and ``gamma_matrix`` read their cached certificates, and
 ``clear_denominators`` and the ``gamma`` verb the cached
 ``gamma_matrix``, so none of them is handed an entry that was not
-certified, and nothing is certified twice.  GL_n(F_p), its guard
-``GROUP_ORDER_GUARD`` and its right translation are read only in
-``modules``, where the invariants and the norm construction use them."""
+certified, and nothing is certified twice.  The right translation of
+GL_n(F_p), the coset representatives of GL_n(F_p)/B^- and their guard
+``FLAG_GUARD`` are read only in ``modules``, where the invariants and
+the norm construction use them."""
 
 import ast
 from fnmatch import fnmatch
@@ -138,7 +139,7 @@ def test_each_minor_and_gamma_entry_is_certified_in_one_place():
 
 
 def test_the_finite_group_is_read_only_in_modules():
-    for name in ("_right_translation", "group_elements", "GROUP_ORDER_GUARD"):
+    for name in ("_right_translation", "flag_representatives", "FLAG_GUARD"):
         places = _places(_reads(name))
         assert places and {place.split(":")[0] for place in places} == {
             "modules.py"}, (name, places)

@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fp_reference import fp_nullspace
-from valuation_reference import valuation_by_element
+from valuation_reference import (
+    group_elements,
+    norm_by_element,
+    valuation_by_element,
+)
 from zipcones import modules
 from zipcones.cones import Weight
 from zipcones.errors import (
@@ -20,8 +24,9 @@ from zipcones.modules import (
     _check_elementary_words,
     _expand_monomial,
     _right_translation,
+    borel_order,
     build_module,
-    group_elements,
+    flag_representatives,
     group_generators,
     group_order,
     highest_weight_vector,
@@ -29,6 +34,7 @@ from zipcones.modules import (
     invariants_finite_group,
     subspace_leq0,
     thminter_check,
+    tilde_section,
     tilde_valuation,
     verify_left_borel_law,
     weyl_dimension,
@@ -39,22 +45,50 @@ def test_group_enumeration_and_order():
     assert group_order(2, 2) == 6
     assert group_order(2, 3) == 48
     assert group_order(3, 2) == 168
+    assert borel_order(2, 3) == 12 and borel_order(3, 2) == 8
     assert len(group_elements(2, 2)) == 6
     assert len(group_elements(3, 2)) == 168
+    assert len(flag_representatives(2, 2)) == 3
+    assert len(flag_representatives(3, 2)) == 21
     group_generators(2, 2)
     group_generators(2, 3)
     group_generators(3, 2)
 
 
-def test_group_guard():
-    with pytest.raises(GuardExceededError):
-        group_elements(3, 3)
+@pytest.mark.parametrize("n, p", [(2, 2), (2, 3), (3, 2), (2, 5), (3, 3)])
+def test_flag_representatives_are_one_per_coset(n, p):
+    # prod_i (p^i - 1) / (p - 1) matrices whose cosets s B^- are
+    # |GL_n(F_p)| distinct matrices, the whole group: no two
+    # representatives share a coset, and together they cover the group
+    reps = flag_representatives(n, p)
+    count = 1
+    for i in range(1, n + 1):
+        count *= (p ** i - 1) // (p - 1)
+    assert len(reps) == count
+    group = group_elements(n, p)
+    borel = [b for b in group
+             if all(b[i][j] == 0 for i in range(n) for j in range(i + 1, n))]
+    assert len(borel) == borel_order(n, p)
+    cosets = [_product(s, b, p) for s in reps for b in borel]
+    assert len(cosets) == len(set(cosets)) == len(group)
+    assert set(cosets) == set(group)
 
 
-def test_group_elements_rejects_a_non_prime():
-    # F_4 is not Z/4: enumerating 2 x 2 matrices mod 4 finds 160, not 180
+def test_flag_guard_refuses_before_enumerating(monkeypatch):
+    # |GL_5(F_3)/B^-| = 251,680 is past the guard, and is refused before
+    # a single permutation of the leads is listed
+    def refuse(*args):
+        raise AssertionError("enumerated past the guard")
+
+    monkeypatch.setattr(modules.itertools, "permutations", refuse)
+    with pytest.raises(GuardExceededError, match="251680 exceeds"):
+        flag_representatives(5, 3)
+
+
+def test_flag_representatives_rejects_a_non_prime():
+    # F_4 is not Z/4: the flags of (Z/4)^2 are not those of F_4^2
     with pytest.raises(ValueError):
-        group_elements(2, 4)
+        flag_representatives(2, 4)
 
 
 def _product(a, b, p):
@@ -272,11 +306,36 @@ def _dominant(n, bound):
     (3, 2, [(0, 0, -1), (1, -1, -2), (1, 1, -2), (2, 0, -2)]),
 ])
 def test_tilde_valuation_matches_the_substitution_per_element(n, p, weights):
-    # the one walk over the right translates against a substitution
+    # the one walk over the coset representatives against a substitution
     # X -> b delta(t) s per group element, exactly, not only in sign
     for lam in weights:
         hw = highest_weight_vector(build_module(lam, n, p))
-        assert tilde_valuation(hw) == valuation_by_element(hw), lam
+        assert tilde_valuation(lam, n, p) == valuation_by_element(hw), lam
+
+
+def _assert_norm_is_the_full_walk(lam, n, p):
+    # the coset walk, prod_b chi(b) and the power |B^-| against the product
+    # over every element of GL_n(F_p), exactly
+    ts = tilde_section(lam, n, p)
+    hw = highest_weight_vector(build_module(lam, n, p))
+    assert (ts.body_num, ts.body_det_power) == norm_by_element(hw), lam
+    assert ts.det_valuation == valuation_by_element(hw), lam
+    assert ts.weight == Weight(group_order(n, p) * x for x in lam), lam
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_norm_matches_the_full_walk(p):
+    for lam in _dominant(2, 3):
+        _assert_norm_is_the_full_walk(lam, 2, p)
+
+
+def test_norm_carries_chi_at_rank_one():
+    # the norm of det^w over F_p^* is (-1)^w, the one case where
+    # prod_b chi(b) is not 1: n = 1, odd p and odd w
+    for p in (2, 3, 5, 7):
+        for w in range(-3, 4):
+            _assert_norm_is_the_full_walk((w,), 1, p)
+    assert tilde_section((1,), 1, 3).body_num == FpPolynomial.constant(3, -1)
 
 
 def test_subspace_leq0_examples():

@@ -46,10 +46,10 @@ from zipcones.fpoly import (
     weight_of,
 )
 from zipcones.modules import (
+    _walk_translates,
     build_module,
     group_generators,
     group_order,
-    highest_weight_vector,
     tilde_section,
     tilde_valuation,
     valuation_sign_predict,
@@ -719,9 +719,7 @@ def test_rzip_examples():
 
 def test_tilde_det_power():
     for k in (1, 2, -1):
-        m = build_module((k, k), 2, 2)
-        hw = highest_weight_vector(m)
-        ts = tilde_section(hw)
+        ts = tilde_section((k, k), 2, 2)
         assert ts.body_det_power == k * group_order(2, 2)
         assert len(ts.body_num.terms) == 1 and ts.body_num.total_degree() == 0
         # boundary valuation has the opposite sign: det^k extends iff k <= 0
@@ -731,20 +729,24 @@ def test_tilde_det_power():
 
 def test_norm_product_is_bounded_by_the_term_cap(monkeypatch):
     # the norm of the highest-weight vector of V(1, 0) at p = 3 has 4
-    # terms, but the running product of its 48 right translates reaches
-    # 18; the product guard of fpoly refuses it under a cap of 10
-    hw = highest_weight_vector(build_module((1, 0), 2, 3))
-    assert len(tilde_section(hw).body_num.terms) == 4
-    monkeypatch.setattr(fpoly, "MONOMIAL_CAP", 10)
-    with pytest.raises(GuardExceededError, match="a product has"):
-        tilde_section(hw)
+    # terms.  Measured: the running product of its 4 coset translates
+    # reaches 3 terms, and the power Q^12 = frobenius(Q) frobenius^2(Q)
+    # 4, so the product guard of fpoly refuses the power under a cap of 3
+    # and the walk under a cap of 2
+    assert len(tilde_section((1, 0), 2, 3).body_num.terms) == 4
+    monkeypatch.setattr(fpoly, "MONOMIAL_CAP", 3)
+    with pytest.raises(GuardExceededError, match="^a product has 4 terms"):
+        tilde_section((1, 0), 2, 3)
+    monkeypatch.setattr(fpoly, "MONOMIAL_CAP", 2)
+    with pytest.raises(GuardExceededError, match="^a product has 3 terms"):
+        tilde_section((1, 0), 2, 3)
 
 
 def test_tilde_body_is_fixed_by_right_translation():
     # the norm multiplies the right translates f(X s); X -> X g permutes
     # them, so the body moves only by det(g)^(-body_det_power)
     for lam, p in [((1, -2), 2), ((2, 0), 3)]:
-        ts = tilde_section(highest_weight_vector(build_module(lam, 2, p)))
+        ts = tilde_section(lam, 2, p)
         assert ts.body_num.total_degree() > 0
         # the SL_2 generators and diag(-1, 1), which generate GL_2(F_3)
         for g in group_generators(2, p) + (((p - 1, 0), (0, 1)),):
@@ -754,23 +756,22 @@ def test_tilde_body_is_fixed_by_right_translation():
 
 
 def test_tilde_highest_weight_examples():
-    hw = highest_weight_vector(build_module((1, -2), 2, 2))
-    ts = tilde_section(hw)
+    ts = tilde_section((1, -2), 2, 2)
     assert ts.det_valuation == 0 and ts.extends
-    hw = highest_weight_vector(build_module((1, -1), 2, 2))
-    assert tilde_valuation(hw) < 0
-    hw = highest_weight_vector(build_module((0, -1), 2, 2))
-    assert tilde_valuation(hw) > 0
+    assert tilde_valuation((1, -1), 2, 2) < 0
+    assert tilde_valuation((0, -1), 2, 2) > 0
 
 
 def test_tilde_signs_rank3():
     # the boundary-sign formula for norms over GL_3(F_2), including a
     # weight on the boundary hyperplane
     for lam, want in [((0, 0, -1), 1), ((1, -1, -2), 0), ((1, 1, -2), -1)]:
-        hw = highest_weight_vector(build_module(lam, 3, 2))
-        got = tilde_valuation(hw)
+        got = tilde_valuation(lam, 3, 2)
         assert (got > 0) - (got < 0) == want, (lam, got)
         assert valuation_sign_predict(lam, 3, 2) == want
+    # the whole norm answers at rank 3, where a running product over all
+    # 168 elements of GL_3(F_2) reaches 210,926 terms, past the term cap
+    assert tilde_section((0, -1, -2), 3, 2).det_valuation == 96
 
 
 def test_tilde_signs_at_p3():
@@ -778,8 +779,7 @@ def test_tilde_signs_at_p3():
     for lam in itertools.product(range(2, -3, -1), repeat=2):
         if lam[0] < lam[1]:
             continue
-        hw = highest_weight_vector(build_module(lam, 2, 3))
-        got = tilde_valuation(hw)
+        got = tilde_valuation(lam, 2, 3)
         want = valuation_sign_predict(lam, 2, 3)
         assert (got > 0) - (got < 0) == want, (lam, got, want)
 
@@ -867,10 +867,10 @@ def test_check_equivariance_rejects_entries_outside_the_matrix():
 
 def test_tilde_valuation_rejects_a_vanishing_element():
     # a_{2,1} maps to 0 along b delta(t) s for s = 1, which no module
-    # element can do
+    # element can do; the walk reads only n, p, num and det_pow
     fake = SimpleNamespace(n=2, p=2, num=a_var(2, 2, 1), det_pow=0)
     with pytest.raises(TheoremViolationError):
-        tilde_valuation(fake)
+        _walk_translates(fake, False)
 
 
 @pytest.mark.parametrize("n, p", [(2, 4), (2, 1), (2, 0), (2, -3), (2, 9),
@@ -883,6 +883,8 @@ def test_entry_points_reject_bad_n_and_p(n, p):
         gamma_matrix(n, p)
     with pytest.raises(ValueError):
         build_module(lam, n, p)
+    with pytest.raises(ValueError):
+        tilde_valuation(lam, n, p)
     with pytest.raises(ValueError):
         catalog_section("delta1", n, p)
     with pytest.raises(ValueError):

@@ -1,19 +1,43 @@
-"""Reference boundary valuation of a norm, one substitution per element.
+"""Reference norm and boundary valuation, one walk of all of GL_n(F_p).
 
+``group_elements`` lists GL_n(F_p) by trying all p^(n^2) matrices.
 ``valuation_by_element`` substitutes X = b delta(t) s into f directly for
 every s in GL_n(F_p), a fresh substitution each, with b generic upper
 unitriangular and delta(t) = diag(t, ..., t, 1) (the last row scaled by
 1/t, the common t^{-1} pulled out), and sums ord_t - deg f - det_pow.
-``modules.tilde_valuation`` reads the same orders off the right translates
-f(X s) under the one substitution X -> b delta(t); tests compare the two
-exactly.
+``norm_by_element`` multiplies the right translates det(s)^det_pow f(X s)
+over every s and divides the determinant out completely.
+``modules.tilde_section`` and ``tilde_valuation`` read the same answers
+off one translate per coset of GL_n(F_p)/B^-; tests compare them exactly.
 """
 
+import itertools
+from functools import lru_cache
+
+from fp_reference import fp_det
 from zipcones.errors import TheoremViolationError
-from zipcones.fpoly import FpPolynomial, mat_identity, mat_mul, matrix_images
-from zipcones.modules import group_elements
+from zipcones.fpoly import (
+    FpPolynomial,
+    exact_divide,
+    generic_matrix,
+    mat_identity,
+    mat_mul,
+    matrix_images,
+    minor,
+)
 
 _T = ("t",)
+
+
+@lru_cache(maxsize=None)
+def group_elements(n, p):
+    """All invertible n x n matrices over F_p, as tuples of row tuples."""
+    out = []
+    for flat in itertools.product(range(p), repeat=n * n):
+        mat = tuple(flat[i * n:(i + 1) * n] for i in range(n))
+        if fp_det(mat, p):
+            out.append(mat)
+    return tuple(out)
 
 
 def _images(n, p, s):
@@ -37,3 +61,19 @@ def valuation_by_element(elem):
                 "a nonzero module element vanishes along b delta(t) s")
         total += sub.min_exponent(_T) - deg - elem.det_pow
     return total
+
+
+def norm_by_element(elem):
+    """(body_num, body_det_power) of the product over GL_n(F_p) of the
+    right translates of ``elem``, the determinant divided out."""
+    n, p = elem.n, elem.p
+    prod = FpPolynomial.constant(p, 1)
+    for s in group_elements(n, p):
+        moved = elem.num.substitute(matrix_images(mat_mul(
+            generic_matrix(n, p), s)))
+        prod = prod * moved * pow(fp_det(s, p), elem.det_pow % (p - 1), p)
+    det = minor(p, tuple(range(1, n + 1)), tuple(range(1, n + 1)))
+    power = elem.det_pow * len(group_elements(n, p))
+    while (q := exact_divide(prod, det)) is not None:
+        prod, power = q, power + 1
+    return prod, power
