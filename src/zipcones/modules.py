@@ -158,26 +158,6 @@ def _check_elementary_words(transvection, cycle, p):
 # ---------------------------------------------------------------------------
 # minor coordinates
 
-def _minor_weight(n, cols):
-    return Weight(1 if j + 1 in cols else 0 for j in range(n))
-
-
-class ModuleElement:
-    """num * det^{det_pow} with its torus eigenvalue."""
-
-    __slots__ = ("n", "p", "num", "det_pow", "tweight")
-
-    def __init__(self, n, p, num, det_pow, tweight=None):
-        self.n = n
-        self.p = p
-        self.num = num
-        self.det_pow = det_pow
-        self.tweight = tweight
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-
 class InducedModule:
     """V(lam) with a basis of minor monomials.
 
@@ -201,17 +181,6 @@ class InducedModule:
     @property
     def dim(self):
         return len(self.basis)
-
-    def element(self, coeffs):
-        """Module element from a basis-coefficient mapping {index: c}."""
-        num = FpPolynomial.zero(self.p)
-        for i, c in coeffs.items():
-            num = num + c * self.basis_polys[i]
-        return ModuleElement(self.n, self.p, num, self.det_pow)
-
-    def basis_element(self, i):
-        return ModuleElement(self.n, self.p, self.basis_polys[i],
-                             self.det_pow, self.weights[i])
 
 
 def weyl_dimension(lam):
@@ -238,10 +207,11 @@ def _expand_monomial(n, p, mono):
 
 
 def _monomial_weight(n, lam_n, mono):
-    w = Weight([lam_n] * n)
+    w = [lam_n] * n
     for (level, cols), mult in mono:
-        w = w + mult * _minor_weight(n, cols)
-    return w
+        for c in cols:
+            w[c - 1] += mult
+    return Weight(w)
 
 
 def build_module(lam, n, p):
@@ -307,8 +277,7 @@ def build_module(lam, n, p):
 # right translation
 
 def _right_translation(module, g):
-    """rho(g) on expanded numerators: f(X) -> det(g)^{det_pow} f(X g).
-    Reads only n, p and det_pow, so ``module`` may be a ModuleElement."""
+    """rho(g) on expanded numerators: f(X) -> det(g)^{det_pow} f(X g)."""
     n, p = module.n, module.p
     act = Substitution(p, matrix_images(mat_mul(generic_matrix(n, p), g)))
     scale = pow(fp_det(g, p), module.det_pow % (p - 1), p)
@@ -341,7 +310,9 @@ def invariants_finite_group(module):
         rho = _right_translation(module, g)
         cols = []
         for vec in current:
-            num = module.element(vec).num
+            num = FpPolynomial.zero(p)
+            for i, c in vec.items():
+                num = num + c * module.basis_polys[i]
             cols.append((rho(num) - num).terms)
         current = fp_nullspace(cols, current, p)
     return current
@@ -365,7 +336,7 @@ def intersection_dimension(module, fixed):
 
 
 def highest_weight_vector(module):
-    """The basis vector spanning the lower-Borel-stable line.
+    """The index of the basis vector spanning the lower-Borel-stable line.
 
     Located as the (required one-dimensional) torus eigenspace of the
     coordinate reversal of lam, then certified by a symbolic check of
@@ -378,17 +349,12 @@ def highest_weight_vector(module):
         raise TheoremViolationError(
             "eigenspace of %s in V(%s) has dimension %d, expected 1"
             % (target, module.lam, len(hits)))
-    elem = module.basis_element(hits[0])
-    exps = [c - module.det_pow for c in elem.tweight]
-    if min(exps) < 0:
-        raise TheoremViolationError(
-            "eigenvalue %s lies below the twist det^%d"
-            % (elem.tweight, module.det_pow))
     images = matrix_images(mat_mul(generic_matrix(n, p), _generic_lower(n, p)))
-    _check_borel_law(p, images, [elem.num], exps,
+    _check_borel_law(p, images, [module.basis_polys[hits[0]]],
+                     [c - module.det_pow for c in target],
                      "candidate line is not stable under lower-triangular "
                      "translation")
-    return elem
+    return hits[0]
 
 
 def _generic_lower(n, p):
@@ -468,33 +434,33 @@ class TildeSection:
         return self.det_valuation >= 0
 
 
-def _walk_translates(elem, multiply):
+def _walk_translates(module, num, multiply):
     """One walk of the coset representatives s of GL_n(F_p)/B^- over the
-    right translates rho(s) f of a module element f: their product (None
-    unless ``multiply``) and the boundary valuation, |B^-| times the sum
-    of ord_t rho(s) f - deg f - det_pow along X = b delta(t), b generic
-    upper unitriangular and delta(t) = diag(t, ..., t, 1) (the last row
-    scaled by 1/t, the common t^{-1} pulled out).  As rho(s) f(X) =
-    det(s)^det_pow f(X s), that is the order of f along b delta(t) s; for
-    the f of ``highest_weight_vector``, rho(s b) f = chi(b) rho(s) f, b in
-    B^-, has the same order.  A translate vanishing there is a theorem
-    violation, raised after the walk, so the product's term cap comes
-    first.  Reads only n, p, num and det_pow."""
-    n, p = elem.n, elem.p
+    right translates rho(s) f of the element f = num * det^det_pow of
+    ``module``: their product (None unless ``multiply``) and the boundary
+    valuation, |B^-| times the sum of ord_t rho(s) f - deg f - det_pow
+    along X = b delta(t), b generic upper unitriangular and delta(t) =
+    diag(t, ..., t, 1) (the last row scaled by 1/t, the common t^{-1}
+    pulled out).  As rho(s) f(X) = det(s)^det_pow f(X s), that is the
+    order of num along b delta(t) s, one substitution per coset; the
+    translate f(X s) is built only for the product.  For the f of
+    ``highest_weight_vector``, rho(s b) f = chi(b) rho(s) f, b in B^-, has
+    the same order.  A translate vanishing there is a theorem violation,
+    raised after the walk, so the product's term cap comes first."""
+    n, p = module.n, module.p
     b, delta = mat_identity(n, p), mat_identity(n, p)
     for i in range(n - 1):
         delta[i][i] = FpPolynomial.variable(p, _T)
         for k in range(i + 1, n):
             b[i][k] = FpPolynomial.variable(p, ("b", i + 1, k + 1))
-    along = Substitution(p, matrix_images(mat_mul(b, delta)))
-    shift = elem.num.total_degree() + elem.det_pow
+    along = mat_mul(b, delta)
+    shift = num.total_degree() + module.det_pow
     prod = FpPolynomial.constant(p, 1) if multiply else None
     total, vanishes = 0, False
     for s in flag_representatives(n, p):
-        moved = _right_translation(elem, s)(elem.num)
         if multiply:
-            prod = prod * moved
-        image = along(moved)
+            prod = prod * _right_translation(module, s)(num)
+        image = Substitution(p, matrix_images(mat_mul(along, s)))(num)
         vanishes = vanishes or image.is_zero()
         total += image.min_exponent(_T) - shift
     if vanishes:
@@ -506,8 +472,9 @@ def _walk_translates(elem, multiply):
 def tilde_valuation(lam, n, p):
     """Boundary valuation of the norm product of the highest-weight
     vector of V(lam), exact."""
-    return _walk_translates(highest_weight_vector(build_module(lam, n, p)),
-                            False)[1]
+    module = build_module(lam, n, p)
+    num = module.basis_polys[highest_weight_vector(module)]
+    return _walk_translates(module, num, False)[1]
 
 
 def tilde_section(lam, n, p):
@@ -515,16 +482,17 @@ def tilde_section(lam, n, p):
     V(lam), with valuations: prod_b chi(b) per coset times Q^{|B^-|}, Q
     the product over the coset representatives with det divided out."""
     module = build_module(lam, n, p)
-    hw = highest_weight_vector(module)
-    prod, valuation = _walk_translates(hw, True)
+    num = module.basis_polys[highest_weight_vector(module)]
+    prod, valuation = _walk_translates(module, num, True)
     D, B = group_order(n, p), borel_order(n, p)
     detp = minor(p, tuple(range(1, n + 1)), tuple(range(1, n + 1)))
     extra = 0
     while (q := exact_divide(prod, detp)) is not None:
         prod, extra = q, extra + 1
-    # chi(b) = prod_j b_jj^{tweight_j}; over all cosets each b_jj runs
-    # D / (p - 1) times through F_p^*, whose product is -1 (Wilson)
-    sign = (-1) ** (sum(hw.tweight) * D // (p - 1) % 2)
+    # chi(b) = prod_j b_jj^{w_j}, w = lam reversed the weight of f; over
+    # all cosets each b_jj runs D / (p - 1) times through F_p^*, whose
+    # product is -1 (Wilson)
+    sign = (-1) ** (sum(module.lam) * D // (p - 1) % 2)
     return TildeSection(n, p, D * module.lam, sign * prod ** B,
                         module.det_pow * D + extra * B, valuation)
 

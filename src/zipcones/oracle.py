@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial, prod
 
-from .errors import GuardExceededError, ZipconeError
+from .errors import GuardExceededError, RankMismatchError
 from .fplinalg import dependent_columns
 from .weights import EXPONENT_LIMIT, MONOMIAL_CAP, Weight, validate_n_p
 
@@ -49,7 +49,7 @@ def _oracle_weight(lam, n, p, cap):
     validate_n_p(n, p)
     lam = Weight(lam)
     if lam.rank != n:
-        raise ZipconeError("weight rank %d, expected %d" % (lam.rank, n))
+        raise RankMismatchError("weight rank %d, expected %d" % (lam.rank, n))
     if cap < 0:
         raise ValueError("monomial cap must be at least 0, got %r" % (cap,))
     return lam

@@ -59,7 +59,7 @@ MUTANTS = [
      ["tests/test_modules.py::test_torus_filter_reads_every_weight_coordinate"]),
     ("modules.py", "if act(f) != f * scale:", "if False:",
      ["tests/test_modules.py::test_left_borel_law_check_is_live"]),
-    ("modules.py", "_check_borel_law(p, images, [elem.num],",
+    ("modules.py", "_check_borel_law(p, images, [module.basis_polys[hits[0]]],",
      "_check_borel_law(p, images, [],",
      ["tests/test_modules.py::test_lower_stability_check_is_live"]),
     ("modules.py", "if vanishes:", "if False:",
@@ -67,6 +67,9 @@ MUTANTS = [
     ("modules.py", "sign * prod ** B", "prod ** B",
      ["tests/test_modules.py::test_norm_carries_chi_at_rank_one"]),
     ("modules.py", "return prod, borel_order(n, p) * total", "return prod, total",
+     ["tests/test_modules.py::"
+      "test_tilde_valuation_matches_the_substitution_per_element"]),
+    ("modules.py", "matrix_images(mat_mul(along, s))", "matrix_images(along)",
      ["tests/test_modules.py::"
       "test_tilde_valuation_matches_the_substitution_per_element"]),
     ("cones.py", "_dot(h, lam) // w for w", "_dot(h, lam) // w - 1 for w",

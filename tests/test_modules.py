@@ -309,17 +309,27 @@ def test_tilde_valuation_matches_the_substitution_per_element(n, p, weights):
     # the one walk over the coset representatives against a substitution
     # X -> b delta(t) s per group element, exactly, not only in sign
     for lam in weights:
-        hw = highest_weight_vector(build_module(lam, n, p))
-        assert tilde_valuation(lam, n, p) == valuation_by_element(hw), lam
+        m = build_module(lam, n, p)
+        hw = m.basis_polys[highest_weight_vector(m)]
+        assert tilde_valuation(lam, n, p) == valuation_by_element(m, hw), lam
+
+
+def test_tilde_valuation_exact_at_rank_4():
+    # no by-element reference reaches GL_4(F_2), which has 20160 elements;
+    # these are the values of the walk that substituted X -> X s and then
+    # X -> b delta(t) per coset, not only their signs
+    assert tilde_valuation((2, 2, 1, -2), 4, 2) == -32256
+    assert tilde_valuation((1, 0, -1, -2), 4, 2) == -5376
 
 
 def _assert_norm_is_the_full_walk(lam, n, p):
     # the coset walk, prod_b chi(b) and the power |B^-| against the product
     # over every element of GL_n(F_p), exactly
     ts = tilde_section(lam, n, p)
-    hw = highest_weight_vector(build_module(lam, n, p))
-    assert (ts.body_num, ts.body_det_power) == norm_by_element(hw), lam
-    assert ts.det_valuation == valuation_by_element(hw), lam
+    m = build_module(lam, n, p)
+    hw = m.basis_polys[highest_weight_vector(m)]
+    assert (ts.body_num, ts.body_det_power) == norm_by_element(m, hw), lam
+    assert ts.det_valuation == valuation_by_element(m, hw), lam
     assert ts.weight == Weight(group_order(n, p) * x for x in lam), lam
 
 
@@ -542,15 +552,13 @@ def test_invariants_full_group_gl2_f3():
 
 def test_highest_weight_vector():
     m = build_module((1, 1), 2, 2)
-    hw = highest_weight_vector(m)
-    assert hw.num == m.basis_polys[0]
+    assert highest_weight_vector(m) == 0
     m = build_module((1, 0), 2, 2)
-    hw = highest_weight_vector(m)
-    assert hw.tweight == Weight((0, 1))
+    assert m.weights[highest_weight_vector(m)] == Weight((0, 1))
     m = build_module((2, 1), 2, 2)
-    assert highest_weight_vector(m) is not None
+    assert m.weights[highest_weight_vector(m)] == Weight((1, 2))
     m = build_module((2, 1, 0), 3, 2)
-    assert highest_weight_vector(m).tweight == Weight((0, 1, 2))
+    assert m.weights[highest_weight_vector(m)] == Weight((0, 1, 2))
 
 
 def test_thminter_examples():

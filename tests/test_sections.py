@@ -509,10 +509,10 @@ def test_monomial_cap_is_the_largest_count_answered(lam, n, p, count):
 def test_enumeration_checks_the_weight_rank(lam):
     # a weight longer or shorter than n must not reach the enumeration,
     # where it would give a wrong list or an IndexError
-    with pytest.raises(ZipconeError, match="weight rank %d, expected 2"
+    with pytest.raises(RankMismatchError, match="weight rank %d, expected 2"
                        % len(lam)):
         enumerate_weight_monomials(lam, 2, 2)
-    with pytest.raises(ZipconeError, match="weight rank %d, expected 2"
+    with pytest.raises(RankMismatchError, match="weight rank %d, expected 2"
                        % len(lam)):
         h0_dimension(lam, 2, 2)
 
@@ -867,10 +867,10 @@ def test_check_equivariance_rejects_entries_outside_the_matrix():
 
 def test_tilde_valuation_rejects_a_vanishing_element():
     # a_{2,1} maps to 0 along b delta(t) s for s = 1, which no module
-    # element can do; the walk reads only n, p, num and det_pow
-    fake = SimpleNamespace(n=2, p=2, num=a_var(2, 2, 1), det_pow=0)
+    # element can do; the walk reads only n, p and det_pow of the module
+    fake = SimpleNamespace(n=2, p=2, det_pow=0)
     with pytest.raises(TheoremViolationError):
-        _walk_translates(fake, False)
+        _walk_translates(fake, a_var(2, 2, 1), False)
 
 
 @pytest.mark.parametrize("n, p", [(2, 4), (2, 1), (2, 0), (2, -3), (2, 9),

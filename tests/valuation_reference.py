@@ -6,7 +6,8 @@ every s in GL_n(F_p), a fresh substitution each, with b generic upper
 unitriangular and delta(t) = diag(t, ..., t, 1) (the last row scaled by
 1/t, the common t^{-1} pulled out), and sums ord_t - deg f - det_pow.
 ``norm_by_element`` multiplies the right translates det(s)^det_pow f(X s)
-over every s and divides the determinant out completely.
+over every s and divides the determinant out completely.  Both take the
+module for n, p and det_pow, and the numerator ``num`` of f.
 ``modules.tilde_section`` and ``tilde_valuation`` read the same answers
 off one translate per coset of GL_n(F_p)/B^-; tests compare them exactly.
 """
@@ -50,30 +51,30 @@ def _images(n, p, s):
     return matrix_images(mat_mul(mat_mul(b, delta), s))
 
 
-def valuation_by_element(elem):
-    n, p = elem.n, elem.p
-    deg = elem.num.total_degree()
+def valuation_by_element(module, num):
+    n, p = module.n, module.p
+    deg = num.total_degree()
     total = 0
     for s in group_elements(n, p):
-        sub = elem.num.substitute(_images(n, p, s))
+        sub = num.substitute(_images(n, p, s))
         if sub.is_zero():
             raise TheoremViolationError(
                 "a nonzero module element vanishes along b delta(t) s")
-        total += sub.min_exponent(_T) - deg - elem.det_pow
+        total += sub.min_exponent(_T) - deg - module.det_pow
     return total
 
 
-def norm_by_element(elem):
+def norm_by_element(module, num):
     """(body_num, body_det_power) of the product over GL_n(F_p) of the
-    right translates of ``elem``, the determinant divided out."""
-    n, p = elem.n, elem.p
+    right translates of num * det^det_pow, the determinant divided out."""
+    n, p = module.n, module.p
     prod = FpPolynomial.constant(p, 1)
     for s in group_elements(n, p):
-        moved = elem.num.substitute(matrix_images(mat_mul(
+        moved = num.substitute(matrix_images(mat_mul(
             generic_matrix(n, p), s)))
-        prod = prod * moved * pow(fp_det(s, p), elem.det_pow % (p - 1), p)
+        prod = prod * moved * pow(fp_det(s, p), module.det_pow % (p - 1), p)
     det = minor(p, tuple(range(1, n + 1)), tuple(range(1, n + 1)))
-    power = elem.det_pow * len(group_elements(n, p))
+    power = module.det_pow * len(group_elements(n, p))
     while (q := exact_divide(prod, det)) is not None:
         prod, power = q, power + 1
     return prod, power
