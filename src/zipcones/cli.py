@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import (
@@ -184,17 +183,11 @@ def _member(cone, lam):
     return cone.presentation("halfspaces").contains(lam)
 
 
-def _sweep_dim(task):
-    from .oracle import h0_dimension
-
-    lam, n, p, cap = task
-    return h0_dimension(lam, n, p, monomial_cap=cap)
-
-
 def _cmd_sweep(args):
     import itertools
 
     from .catalog import catalog_cone
+    from .oracle import h0_dimension
 
     lo, hi = _parse_box(args.box)
     count = (hi - lo + 1) ** args.n
@@ -204,31 +197,11 @@ def _cmd_sweep(args):
     cone = catalog_cone(args.compare, args.n, args.p)
     if cone.rank != args.n:
         raise _UsageError("cone rank does not match --n")
-    points = [Weight(pt) for pt in
-              itertools.product(range(lo, hi + 1), repeat=args.n)]
-    tasks = [(lam, args.n, args.p, args.monomial_cap) for lam in points]
-    threads = os.environ.get("ZIPCONE_THREADS", "1")
-    try:
-        workers = int(threads)
-    except ValueError:
-        raise _UsageError("ZIPCONE_THREADS must be an integer, got %r"
-                          % threads)
-    if workers < 1:
-        raise _UsageError("ZIPCONE_THREADS must be at least 1, got %r"
-                          % threads)
-    # the pool forks all its workers at the first submit, so no more are
-    # asked for than there are points or cores
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        # per-weight tasks are independent; map preserves input order, so
-        # the emitted document does not depend on scheduling
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            dims = list(pool.map(_sweep_dim, tasks, chunksize=16))
-    else:
-        dims = [_sweep_dim(t) for t in tasks]
     rows = []
-    for lam, dim in zip(points, dims):
+    for pt in itertools.product(range(lo, hi + 1), repeat=args.n):
+        lam = Weight(pt)
+        dim = h0_dimension(lam, args.n, args.p,
+                           monomial_cap=args.monomial_cap)
         member = _member(cone, lam)
         rows.append({"weight": list(lam), "oracle_dim": dim,
                      "catalog_member": member,

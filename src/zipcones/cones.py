@@ -14,13 +14,13 @@ kernel, the integer double description (``double_description``), gives
 the facets and implicit equalities of a generated cone, the extreme rays
 and lineality space of a halfspace system, and so every containment and
 equality test between cones; ``DD_RAY_GUARD`` bounds its intermediate
-ray count.  Saturated membership is read off that facet list.
-``monoid_membership`` refuses a cone with a line, rules a point out by
-a separating facet, caps its one search by the same list, and solves the
-independent tail of the generators from the extreme rays of the tail's
-own double description, so the double description is the only rational
-eliminator here and every membership is decided.  Everything is
-deterministic.
+ray count and ``DD_PAIR_GUARD`` the ray pairs one row combines.
+Saturated membership is read off that facet list.  ``monoid_membership``
+refuses a cone with a line, rules a point out by a separating facet, caps
+its one search by the same list, and solves the independent tail of the
+generators from the extreme rays of the tail's own double description, so
+the double description is the only rational eliminator here and every
+membership is decided.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ from .errors import GuardExceededError, NotPointedError, RankMismatchError
 from .weights import Weight, _as_weight
 
 DD_RAY_GUARD = 10 ** 4
+# the most positive-negative ray pairs one row of the double description
+# combines; the dual of pol has 327424 at its largest row at n = 11 (9 s in
+# all on 2 shared cores under Python 3.11) and 1310208 at n = 12 (87 s)
+DD_PAIR_GUARD = 5 * 10 ** 5
 
 
 def _primitive(row):
@@ -147,7 +151,8 @@ def double_description(rows, n):
 
     Returns ``(rays, lineality)``: the extreme rays, primitive and sorted
     (modulo the lineality space when that is not zero), and a primitive
-    basis of the lineality space.  More than ``DD_RAY_GUARD`` rays raise
+    basis of the lineality space.  More than ``DD_RAY_GUARD`` rays, or a
+    row with more than ``DD_PAIR_GUARD`` positive-negative pairs, raise
     GuardExceededError.
     """
     lin = [tuple(int(i == j) for i in range(n)) for j in range(n)]
@@ -176,6 +181,11 @@ def double_description(rows, n):
                 neg.append((r, z, d))
             else:
                 kept.append((r, z | bit))
+        if len(pos) * len(neg) > DD_PAIR_GUARD:
+            raise GuardExceededError(
+                "double description has %d ray pairs at row %d of %d, more "
+                "than the limit %d (DD_PAIR_GUARD)"
+                % (len(pos) * len(neg), k + 1, len(rows), DD_PAIR_GUARD))
         # distinct extreme rays are tight on distinct row sets
         masks = [z for _, z in rays]
         for rp, zp, dp in pos:

@@ -28,7 +28,6 @@ from functools import lru_cache
 from .errors import (
     EmptyModuleError,
     GuardExceededError,
-    RankMismatchError,
     TheoremViolationError,
 )
 from .fplinalg import dependent_columns, fp_det, fp_nullspace
@@ -42,7 +41,7 @@ from .fpoly import (
     matrix_images,
     minor,
 )
-from .weights import Weight, hw_functional, validate_n_p
+from .weights import Weight, checked_weight, hw_functional, validate_n_p
 
 FLAG_GUARD = 10 ** 4
 # the largest Weyl dimension built; on 2 shared cores under Python 3.11,
@@ -223,10 +222,7 @@ def build_module(lam, n, p):
     is past ``MODULE_DIM_GUARD``; checks the resulting dimension against
     the Weyl dimension formula.
     """
-    validate_n_p(n, p)
-    lam = Weight(lam)
-    if lam.rank != n:
-        raise RankMismatchError("weight rank %d, expected %d" % (lam.rank, n))
+    lam = checked_weight(lam, n, p)
     if any(lam[i] < lam[i + 1] for i in range(n - 1)):
         raise EmptyModuleError("%s is not L-dominant; the module is zero"
                                % (lam,))

@@ -16,9 +16,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial, prod
 
-from .errors import GuardExceededError, RankMismatchError
+from .errors import GuardExceededError
 from .fplinalg import dependent_columns
-from .weights import EXPONENT_LIMIT, MONOMIAL_CAP, Weight, validate_n_p
+from .weights import EXPONENT_LIMIT, MONOMIAL_CAP, checked_weight
 
 
 def _compositions(total, caps):
@@ -46,10 +46,7 @@ def _tables(rows, cols):
 
 
 def _oracle_weight(lam, n, p, cap):
-    validate_n_p(n, p)
-    lam = Weight(lam)
-    if lam.rank != n:
-        raise RankMismatchError("weight rank %d, expected %d" % (lam.rank, n))
+    lam = checked_weight(lam, n, p)
     if cap < 0:
         raise ValueError("monomial cap must be at least 0, got %r" % (cap,))
     return lam

@@ -13,7 +13,13 @@ in ``weights`` and ``catalog``.
 
 from __future__ import annotations
 
+from .errors import GuardExceededError
 from .weights import _unit
+
+# the most positive roots built, checked before any is; on 2 shared cores
+# under Python 3.11 the rootdata verb takes 1.4 s at n = 100 (10^4 roots of
+# 100 coordinates) and 9.4 s at n = 200
+ROOT_GUARD = 10 ** 4
 
 
 class SymplecticRootDatum:
@@ -22,6 +28,10 @@ class SymplecticRootDatum:
     def __init__(self, n):
         if n < 1:
             raise ValueError("n must be positive")
+        if n * n > ROOT_GUARD:
+            raise GuardExceededError(
+                "Sp(%d) has %d positive roots, more than the limit %d"
+                % (2 * n, n * n, ROOT_GUARD))
         self.n = n
         # positive roots e_i - e_j, e_i + e_j (i < j), 2 e_i ; coroots are
         # the same vectors except (2e_i)^vee = e_i

@@ -156,3 +156,12 @@ def validate_n_p(n, p):
         raise ValueError("matrix size n must be an integer >= 1, got %r" % (n,))
     if not is_prime(p):
         raise ValueError("p must be a prime, got %r" % (p,))
+
+
+def checked_weight(lam, n, p):
+    """lam as a ``Weight`` of rank n, after ``validate_n_p(n, p)``."""
+    validate_n_p(n, p)
+    lam = Weight(lam)
+    if lam.rank != n:
+        raise RankMismatchError("weight rank %d, expected %d" % (lam.rank, n))
+    return lam

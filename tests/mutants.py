@@ -80,6 +80,10 @@ MUTANTS = [
      ["tests/test_cones.py::test_monoid_membership_refuses_a_cone_with_a_line"]),
     ("cones.py", "z & common == common and z != zp and z != zn", "False",
      ["tests/test_cones.py::test_halfspaces_of_reaches_rank_4"]),
+    ("cones.py", "if len(pos) * len(neg) > DD_PAIR_GUARD:", "if False:",
+     ["tests/test_cli.py::test_cone_past_the_pair_guard_exits_2"]),
+    ("rootdata.py", "if n * n > ROOT_GUARD:", "if False:",
+     ["tests/test_cli.py::test_rootdata_past_the_root_guard_exits_2"]),
 ]
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import zipcones
-from zipcones import cli, fpoly, modules
+from zipcones import cli, cones, fpoly, modules, rootdata
 from zipcones.cli import main
 
 
@@ -66,6 +67,33 @@ def test_rootdata_verb(tmp_path):
     doc = json.loads(data)
     assert doc["beta_index"] == 2
     assert len(doc["positive_roots"]) == 9
+
+
+def test_rootdata_past_the_root_guard_exits_2():
+    # the root count is checked before any root is built, so n = 3000
+    # (9 * 10^6 roots) is refused at once
+    n = math.isqrt(rootdata.ROOT_GUARD) + 1
+    for size in (n, 3000):
+        code, err = _run_process(["rootdata", "--n", str(size)])
+        assert code == 2 and "Traceback" not in err, size
+        assert err == ("guard error: Sp(%d) has %d positive roots, more than "
+                       "the limit %d\n" % (2 * size, size * size,
+                                            rootdata.ROOT_GUARD))
+
+
+def test_cone_past_the_pair_guard_exits_2(tmp_path, monkeypatch, capsys):
+    # the dual of pol at n = 5 combines at most 76 ray pairs in one row
+    # (row 22 of 25)
+    argv = ["cone", "--name", "pol", "--n", "5", "--p", "2",
+            "--emit", "halfspaces"]
+    monkeypatch.setattr(cones, "DD_PAIR_GUARD", 76)
+    code, data = run(argv, tmp_path)
+    assert code == 0 and data
+    monkeypatch.setattr(cones, "DD_PAIR_GUARD", 75)
+    assert run(argv, tmp_path, "refused.json") == (2, b"")
+    assert capsys.readouterr().err == (
+        "guard error: double description has 76 ray pairs at row 22 of 25, "
+        "more than the limit 75 (DD_PAIR_GUARD)\n")
 
 
 def test_verify_section_verb(tmp_path):
@@ -162,54 +190,17 @@ def test_deterministic_bytes(tmp_path):
     assert first == second and first
 
 
-def test_sweep_worker_fanout_matches(tmp_path, monkeypatch):
+def test_sweep_does_not_read_the_thread_count(tmp_path, monkeypatch):
+    # sweep reads no thread count: no value of the variable fails or
+    # changes the bytes
     argv = ["sweep", "--n", "2", "--p", "2", "--box", "-2..2",
             "--compare", "zip-sp4"]
-    _, serial = run(argv, tmp_path, "serial.json")
-    monkeypatch.setenv("ZIPCONE_THREADS", "3")
-    _, fanned = run(argv, tmp_path, "fanned.json")
-    assert serial == fanned
-
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps
-    in this process, so no worker is ever started."""
-
-    def __init__(self, max_workers):
-        self.requests.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks, chunksize=1):
-        return map(fn, tasks)
-
-
-@pytest.mark.parametrize("threads, box, cores, expect", [
-    ("1000000", "0..0", 8, []),      # one point: no pool at all
-    ("1000000", "-1..1", 4, [4]),    # nine points on four cores
-    ("1000000", "-1..1", None, []),  # cores unknown: counted as one
-    ("3", "-1..1", 8, [3]),
-    ("1000000", "-1..0", 8, [4]),    # four points on eight cores
-])
-def test_sweep_pool_is_clamped(tmp_path, monkeypatch, threads, box, cores,
-                               expect):
-    import concurrent.futures
-
-    argv = ["sweep", "--n", "2", "--p", "2", "--box", box,
-            "--compare", "zip-sp4"]
-    _, serial = run(argv, tmp_path, "serial.json")
-    monkeypatch.setattr(_RecordingPool, "requests", [], raising=False)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        _RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
-    monkeypatch.setenv("ZIPCONE_THREADS", threads)
-    _, pooled = run(argv, tmp_path, "pooled.json")
-    assert _RecordingPool.requests == expect
-    assert pooled == serial
+    monkeypatch.delenv("ZIPCONE_THREADS", raising=False)
+    code, unset = run(argv, tmp_path, "unset.json")
+    assert code == 0 and unset
+    for threads in ("abc", "0", "3"):
+        monkeypatch.setenv("ZIPCONE_THREADS", threads)
+        assert run(argv, tmp_path, threads + ".json") == (0, unset), threads
 
 
 def test_exit_codes(tmp_path):
@@ -446,10 +437,10 @@ def test_rank_5_outputs_unchanged(tmp_path):
         b'"p":2,"schema":"zipcone/1","verified":true,"weight":[1,1,0,-2,-2]}\n')
 
 
-def _run_process(argv, **env):
+def _run_process(argv):
     """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
     src = str(Path(zipcones.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src, **env)
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "zipcones.cli"] + argv,
                           capture_output=True, text=True, env=env)
     return proc.returncode, proc.stderr
@@ -460,25 +451,6 @@ def test_unwritable_out_is_a_usage_error(tmp_path):
                               "--out", str(tmp_path / "missing" / "x")])
     assert code == 1 and "Traceback" not in err
     assert err.startswith("usage error: cannot write --out")
-
-
-def test_non_integer_thread_count_is_a_usage_error():
-    code, err = _run_process(["sweep", "--n", "2", "--p", "2", "--box",
-                              "-1..1", "--compare", "zip-sp4"],
-                             ZIPCONE_THREADS="abc")
-    assert code == 1 and "Traceback" not in err
-    assert err == "usage error: ZIPCONE_THREADS must be an integer, got 'abc'\n"
-
-
-def test_thread_count_below_one_is_a_usage_error():
-    # 0 and -3 used to run the sweep serially without a word
-    for threads in ("0", "-3"):
-        code, err = _run_process(["sweep", "--n", "2", "--p", "2", "--box",
-                                  "-1..1", "--compare", "zip-sp4"],
-                                 ZIPCONE_THREADS=threads)
-        assert code == 1 and "Traceback" not in err, threads
-        assert err == ("usage error: ZIPCONE_THREADS must be at least 1, "
-                       "got %r\n" % threads)
 
 
 def test_vlambda_rank3_p3(tmp_path):

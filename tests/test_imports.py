@@ -72,7 +72,8 @@ def test_package_import_loads_no_submodule():
      _package("fpoly", "sections", "modules", "cones", "catalog")),
     (["sweep", "--n", "2", "--p", "2", "--box", "-1..1", "--compare",
       "zip-sp4"],
-     _package("fpoly", "sections", "modules", "rootdata")),
+     _package("fpoly", "sections", "modules", "rootdata")
+     | {"concurrent.futures"}),
 ])
 def test_verb_loads_only_its_layers(argv, absent, tmp_path):
     loaded = _loaded_after_verb(argv, tmp_path)

@@ -1,9 +1,8 @@
 """Replay every job recorded in ``perfbench/expected.json`` in process.
 
-Each job runs through ``cli.main`` with ``ZIPCONE_THREADS=1``, as the
-benchmark runs it, and must exit 0 with stdout of the recorded sha256.
-The benchmark refuses a change whose digests drift; this catches it
-before.  The file is only read, never re-recorded.
+Each job runs through ``cli.main`` and must exit 0 with stdout of the
+recorded sha256.  The benchmark refuses a change whose digests drift;
+this catches it before.  The file is only read, never re-recorded.
 """
 
 import hashlib
@@ -22,8 +21,7 @@ DOMAINS = {(workload, domain): jobs
 
 
 @pytest.mark.parametrize("key", sorted(DOMAINS), ids="/".join)
-def test_recorded_jobs_print_their_digest(key, monkeypatch, capsys):
-    monkeypatch.setenv("ZIPCONE_THREADS", "1")
+def test_recorded_jobs_print_their_digest(key, capsys):
     wrong = []
     for job in DOMAINS[key]:
         code = cli.main(list(job["argv"]))
