@@ -65,7 +65,13 @@ def _emit(args, text):
 
 
 def _json(doc):
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    try:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    except ValueError:
+        # Python prints no integer of more than sys.get_int_max_str_digits()
+        raise GuardExceededError(
+            "an output integer has more than %d digits, the limit for "
+            "printing one" % sys.get_int_max_str_digits())
 
 
 def _parse_weight(text):

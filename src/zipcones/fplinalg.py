@@ -11,8 +11,7 @@ Odd p reduces dicts whose keys are ranked in sorted order, so the pivot
 of a column is its least key.  p = 2 reduces bit integers whose keys are
 numbered by first appearance.  Everything else is read off the one loop:
 - ``dependent_columns``: the dependent indices; their count is the nullity
-  (``oracle.h0_dimension``, ``modules.intersection_dimension``), and the
-  other columns are independent (``modules.build_module``);
+  (``oracle.h0_dimension``, ``modules.intersection_dimension``);
 - ``fp_nullspace``: the kernel on the caller's tags
   (``modules.invariants_finite_group``);
 - ``fp_det``: the sign of the pivot order times the product of the pivots.

@@ -41,8 +41,8 @@ The weight grading assigns ``a_{i,j}`` the character vector
 ``e_i - p*e_j`` of the diagonal torus acting by twisted conjugation
 ``t . A = t A phi(t)^{-1}``.  ``entry_exponents`` is the one reader from
 packed monomials to the exponents of the n x n entries, row by row, outside
-the output path; ``weight_of`` and the certificates of ``sections`` read
-its tuples.
+the output path; ``weight_of``, the certificates of ``sections`` and the
+leading terms of ``modules.build_module`` read its tuples.
 """
 
 from __future__ import annotations
@@ -571,14 +571,20 @@ def exact_divide(f, g):
     return FpPolynomial._of(p, quot)
 
 
+@lru_cache(maxsize=None)
+def _entry_fields(n):
+    """The fields of the n x n entries a_ij, row by row."""
+    return tuple(_field(("a", i, j)) for i in range(1, n + 1)
+                 for j in range(1, n + 1))
+
+
 def entry_exponents(f, n):
     """{exponent tuple: coefficient} of f, each tuple the exponents of the
     n x n entries row by row; ValueError for any other variable.  The
     first 2 n^2 fields hold t and the a and b of the n^2 cells that the
     n x n entries fill, a in the odd ones."""
     count = 2 * n * n
-    order = [_field(("a", i, j)) for i in range(1, n + 1)
-             for j in range(1, n + 1)]
+    order = _entry_fields(n)
     out = {}
     for m, c in f.terms.items():
         words = () if m >> FIELD_BITS * count else _words(m, count)

@@ -1,9 +1,14 @@
 """Explicit induced modules for GL_n over F_p.
 
-V(lam) is realized as polynomial functions on GL_n spanned by products of
-top-justified minors times a determinant twist: the level-i factors are
-the minors on rows 1..i and an i-element column set, taken with
-multiplicity lam_i - lam_{i+1}, and the twist is det^{lam_n}.  Each such
+V(lam) is realized as polynomial functions on GL_n: products of
+top-justified minors (level i on rows 1..i, taken lam_i - lam_{i+1} times)
+times det^{lam_n}.  The basis is the products whose column sets, longest
+first, form a semistandard tableau, each set entrywise at or above the
+start of the one before (De Concini, Eisenbud and Procesi, Invent. Math.
+1980; Green, LNM 830, ch. 4).  In the lex order a_11 > a_12 > ... > a_1n >
+a_21 > ... a product leads with its minors' diagonals, which record the
+tableau's rows: distinct leading terms prove independence, with no
+elimination, and the count is checked against the Weyl dimension.  Each
 product transforms on the left by lower-triangular matrices through the
 character lam, and is an eigenvector for right translation by the
 diagonal torus; the stored weight of a basis vector is its plain
@@ -34,6 +39,7 @@ from .fplinalg import dependent_columns, fp_det, fp_nullspace
 from .fpoly import (
     FpPolynomial,
     Substitution,
+    entry_exponents,
     exact_divide,
     generic_matrix,
     mat_identity,
@@ -45,8 +51,8 @@ from .weights import Weight, checked_weight, hw_functional, validate_n_p
 
 FLAG_GUARD = 10 ** 4
 # the largest Weyl dimension built; on 2 shared cores under Python 3.11,
-# vlambda on V(999, 0) takes 1.1 s at p = 2, 1.0 s at p = 7 and 1.3 s at
-# p = 13, and on V(1999, 0) 3.4 s at p = 2 and 7.8 s and 90 MB at p = 7
+# vlambda on V(999, 0) takes 0.5 s at p = 2, 0.2-0.3 s at p = 7 and 0.3 s
+# at p = 13, and on V(1999, 0) 1.5 s and 60 MB at p = 2 and 0.5 s at p = 7
 MODULE_DIM_GUARD = 1000
 
 
@@ -213,14 +219,32 @@ def _monomial_weight(n, lam_n, mono):
     return Weight(w)
 
 
+def _runs(n, level, left, floor, strict=False):
+    """Each filling of ``left`` columns of length ``level``, their sets
+    rising entrywise from ``floor`` (strictly when ``strict``), as runs
+    ((level, cols), mult) of equal columns, and its last set.  The top set
+    has none above it, so it takes all that is left: no dead ends."""
+    top = tuple(range(n - level + 1, n + 1))
+    for cols in itertools.combinations(range(1, n + 1), level):
+        if any(c < f for c, f in zip(cols, floor)) or strict and cols == floor:
+            continue
+        for k in range(left if cols == top else 1, left + 1):
+            run = ((level, cols), k)
+            if k == left:
+                yield (run,), cols
+            else:
+                for rest, last in _runs(n, level, left - k, cols, True):
+                    yield (run,) + rest, last
+
+
 def build_module(lam, n, p):
-    """Construct V(lam) with its weight decomposition.
+    """Construct V(lam) on its tableau basis, with its weights.
 
     Raises EmptyModuleError when lam is not weakly decreasing,
     RankMismatchError when lam does not have n coordinates, and
     GuardExceededError, before building anything, when its Weyl dimension
-    is past ``MODULE_DIM_GUARD``; checks the resulting dimension against
-    the Weyl dimension formula.
+    is past ``MODULE_DIM_GUARD``; TheoremViolationError when two products
+    share a leading term or their count is not the Weyl dimension.
     """
     lam = checked_weight(lam, n, p)
     if any(lam[i] < lam[i + 1] for i in range(n - 1)):
@@ -232,41 +256,26 @@ def build_module(lam, n, p):
             "module V%s has dimension %d, more than the limit %d"
             % (lam, expected, MODULE_DIM_GUARD))
     mults = tuple(lam[i] - lam[i + 1] for i in range(n - 1))
-    # a level of multiplicity 0 contributes no factor, and its 2^n column
-    # sets are never listed
-    levels = [level for level in range(1, n) if mults[level - 1]]
-    level_choices = [list(itertools.combinations_with_replacement(
-        itertools.combinations(range(1, n + 1), level), mults[level - 1]))
-        for level in levels]
-    spanning = []
-    for pick in itertools.product(*level_choices):
-        factors = {}
-        for level, chosen in zip(levels, pick):
-            for cols in chosen:
-                factors[(level, cols)] = factors.get((level, cols), 0) + 1
-        spanning.append(tuple(sorted(factors.items())))
-
-    # group by torus eigenvalue; reduce to an independent subset per block
-    by_weight = {}
-    for mono in spanning:
-        by_weight.setdefault(_monomial_weight(n, lam[-1], mono), []).append(mono)
-
-    basis, polys, weights = [], [], []
-    for w in sorted(by_weight):
-        block = [_expand_monomial(n, p, mono) for mono in by_weight[w]]
-        dependent = set(dependent_columns([f.terms for f in block], p))
-        for i, (mono, poly) in enumerate(zip(by_weight[w], block)):
-            if i not in dependent:
-                basis.append(mono)
-                polys.append(poly)
-                weights.append(w)
-
-    module = InducedModule(lam, n, p, lam[-1], mults,
-                           tuple(basis), tuple(polys), tuple(weights))
-    if module.dim != expected:
+    # level by level, longest first, each partial product expanded once; a
+    # level of multiplicity 0 contributes no factor
+    tableaux = [((), tuple(range(1, n + 1)), FpPolynomial.constant(p, 1))]
+    expand = lru_cache(maxsize=None)(lambda runs: _expand_monomial(n, p, runs))
+    for level in range(n - 1, 0, -1):
+        if mults[level - 1]:
+            tableaux = [
+                (runs + mono, last, poly * expand(runs))
+                for mono, floor, poly in tableaux
+                for runs, last in _runs(n, level, mults[level - 1],
+                                        floor[:level])]
+    basis, _, polys = zip(*tableaux)
+    if len({max(entry_exponents(f, n)) for f in polys}) != len(polys):
         raise TheoremViolationError(
-            "dim V(%s) = %d, Weyl formula gives %d" % (lam, module.dim, expected))
-    return module
+            "two tableau products of V%s share a leading term" % (lam,))
+    if len(basis) != expected:
+        raise TheoremViolationError(
+            "dim V(%s) = %d, Weyl formula gives %d" % (lam, len(basis), expected))
+    return InducedModule(lam, n, p, lam[-1], mults, basis, polys, tuple(
+        _monomial_weight(n, lam[-1], mono) for mono in basis))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ command line front end can check ``--p`` before it imports any layer.
 
 from __future__ import annotations
 
-from .errors import RankMismatchError
+from .errors import GuardExceededError, RankMismatchError
 
 # the largest exponent of a matrix entry or of t that any layer takes;
 # fpoly packs each exponent into a field of one more bit
@@ -20,6 +20,11 @@ EXPONENT_LIMIT = (1 << 31) - 1
 # (oracle.enumerate_weight_monomials, oracle.h0_dimension, cli.build_parser):
 # certifying a polynomial builds one oracle column per term
 MONOMIAL_CAP = 2 * 10 ** 5
+# psi_13, the least integer that passes the strong test to all of the 13
+# prime bases 2..41 without being prime; below it those bases decide
+# primality (Sorenson and Webster, Math. Comp. 2017)
+PRIME_LIMIT = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 class Weight(tuple):
@@ -140,18 +145,34 @@ def eta_weight(n, p, i):
 
 
 def is_prime(p):
+    """Deterministic Miller-Rabin on the bases of ``_PRIME_BASES``; a p at
+    or past ``PRIME_LIMIT``, where they stop deciding, raises
+    GuardExceededError."""
     if not isinstance(p, int) or p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= PRIME_LIMIT:
+        raise GuardExceededError(
+            "p = %d is at or past %d, where the 13 Miller-Rabin bases "
+            "2..41 stop deciding primality" % (p, PRIME_LIMIT))
+    if any(p % a == 0 for a in _PRIME_BASES):
+        return p in _PRIME_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    for a in _PRIME_BASES:
+        x = pow(a, (p - 1) >> s, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 1
     return True
 
 
 def validate_n_p(n, p):
-    """Reject a matrix size below 1 and a non-prime characteristic."""
+    """Reject a matrix size below 1 and a non-prime characteristic
+    (ValueError); ``is_prime`` refuses a p past ``PRIME_LIMIT``."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("matrix size n must be an integer >= 1, got %r" % (n,))
     if not is_prime(p):

@@ -38,7 +38,7 @@ MUTANTS = [
     ("fplinalg.py", "flips = sum(a > b for", "flips = sum(a < b for",
      ["tests/test_fplinalg.py::"
       "test_det_matches_the_references_on_all_small_matrices"]),
-    ("fpoly.py", 'order = [_field(("a", i, j))', 'order = [_field(("a", j, i))',
+    ("fpoly.py", 'tuple(_field(("a", i, j))', 'tuple(_field(("a", j, i))',
      ["tests/test_sections.py::test_entry_exponents_match_the_decoded_reference"]),
     ("sections.py", "if min(r, s) < 1 or r + s > n + 1:", "if r + s > n + 1:",
      ["tests/test_sections.py::"
@@ -84,6 +84,12 @@ MUTANTS = [
      ["tests/test_cli.py::test_cone_past_the_pair_guard_exits_2"]),
     ("rootdata.py", "if n * n > ROOT_GUARD:", "if False:",
      ["tests/test_cli.py::test_rootdata_past_the_root_guard_exits_2"]),
+    ("modules.py",
+     "if len({max(entry_exponents(f, n)) for f in polys}) != len(polys):",
+     "if False:",
+     ["tests/test_modules.py::test_leading_term_check_is_live"]),
+    ("weights.py", "if p >= PRIME_LIMIT:", "if False:",
+     ["tests/test_weights.py::test_is_prime_refuses_psi13"]),
 ]
 
 

@@ -96,6 +96,17 @@ def test_cone_past_the_pair_guard_exits_2(tmp_path, monkeypatch, capsys):
         "more than the limit 75 (DD_PAIR_GUARD)\n")
 
 
+def test_an_output_integer_past_the_digit_limit_exits_2(capsys):
+    # the eta weights of hw at n = 30 and a 25-digit p have more digits
+    # than Python prints in one integer
+    code = main(["cone", "--name", "hw", "--n", "30",
+                 "--p", "1000000000000000000000007", "--emit", "generators"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("guard error: ") and err.count("\n") == 1
+    assert "more than %d digits" % sys.get_int_max_str_digits() in err
+
+
 def test_verify_section_verb(tmp_path):
     code, data = run(["verify-section", "--name", "f1sp6", "--p", "2"], tmp_path)
     assert code == 0

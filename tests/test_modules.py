@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fp_reference import fp_nullspace
+from module_reference import spanning_module
 from valuation_reference import (
     group_elements,
     norm_by_element,
@@ -181,6 +182,49 @@ def test_build_module_rejects_non_dominant():
     assert build_module((1, 0, 0, 0), 4, 2).dim == 4
     with pytest.raises(GuardExceededError):
         build_module((modules.MODULE_DIM_GUARD, 0), 2, 2)
+
+
+def test_leading_term_check_is_live(monkeypatch):
+    # with every run expanded as a_11, the tableaux (1) and (2) of V(1, 0)
+    # give the same product, though their count is the Weyl dimension
+    expand = modules._expand_monomial
+    monkeypatch.setattr(modules, "_expand_monomial",
+                        lambda n, p, mono: expand(n, p, (((1, (1,)), 1),)))
+    with pytest.raises(TheoremViolationError, match="share a leading term"):
+        build_module((1, 0), 2, 2)
+
+
+def test_weyl_count_check_is_live(monkeypatch):
+    monkeypatch.setattr(modules, "weyl_dimension", lambda lam: 3)
+    with pytest.raises(TheoremViolationError, match="Weyl formula gives 3"):
+        build_module((1, 0), 2, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_tableau_basis_spans_the_spanning_set(n, p):
+    # the tableau basis against the spanning set it replaced, at seeded
+    # weights of Weyl dimension at most 400: the same span, the same
+    # weights and the same highest-weight vector.  Past rank 3 the products
+    # are kept to degree 8, since the symbolic Borel check of
+    # highest_weight_vector takes seconds on a degree-11 product of 4 x 4
+    # minors at rank 5
+    rng = random.Random(100 * n + p)
+    top = {2: 30, 3: 8, 4: 3, 5: 2}[n]
+    checked = 0
+    while checked < 9:
+        mults = [rng.randint(0, top) for _ in range(n - 1)]
+        lam = tuple(itertools.accumulate([rng.randint(-3, 3)] + mults))[::-1]
+        degree = sum(level * m for level, m in enumerate(mults[::-1], 1))
+        if weyl_dimension(lam) > 400 or n > 3 and degree > 8:
+            continue
+        new, old = build_module(lam, n, p), spanning_module(lam, n, p)
+        cols = [f.terms for f in new.basis_polys + old.basis_polys]
+        assert _rank(cols[:new.dim], p) == _rank(cols, p) == new.dim == old.dim
+        assert sorted(new.weights) == sorted(old.weights)
+        assert (new.basis_polys[highest_weight_vector(new)]
+                == old.basis_polys[highest_weight_vector(old)])
+        checked += 1
 
 
 def test_weight_of_the_wrong_rank_is_not_an_empty_module():
