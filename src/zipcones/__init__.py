@@ -49,7 +49,6 @@ _EXPORTS = {
         "InducedModule",
         "TildeSection",
         "build_module",
-        "highest_weight_vector",
         "intersection_dimension",
         "invariants_finite_group",
         "subspace_leq0",

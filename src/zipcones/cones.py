@@ -7,9 +7,10 @@ presentations are supported:
   come in a strict (nonnegative *integer* combination) and a saturated
   (nonnegative *rational* combination) flavour.
 * ``HalfspaceSystem`` -- a list of integer rows ``h``, each meaning
-  ``<h, x> >= 0``.
+  ``<h, x> >= 0``; a row with a coordinate that is not an integer is
+  refused (ValueError).
 
-All arithmetic is arbitrary-precision integer / rational.  One exact
+All arithmetic is arbitrary-precision integer.  One exact
 kernel, the integer double description (``double_description``), gives
 the facets and implicit equalities of a generated cone, the extreme rays
 and lineality space of a halfspace system, and so every containment and
@@ -26,7 +27,6 @@ membership is decided.  Everything is deterministic.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd
 
 from .errors import GuardExceededError, NotPointedError, RankMismatchError
@@ -40,18 +40,11 @@ DD_PAIR_GUARD = 5 * 10 ** 5
 
 
 def _primitive(row):
-    """Scale a rational vector to a primitive integer vector, keeping sign."""
-    fr = [Fraction(x) for x in row]
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    """Divide an integer vector by the gcd of its entries, keeping sign; a
+    coordinate that is not an integer raises ValueError, as in ``Weight``."""
+    ints = Weight(row)
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints)
 
 
 class GeneratedCone:

@@ -18,11 +18,11 @@ Right translation X -> X g by a matrix g of GL_n(F_p) is the
 substitution ``matrix_images(mat_mul(X, g))`` of the expanded numerators,
 times det(g)^{det_pow}; all linear algebra stays sparse and exact.
 
-The norm of the highest-weight vector f of V(lam), the product of its
-right translates over GL_n(F_p), and its boundary valuation are read off
-one walk of the coset representatives of GL_n(F_p)/B^-, enumerated flag
-by flag: f spans a line stable under B^-, so each coset holds |B^-|
-scalar multiples of one translate.
+The highest-weight vector of V(lam) is f = prod_{i<n} Delta_i^{k_i}
+det^{lam_n}, k_i = lam_i - lam_{i+1}.  A translate of a product is the
+product of the translates and t-orders add, so the norm of f over
+GL_n(F_p) and its boundary valuation come from one cached walk of the
+flags of GL_n(F_p)/B^- per (n, p) and one cached norm per Delta_i.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .fplinalg import dependent_columns, fp_det, fp_nullspace
 from .fpoly import (
     FpPolynomial,
     Substitution,
+    delta_minor,
     entry_exponents,
     exact_divide,
     generic_matrix,
@@ -237,25 +238,31 @@ def _runs(n, level, left, floor, strict=False):
                     yield (run,) + rest, last
 
 
+def _exponents(lam, n, p):
+    """lam as a ``Weight``, its level multiplicities k_i = lam_i - lam_{i+1}
+    (i < n) and its det power lam_n.  Raises EmptyModuleError unless lam is
+    weakly decreasing, and RankMismatchError unless it has n coordinates."""
+    lam = checked_weight(lam, n, p)
+    mults = tuple(lam[i] - lam[i + 1] for i in range(n - 1))
+    if any(k < 0 for k in mults):
+        raise EmptyModuleError("%s is not L-dominant; the module is zero"
+                               % (lam,))
+    return lam, mults, lam[-1]
+
+
 def build_module(lam, n, p):
     """Construct V(lam) on its tableau basis, with its weights.
 
-    Raises EmptyModuleError when lam is not weakly decreasing,
-    RankMismatchError when lam does not have n coordinates, and
-    GuardExceededError, before building anything, when its Weyl dimension
-    is past ``MODULE_DIM_GUARD``; TheoremViolationError when two products
-    share a leading term or their count is not the Weyl dimension.
+    Raises what ``_exponents`` raises; GuardExceededError, before building
+    anything, past ``MODULE_DIM_GUARD``; TheoremViolationError when two
+    products share a leading term or their count is not the Weyl dimension.
     """
-    lam = checked_weight(lam, n, p)
-    if any(lam[i] < lam[i + 1] for i in range(n - 1)):
-        raise EmptyModuleError("%s is not L-dominant; the module is zero"
-                               % (lam,))
+    lam, mults, det_pow = _exponents(lam, n, p)
     expected = weyl_dimension(lam)
     if expected > MODULE_DIM_GUARD:
         raise GuardExceededError(
             "module V%s has dimension %d, more than the limit %d"
             % (lam, expected, MODULE_DIM_GUARD))
-    mults = tuple(lam[i] - lam[i + 1] for i in range(n - 1))
     # level by level, longest first, each partial product expanded once; a
     # level of multiplicity 0 contributes no factor
     tableaux = [((), tuple(range(1, n + 1)), FpPolynomial.constant(p, 1))]
@@ -274,8 +281,8 @@ def build_module(lam, n, p):
     if len(basis) != expected:
         raise TheoremViolationError(
             "dim V(%s) = %d, Weyl formula gives %d" % (lam, len(basis), expected))
-    return InducedModule(lam, n, p, lam[-1], mults, basis, polys, tuple(
-        _monomial_weight(n, lam[-1], mono) for mono in basis))
+    return InducedModule(lam, n, p, det_pow, mults, basis, polys, tuple(
+        _monomial_weight(n, det_pow, mono) for mono in basis))
 
 
 # ---------------------------------------------------------------------------
@@ -340,28 +347,6 @@ def intersection_dimension(module, fixed):
     return len(dependent_columns(cols, module.p))
 
 
-def highest_weight_vector(module):
-    """The index of the basis vector spanning the lower-Borel-stable line.
-
-    Located as the (required one-dimensional) torus eigenspace of the
-    coordinate reversal of lam, then certified by a symbolic check of
-    stability under a generic lower-triangular right translation.
-    """
-    n, p = module.n, module.p
-    target = Weight(reversed(module.lam))
-    hits = [i for i, w in enumerate(module.weights) if w == target]
-    if len(hits) != 1:
-        raise TheoremViolationError(
-            "eigenspace of %s in V(%s) has dimension %d, expected 1"
-            % (target, module.lam, len(hits)))
-    images = matrix_images(mat_mul(generic_matrix(n, p), _generic_lower(n, p)))
-    _check_borel_law(p, images, [module.basis_polys[hits[0]]],
-                     [c - module.det_pow for c in target],
-                     "candidate line is not stable under lower-triangular "
-                     "translation")
-    return hits[0]
-
-
 def _generic_lower(n, p):
     """The generic lower-triangular matrix with entries b_ij, i >= j."""
     zero = FpPolynomial.zero(p)
@@ -416,14 +401,13 @@ _T = ("t",)
 
 
 class TildeSection:
-    """Norm product of a module element over the finite Levi group.
+    """Norm of the highest-weight vector of V(lam) over GL_n(F_p).
 
     ``body_num * det^body_det_power`` is the product of right translates,
     with the determinant factored out of the numerator completely.
     ``det_valuation`` is the boundary valuation (the t-adic total computed
     along the one-parameter degeneration of the last row); the section
-    extends across the boundary iff it is nonnegative.  Only its sign is
-    contractually meaningful.
+    extends across the boundary iff it is nonnegative.
     """
 
     def __init__(self, n, p, weight, body_num, body_det_power, det_valuation):
@@ -439,67 +423,82 @@ class TildeSection:
         return self.det_valuation >= 0
 
 
-def _walk_translates(module, num, multiply):
-    """One walk of the coset representatives s of GL_n(F_p)/B^- over the
-    right translates rho(s) f of the element f = num * det^det_pow of
-    ``module``: their product (None unless ``multiply``) and the boundary
-    valuation, |B^-| times the sum of ord_t rho(s) f - deg f - det_pow
-    along X = b delta(t), b generic upper unitriangular and delta(t) =
-    diag(t, ..., t, 1) (the last row scaled by 1/t, the common t^{-1}
-    pulled out).  As rho(s) f(X) = det(s)^det_pow f(X s), that is the
-    order of num along b delta(t) s, one substitution per coset; the
-    translate f(X s) is built only for the product.  For the f of
-    ``highest_weight_vector``, rho(s b) f = chi(b) rho(s) f, b in B^-, has
-    the same order.  A translate vanishing there is a theorem violation,
-    raised after the walk, so the product's term cap comes first."""
-    n, p = module.n, module.p
+@lru_cache(maxsize=None)
+def _delta_valuations(n, p):
+    """(v_1, ..., v_{n-1}): v_i is |B^-| times the sum over the coset
+    representatives s of ord_t Delta_i(b delta(t) s) - i, b generic upper
+    unitriangular and delta(t) = diag(t, ..., t, 1).  The Borel law
+    Delta_i(X b) = Delta_i(X) prod_{j>n-i} b_jj, b in B^-, checked first,
+    gives every translate in s B^- that order; a Delta_i vanishing along
+    b delta(t) s is a theorem violation."""
+    reps = flag_representatives(n, p)
+    deltas = [delta_minor(n, p, i) for i in range(1, n)]
+    lower = matrix_images(mat_mul(generic_matrix(n, p), _generic_lower(n, p)))
+    for i, d in enumerate(deltas, start=1):
+        _check_borel_law(p, lower, [d], [0] * (n - i) + [1] * i,
+                         "Delta_%d is not stable under lower-triangular "
+                         "translation" % i)
     b, delta = mat_identity(n, p), mat_identity(n, p)
     for i in range(n - 1):
         delta[i][i] = FpPolynomial.variable(p, _T)
         for k in range(i + 1, n):
             b[i][k] = FpPolynomial.variable(p, ("b", i + 1, k + 1))
     along = mat_mul(b, delta)
-    shift = num.total_degree() + module.det_pow
-    prod = FpPolynomial.constant(p, 1) if multiply else None
-    total, vanishes = 0, False
+    totals = [0] * (n - 1)
+    for s in reps:
+        act = Substitution(p, matrix_images(mat_mul(along, s)))
+        for i, d in enumerate(deltas):
+            image = act(d)
+            if image.is_zero():
+                raise TheoremViolationError(
+                    "Delta_%d vanishes along b delta(t) s" % (i + 1))
+            totals[i] += image.min_exponent(_T) - (i + 1)
+    return tuple(borel_order(n, p) * total for total in totals)
+
+
+@lru_cache(maxsize=None)
+def _delta_norm(n, p, i):
+    """(Q, e) with det^e Q the product of the right translates Delta_i(X s)
+    over the coset representatives s, and det not dividing Q."""
+    delta, X = delta_minor(n, p, i), generic_matrix(n, p)
+    prod = FpPolynomial.constant(p, 1)
     for s in flag_representatives(n, p):
-        if multiply:
-            prod = prod * _right_translation(module, s)(num)
-        image = Substitution(p, matrix_images(mat_mul(along, s)))(num)
-        vanishes = vanishes or image.is_zero()
-        total += image.min_exponent(_T) - shift
-    if vanishes:
-        raise TheoremViolationError(
-            "a nonzero module element vanishes along b delta(t) s")
-    return prod, borel_order(n, p) * total
+        prod = prod * delta.substitute(matrix_images(mat_mul(X, s)))
+    det = delta_minor(n, p, n)
+    power = 0
+    while (q := exact_divide(prod, det)) is not None:
+        prod, power = q, power + 1
+    return prod, power
 
 
 def tilde_valuation(lam, n, p):
-    """Boundary valuation of the norm product of the highest-weight
-    vector of V(lam), exact."""
-    module = build_module(lam, n, p)
-    num = module.basis_polys[highest_weight_vector(module)]
-    return _walk_translates(module, num, False)[1]
+    """Boundary valuation of the norm of the highest-weight vector of
+    V(lam), exact: sum_i k_i v_i, and det, of order n - 1 and degree n
+    along every b delta(t) s, adds -|B^-| per coset, -|GL_n(F_p)| lam_n in
+    all.  The flag guard refuses before any polynomial is built."""
+    lam, mults, det_pow = _exponents(lam, n, p)
+    return (sum(k * v for k, v in zip(mults, _delta_valuations(n, p)))
+            - group_order(n, p) * det_pow)
 
 
 def tilde_section(lam, n, p):
-    """Norm product over GL_n(F_p) of the highest-weight vector f of
-    V(lam), with valuations: prod_b chi(b) per coset times Q^{|B^-|}, Q
-    the product over the coset representatives with det divided out."""
-    module = build_module(lam, n, p)
-    num = module.basis_polys[highest_weight_vector(module)]
-    prod, valuation = _walk_translates(module, num, True)
+    """Norm over GL_n(F_p) of the highest-weight vector f of V(lam), with
+    valuations: prod_b chi(b) per coset times (c prod_i Q_i^{k_i})^{|B^-|},
+    Q_i from ``_delta_norm`` (det divided out) and c = prod_s det(s)^{lam_n}
+    in F_p^*, whose power |B^-|, a multiple of p - 1, is 1.  Over all cosets
+    each b_jj of chi(b) = prod_j b_jj^{lam_{n+1-j}} runs D / (p - 1) times
+    through F_p^*, whose product is -1 (Wilson)."""
+    valuation = tilde_valuation(lam, n, p)  # the flag guard comes first
+    lam, mults, det_pow = _exponents(lam, n, p)
     D, B = group_order(n, p), borel_order(n, p)
-    detp = minor(p, tuple(range(1, n + 1)), tuple(range(1, n + 1)))
-    extra = 0
-    while (q := exact_divide(prod, detp)) is not None:
-        prod, extra = q, extra + 1
-    # chi(b) = prod_j b_jj^{w_j}, w = lam reversed the weight of f; over
-    # all cosets each b_jj runs D / (p - 1) times through F_p^*, whose
-    # product is -1 (Wilson)
-    sign = (-1) ** (sum(module.lam) * D // (p - 1) % 2)
-    return TildeSection(n, p, D * module.lam, sign * prod ** B,
-                        module.det_pow * D + extra * B, valuation)
+    body, extra = FpPolynomial.constant(p, 1), 0
+    for i, k in enumerate(mults, start=1):
+        if k:
+            q, e = _delta_norm(n, p, i)
+            body, extra = body * q ** k, extra + k * e
+    sign = (-1) ** (sum(lam) * D // (p - 1) % 2)
+    return TildeSection(n, p, D * lam, sign * body ** B,
+                        det_pow * D + extra * B, valuation)
 
 
 def valuation_sign_predict(lam, n, p):

@@ -17,6 +17,7 @@ description and for the one search of ``cones.monoid_membership``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from zipcones.cones import DD_RAY_GUARD, _primitive, halfspaces_of
 from zipcones.errors import GuardExceededError, TheoremViolationError
@@ -30,6 +31,14 @@ SEARCH_BOUND = 64
 class UndecidedAtBound(Exception):
     """The bounded search found no combination, and a generator in the
     lineality space was capped only by the bound: no verdict."""
+
+
+def primitive(row):
+    """A rational vector scaled to a primitive integer vector, keeping
+    sign: its denominators cleared, then ``cones._primitive``."""
+    fr = [Fraction(x) for x in row]
+    den = lcm(*(x.denominator for x in fr))
+    return _primitive([int(x * den) for x in fr])
 
 
 def rref(rows):
@@ -165,7 +174,7 @@ def nonneg_combination(vectors, target):
                 if const < 0:
                     return None
                 continue
-            t = _primitive(list(coeffs) + [const])
+            t = primitive(list(coeffs) + [const])
             if t not in seen:
                 seen.add(t)
                 out.append((tuple(Fraction(x) for x in t[:-1]), Fraction(t[-1])))

@@ -59,14 +59,15 @@ MUTANTS = [
      ["tests/test_modules.py::test_torus_filter_reads_every_weight_coordinate"]),
     ("modules.py", "if act(f) != f * scale:", "if False:",
      ["tests/test_modules.py::test_left_borel_law_check_is_live"]),
-    ("modules.py", "_check_borel_law(p, images, [module.basis_polys[hits[0]]],",
-     "_check_borel_law(p, images, [],",
+    ("modules.py", "_check_borel_law(p, lower, [d],",
+     "_check_borel_law(p, lower, [],",
      ["tests/test_modules.py::test_lower_stability_check_is_live"]),
-    ("modules.py", "if vanishes:", "if False:",
+    ("modules.py", "if image.is_zero():", "if False:",
      ["tests/test_sections.py::test_tilde_valuation_rejects_a_vanishing_element"]),
-    ("modules.py", "sign * prod ** B", "prod ** B",
+    ("modules.py", "sign * body ** B", "body ** B",
      ["tests/test_modules.py::test_norm_carries_chi_at_rank_one"]),
-    ("modules.py", "return prod, borel_order(n, p) * total", "return prod, total",
+    ("modules.py", "return tuple(borel_order(n, p) * total for total in totals)",
+     "return tuple(totals)",
      ["tests/test_modules.py::"
       "test_tilde_valuation_matches_the_substitution_per_element"]),
     ("modules.py", "matrix_images(mat_mul(along, s))", "matrix_images(along)",
@@ -90,6 +91,19 @@ MUTANTS = [
      ["tests/test_modules.py::test_leading_term_check_is_live"]),
     ("weights.py", "if p >= PRIME_LIMIT:", "if False:",
      ["tests/test_weights.py::test_is_prime_refuses_psi13"]),
+    ("modules.py", "- group_order(n, p) * det_pow)", ")",
+     ["tests/test_modules.py::test_tilde_valuation_is_the_boundary_functional"]),
+    ("modules.py",
+     "reps = flag_representatives(n, p)\n"
+     "    deltas = [delta_minor(n, p, i) for i in range(1, n)]",
+     "deltas = [delta_minor(n, p, i) for i in range(1, n)]\n"
+     "    reps = flag_representatives(n, p)",
+     ["tests/test_modules.py::"
+      "test_tilde_refuses_on_the_flag_guard_before_building"]),
+    ("oracle.py", "_compositions(free, (free,) * n)",
+     "_compositions(free, (free,) * (n - 1) + (0,))",
+     ["tests/test_sections.py::"
+      "test_h0_grows_under_the_section_ring_embeddings"]),
 ]
 
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from fm_reference import matrix_rank, rref
-from zipcones.cones import _primitive
+from fm_reference import matrix_rank, primitive, rref
 from zipcones.errors import NotPointedError
 
 
@@ -29,7 +28,7 @@ def nullspace(rows, ncols):
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             vec[pc] = -mat[r][fc]
-        basis.append(_primitive(vec))
+        basis.append(primitive(vec))
     return basis
 
 

@@ -57,6 +57,18 @@ def test_weight_refuses_non_integer_coordinates():
         monoid_membership(SP4_P2_MONOID, (Fraction(1, 2), -1))
 
 
+def test_halfspace_rows_are_integer():
+    # rows are divided by their gcd; a rational row is refused, as a
+    # Weight is, not scaled to integers
+    assert HalfspaceSystem(2, [(2, -4), (-3, 0)]).inequalities == (
+        (1, -2), (-1, 0))
+    assert HalfspaceSystem(2, [(2.0, Fraction(6, 3))]).inequalities == (
+        (1, 1),)
+    for row in [(Fraction(1, 2), -1), (0.5, 1), (1, 2.5)]:
+        with pytest.raises(ValueError):
+            HalfspaceSystem(2, [row])
+
+
 def test_generated_cone_dedupes_and_drops_zero():
     c = GeneratedCone(2, [(1, 0), (1, 0), (0, 0), (2, 1)])
     assert c.generators == (Weight((1, 0)), Weight((2, 1)))

@@ -65,7 +65,8 @@ def test_package_import_loads_no_submodule():
     (["vlambda", "--n", "2", "--p", "3", "--weight", "2,0"],
      _package("sections", "catalog", "cones") | {"fractions"}),
     (["cone", "--name", "hw", "--n", "3", "--p", "2"],
-     _package("fpoly", "sections", "modules", "rootdata")),
+     _package("fpoly", "sections", "modules", "rootdata")
+     | {"fractions", "decimal"}),
     (["slice", "--cone", "zip-sp6-sat", "--p", "2"],
      _package("fpoly", "sections", "modules", "rootdata")),
     (["rootdata", "--n", "3"],
@@ -73,7 +74,7 @@ def test_package_import_loads_no_submodule():
     (["sweep", "--n", "2", "--p", "2", "--box", "-1..1", "--compare",
       "zip-sp4"],
      _package("fpoly", "sections", "modules", "rootdata")
-     | {"concurrent.futures"}),
+     | {"concurrent.futures", "fractions", "decimal"}),
 ])
 def test_verb_loads_only_its_layers(argv, absent, tmp_path):
     loaded = _loaded_after_verb(argv, tmp_path)

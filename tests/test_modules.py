@@ -20,7 +20,7 @@ from zipcones.errors import (
     RankMismatchError,
     TheoremViolationError,
 )
-from zipcones.fpoly import FpPolynomial, a_var
+from zipcones.fpoly import FpPolynomial, a_var, delta_minor
 from zipcones.modules import (
     _check_elementary_words,
     _expand_monomial,
@@ -30,7 +30,6 @@ from zipcones.modules import (
     flag_representatives,
     group_generators,
     group_order,
-    highest_weight_vector,
     intersection_dimension,
     invariants_finite_group,
     subspace_leq0,
@@ -40,6 +39,7 @@ from zipcones.modules import (
     verify_left_borel_law,
     weyl_dimension,
 )
+from zipcones.weights import hw_functional
 
 
 def test_group_enumeration_and_order():
@@ -205,10 +205,10 @@ def test_weyl_count_check_is_live(monkeypatch):
 def test_tableau_basis_spans_the_spanning_set(n, p):
     # the tableau basis against the spanning set it replaced, at seeded
     # weights of Weyl dimension at most 400: the same span, the same
-    # weights and the same highest-weight vector.  Past rank 3 the products
-    # are kept to degree 8, since the symbolic Borel check of
-    # highest_weight_vector takes seconds on a degree-11 product of 4 x 4
-    # minors at rank 5
+    # weights, and in both the product of the Delta_i is the one vector of
+    # the highest weight.  Past rank 3 the products are kept to degree 8:
+    # building both bases of V(3, 3, 2, 1, 0), of degree 9 and dimension
+    # 280, already takes 0.7 s at p = 2
     rng = random.Random(100 * n + p)
     top = {2: 30, 3: 8, 4: 3, 5: 2}[n]
     checked = 0
@@ -222,9 +222,25 @@ def test_tableau_basis_spans_the_spanning_set(n, p):
         cols = [f.terms for f in new.basis_polys + old.basis_polys]
         assert _rank(cols[:new.dim], p) == _rank(cols, p) == new.dim == old.dim
         assert sorted(new.weights) == sorted(old.weights)
-        assert (new.basis_polys[highest_weight_vector(new)]
-                == old.basis_polys[highest_weight_vector(old)])
+        for m in (new, old):
+            assert _of_weight(m, reversed(lam)) == [_delta_product(lam, p)]
         checked += 1
+
+
+def _delta_product(lam, p):
+    """prod_{i<n} Delta_i^{lam_i - lam_{i+1}}, the numerator of the
+    highest-weight vector of V(lam)."""
+    n, f = len(lam), FpPolynomial.constant(p, 1)
+    for i in range(1, n):
+        f = f * delta_minor(n, p, i) ** (lam[i - 1] - lam[i])
+    return f
+
+
+def _of_weight(module, weight):
+    """The basis numerators of ``module`` of the given weight."""
+    weight = Weight(weight)
+    return [f for f, w in zip(module.basis_polys, module.weights)
+            if w == weight]
 
 
 def test_weight_of_the_wrong_rank_is_not_an_empty_module():
@@ -328,14 +344,14 @@ def test_left_borel_law_check_is_live():
         verify_left_borel_law(m)
 
 
-def test_lower_stability_check_is_live():
-    # with the basis numerators a_11, a_12 swapped, the weight (0, 1) of
-    # the highest-weight line names a_11, and a_11(Xb) = a_11 b_11 +
-    # a_12 b_21 is not a_11 times b_22
-    m = build_module((1, 0), 2, 2)
-    m.basis_polys = m.basis_polys[::-1]
-    with pytest.raises(TheoremViolationError, match="not stable"):
-        highest_weight_vector(m)
+def test_lower_stability_check_is_live(monkeypatch):
+    # with a_11 in place of Delta_1 = a_12, a_11(Xb) = a_11 b_11 + a_12 b_21
+    # is not a_11 times b_22; along b delta(t) s, a_11 is t s_11 + b_12 s_21,
+    # which no coset representative s sends to 0
+    monkeypatch.setattr(modules, "delta_minor", lambda n, p, i: a_var(p, 1, 1))
+    modules._delta_valuations.cache_clear()
+    with pytest.raises(TheoremViolationError, match="Delta_1 is not stable"):
+        tilde_valuation((1, 0), 2, 2)
 
 
 def _dominant(n, bound):
@@ -353,8 +369,7 @@ def test_tilde_valuation_matches_the_substitution_per_element(n, p, weights):
     # the one walk over the coset representatives against a substitution
     # X -> b delta(t) s per group element, exactly, not only in sign
     for lam in weights:
-        m = build_module(lam, n, p)
-        hw = m.basis_polys[highest_weight_vector(m)]
+        m, hw = build_module(lam, n, p), _delta_product(lam, p)
         assert tilde_valuation(lam, n, p) == valuation_by_element(m, hw), lam
 
 
@@ -366,12 +381,45 @@ def test_tilde_valuation_exact_at_rank_4():
     assert tilde_valuation((1, 0, -1, -2), 4, 2) == -5376
 
 
+@pytest.mark.parametrize("n, p, bound", [
+    (1, 2, 4), (1, 3, 4), (2, 2, 4), (2, 3, 3), (2, 5, 3), (2, 7, 2),
+    (3, 2, 2), (3, 3, 2), (3, 5, 1), (4, 2, 1)])
+def test_tilde_valuation_is_the_boundary_functional(n, p, bound):
+    # the walk gives v_i = -(|G| / [n]_p) (h_1 + ... + h_i) for Delta_i and
+    # -|G| for det, h = hw_functional(n, p) and [n]_p = (p^n - 1)/(p - 1),
+    # so the valuation is -(|G| / [n]_p) <h, lam>: criterion 7's signs,
+    # exactly
+    scale = group_order(n, p) * (p - 1) // (p ** n - 1)
+    h = hw_functional(n, p)
+    for lam in _dominant(n, bound):
+        assert tilde_valuation(lam, n, p) == -scale * h.dot(lam), lam
+
+
+def test_tilde_refuses_on_the_flag_guard_before_building(monkeypatch):
+    # |GL_5(F_3)/B^-| = 251,680 is past the flag guard, which both consult
+    # before any Delta_i is built
+    def refuse(*args):
+        raise AssertionError("built a minor past the guard")
+
+    monkeypatch.setattr(modules, "delta_minor", refuse)
+    with pytest.raises(GuardExceededError, match="flag guard"):
+        tilde_valuation((6, 6, 6, 5, 3), 5, 3)
+    with pytest.raises(GuardExceededError, match="flag guard"):
+        tilde_section((1, 0, 0, 0, 0), 5, 3)
+
+
+def test_tilde_valuation_needs_no_module():
+    # V(1999, 0) has dimension 2000, past MODULE_DIM_GUARD, which the norm
+    # does not read: the valuation is 1999 v_1 = -4 * 1999
+    assert weyl_dimension((1999, 0)) > modules.MODULE_DIM_GUARD
+    assert tilde_valuation((1999, 0), 2, 2) == -7996
+
+
 def _assert_norm_is_the_full_walk(lam, n, p):
     # the coset walk, prod_b chi(b) and the power |B^-| against the product
     # over every element of GL_n(F_p), exactly
     ts = tilde_section(lam, n, p)
-    m = build_module(lam, n, p)
-    hw = m.basis_polys[highest_weight_vector(m)]
+    m, hw = build_module(lam, n, p), _delta_product(lam, p)
     assert (ts.body_num, ts.body_det_power) == norm_by_element(m, hw), lam
     assert ts.det_valuation == valuation_by_element(m, hw), lam
     assert ts.weight == Weight(group_order(n, p) * x for x in lam), lam
@@ -595,14 +643,15 @@ def test_invariants_full_group_gl2_f3():
 
 
 def test_highest_weight_vector():
-    m = build_module((1, 1), 2, 2)
-    assert highest_weight_vector(m) == 0
-    m = build_module((1, 0), 2, 2)
-    assert m.weights[highest_weight_vector(m)] == Weight((0, 1))
-    m = build_module((2, 1), 2, 2)
-    assert m.weights[highest_weight_vector(m)] == Weight((1, 2))
-    m = build_module((2, 1, 0), 3, 2)
-    assert m.weights[highest_weight_vector(m)] == Weight((0, 1, 2))
+    # prod_i Delta_i^{k_i} is the only basis vector of V(lam) of weight
+    # lam reversed, on every L-dominant weight of small boxes
+    for n, p, bound in [(1, 3, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2),
+                        (3, 3, 1), (4, 2, 1)]:
+        for lam in _dominant(n, bound):
+            m = build_module(lam, n, p)
+            assert _of_weight(m, reversed(lam)) == [_delta_product(lam, p)]
+    assert _delta_product((1, 1), 2) == FpPolynomial.constant(2, 1)
+    assert _delta_product((2, 1, 0), 2) == a_var(2, 1, 3) * delta_minor(3, 2, 2)
 
 
 def test_thminter_examples():

@@ -1,7 +1,6 @@
 import functools
 import itertools
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,7 +20,7 @@ from h0_reference import (
     defect_by_substitution,
     h0_by_substitution,
 )
-from zipcones import fpoly, sections
+from zipcones import fpoly, modules, sections
 from zipcones.catalog import eta_weight, hodge_character, schubert_weight
 from zipcones.cones import Weight
 from zipcones.errors import (
@@ -46,7 +45,6 @@ from zipcones.fpoly import (
     weight_of,
 )
 from zipcones.modules import (
-    _walk_translates,
     build_module,
     group_generators,
     group_order,
@@ -635,6 +633,32 @@ def test_h0_positivity_is_additive_rank3():
         assert h0_dimension(Weight(lam) + Weight(mu), 3, 2) > 0, (lam, mu)
 
 
+@pytest.mark.parametrize("n, p, low, high, cap", [
+    (2, 2, -8, 4, None), (2, 3, -8, 4, None), (2, 5, -10, 4, None),
+    (3, 2, -4, 1, 12), (3, 3, -4, 2, None), (3, 5, -3, 2, None)])
+def test_h0_grows_under_the_section_ring_embeddings(n, p, low, high, cap):
+    # sections are polynomials, so multiplying by a nonzero section of
+    # weight w embeds H0(lam) in H0(lam + w), and the p-th power, injective
+    # over F_p, embeds H0(lam) in H0(p lam): h0 may only grow, with no
+    # second implementation to compare against.  w runs over the catalog
+    # sections of rank n, lam over the box weights with h0 > 0, and at
+    # (3, 2) only weights of degree up to ``cap`` are compared: uncapped,
+    # the shifts of [-4, 1]^3 took 111 s there
+    h0 = functools.lru_cache(maxsize=None)(
+        lambda lam: h0_dimension(lam, n, p))
+    shifts = {catalog_section(name, n, p).weight for name in section_names(n)}
+    checked = 0
+    for lam in itertools.product(range(high, low - 1, -1), repeat=n):
+        lam = Weight(lam)
+        if any(lam[i] < lam[i + 1] for i in range(n - 1)) or not h0(lam):
+            continue
+        for big in sorted(lam + w for w in shifts) + [p * lam]:
+            if cap is None or sum(big) // (1 - p) <= cap:
+                assert h0(big) >= h0(lam), (lam, big)
+                checked += 1
+    assert checked >= 10
+
+
 def _all_generators(n, p):
     return [(k, l) for k in range(2, n + 1) for l in range(1, k)]
 
@@ -728,18 +752,19 @@ def test_tilde_det_power():
 
 
 def test_norm_product_is_bounded_by_the_term_cap(monkeypatch):
-    # the norm of the highest-weight vector of V(1, 0) at p = 3 has 4
-    # terms.  Measured: the running product of its 4 coset translates
-    # reaches 3 terms, and the power Q^12 = frobenius(Q) frobenius^2(Q)
-    # 4, so the product guard of fpoly refuses the power under a cap of 3
-    # and the walk under a cap of 2
+    # the norm of the highest-weight vector Delta_1 of V(1, 0) at p = 3 has
+    # 4 terms.  Measured with the caches cleared: the running product of
+    # the 4 coset translates of Delta_1 reaches 3 terms, and the power
+    # Q^12 = frobenius(Q) frobenius^2(Q) 4, so the product guard of fpoly
+    # refuses the power under a cap of 3 and the walk under a cap of 2
     assert len(tilde_section((1, 0), 2, 3).body_num.terms) == 4
-    monkeypatch.setattr(fpoly, "MONOMIAL_CAP", 3)
-    with pytest.raises(GuardExceededError, match="^a product has 4 terms"):
-        tilde_section((1, 0), 2, 3)
-    monkeypatch.setattr(fpoly, "MONOMIAL_CAP", 2)
-    with pytest.raises(GuardExceededError, match="^a product has 3 terms"):
-        tilde_section((1, 0), 2, 3)
+    for cap, terms in [(3, 4), (2, 3)]:
+        modules._delta_valuations.cache_clear()
+        modules._delta_norm.cache_clear()
+        monkeypatch.setattr(fpoly, "MONOMIAL_CAP", cap)
+        with pytest.raises(GuardExceededError,
+                           match="^a product has %d terms" % terms):
+            tilde_section((1, 0), 2, 3)
 
 
 def test_tilde_body_is_fixed_by_right_translation():
@@ -865,12 +890,14 @@ def test_check_equivariance_rejects_entries_outside_the_matrix():
         check_equivariance(gamma[0][0][0], None, 2, 2)
 
 
-def test_tilde_valuation_rejects_a_vanishing_element():
-    # a_{2,1} maps to 0 along b delta(t) s for s = 1, which no module
-    # element can do; the walk reads only n, p and det_pow of the module
-    fake = SimpleNamespace(n=2, p=2, det_pow=0)
-    with pytest.raises(TheoremViolationError):
-        _walk_translates(fake, a_var(2, 2, 1), False)
+def test_tilde_valuation_rejects_a_vanishing_element(monkeypatch):
+    # a_{2,2} in place of Delta_1 = a_{1,2} keeps its Borel law, a_22(Xb)
+    # = a_22 b_22, but maps to s_22 along b delta(t) s, which is 0 for the
+    # coset representative s = ((0, 1), (1, 0)); no Delta_i can do that
+    monkeypatch.setattr(modules, "delta_minor", lambda n, p, i: a_var(p, 2, 2))
+    modules._delta_valuations.cache_clear()
+    with pytest.raises(TheoremViolationError, match="Delta_1 vanishes"):
+        tilde_valuation((1, 0), 2, 2)
 
 
 @pytest.mark.parametrize("n, p", [(2, 4), (2, 1), (2, 0), (2, -3), (2, 9),
