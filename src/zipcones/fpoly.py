@@ -19,13 +19,14 @@ carries into the next field, and a sum that reaches a guard bit raises
 monomial is 0.  Likewise no term dict built here (a product, sum,
 substitution image or quotient) grows past ``MONOMIAL_CAP`` terms.
 
-Two orders are in use.  The kernel (``leading``, ``exact_divide``)
-compares packed monomials as integers, which is the lexicographic order
-on fields, most significant first: a monomial order, which is all exact
-division needs.  Output (``sorted_terms``, ``to_json_dict``, ``repr``) is
-graded lexicographic on the decoded monomials with the variable order
-a_{1,1}, ..., a_{n,n}, then the b entries, then t, so serialized bytes do
-not depend on the packing.
+Two orders are in use.  The kernel (``leading``, ``exact_divide``, the
+leading-term certificate of ``modules.build_module``) compares packed
+monomials as integers, which is the lexicographic order on fields, most
+significant first: a monomial order, which is all exact division needs.
+Output (``sorted_terms``, ``to_json_dict``, ``repr``) is graded
+lexicographic on the decoded monomials with the variable order a_{1,1},
+..., a_{n,n}, then the b entries, then t, so serialized bytes do not
+depend on the packing.
 
 ``Substitution`` is the one substitution routine: it splits a monomial
 into the part in the mapped variables and the rest, adds the rest back
@@ -41,8 +42,8 @@ The weight grading assigns ``a_{i,j}`` the character vector
 ``e_i - p*e_j`` of the diagonal torus acting by twisted conjugation
 ``t . A = t A phi(t)^{-1}``.  ``entry_exponents`` is the one reader from
 packed monomials to the exponents of the n x n entries, row by row, outside
-the output path; ``weight_of``, the certificates of ``sections`` and the
-leading terms of ``modules.build_module`` read its tuples.
+the output path; ``weight_of`` and the certificates of ``sections`` read
+its tuples.
 """
 
 from __future__ import annotations
@@ -486,7 +487,7 @@ def matrix_images(M):
     for i, row in enumerate(M, start=1):
         for j, img in enumerate(row, start=1):
             var = ("a", i, j)
-            if img != FpPolynomial.variable(img.p, var):
+            if img.terms != {1 << _shift(var): 1}:
                 images[var] = img
     return images
 

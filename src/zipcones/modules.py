@@ -5,14 +5,16 @@ top-justified minors (level i on rows 1..i, taken lam_i - lam_{i+1} times)
 times det^{lam_n}.  The basis is the products whose column sets, longest
 first, form a semistandard tableau, each set entrywise at or above the
 start of the one before (De Concini, Eisenbud and Procesi, Invent. Math.
-1980; Green, LNM 830, ch. 4).  In the lex order a_11 > a_12 > ... > a_1n >
-a_21 > ... a product leads with its minors' diagonals, which record the
-tableau's rows: distinct leading terms prove independence, with no
-elimination, and the count is checked against the Weyl dimension.  Each
-product transforms on the left by lower-triangular matrices through the
-character lam, and is an eigenvector for right translation by the
-diagonal torus; the stored weight of a basis vector is its plain
-right-translation eigenvalue f(X t) = chi(t) f(X).
+1980; Green, LNM 830, ch. 4).  In the packed order of ``fpoly``, lex on
+fields along the square shells, the largest variable of a top-justified
+minor on columns c_1 < ... < c_L is a_{L,c_L}, so by recursion a minor
+leads with its diagonal and a product with its minors' diagonals, which
+record the tableau's rows: distinct leading terms prove independence,
+with no elimination, and the count is checked against the Weyl
+dimension.  Each product transforms on the left by lower-triangular
+matrices through the character lam, and is an eigenvector for right
+translation by the diagonal torus; the stored weight of a basis vector is
+its plain right-translation eigenvalue f(X t) = chi(t) f(X).
 
 Right translation X -> X g by a matrix g of GL_n(F_p) is the
 substitution ``matrix_images(mat_mul(X, g))`` of the expanded numerators,
@@ -21,8 +23,9 @@ times det(g)^{det_pow}; all linear algebra stays sparse and exact.
 The highest-weight vector of V(lam) is f = prod_{i<n} Delta_i^{k_i}
 det^{lam_n}, k_i = lam_i - lam_{i+1}.  A translate of a product is the
 product of the translates and t-orders add, so the norm of f over
-GL_n(F_p) and its boundary valuation come from one cached walk of the
-flags of GL_n(F_p)/B^- per (n, p) and one cached norm per Delta_i.
+GL_n(F_p) comes from one cached walk of the flags of GL_n(F_p)/B^- per
+(n, p) and one cached norm per Delta_i, and its boundary valuation from
+the last row of each flag's representative.
 """
 
 from __future__ import annotations
@@ -40,10 +43,8 @@ from .fpoly import (
     FpPolynomial,
     Substitution,
     delta_minor,
-    entry_exponents,
     exact_divide,
     generic_matrix,
-    mat_identity,
     mat_mul,
     matrix_images,
     minor,
@@ -107,14 +108,16 @@ def _elementary(n, i, k):
 @lru_cache(maxsize=None)
 def group_generators(n, p):
     """T = 1 + E_12 and the n-cycle C (n > 1; none for n = 1), certified
-    to generate SL_n(F_p) by words.
+    by words to generate a group that contains SL_n(F_p).
 
     ``_check_elementary_words`` proves that words in T and C give every
     1 + E_ik, i != k.  Over F_p, (1 + E_ik)^t = 1 + t E_ik, and elementary
-    matrices generate SL_n(F_p) (Lang, *Algebra*, XIII §8).  GL_n(F_p) is
-    generated by SL_n(F_p) and the diagonal matrices diag(g, 1, ..., 1),
-    whose determinants g run over F_p^*; ``invariants_finite_group``
-    imposes those on the torus weights, so it needs no further generator.
+    matrices generate SL_n(F_p) (Lang, *Algebra*, XIII §8).  C itself has
+    det (-1)^(n-1), so for even n and odd p it lies outside SL_n(F_p).
+    GL_n(F_p) is generated by SL_n(F_p) and the diagonal matrices
+    diag(g, 1, ..., 1), whose determinants g run over F_p^*, so T, C and
+    those generate it; ``invariants_finite_group`` imposes the diagonal
+    ones on the torus weights, so it needs no further generator.
     """
     validate_n_p(n, p)
     if n == 1:
@@ -275,7 +278,7 @@ def build_module(lam, n, p):
                 for runs, last in _runs(n, level, mults[level - 1],
                                         floor[:level])]
     basis, _, polys = zip(*tableaux)
-    if len({max(entry_exponents(f, n)) for f in polys}) != len(polys):
+    if len({max(f.terms) for f in polys}) != len(polys):
         raise TheoremViolationError(
             "two tableau products of V%s share a leading term" % (lam,))
     if len(basis) != expected:
@@ -307,7 +310,7 @@ def invariants_finite_group(module):
     this eigenbasis the torus fixes exactly the span of the indices whose
     every coordinate w_i[k] is 0 mod p - 1.  SL_n(F_p) is imposed through
     the generators of ``group_generators``, whose word certificate proves
-    they generate it: the common kernel of rho(g) - 1, cut out one
+    that their group contains it: the common kernel of rho(g) - 1, cut out one
     generator at a time with one ``Substitution`` of X -> X g each.  Each
     generator's kernel is written on the current basis, its vectors
     tagging their columns, so it is the next basis.  Returns a list of
@@ -397,9 +400,6 @@ def thminter_check(lam, n, p):
 # ---------------------------------------------------------------------------
 # the norm construction and its boundary valuation
 
-_T = ("t",)
-
-
 class TildeSection:
     """Norm of the highest-weight vector of V(lam) over GL_n(F_p).
 
@@ -429,8 +429,16 @@ def _delta_valuations(n, p):
     representatives s of ord_t Delta_i(b delta(t) s) - i, b generic upper
     unitriangular and delta(t) = diag(t, ..., t, 1).  The Borel law
     Delta_i(X b) = Delta_i(X) prod_{j>n-i} b_jj, b in B^-, checked first,
-    gives every translate in s B^- that order; a Delta_i vanishing along
-    b delta(t) s is a theorem violation."""
+    gives every translate in s B^- that order.  It is -1 if row n of s is
+    nonzero in its last i columns, and 0 otherwise.  By Cauchy-Binet,
+    Delta_i(b delta(t) s) = sum_K t^{i-[n in K]} det b[1..i, K] det s[K,
+    last i].  The Pluecker coordinates det b[1..i, K], K = {k_1 < ... <
+    k_i}, are independent over F_p: each holds prod_{k_j > j} b_{j,k_j}
+    with coefficient 1, and no other K does.  So the t^{i-1} coefficient
+    is nonzero iff some det s[K, last i] with n in K is; as s[:, last i]
+    has rank i, Laplace along row n says that happens iff that row is
+    nonzero.  Otherwise some K without n has a nonzero minor, so the image
+    never vanishes."""
     reps = flag_representatives(n, p)
     deltas = [delta_minor(n, p, i) for i in range(1, n)]
     lower = matrix_images(mat_mul(generic_matrix(n, p), _generic_lower(n, p)))
@@ -438,22 +446,8 @@ def _delta_valuations(n, p):
         _check_borel_law(p, lower, [d], [0] * (n - i) + [1] * i,
                          "Delta_%d is not stable under lower-triangular "
                          "translation" % i)
-    b, delta = mat_identity(n, p), mat_identity(n, p)
-    for i in range(n - 1):
-        delta[i][i] = FpPolynomial.variable(p, _T)
-        for k in range(i + 1, n):
-            b[i][k] = FpPolynomial.variable(p, ("b", i + 1, k + 1))
-    along = mat_mul(b, delta)
-    totals = [0] * (n - 1)
-    for s in reps:
-        act = Substitution(p, matrix_images(mat_mul(along, s)))
-        for i, d in enumerate(deltas):
-            image = act(d)
-            if image.is_zero():
-                raise TheoremViolationError(
-                    "Delta_%d vanishes along b delta(t) s" % (i + 1))
-            totals[i] += image.min_exponent(_T) - (i + 1)
-    return tuple(borel_order(n, p) * total for total in totals)
+    return tuple(-borel_order(n, p) * sum(any(s[-1][n - i:]) for s in reps)
+                 for i in range(1, n))
 
 
 @lru_cache(maxsize=None)

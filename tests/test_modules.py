@@ -346,8 +346,7 @@ def test_left_borel_law_check_is_live():
 
 def test_lower_stability_check_is_live(monkeypatch):
     # with a_11 in place of Delta_1 = a_12, a_11(Xb) = a_11 b_11 + a_12 b_21
-    # is not a_11 times b_22; along b delta(t) s, a_11 is t s_11 + b_12 s_21,
-    # which no coset representative s sends to 0
+    # is not a_11 times b_22
     monkeypatch.setattr(modules, "delta_minor", lambda n, p, i: a_var(p, 1, 1))
     modules._delta_valuations.cache_clear()
     with pytest.raises(TheoremViolationError, match="Delta_1 is not stable"):
@@ -375,15 +374,21 @@ def test_tilde_valuation_matches_the_substitution_per_element(n, p, weights):
 
 def test_tilde_valuation_exact_at_rank_4():
     # no by-element reference reaches GL_4(F_2), which has 20160 elements;
-    # these are the values of the walk that substituted X -> X s and then
-    # X -> b delta(t) per coset, not only their signs
+    # these are the values of an earlier walk that substituted X -> b
+    # delta(t) s into each Delta_i per coset and read its t-order, not only
+    # their signs
     assert tilde_valuation((2, 2, 1, -2), 4, 2) == -32256
     assert tilde_valuation((1, 0, -1, -2), 4, 2) == -5376
 
 
+def test_tilde_valuation_exact_at_rank_5():
+    # the value of that substituting walk over the 9765 cosets at (5, 2)
+    assert tilde_valuation((2, 1, 1, 0, -3), 5, 2) == -13224960
+
+
 @pytest.mark.parametrize("n, p, bound", [
     (1, 2, 4), (1, 3, 4), (2, 2, 4), (2, 3, 3), (2, 5, 3), (2, 7, 2),
-    (3, 2, 2), (3, 3, 2), (3, 5, 1), (4, 2, 1)])
+    (3, 2, 2), (3, 3, 2), (3, 5, 1), (4, 2, 1), (4, 3, 1), (5, 2, 1)])
 def test_tilde_valuation_is_the_boundary_functional(n, p, bound):
     # the walk gives v_i = -(|G| / [n]_p) (h_1 + ... + h_i) for Delta_i and
     # -|G| for det, h = hw_functional(n, p) and [n]_p = (p^n - 1)/(p - 1),

@@ -890,16 +890,6 @@ def test_check_equivariance_rejects_entries_outside_the_matrix():
         check_equivariance(gamma[0][0][0], None, 2, 2)
 
 
-def test_tilde_valuation_rejects_a_vanishing_element(monkeypatch):
-    # a_{2,2} in place of Delta_1 = a_{1,2} keeps its Borel law, a_22(Xb)
-    # = a_22 b_22, but maps to s_22 along b delta(t) s, which is 0 for the
-    # coset representative s = ((0, 1), (1, 0)); no Delta_i can do that
-    monkeypatch.setattr(modules, "delta_minor", lambda n, p, i: a_var(p, 2, 2))
-    modules._delta_valuations.cache_clear()
-    with pytest.raises(TheoremViolationError, match="Delta_1 vanishes"):
-        tilde_valuation((1, 0), 2, 2)
-
-
 @pytest.mark.parametrize("n, p", [(2, 4), (2, 1), (2, 0), (2, -3), (2, 9),
                                   (0, 2), (-1, 2)])
 def test_entry_points_reject_bad_n_and_p(n, p):

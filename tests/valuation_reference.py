@@ -8,8 +8,10 @@ unitriangular and delta(t) = diag(t, ..., t, 1) (the last row scaled by
 ``norm_by_element`` multiplies the right translates det(s)^det_pow f(X s)
 over every s and divides the determinant out completely.  Both take the
 module for n, p and det_pow, and the numerator ``num`` of f.
-``modules.tilde_section`` and ``tilde_valuation`` read the same answers
-off one translate per coset of GL_n(F_p)/B^-; tests compare them exactly.
+``modules.tilde_section`` reads the same norm off one translate per coset
+of GL_n(F_p)/B^-, and ``modules.tilde_valuation`` the same valuation off
+the last row of each coset's representative, with no substitution; tests
+compare them exactly.
 """
 
 import itertools
