@@ -12,7 +12,8 @@ a_1 >= ... >= a_n.
 
 from __future__ import annotations
 
-from .cones import GeneratedCone, HalfspaceSystem, halfspaces_of
+from .cones import (GeneratedCone, HalfspaceSystem, halfspaces_of,
+                    monoid_membership)
 from .errors import ZipconeError
 from .weights import (Weight, _fundamental, _unit, eta_weight,
                       hodge_character, hw_functional, schubert_weight,
@@ -23,9 +24,9 @@ class NamedCone:
     """A named cone with a generator presentation, a halfspace
     presentation, or both.
 
-    Its members are the points of the saturated cone, unless ``monoid`` is
-    set: then they are the nonnegative integer combinations of the
-    generators.  Equal when all fields are.
+    Its members (``contains``) are the points of the saturated cone,
+    unless ``monoid`` is set: then they are the nonnegative integer
+    combinations of the generators.
     """
 
     __slots__ = ("name", "rank", "params", "generated", "halfspaces", "monoid")
@@ -38,18 +39,6 @@ class NamedCone:
         self.generated = generated
         self.halfspaces = halfspaces
         self.monoid = monoid
-
-    def _key(self):
-        return (self.name, self.rank, self.params, self.generated,
-                self.halfspaces, self.monoid)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def presentation(self, kind):
         if kind == "generators":
@@ -64,6 +53,13 @@ class NamedCone:
             # a saturated cone given by generators alone is dualised
             return halfspaces_of(self.generated)
         raise ValueError(kind)
+
+    def contains(self, lam):
+        if self.monoid:
+            # the search always decides; a monoid with a line raises
+            # NotPointedError
+            return monoid_membership(self.generated, lam) is not None
+        return self.presentation("halfspaces").contains(lam)
 
 
 def _dominance_rows(n):

@@ -162,31 +162,18 @@ def _cmd_vlambda(args):
     )
 
     lam = _parse_weight(args.weight)
+    doc = {"schema": SCHEMA, "n": args.n, "p": args.p, "weight": list(lam)}
     try:
         module = build_module(lam, args.n, args.p)
     except EmptyModuleError:
-        doc = {"schema": SCHEMA, "n": args.n, "p": args.p,
-               "weight": list(lam), "dim": 0, "dim_leq0": 0,
-               "dim_invariants": 0, "dim_intersection": 0}
-        _emit(args, _json(doc))
-        return
-    fixed = invariants_finite_group(module)
-    doc = {"schema": SCHEMA, "n": args.n, "p": args.p, "weight": list(lam),
-           "dim": module.dim,
-           "dim_leq0": len(subspace_leq0(module)),
-           "dim_invariants": len(fixed),
-           "dim_intersection": intersection_dimension(module, fixed)}
+        doc.update(dim=0, dim_leq0=0, dim_invariants=0, dim_intersection=0)
+    else:
+        fixed = invariants_finite_group(module)
+        doc.update(dim=module.dim,
+                   dim_leq0=len(subspace_leq0(module)),
+                   dim_invariants=len(fixed),
+                   dim_intersection=intersection_dimension(module, fixed))
     _emit(args, _json(doc))
-
-
-def _member(cone, lam):
-    from .cones import monoid_membership
-
-    if cone.monoid:
-        # the search always decides; a monoid with a line raises
-        # NotPointedError (exit 1)
-        return monoid_membership(cone.generated, lam) is not None
-    return cone.presentation("halfspaces").contains(lam)
 
 
 def _cmd_sweep(args):
@@ -200,15 +187,14 @@ def _cmd_sweep(args):
     if count > SWEEP_POINT_GUARD:
         raise GuardExceededError("sweep box has %d points, more than the "
                                  "limit %d" % (count, SWEEP_POINT_GUARD))
+    # catalog_cone builds rank n, or refuses a cone of another fixed rank
     cone = catalog_cone(args.compare, args.n, args.p)
-    if cone.rank != args.n:
-        raise _UsageError("cone rank does not match --n")
     rows = []
     for pt in itertools.product(range(lo, hi + 1), repeat=args.n):
         lam = Weight(pt)
         dim = h0_dimension(lam, args.n, args.p,
                            monomial_cap=args.monomial_cap)
-        member = _member(cone, lam)
+        member = cone.contains(lam)
         rows.append({"weight": list(lam), "oracle_dim": dim,
                      "catalog_member": member,
                      "agree": (dim > 0) == member})
@@ -217,14 +203,15 @@ def _cmd_sweep(args):
     _emit(args, _json(doc))
 
 
-def _fr(x):
-    return str(x.numerator) if x.denominator == 1 else "%d/%d" % (
-        x.numerator, x.denominator)
-
-
 def _cmd_slice(args):
+    """The plane through c (1, 1, 1), c = 1 - p, orthogonal to it, cuts
+    the ray r at (3c^2 / h) r, h = <c (1, 1, 1), r> > 0.  In the frame
+    u = (1, -1, 0), v = (1, 1, -2), both orthogonal to the axis, that point
+    minus the centre has coordinates (c^2 x / 2h, c^2 y / 2h) with the
+    integers x = 3(r_1 - r_2) and y = r_1 + r_2 - 2 r_3; c^2 / 2h > 0, so
+    the vertices are sorted by the angle of (x, y)."""
     import functools
-    from fractions import Fraction
+    from math import gcd
 
     from .catalog import catalog_cone
     from .cones import extreme_rays, halfspaces_of
@@ -235,33 +222,19 @@ def _cmd_slice(args):
     pres = cone.halfspaces
     if pres is None:
         pres = halfspaces_of(cone.generated)
-    center = Weight([1 - args.p] * 3)
-    u = _parse_weight(args.frame_u)
-    v = _parse_weight(args.frame_v)
-    if len(u) != 3 or len(v) != 3:
-        raise _UsageError("frame vectors must have 3 coordinates")
-    if center.dot(u) != 0 or center.dot(v) != 0:
-        raise _UsageError("frame vectors must be orthogonal to the axis")
-    if not any(u[i] * v[i - 1] - u[i - 1] * v[i] for i in range(3)):
-        raise _UsageError("frame vectors must be nonzero and not parallel")
-    rays = extreme_rays(pres)
-    c2 = center.dot(center)
+    c = 1 - args.p
     verts = []
-    for r in rays:
-        rw = Weight(r)
-        h = center.dot(rw)
+    for r in extreme_rays(pres):
+        h = c * sum(r)
         if h <= 0:
             raise _UsageError(
                 "ray %s does not cross the slice plane" % (tuple(r),))
-        scale = Fraction(c2, h)
-        q = [scale * x - c for x, c in zip(rw, center)]
-        uc = Fraction(sum(a * b for a, b in zip(q, u)), u.dot(u))
-        vc = Fraction(sum(a * b for a, b in zip(q, v)), v.dot(v))
-        verts.append((uc, vc, "(%s)" % ",".join(str(x) for x in rw)))
+        verts.append((3 * (r[0] - r[1]), r[0] + r[1] - 2 * r[2], h,
+                      "(%s)" % ",".join(str(x) for x in r)))
 
     def angle_cmp(a, b):
         # counter-clockwise order around the origin, exact
-        (xa, ya, _), (xb, yb, _) = a, b
+        (xa, ya, _, _), (xb, yb, _, _) = a, b
         qa = _quadrant(xa, ya)
         qb = _quadrant(xb, yb)
         if qa != qb:
@@ -273,10 +246,16 @@ def _cmd_slice(args):
             return 1
         return 0
 
+    def fraction(num, den):
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        return str(num) if den == 1 else "%d/%d" % (num, den)
+
     verts.sort(key=functools.cmp_to_key(angle_cmp))
     lines = ["u,v,label"]
-    for uc, vc, label in verts:
-        lines.append("%s,%s,%s" % (_fr(uc), _fr(vc), label))
+    for x, y, h, label in verts:
+        lines.append("%s,%s,%s" % (fraction(c * c * x, 2 * h),
+                                   fraction(c * c * y, 2 * h), label))
     _emit(args, "\n".join(lines) + "\n")
 
 
@@ -341,13 +320,11 @@ def build_parser():
     p.add_argument("--cone", required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--frame-u", default="1,-1,0")
-    p.add_argument("--frame-v", default="1,1,-2")
 
     return parser
 
 
-_VALUE_FLAGS = ("--box", "--weight", "--frame-u", "--frame-v")
+_VALUE_FLAGS = ("--box", "--weight")
 
 
 def _merge_negative_values(argv):

@@ -66,14 +66,6 @@ class GeneratedCone:
         return "GeneratedCone(rank=%d, generators=%s)" % (
             self.rank, [tuple(g) for g in self.generators])
 
-    def __eq__(self, other):
-        return (isinstance(other, GeneratedCone)
-                and self.rank == other.rank
-                and set(self.generators) == set(other.generators))
-
-    def __hash__(self):
-        return hash((self.rank, frozenset(self.generators)))
-
     def to_json_dict(self):
         return {"rank": self.rank,
                 "generators": [list(g) for g in self.generators]}

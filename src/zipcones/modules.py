@@ -43,7 +43,6 @@ from .fpoly import (
     FpPolynomial,
     Substitution,
     delta_minor,
-    exact_divide,
     generic_matrix,
     mat_mul,
     matrix_images,
@@ -403,8 +402,10 @@ def thminter_check(lam, n, p):
 class TildeSection:
     """Norm of the highest-weight vector of V(lam) over GL_n(F_p).
 
-    ``body_num * det^body_det_power`` is the product of right translates,
-    with the determinant factored out of the numerator completely.
+    ``body_num * det^body_det_power`` is the product of right translates:
+    ``body_num`` is the norm of prod_i Delta_i^{k_i}, which det does not
+    divide (det is irreducible of degree n and each translate of Delta_i,
+    i < n, has degree i), and the power is that of det^{lam_n}.
     ``det_valuation`` is the boundary valuation (the t-adic total computed
     along the one-parameter degeneration of the last row); the section
     extends across the boundary iff it is nonnegative.
@@ -452,17 +453,16 @@ def _delta_valuations(n, p):
 
 @lru_cache(maxsize=None)
 def _delta_norm(n, p, i):
-    """(Q, e) with det^e Q the product of the right translates Delta_i(X s)
-    over the coset representatives s, and det not dividing Q."""
+    """The product Q of the right translates Delta_i(X s), i < n, over the
+    coset representatives s.  No power of det divides Q: det = Delta_n is
+    irreducible of degree n, hence prime, and each factor Delta_i(X s) is
+    nonzero (s is invertible) of degree i < n, so det divides no factor
+    and hence not their product."""
     delta, X = delta_minor(n, p, i), generic_matrix(n, p)
     prod = FpPolynomial.constant(p, 1)
     for s in flag_representatives(n, p):
         prod = prod * delta.substitute(matrix_images(mat_mul(X, s)))
-    det = delta_minor(n, p, n)
-    power = 0
-    while (q := exact_divide(prod, det)) is not None:
-        prod, power = q, power + 1
-    return prod, power
+    return prod
 
 
 def tilde_valuation(lam, n, p):
@@ -478,21 +478,22 @@ def tilde_valuation(lam, n, p):
 def tilde_section(lam, n, p):
     """Norm over GL_n(F_p) of the highest-weight vector f of V(lam), with
     valuations: prod_b chi(b) per coset times (c prod_i Q_i^{k_i})^{|B^-|},
-    Q_i from ``_delta_norm`` (det divided out) and c = prod_s det(s)^{lam_n}
-    in F_p^*, whose power |B^-|, a multiple of p - 1, is 1.  Over all cosets
+    Q_i from ``_delta_norm`` and c = prod_s det(s)^{lam_n} in F_p^*, whose
+    power |B^-|, a multiple of p - 1, is 1.  Q_i is a product of translates
+    of degree i < n, which the irreducible det of degree n does not divide,
+    so det enters only through det^{lam_n}.  Over all cosets
     each b_jj of chi(b) = prod_j b_jj^{lam_{n+1-j}} runs D / (p - 1) times
     through F_p^*, whose product is -1 (Wilson)."""
     valuation = tilde_valuation(lam, n, p)  # the flag guard comes first
     lam, mults, det_pow = _exponents(lam, n, p)
     D, B = group_order(n, p), borel_order(n, p)
-    body, extra = FpPolynomial.constant(p, 1), 0
+    body = FpPolynomial.constant(p, 1)
     for i, k in enumerate(mults, start=1):
         if k:
-            q, e = _delta_norm(n, p, i)
-            body, extra = body * q ** k, extra + k * e
+            body = body * _delta_norm(n, p, i) ** k
     sign = (-1) ** (sum(lam) * D // (p - 1) % 2)
-    return TildeSection(n, p, D * lam, sign * body ** B,
-                        det_pow * D + extra * B, valuation)
+    return TildeSection(n, p, D * lam, sign * body ** B, det_pow * D,
+                        valuation)
 
 
 def valuation_sign_predict(lam, n, p):

@@ -50,9 +50,6 @@ class Weight(tuple):
         self._check_rank(other)
         return Weight(a + b for a, b in zip(self, other))
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __sub__(self, other):
         self._check_rank(other)
         return Weight(a - b for a, b in zip(self, other))

@@ -98,6 +98,9 @@ MUTANTS = [
      "    reps = flag_representatives(n, p)",
      ["tests/test_modules.py::"
       "test_tilde_refuses_on_the_flag_guard_before_building"]),
+    ("catalog.py", "if self.monoid:\n            # the search always decides",
+     "if False:\n            # the search always decides",
+     ["tests/test_cli.py::test_sweep_monoid_agreement_default_box"]),
     ("oracle.py", "_compositions(free, (free,) * n)",
      "_compositions(free, (free,) * (n - 1) + (0,))",
      ["tests/test_sections.py::"

@@ -160,6 +160,29 @@ def test_sweep_monoid_agreement_default_box():
         assert all(r["agree"] for r in doc["rows"])
 
 
+def test_sweep_saturated_cone_matches_both_membership_tests(capsys):
+    # a saturated cone: each row's membership is the catalog's halfspace
+    # test and saturated membership on the generators
+    from zipcones.catalog import cone_zip_sp6_saturated
+
+    code = main(["sweep", "--n", "3", "--p", "2", "--box=-2..1",
+                 "--compare", "zip-sp6-sat"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["compare"] == "ZipSp6Saturated"
+    cone = cone_zip_sp6_saturated(2)
+    rows = doc["rows"]
+    for r in rows:
+        lam = tuple(r["weight"])
+        assert r["catalog_member"] == cone.halfspaces.contains(lam) \
+            == cones.saturated_membership(cone.generated, lam), lam
+        assert r["agree"] == ((r["oracle_dim"] > 0) == r["catalog_member"])
+    assert len(rows) == 64
+    assert sum(r["catalog_member"] for r in rows) == 13
+    assert sum(not r["agree"] for r in rows) == 8
+
+
 def test_slice_verb(tmp_path):
     code, data = run(["slice", "--cone", "zip-sp6-sat", "--p", "2"], tmp_path,
                      name="out.csv")
@@ -169,28 +192,6 @@ def test_slice_verb(tmp_path):
     assert len(lines) == 5   # four extreme rays
     labels = {l.split(",", 2)[2] for l in lines[1:]}
     assert "(-1,-1,-1)" in labels and "(1,0,-2)" in labels
-
-
-def test_degenerate_slice_frame_is_a_usage_error(tmp_path, capsys):
-    # a zero frame vector has no coordinate along it (u.u = 0), and
-    # parallel ones flatten the polygon onto a line
-    for u, v in (("0,0,0", "1,1,-2"), ("1,-1,0", "0,0,0"),
-                 ("1,-1,0", "-2,2,0")):
-        code, data = run(["slice", "--cone", "pol", "--n", "3", "--p", "2",
-                          "--frame-u", u, "--frame-v", v], tmp_path, "o.csv")
-        assert (code, data) == (1, b""), (u, v)
-    err = capsys.readouterr().err
-    assert err.count("usage error: frame vectors must be nonzero and not "
-                     "parallel") == 3
-    assert "Traceback" not in err
-    # a frame of the wrong length used to fail in Weight.dot with
-    # "error: rank 3 vs 2"
-    for u, v in (("1,-1", "1,1,-2"), ("1,-1,0", "1,1,-2,0")):
-        code, data = run(["slice", "--cone", "zip-sp6-sat", "--p", "2",
-                          "--frame-u", u, "--frame-v", v], tmp_path, "o.csv")
-        assert (code, data) == (1, b""), (u, v)
-        assert capsys.readouterr().err \
-            == "usage error: frame vectors must have 3 coordinates\n"
 
 
 def test_deterministic_bytes(tmp_path):
@@ -232,6 +233,31 @@ def test_exit_codes(tmp_path):
                   tmp_path)
     assert code == 1   # cone with a lineality space has no ray polygon
     assert main([]) == 1   # missing subcommand is a usage error
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--n", "3", "--p", "2", "--box", "0..0", "--compare",
+      "zip-sp4"], "error: zip-sp4 is a rank-2 cone"),
+    (["sweep", "--n", "2", "--p", "2", "--box", "0..0", "--compare",
+      "zip-sp6-sat"], "error: zip-sp6-sat is a rank-3 cone"),
+    (["cone", "--name", "gs", "--p", "2"], "error: cone 'gs' needs --n"),
+    (["verify-section", "--name", "delta1", "--p", "2"],
+     "error: section delta1 needs the matrix size n"),
+    (["verify-section", "--name", "delta5", "--n", "3", "--p", "2"],
+     "error: delta index out of range for n=3"),
+    (["verify-section", "--name", "f1sp6", "--n", "4", "--p", "2"],
+     "error: section f1sp6 lives on 3 x 3 matrices"),
+    (["sweep", "--n", "2", "--p", "2", "--box", "3..1", "--compare",
+      "zip-sp4"], "usage error: empty box"),
+    (["sweep", "--n", "2", "--p", "2", "--box", "1-3", "--compare",
+      "zip-sp4"], "usage error: box must look like -8..8"),
+])
+def test_input_rejections_exit_1(argv, message, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith(message) and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_delta_without_an_index_is_an_unknown_section(tmp_path, capsys):

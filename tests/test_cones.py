@@ -69,6 +69,11 @@ def test_halfspace_rows_are_integer():
             HalfspaceSystem(2, [row])
 
 
+def test_zero_halfspace_row_is_refused():
+    with pytest.raises(ValueError, match="zero inequality row"):
+        HalfspaceSystem(3, [(0, 0, 0)])
+
+
 def test_generated_cone_dedupes_and_drops_zero():
     c = GeneratedCone(2, [(1, 0), (1, 0), (0, 0), (2, 1)])
     assert c.generators == (Weight((1, 0)), Weight((2, 1)))

@@ -309,6 +309,14 @@ def test_mixed_characteristics_raise():
         x2.substitute({("a", 1, 1): x3})
 
 
+def test_negative_power_and_ragged_minor_raise():
+    f = a_var(2, 1, 1)
+    with pytest.raises(ValueError, match="negative power"):
+        f ** -1
+    with pytest.raises(ValueError, match="equally many rows and columns"):
+        minor(2, (1, 2), (1,))
+
+
 def test_variable_fields_are_injective_and_invertible():
     vars_ = [("t",)] + [(k, i, j) for k in "ab" for i in range(1, 13)
                         for j in range(1, 13)]

@@ -68,7 +68,8 @@ def test_package_import_loads_no_submodule():
      _package("fpoly", "sections", "modules", "rootdata")
      | {"fractions", "decimal"}),
     (["slice", "--cone", "zip-sp6-sat", "--p", "2"],
-     _package("fpoly", "sections", "modules", "rootdata")),
+     _package("fpoly", "sections", "modules", "rootdata")
+     | {"fractions", "decimal"}),
     (["rootdata", "--n", "3"],
      _package("fpoly", "sections", "modules", "cones", "catalog")),
     (["sweep", "--n", "2", "--p", "2", "--box", "-1..1", "--compare",
