@@ -29,13 +29,12 @@ class NamedCone:
     combinations of the generators.
     """
 
-    __slots__ = ("name", "rank", "params", "generated", "halfspaces", "monoid")
+    __slots__ = ("name", "rank", "generated", "halfspaces", "monoid")
 
-    def __init__(self, name, rank, params=(), generated=None, halfspaces=None,
+    def __init__(self, name, rank, generated=None, halfspaces=None,
                  monoid=False):
         self.name = name
         self.rank = rank
-        self.params = params
         self.generated = generated
         self.halfspaces = halfspaces
         self.monoid = monoid
@@ -75,8 +74,7 @@ def cone_XplusI(n):
     gens = [_fundamental(n, i) for i in range(1, n)]
     diag = Weight([1] * n)
     gens += [diag, -diag]
-    return NamedCone("XplusI", n, (n,),
-                     generated=GeneratedCone(n, gens),
+    return NamedCone("XplusI", n, generated=GeneratedCone(n, gens),
                      halfspaces=HalfspaceSystem(n, _dominance_rows(n)))
 
 
@@ -89,8 +87,7 @@ def cone_GS(n):
     rows += [-(_unit(n, i) + _unit(n, j)) for i, j in pairs]
     rows += [-_unit(n, i) for i in range(n)]
     gens = [Weight([0] * (n - i) + [-1] * i) for i in range(1, n + 1)]
-    return NamedCone("GS", n, (n,),
-                     generated=GeneratedCone(n, gens),
+    return NamedCone("GS", n, generated=GeneratedCone(n, gens),
                      halfspaces=HalfspaceSystem(n, rows))
 
 
@@ -101,7 +98,7 @@ def _schubert_generators(n, p):
 def cone_schubert(n, p):
     """Image of the dominant chamber under lam -> lam - p*reversal; a
     monoid generated by the images of the fundamental weights."""
-    return NamedCone("Schubert", n, (n, p), generated=_schubert_generators(n, p),
+    return NamedCone("Schubert", n, generated=_schubert_generators(n, p),
                      monoid=True)
 
 
@@ -119,7 +116,7 @@ def cone_schubert_saturated(n, p):
     last[0] -= p
     last[n - 1] -= 1
     rows.append(last)
-    return NamedCone("SchubertSaturated", n, (n, p),
+    return NamedCone("SchubertSaturated", n,
                      generated=_schubert_generators(n, p),
                      halfspaces=HalfspaceSystem(n, rows))
 
@@ -131,15 +128,14 @@ def cone_hw(n, p):
     rows.append(-hw_functional(n, p))
     gens = [eta_weight(n, p, i) for i in range(1, n)]
     gens.append(hodge_character(n, p))
-    return NamedCone("HW", n, (n, p),
-                     generated=GeneratedCone(n, gens),
+    return NamedCone("HW", n, generated=GeneratedCone(n, gens),
                      halfspaces=HalfspaceSystem(n, rows))
 
 
 def cone_pol(n, p):
     gens = [_unit(n, i) - p * _unit(n, j)
             for i in range(n) for j in range(n)]
-    return NamedCone("Pol", n, (n, p), generated=GeneratedCone(n, gens))
+    return NamedCone("Pol", n, generated=GeneratedCone(n, gens))
 
 
 def sigma1(n):
@@ -156,18 +152,17 @@ def sigma1prime(n):
 
 def cone_sigma(subset, n, p):
     gens = [_unit(n, i - 1) - p * _unit(n, j - 1) for i, j in sorted(subset)]
-    return NamedCone("Sigma", n, (n, p, tuple(sorted(subset))),
-                     generated=GeneratedCone(n, gens))
+    return NamedCone("Sigma", n, generated=GeneratedCone(n, gens))
 
 
 def cone_zip_sp4(p):
     gens = [Weight((1, -p)), Weight((1 - p, 1 - p)), Weight((0, -p * (p - 1)))]
-    return NamedCone("ZipSp4", 2, (2, p), generated=GeneratedCone(2, gens),
+    return NamedCone("ZipSp4", 2, generated=GeneratedCone(2, gens),
                      monoid=True)
 
 
 def cone_zip_sp4_saturated(p):
-    return NamedCone("ZipSp4Saturated", 2, (2, p),
+    return NamedCone("ZipSp4Saturated", 2,
                      generated=GeneratedCone(2, [(1, -p), (-1, -1)]),
                      halfspaces=HalfspaceSystem(2, [(1, -1), (-p, -1)]))
 
@@ -178,14 +173,13 @@ def cone_zip_sp6_saturated(p):
     rows = _dominance_rows(3)
     rows.append([-p * p, -1, -p])
     rows.append([-p, -p * p, -1])
-    return NamedCone("ZipSp6Saturated", 3, (3, p),
-                     generated=GeneratedCone(3, gens),
+    return NamedCone("ZipSp6Saturated", 3, generated=GeneratedCone(3, gens),
                      halfspaces=HalfspaceSystem(3, rows))
 
 
 def cone_muord_saturated(n):
     base = cone_XplusI(n)
-    return NamedCone("MuOrdSaturated", n, (n,),
+    return NamedCone("MuOrdSaturated", n,
                      generated=base.generated, halfspaces=base.halfspaces)
 
 

@@ -7,9 +7,9 @@ Each column may carry a tag, a vector {nonnegative int: residue} on keys
 past every key of the columns.  A dependent column leaves its tag reduced
 by the same steps, and that is a kernel vector written on the tags.
 
-Odd p reduces dicts whose keys are ranked in sorted order, so the pivot
-of a column is its least key.  p = 2 reduces bit integers whose keys are
-numbered by first appearance.  Everything else is read off the one loop:
+Keys must be orderable: ``_ranked`` numbers them in sorted order, and a
+column's pivot is its least key, whether odd p reduces dicts on the ranks
+or p = 2 bit integers with bit r for rank r.  All else reads the one loop:
 - ``dependent_columns``: the dependent indices; their count is the nullity
   (``oracle.h0_dimension``, ``modules.intersection_dimension``);
 - ``fp_nullspace``: the kernel on the caller's tags
@@ -31,15 +31,21 @@ def _addmul(dst, src, c, p):
             dst.pop(k, None)
 
 
+def _ranked(columns, p):
+    """The number of keys nonzero mod p, and each column lazily as {rank of
+    the key in sorted order: residue}; reading them all frees the ranking."""
+    rank = {k: r for r, k in enumerate(sorted(
+        {k for col in columns for k, x in col.items() if x % p}))}
+    return len(rank), ({rank[k]: x % p for k, x in col.items() if x % p}
+                       for col in columns)
+
+
 def _reduce_dicts(columns, tags, p):
     """(pivots {rank of the least key: reduced column}, {index of a
     dependent column: the tag it leaves})."""
-    rank = {k: r for r, k in enumerate(sorted(
-        {k for col in columns for k, x in col.items() if x % p}))}
-    top = len(rank)
+    top, ranked = _ranked(columns, p)
     pivots, dependent = {}, {}
-    for i, (col, tag) in enumerate(zip(columns, tags)):
-        v = {rank[k]: x % p for k, x in col.items() if x % p}
+    for i, (v, tag) in enumerate(zip(ranked, tags)):
         v.update((top + j, c % p) for j, c in tag.items() if c % p)
         key = min(v, default=top)
         while key in pivots:
@@ -54,18 +60,12 @@ def _reduce_dicts(columns, tags, p):
 
 
 def _reduce_bits(columns, tags):
-    """``_reduce_dicts`` at p = 2, on bit integers."""
-    index, ints = {}, []
-    for col in columns:
-        v = 0
-        for k, x in col.items():
-            if x % 2:
-                v |= 1 << index.setdefault(k, len(index))
-        ints.append(v)
-    top = len(index)
+    """``_reduce_dicts`` at p = 2, on bit integers keyed by 1 << rank."""
+    top, ranked = _ranked(columns, 2)
+    ints = [sum(1 << r for r in v) for v in ranked][::-1]  # popped in turn
     bound, pivots, dependent = 1 << top, {}, {}
-    for i, (v, tag) in enumerate(zip(ints, tags)):
-        v |= sum(1 << j for j, c in tag.items() if c % 2) << top
+    for i, tag in enumerate(tags):
+        v = ints.pop() | sum(1 << j for j, c in tag.items() if c % 2) << top
         while (low := v & -v) in pivots:
             v ^= pivots[low]
         if 0 < low < bound:
@@ -77,9 +77,8 @@ def _reduce_bits(columns, tags):
 
 
 def _reduce(columns, tags, p):
-    if p == 2:
-        return _reduce_bits(columns, tags)
-    return _reduce_dicts(columns, tags, p)
+    return (_reduce_bits(columns, tags) if p == 2
+            else _reduce_dicts(columns, tags, p))
 
 
 def dependent_columns(columns, p):

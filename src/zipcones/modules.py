@@ -454,14 +454,23 @@ def _delta_valuations(n, p):
 @lru_cache(maxsize=None)
 def _delta_norm(n, p, i):
     """The product Q of the right translates Delta_i(X s), i < n, over the
-    coset representatives s.  No power of det divides Q: det = Delta_n is
+    coset representatives s, each by Cauchy-Binet from the cached minors:
+    Delta_i(X s) = sum_K det s[K, last i] det X[1..i, K] over the i-subsets
+    K of the rows.  No power of det divides Q: det = Delta_n is
     irreducible of degree n, hence prime, and each factor Delta_i(X s) is
     nonzero (s is invertible) of degree i < n, so det divides no factor
     and hence not their product."""
-    delta, X = delta_minor(n, p, i), generic_matrix(n, p)
+    top = tuple(range(1, i + 1))
+    minors = [(K, minor(p, top, K))
+              for K in itertools.combinations(range(1, n + 1), i)]
     prod = FpPolynomial.constant(p, 1)
     for s in flag_representatives(n, p):
-        prod = prod * delta.substitute(matrix_images(mat_mul(X, s)))
+        translate = FpPolynomial.zero(p)
+        for K, m in minors:
+            c = fp_det([s[k - 1][n - i:] for k in K], p)
+            if c:
+                translate = translate + c * m
+        prod = prod * translate
     return prod
 
 

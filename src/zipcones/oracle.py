@@ -14,6 +14,7 @@ power is read off a table of binomial and multinomial coefficients mod p
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, prod
 
 from .errors import GuardExceededError
@@ -22,27 +23,49 @@ from .weights import EXPONENT_LIMIT, MONOMIAL_CAP, checked_weight
 
 
 def _compositions(total, caps):
-    """Vectors 0 <= x <= caps with sum ``total``, in lexicographic order."""
-    if len(caps) == 1:
-        if total <= caps[0]:
-            yield (total,)
+    """Vectors 0 <= x <= caps with sum ``total``, in lexicographic order,
+    each the successor of the one before, so any length is safe."""
+    room = list(accumulate(reversed(caps), initial=0))[::-1]  # sum(caps[i:])
+    if not 0 <= total <= room[0]:
         return
-    room = sum(caps[1:])
-    for e in range(max(0, total - room), min(total, caps[0]) + 1):
-        for tail in _compositions(total - e, caps[1:]):
-            yield (e,) + tail
+    x, left = [], total
+    while True:
+        for i in range(len(x), len(caps)):  # the least tail of sum ``left``
+            x.append(max(0, left - room[i + 1]))
+            left -= x[-1]
+        yield tuple(x)
+        # raise the last entry that can take one unit from its tail
+        left = x.pop()
+        while x and (not left or x[-1] == caps[len(x) - 1]):
+            left += x.pop()
+        if not x:
+            return
+        x[-1] += 1
+        left -= 1
 
 
 def _tables(rows, cols):
     """Nonnegative tables, flattened row by row, with these row and column
-    sums (of equal totals), filled one row at a time."""
+    sums (of equal totals), filled one row at a time.  An explicit stack
+    holds, per row, its remaining compositions and the column sums that it
+    and the rows below must fill; ``head`` holds the rows chosen so far."""
     if len(rows) == 1:
         yield cols
         return
-    for first in _compositions(rows[0], cols):
-        left = tuple(c - e for c, e in zip(cols, first))
-        for rest in _tables(rows[1:], left):
-            yield first + rest
+    stack, head = [(_compositions(rows[0], cols), cols)], []
+    while stack:
+        choices, left = stack[-1]
+        row = next(choices, None)
+        if row is None:
+            stack.pop()
+            continue
+        del head[(len(stack) - 1) * len(cols):]
+        head += row
+        rest = tuple(c - e for c, e in zip(left, row))
+        if len(stack) == len(rows) - 1:
+            yield tuple(head) + rest
+        else:
+            stack.append((_compositions(rows[len(stack)], rest), rest))
 
 
 def _oracle_weight(lam, n, p, cap):
@@ -225,10 +248,12 @@ def _columns(monos, n, p):
     t_bits, a_bits = max(1, (d * top).bit_length()), max(1, d.bit_length())
     t_mask = (1 << t_bits) - 1
     shift = {entry: t_bits + a_bits * at for at, entry in enumerate(entries)}
-    # the entries that move under generator k, with their index in exps
-    generators = [(g, k, [((i, j), (i - 1) * n + j - 1) for i, j in entries
-                          if i == k or j == k - 1])
-                  for g, k in enumerate(range(2, n + 1))]
+    # the index in exps of each entry that moves under generator k: row k
+    # and column k - 1, row by row
+    generators = [(g, k, sorted(
+        [(k - 1) * n + j for j in range(n)]
+        + [i * n + k - 2 for i in range(n) if i != k - 1]))
+        for g, k in enumerate(range(2, n + 1))]
     packed = {}
 
     def table(k, entry, e):
@@ -252,7 +277,7 @@ def _columns(monos, n, p):
         col = {}
         get = col.get
         for g, k, moving in generators:
-            factors = [table(k, entry, exps[at]) for entry, at in moving
+            factors = [table(k, entries[at], exps[at]) for at in moving
                        if exps[at]]
             # reach[i]: the t-degrees that factors i, i + 1, ... can add up to
             reach = [1]

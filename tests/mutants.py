@@ -101,6 +101,16 @@ MUTANTS = [
     ("catalog.py", "if self.monoid:\n            # the search always decides",
      "if False:\n            # the search always decides",
      ["tests/test_cli.py::test_sweep_monoid_agreement_default_box"]),
+    ("fplinalg.py",
+     "top, ranked = _ranked(columns, 2)\n"
+     "    ints = [sum(1 << r for r in v) for v in ranked][::-1]",
+     "index = {}\n"
+     "    ints = [sum(1 << index.setdefault(k, len(index))\n"
+     "                for k, x in col.items() if x % 2)\n"
+     "            for col in columns][::-1]\n"
+     "    top = len(index)",
+     ["tests/test_fplinalg.py::"
+      "test_both_reductions_pivot_alike_on_oracle_columns"]),
     ("oracle.py", "_compositions(free, (free,) * n)",
      "_compositions(free, (free,) * (n - 1) + (0,))",
      ["tests/test_sections.py::"

@@ -278,7 +278,7 @@ def test_monoid_with_a_line_is_refused(tmp_path, monkeypatch, capsys):
     import zipcones.cones as cones
 
     cone = catalog.NamedCone(
-        "Lined", 2, (2,),
+        "Lined", 2,
         generated=cones.GeneratedCone(2, [(1, 0), (-1, 0), (0, 1)]),
         monoid=True)
     monkeypatch.setattr(catalog, "catalog_cone", lambda name, n, p: cone)
@@ -520,3 +520,13 @@ def test_rank_5_saturated_cone_verbs():
                               "--p", "2"])
     assert code == 1 and "Traceback" not in err
     assert err == "usage error: slice needs a rank-3 cone\n"
+
+
+def test_h0_at_rank_500_answers_without_a_traceback(tmp_path):
+    # one recursion per coordinate would pass the interpreter's limit here
+    zero = ",".join(["0"] * 500)
+    out = tmp_path / "h0.json"
+    code, err = _run_process(["h0", "--n", "500", "--p", "2", "--weight",
+                              zero, "--out", str(out)])
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(out.read_bytes())["dim"] == 1

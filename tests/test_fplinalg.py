@@ -8,6 +8,7 @@ which the reference cannot take and the reduction drops on entry.
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,10 @@ from hypothesis import given, settings, strategies as st
 import fp_reference
 import zipcones
 from gfq import field_for, gf_matrix_rank
-from zipcones.fplinalg import dependent_columns, fp_det, fp_nullspace
+from zipcones import modules
+from zipcones.fplinalg import (_reduce_bits, _reduce_dicts, dependent_columns,
+                               fp_det, fp_nullspace)
+from zipcones.oracle import _columns, enumerate_weight_monomials
 
 PRIMES = (2, 3, 5, 7)
 
@@ -66,6 +70,51 @@ def test_reduction_matches_the_reference_eliminations(system):
     assert fp_nullspace(columns, units, p) == ref
     assert fp_nullspace(columns, tags, p) == [_merged(c, tags, p)
                                               for c in ref]
+
+
+def _assert_same_pivots(columns, tags):
+    # at p = 2 both reductions take the least sorted key as the pivot, so
+    # they keep the same pivot columns, in the same order, and leave the
+    # same tags; bit r of a bit column is rank r of a dict column
+    dict_pivots, dict_dependent = _reduce_dicts(columns, tags, 2)
+    bit_pivots, bit_dependent = _reduce_bits(columns, tags)
+    assert [low.bit_length() - 1 for low in bit_pivots] == list(dict_pivots)
+    assert bit_pivots == {1 << r: sum(1 << k for k in pv)
+                          for r, pv in dict_pivots.items()}
+    assert bit_dependent == dict_dependent
+    return len(dict_pivots), len(dict_dependent)
+
+
+def test_both_reductions_pivot_alike_on_oracle_columns():
+    rng, seen = random.Random(3), [0, 0]
+    for n, low in [(2, -8), (3, -4), (4, -2)]:
+        weights = [lam for lam in itertools.product(range(1, low - 1, -1),
+                                                    repeat=n)
+                   if list(lam) == sorted(lam, reverse=True)
+                   and 0 < len(enumerate_weight_monomials(lam, n, 2)) <= 400]
+        for lam in rng.sample(weights, 8):
+            columns = _columns(enumerate_weight_monomials(lam, n, 2), n, 2)[0]
+            counts = _assert_same_pivots(
+                columns, [{i: 1} for i in range(len(columns))])
+            seen = [a + b for a, b in zip(seen, counts)]
+    assert seen[0] > 500 and seen[1] >= 10  # pivots, dependent columns
+
+
+def test_both_reductions_pivot_alike_on_invariant_columns(monkeypatch):
+    systems, real = [], modules.fp_nullspace
+
+    def recorded(columns, tags, p):
+        systems.append((columns, tags))
+        return real(columns, tags, p)
+
+    monkeypatch.setattr(modules, "fp_nullspace", recorded)
+    rng = random.Random(5)
+    weights = [lam for lam in itertools.product(range(2, -5, -1), repeat=3)
+               if lam[0] >= lam[1] >= lam[2]]
+    for lam in rng.sample(weights, 10):
+        modules.invariants_finite_group(modules.build_module(lam, 3, 2))
+    counts = [_assert_same_pivots(columns, tags) for columns, tags in systems]
+    assert len(systems) >= 10 and all(map(sum, zip(*counts)))
 
 
 def _leibniz(mat, p):
