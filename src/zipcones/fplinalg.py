@@ -5,11 +5,17 @@ reduction takes the columns in order and reduces each against the pivots
 of the columns before it; a column whose keys all cancel is dependent.
 Each column may carry a tag, a vector {nonnegative int: residue} on keys
 past every key of the columns.  A dependent column leaves its tag reduced
-by the same steps, and that is a kernel vector written on the tags.
+by the same steps, and that is a kernel vector written on the tags.  Keys
+must be orderable: they are ranked in sorted order, and a column's pivot
+is its least key.
 
-Keys must be orderable: ``_ranked`` numbers them in sorted order, and a
-column's pivot is its least key, whether odd p reduces dicts on the ranks
-or p = 2 bit integers with bit r for rank r.  All else reads the one loop:
+Before the reduction, ``_peel`` takes out the forced zeros (structured
+Gaussian elimination, after LaMacchia and Odlyzko): while some row has
+exactly one nonzero among the live columns, every kernel vector is 0 on
+that row's column, so the column leaves.  Hence the relations among the
+columns are exactly the relations among the core columns that stay.  So
+a peeled column is never dependent, and each dependent column leaves the
+tag it would leave without the peel.  All else reads the one loop:
 - ``dependent_columns``: the dependent indices; their count is the nullity
   (``oracle.h0_dimension``, ``modules.intersection_dimension``);
 - ``fp_nullspace``: the kernel on the caller's tags
@@ -31,21 +37,39 @@ def _addmul(dst, src, c, p):
             dst.pop(k, None)
 
 
-def _ranked(columns, p):
-    """The number of keys nonzero mod p, and each column lazily as {rank of
-    the key in sorted order: residue}; reading them all frees the ranking."""
-    rank = {k: r for r, k in enumerate(sorted(
-        {k for col in columns for k, x in col.items() if x % p}))}
-    return len(rank), ({rank[k]: x % p for k, x in col.items() if x % p}
-                       for col in columns)
+def _peel(columns, p):
+    """Indices, ascending, of the core: the columns left after taking out,
+    while some row has exactly one live nonzero, that row's column.  Per
+    row a count and the sum of the live column indices name that column."""
+    keys = [[k for k, x in col.items() if x % p] for col in columns]
+    count, total = {}, {}
+    for i, ks in enumerate(keys):
+        for k in ks:
+            count[k] = count.get(k, 0) + 1
+            total[k] = total.get(k, 0) + i
+    todo = list(count)
+    while todo:
+        k = todo.pop()
+        if count[k] != 1:
+            continue
+        j = total[k]
+        for r in keys[j]:
+            count[r] -= 1
+            total[r] -= j
+            if count[r] == 1:
+                todo.append(r)
+        keys[j] = None
+    return [i for i, ks in enumerate(keys) if ks is not None]
 
 
 def _reduce_dicts(columns, tags, p):
     """(pivots {rank of the least key: reduced column}, {index of a
     dependent column: the tag it leaves})."""
-    top, ranked = _ranked(columns, p)
-    pivots, dependent = {}, {}
-    for i, (v, tag) in enumerate(zip(ranked, tags)):
+    rank = {k: r for r, k in enumerate(sorted(
+        {k for col in columns for k, x in col.items() if x % p}))}
+    top, pivots, dependent = len(rank), {}, {}
+    for i, (col, tag) in enumerate(zip(columns, tags)):
+        v = {rank[k]: x % p for k, x in col.items() if x % p}
         v.update((top + j, c % p) for j, c in tag.items() if c % p)
         key = min(v, default=top)
         while key in pivots:
@@ -59,39 +83,25 @@ def _reduce_dicts(columns, tags, p):
     return pivots, dependent
 
 
-def _reduce_bits(columns, tags):
-    """``_reduce_dicts`` at p = 2, on bit integers keyed by 1 << rank."""
-    top, ranked = _ranked(columns, 2)
-    ints = [sum(1 << r for r in v) for v in ranked][::-1]  # popped in turn
-    bound, pivots, dependent = 1 << top, {}, {}
-    for i, tag in enumerate(tags):
-        v = ints.pop() | sum(1 << j for j, c in tag.items() if c % 2) << top
-        while (low := v & -v) in pivots:
-            v ^= pivots[low]
-        if 0 < low < bound:
-            pivots[low] = v
-        else:
-            v >>= top
-            dependent[i] = {j: 1 for j in range(v.bit_length()) if v >> j & 1}
-    return pivots, dependent
-
-
 def _reduce(columns, tags, p):
-    return (_reduce_bits(columns, tags) if p == 2
-            else _reduce_dicts(columns, tags, p))
+    """{index of a dependent column: its tag}, reduced on the core."""
+    core = _peel(columns, p)
+    dependent = _reduce_dicts([columns[i] for i in core],
+                              [tags[i] for i in core], p)[1]
+    return {core[i]: tag for i, tag in dependent.items()}
 
 
 def dependent_columns(columns, p):
     """Indices, ascending, of the columns that lie in the span of the
     columns before them."""
-    return list(_reduce(columns, [{}] * len(columns), p)[1])
+    return list(_reduce(columns, [{}] * len(columns), p))
 
 
 def fp_nullspace(columns, tags, p):
     """Basis of {sum x_i tags[i] : sum x_i columns[i] = 0} for linearly
     independent tags; with the unit tags [{i: 1}, ...] it is the kernel of
     the columns.  Returns one dict per dependent column, in order."""
-    return list(_reduce(columns, tags, p)[1].values())
+    return list(_reduce(columns, tags, p).values())
 
 
 def fp_det(mat, p):

@@ -101,16 +101,10 @@ MUTANTS = [
     ("catalog.py", "if self.monoid:\n            # the search always decides",
      "if False:\n            # the search always decides",
      ["tests/test_cli.py::test_sweep_monoid_agreement_default_box"]),
-    ("fplinalg.py",
-     "top, ranked = _ranked(columns, 2)\n"
-     "    ints = [sum(1 << r for r in v) for v in ranked][::-1]",
-     "index = {}\n"
-     "    ints = [sum(1 << index.setdefault(k, len(index))\n"
-     "                for k, x in col.items() if x % 2)\n"
-     "            for col in columns][::-1]\n"
-     "    top = len(index)",
-     ["tests/test_fplinalg.py::"
-      "test_both_reductions_pivot_alike_on_oracle_columns"]),
+    ("fplinalg.py", "if count[k] != 1:", "if count[k] > 2:",
+     ["tests/test_fplinalg.py::test_peeling_a_column_frees_the_next_row"]),
+    ("fplinalg.py", "keys[j] = None", "pass",
+     ["tests/test_fplinalg.py::test_deep_weights_peel_to_a_small_core"]),
     ("oracle.py", "_compositions(free, (free,) * n)",
      "_compositions(free, (free,) * (n - 1) + (0,))",
      ["tests/test_sections.py::"

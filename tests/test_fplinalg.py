@@ -3,7 +3,9 @@
 ``fp_reference`` keeps the earlier ``fp_nullspace``, ``_nullspace_gf2`` and
 dense ``fp_det`` unchanged; ``gfq.gf_matrix_rank`` gives a third, dense rank.
 Entries are drawn from [-p, 2p), so columns hold entries divisible by p,
-which the reference cannot take and the reduction drops on entry.
+which the reference cannot take and the reduction drops on entry.  The
+peeled reduction is also checked against ``_reduce_dicts`` on every
+column, with no peel.
 """
 
 import itertools
@@ -19,7 +21,7 @@ import fp_reference
 import zipcones
 from gfq import field_for, gf_matrix_rank
 from zipcones import modules
-from zipcones.fplinalg import (_reduce_bits, _reduce_dicts, dependent_columns,
+from zipcones.fplinalg import (_peel, _reduce_dicts, dependent_columns,
                                fp_det, fp_nullspace)
 from zipcones.oracle import _columns, enumerate_weight_monomials
 
@@ -72,35 +74,37 @@ def test_reduction_matches_the_reference_eliminations(system):
                                               for c in ref]
 
 
-def _assert_same_pivots(columns, tags):
-    # at p = 2 both reductions take the least sorted key as the pivot, so
-    # they keep the same pivot columns, in the same order, and leave the
-    # same tags; bit r of a bit column is rank r of a dict column
-    dict_pivots, dict_dependent = _reduce_dicts(columns, tags, 2)
-    bit_pivots, bit_dependent = _reduce_bits(columns, tags)
-    assert [low.bit_length() - 1 for low in bit_pivots] == list(dict_pivots)
-    assert bit_pivots == {1 << r: sum(1 << k for k in pv)
-                          for r, pv in dict_pivots.items()}
-    assert bit_dependent == dict_dependent
-    return len(dict_pivots), len(dict_dependent)
+def _assert_peeled_as_one_shot(columns, tags, p):
+    # the peel changes no output: the dependent indices and the tags they
+    # leave are those of the one-shot reduction of every column
+    one_shot = _reduce_dicts(columns, tags, p)[1]
+    assert dependent_columns(columns, p) == list(one_shot)
+    assert fp_nullspace(columns, tags, p) == list(one_shot.values())
+    return len(columns) - len(_peel(columns, p)), len(one_shot)
 
 
-def test_both_reductions_pivot_alike_on_oracle_columns():
-    rng, seen = random.Random(3), [0, 0]
-    for n, low in [(2, -8), (3, -4), (4, -2)]:
-        weights = [lam for lam in itertools.product(range(1, low - 1, -1),
-                                                    repeat=n)
-                   if list(lam) == sorted(lam, reverse=True)
-                   and 0 < len(enumerate_weight_monomials(lam, n, 2)) <= 400]
-        for lam in rng.sample(weights, 8):
-            columns = _columns(enumerate_weight_monomials(lam, n, 2), n, 2)[0]
-            counts = _assert_same_pivots(
-                columns, [{i: 1} for i in range(len(columns))])
-            seen = [a + b for a, b in zip(seen, counts)]
-    assert seen[0] > 500 and seen[1] >= 10  # pivots, dependent columns
+def test_peeled_and_one_shot_reductions_agree_on_oracle_columns():
+    # at p = 3 the weights go twice as deep, to the same degrees
+    rng = random.Random(3)
+    for p in (2, 3):
+        seen = [0, 0]
+        for n, low in [(2, -8), (3, -4), (4, -2)]:
+            weights = [lam for lam in itertools.product(
+                           range(1, (p - 1) * low - 1, -1), repeat=n)
+                       if list(lam) == sorted(lam, reverse=True)
+                       and 0 < len(enumerate_weight_monomials(lam, n, p))
+                       <= 400]
+            for lam in rng.sample(weights, min(8, len(weights))):
+                columns = _columns(enumerate_weight_monomials(lam, n, p),
+                                   n, p)[0]
+                counts = _assert_peeled_as_one_shot(
+                    columns, [{i: 1} for i in range(len(columns))], p)
+                seen = [a + b for a, b in zip(seen, counts)]
+        assert seen[0] > 300 and seen[1] >= 3, seen  # peeled, dependent
 
 
-def test_both_reductions_pivot_alike_on_invariant_columns(monkeypatch):
+def test_peeled_and_one_shot_reductions_agree_on_invariant_columns(
+        monkeypatch):
     systems, real = [], modules.fp_nullspace
 
     def recorded(columns, tags, p):
@@ -113,8 +117,37 @@ def test_both_reductions_pivot_alike_on_invariant_columns(monkeypatch):
                if lam[0] >= lam[1] >= lam[2]]
     for lam in rng.sample(weights, 10):
         modules.invariants_finite_group(modules.build_module(lam, 3, 2))
-    counts = [_assert_same_pivots(columns, tags) for columns, tags in systems]
+    counts = [_assert_peeled_as_one_shot(columns, tags, 2)
+              for columns, tags in systems]
     assert len(systems) >= 10 and all(map(sum, zip(*counts)))
+
+
+def test_peeling_a_column_frees_the_next_row():
+    # row 0 holds only column 0; its peel leaves row 1 to column 1, and so
+    # on; rows 3 and 4 each hold both columns 3 and 4, so those stay, and
+    # column 4 is column 3 times 4 = 1 mod 3
+    columns = [{0: 1, 1: 1}, {1: 2, 2: 1}, {2: 1, 3: 1},
+               {3: 1, 4: 1}, {3: 4, 4: 4}]
+    assert _peel(columns, 3) == [3, 4]
+    assert dependent_columns(columns, 3) == [4]
+    _assert_peeled_as_one_shot(columns, [{i: 1} for i in range(5)], 3)
+
+
+def test_no_row_peels_when_every_row_holds_two_columns():
+    columns = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]
+    units = [{i: 1} for i in range(3)]
+    for p, dependent in [(2, [2]), (3, [])]:
+        assert _peel(columns, p) == [0, 1, 2]
+        assert dependent_columns(columns, p) == dependent
+        _assert_peeled_as_one_shot(columns, units, p)
+
+
+def test_deep_weights_peel_to_a_small_core():
+    # the core sizes that make deep weights cheap: the 36 terms of the one
+    # section at -6,-6,-6, and nothing where h0 = 0
+    for lam, n, p, core in [((-6, -6, -6), 3, 2, 36), ((-35, -35), 2, 3, 0)]:
+        columns = _columns(enumerate_weight_monomials(lam, n, p), n, p)[0]
+        assert len(_peel(columns, p)) == core, lam
 
 
 def _leibniz(mat, p):

@@ -12,7 +12,8 @@ of the cap, is a module-level name that one test refuses.  Every F_p
 elimination divides by a pivot through the modular inverse
 ``pow(x, p - 2, p)``, so the inverse may sit only in the ``fplinalg``
 reduction and in ``fpoly.exact_divide``, which divides polynomials, not
-linear systems.
+linear systems; and no part of ``fplinalg`` compares p with 2, so that
+reduction serves every field.
 A matrix of ``a_var`` entries is built only by ``fpoly.generic_matrix``;
 every minor of it comes from the one cache of ``fpoly.minor``, which
 builds no matrix.  An entry of the reduction matrix Gamma is written
@@ -79,6 +80,17 @@ def _is_modular_inverse(node):
             and ast.dump(exponent.left) == ast.dump(modulus))
 
 
+def _compares_p_with_2(node):
+    """A comparison of the name ``p`` with the constant 2, as in
+    ``p == 2``."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left] + node.comparators
+    return (any(isinstance(o, ast.Name) and o.id == "p" for o in operands)
+            and any(isinstance(o, ast.Constant) and o.value == 2
+                    for o in operands))
+
+
 def _is_entry_matrix(node):
     """``[[a_var(...) for ...] for ...]``: a nested list comprehension of
     entry variables."""
@@ -121,6 +133,12 @@ def test_no_rank_guard_or_second_term_cap():
 def test_modular_inverse_only_in_the_reduction_and_polynomial_division():
     assert _places(_is_modular_inverse) == {"fplinalg.py:_reduce_dicts",
                                             "fpoly.py:exact_divide"}
+
+
+def test_one_reduction_for_every_field():
+    # a second elimination kept for one field would branch on p == 2
+    assert [place for place in _places(_compares_p_with_2)
+            if place.startswith("fplinalg.py:")] == []
 
 
 def test_entry_matrix_only_in_generic_matrix():

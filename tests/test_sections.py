@@ -636,7 +636,7 @@ def test_h0_positivity_is_additive_rank3():
 @pytest.mark.parametrize("n, p, low, high, cap", [
     (2, 2, -8, 4, None), (2, 3, -8, 4, None), (2, 5, -10, 4, None),
     (3, 2, -4, 1, 12), (3, 3, -4, 2, None), (3, 5, -3, 2, None),
-    (4, 2, -2, 1, 10)])
+    (4, 2, -2, 1, 12), (4, 3, -2, 1, None)])
 def test_h0_grows_under_the_section_ring_embeddings(n, p, low, high, cap):
     # sections are polynomials, so multiplying by a nonzero section of
     # weight w embeds H0(lam) in H0(lam + w), and the p-th power, injective
@@ -645,7 +645,8 @@ def test_h0_grows_under_the_section_ring_embeddings(n, p, low, high, cap):
     # sections of rank n, lam over the box weights with h0 > 0, and at
     # p = 2 only weights of degree up to ``cap`` are compared: uncapped,
     # the shifts of [-4, 1]^3 took 111 s at rank 3, and at rank 4 the cap
-    # 10 keeps the shifts of [-2, 1]^4 to about a second (12: 6 s)
+    # 12 keeps the shifts of [-2, 1]^4 to about 4 s on two shared cores;
+    # p = 3 at rank 4 needs no cap
     h0 = functools.lru_cache(maxsize=None)(
         lambda lam: h0_dimension(lam, n, p))
     shifts = {catalog_section(name, n, p).weight for name in section_names(n)}
