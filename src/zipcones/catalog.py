@@ -15,7 +15,7 @@ from __future__ import annotations
 from .cones import (GeneratedCone, HalfspaceSystem, halfspaces_of,
                     monoid_membership)
 from .errors import ZipconeError
-from .weights import (Weight, _fundamental, _unit, eta_weight,
+from .weights import (Weight, _fundamental, _unit, eta_weight, eta_weights,
                       hodge_character, hw_functional, schubert_weight,
                       validate_n_p)
 
@@ -126,8 +126,7 @@ def cone_hw(n, p):
     functional; for Sp(2n) a single inequality sum_i p^{n-i} a_i <= 0."""
     rows = _dominance_rows(n)
     rows.append(-hw_functional(n, p))
-    gens = [eta_weight(n, p, i) for i in range(1, n)]
-    gens.append(hodge_character(n, p))
+    gens = eta_weights(n, p) + [hodge_character(n, p)]
     return NamedCone("HW", n, generated=GeneratedCone(n, gens),
                      halfspaces=HalfspaceSystem(n, rows))
 

@@ -64,14 +64,22 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
+def _ints(doc):
+    items = doc.values() if isinstance(doc, dict) else doc
+    if isinstance(doc, (dict, list, tuple)):
+        return [x for item in items for x in _ints(item)]
+    return [doc] if isinstance(doc, int) else []
+
+
 def _json(doc):
-    try:
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    except ValueError:
-        # Python prints no integer of more than sys.get_int_max_str_digits()
+    # Python prints no integer of more than sys.get_int_max_str_digits()
+    # digits (0: no limit); find one before json spends seconds on the rest
+    digits = sys.get_int_max_str_digits()
+    if digits and max(map(abs, _ints(doc)), default=0) >= 10 ** digits:
         raise GuardExceededError(
             "an output integer has more than %d digits, the limit for "
-            "printing one" % sys.get_int_max_str_digits())
+            "printing one" % digits)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _parse_weight(text):

@@ -20,12 +20,10 @@ Right translation X -> X g by a matrix g of GL_n(F_p) is the
 substitution ``matrix_images(mat_mul(X, g))`` of the expanded numerators,
 times det(g)^{det_pow}; all linear algebra stays sparse and exact.
 
-The highest-weight vector of V(lam) is f = prod_{i<n} Delta_i^{k_i}
-det^{lam_n}, k_i = lam_i - lam_{i+1}.  A translate of a product is the
-product of the translates and t-orders add, so the norm of f over
-GL_n(F_p) comes from one cached walk of the flags of GL_n(F_p)/B^- per
-(n, p) and one cached norm per Delta_i, and its boundary valuation from
-the last row of each flag's representative.
+The norm over GL_n(F_p) of the highest-weight vector f = prod_{i<n}
+Delta_i^{k_i} det^{lam_n}, k_i = lam_i - lam_{i+1}, of V(lam) is built
+from one cached norm per Delta_i over the flags of GL_n(F_p)/B^-; its
+boundary valuation is a closed form that counts flags.
 """
 
 from __future__ import annotations
@@ -400,16 +398,10 @@ def thminter_check(lam, n, p):
 # the norm construction and its boundary valuation
 
 class TildeSection:
-    """Norm of the highest-weight vector of V(lam) over GL_n(F_p).
-
-    ``body_num * det^body_det_power`` is the product of right translates:
-    ``body_num`` is the norm of prod_i Delta_i^{k_i}, which det does not
-    divide (det is irreducible of degree n and each translate of Delta_i,
-    i < n, has degree i), and the power is that of det^{lam_n}.
-    ``det_valuation`` is the boundary valuation (the t-adic total computed
-    along the one-parameter degeneration of the last row); the section
-    extends across the boundary iff it is nonnegative.
-    """
+    """Norm of the highest-weight vector of V(lam) over GL_n(F_p), the
+    product of its right translates: ``body_num * det^body_det_power``, det
+    not dividing ``body_num``, with the boundary valuation
+    ``det_valuation``; the section extends iff that is nonnegative."""
 
     def __init__(self, n, p, weight, body_num, body_det_power, det_valuation):
         self.n = n
@@ -425,75 +417,63 @@ class TildeSection:
 
 
 @lru_cache(maxsize=None)
-def _delta_valuations(n, p):
-    """(v_1, ..., v_{n-1}): v_i is |B^-| times the sum over the coset
-    representatives s of ord_t Delta_i(b delta(t) s) - i, b generic upper
-    unitriangular and delta(t) = diag(t, ..., t, 1).  The Borel law
-    Delta_i(X b) = Delta_i(X) prod_{j>n-i} b_jj, b in B^-, checked first,
-    gives every translate in s B^- that order.  It is -1 if row n of s is
-    nonzero in its last i columns, and 0 otherwise.  By Cauchy-Binet,
-    Delta_i(b delta(t) s) = sum_K t^{i-[n in K]} det b[1..i, K] det s[K,
-    last i].  The Pluecker coordinates det b[1..i, K], K = {k_1 < ... <
-    k_i}, are independent over F_p: each holds prod_{k_j > j} b_{j,k_j}
-    with coefficient 1, and no other K does.  So the t^{i-1} coefficient
-    is nonzero iff some det s[K, last i] with n in K is; as s[:, last i]
-    has rank i, Laplace along row n says that happens iff that row is
-    nonzero.  Otherwise some K without n has a nonzero minor, so the image
-    never vanishes."""
-    reps = flag_representatives(n, p)
-    deltas = [delta_minor(n, p, i) for i in range(1, n)]
-    lower = matrix_images(mat_mul(generic_matrix(n, p), _generic_lower(n, p)))
-    for i, d in enumerate(deltas, start=1):
-        _check_borel_law(p, lower, [d], [0] * (n - i) + [1] * i,
-                         "Delta_%d is not stable under lower-triangular "
-                         "translation" % i)
-    return tuple(-borel_order(n, p) * sum(any(s[-1][n - i:]) for s in reps)
-                 for i in range(1, n))
-
-
-@lru_cache(maxsize=None)
 def _delta_norm(n, p, i):
-    """The product Q of the right translates Delta_i(X s), i < n, over the
-    coset representatives s, each by Cauchy-Binet from the cached minors:
-    Delta_i(X s) = sum_K det s[K, last i] det X[1..i, K] over the i-subsets
-    K of the rows.  No power of det divides Q: det = Delta_n is
-    irreducible of degree n, hence prime, and each factor Delta_i(X s) is
-    nonzero (s is invertible) of degree i < n, so det divides no factor
-    and hence not their product."""
+    """The product Q of Delta_i(X s) = sum_K det s[K, last i] det X[1..i,
+    K] (Cauchy-Binet), i < n, over the coset representatives s, listed
+    before any polynomial is built.  The Borel law Delta_i(X b) = Delta_i(X)
+    prod_{j>n-i} b_jj, b in B^-, checked next, makes every translate in s
+    B^- a multiple of Delta_i(X s).  det = Delta_n, irreducible of degree
+    n, divides no factor, nonzero of degree i < n, so not Q."""
+    reps = flag_representatives(n, p)
+    delta = delta_minor(n, p, i)
+    lower = matrix_images(mat_mul(generic_matrix(n, p), _generic_lower(n, p)))
+    _check_borel_law(p, lower, [delta], [0] * (n - i) + [1] * i,
+                     "Delta_%d is not stable under lower-triangular "
+                     "translation" % i)
     top = tuple(range(1, i + 1))
-    minors = [(K, minor(p, top, K))
-              for K in itertools.combinations(range(1, n + 1), i)]
     prod = FpPolynomial.constant(p, 1)
-    for s in flag_representatives(n, p):
+    for s in reps:
         translate = FpPolynomial.zero(p)
-        for K, m in minors:
+        for K in itertools.combinations(range(1, n + 1), i):
             c = fp_det([s[k - 1][n - i:] for k in K], p)
             if c:
-                translate = translate + c * m
+                translate = translate + c * minor(p, top, K)
         prod = prod * translate
     return prod
 
 
 def tilde_valuation(lam, n, p):
     """Boundary valuation of the norm of the highest-weight vector of
-    V(lam), exact: sum_i k_i v_i, and det, of order n - 1 and degree n
-    along every b delta(t) s, adds -|B^-| per coset, -|GL_n(F_p)| lam_n in
-    all.  The flag guard refuses before any polynomial is built."""
-    lam, mults, det_pow = _exponents(lam, n, p)
-    return (sum(k * v for k, v in zip(mults, _delta_valuations(n, p)))
-            - group_order(n, p) * det_pow)
+    V(lam), exact, with no flag listed and no polynomial built: -(|G| /
+    [n]_p) <h, lam>, G = GL_n(F_p), h = ``hw_functional(n, p)`` = (p^{n-1},
+    ..., 1), [m]_p = (p^m - 1) / (p - 1).  Raises what ``_exponents`` does.
+
+    It sums ord_t - degree of each factor at X = b delta(t) s over s in G,
+    b generic upper unitriangular, delta(t) = diag(t, ..., t, 1).  det, of
+    order n - 1 and degree n, gives -|G| lam_n.  By the Borel law of
+    ``_delta_norm`` Delta_i has one order on each coset s B^-, and
+    Delta_i(b delta(t) s) = sum_K t^{i-[n in K]} det b[1..i, K] det s[K,
+    last i].  These Pluecker coordinates of b are independent over F_p
+    (prod_{k_j > j} b_{j,k_j} occurs in K's alone) and s[:, last i] has
+    rank i, so by Laplace along row n, ord_t - i is -1 if that row is
+    nonzero there and 0 otherwise.  The row is zero iff those columns span
+    a subspace of x_n = 0, the i-dimensional member of the flag of s B^-,
+    as on [n-1 choose i]_p [i]_p! [n-i]_p! = [n]_p! [n-i]_p / [n]_p flags.
+    As [n]_p - [n-i]_p = p^{n-i} [i]_p = h_1 + ... + h_i and |B^-| [n]_p!
+    = |G|, Delta_i gives v_i = -|G| p^{n-i} [i]_p / [n]_p, and as [n]_p =
+    h_1 + ... + h_n, sum_i k_i v_i - |G| lam_n is the formula."""
+    lam = _exponents(lam, n, p)[0]
+    scale = group_order(n, p) * (p - 1) // (p ** n - 1)
+    return -scale * hw_functional(n, p).dot(lam)
 
 
 def tilde_section(lam, n, p):
     """Norm over GL_n(F_p) of the highest-weight vector f of V(lam), with
     valuations: prod_b chi(b) per coset times (c prod_i Q_i^{k_i})^{|B^-|},
-    Q_i from ``_delta_norm`` and c = prod_s det(s)^{lam_n} in F_p^*, whose
-    power |B^-|, a multiple of p - 1, is 1.  Q_i is a product of translates
-    of degree i < n, which the irreducible det of degree n does not divide,
-    so det enters only through det^{lam_n}.  Over all cosets
-    each b_jj of chi(b) = prod_j b_jj^{lam_{n+1-j}} runs D / (p - 1) times
-    through F_p^*, whose product is -1 (Wilson)."""
-    valuation = tilde_valuation(lam, n, p)  # the flag guard comes first
+    Q_i = ``_delta_norm(n, p, i)``, unless k_i = 0, and c = prod_s
+    det(s)^{lam_n} in F_p^*, whose power |B^-|, a multiple of p - 1, is 1.
+    Over all cosets each b_jj of chi(b) = prod_j b_jj^{lam_{n+1-j}} runs
+    D / (p - 1) times through F_p^*, whose product is -1 (Wilson)."""
     lam, mults, det_pow = _exponents(lam, n, p)
     D, B = group_order(n, p), borel_order(n, p)
     body = FpPolynomial.constant(p, 1)
@@ -502,14 +482,14 @@ def tilde_section(lam, n, p):
             body = body * _delta_norm(n, p, i) ** k
     sign = (-1) ** (sum(lam) * D // (p - 1) % 2)
     return TildeSection(n, p, D * lam, sign * body ** B, det_pow * D,
-                        valuation)
+                        tilde_valuation(lam, n, p))
 
 
 def valuation_sign_predict(lam, n, p):
-    """Sign in {-1, 0, +1} of the boundary valuation predicted for the
-    norm of a highest-weight vector: minus the sign of the boundary
-    functional ``weights.hw_functional`` on lam.  Raises ValueError for
-    n < 1 and a non-prime p."""
+    """Sign in {-1, 0, +1} of the boundary valuation of the norm of a
+    highest-weight vector: minus that of ``hw_functional(n, p)`` on lam, a
+    corollary of ``tilde_valuation``, whose factor -|G| / [n]_p is
+    negative.  Raises ValueError for n < 1 and a non-prime p."""
     validate_n_p(n, p)
     total = hw_functional(n, p).dot(lam)
     return (total < 0) - (total > 0)

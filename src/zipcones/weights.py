@@ -119,26 +119,38 @@ def hw_functional(n, p):
     return Weight(p ** (n - i) for i in range(1, n + 1))
 
 
-def gaussian_binomial(n, i, p):
-    """Number of F_p-points of the Grassmannian-type quotient, exact: the
-    product of (p^{n-k} - 1) / (p^{k+1} - 1) over k < i.  Each partial
-    product is the Gaussian binomial [n, k+1] at p, an integer, so every
-    division is exact."""
+def gaussian_binomials(n, p):
+    """[n, i]_p for i = 0..n: one running product [n, i] = [n, i-1]
+    (p^{n-i+1} - 1) / (p^i - 1), each [n, i] an integer, so exact."""
     if p < 2:
         raise ValueError("need p >= 2, got %r" % (p,))
+    row = [1]
+    for i in range(1, n + 1):
+        row.append(row[-1] * (p ** (n - i + 1) - 1) // (p ** i - 1))
+    return row
+
+
+def gaussian_binomial(n, i, p):
+    """[n, i]_p, read off ``gaussian_binomials``."""
+    row = gaussian_binomials(n, p)
     if not 0 <= i <= n:
         raise ValueError("need 0 <= i <= n")
-    out = 1
-    for k in range(i):
-        out = out * (p ** (n - k) - 1) // (p ** (k + 1) - 1)
-    return out
+    return row[i]
+
+
+def eta_weights(n, p):
+    """Boundary generators eta_1, ..., eta_{n-1} of the highest-weight
+    cone: i entries [n-1, i]_p, then n - i entries -p^{n-i} [n-1, i-1]_p."""
+    row = gaussian_binomials(n - 1, p)
+    return [Weight([row[i]] * i + [-p ** (n - i) * row[i - 1]] * (n - i))
+            for i in range(1, n)]
 
 
 def eta_weight(n, p, i):
-    """Boundary generator of the highest-weight cone, 1 <= i <= n-1."""
-    a = gaussian_binomial(n - 1, i, p)
-    b = -p ** (n - i) * gaussian_binomial(n - 1, i - 1, p)
-    return Weight([a] * i + [b] * (n - i))
+    """eta_i of ``eta_weights``, 1 <= i <= n - 1."""
+    if not 1 <= i < n:
+        raise ValueError("need 1 <= i <= n - 1")
+    return eta_weights(n, p)[i - 1]
 
 
 def is_prime(p):

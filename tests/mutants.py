@@ -59,18 +59,13 @@ MUTANTS = [
      ["tests/test_modules.py::test_torus_filter_reads_every_weight_coordinate"]),
     ("modules.py", "if act(f) != f * scale:", "if False:",
      ["tests/test_modules.py::test_left_borel_law_check_is_live"]),
-    ("modules.py", "_check_borel_law(p, lower, [d],",
+    ("modules.py", "_check_borel_law(p, lower, [delta],",
      "_check_borel_law(p, lower, [],",
      ["tests/test_modules.py::test_lower_stability_check_is_live"]),
     ("modules.py", "sign * body ** B", "body ** B",
      ["tests/test_modules.py::test_norm_carries_chi_at_rank_one"]),
-    ("modules.py", "return tuple(-borel_order(n, p) * sum(",
-     "return tuple(-sum(",
-     ["tests/test_modules.py::"
-      "test_tilde_valuation_matches_the_substitution_per_element"]),
-    ("modules.py", "any(s[-1][n - i:])", "any(s[-1][n - i - 1:])",
-     ["tests/test_modules.py::"
-      "test_tilde_valuation_matches_the_substitution_per_element"]),
+    ("modules.py", "(p - 1) // (p ** n - 1)", "(p - 1) // (p ** n + 1)",
+     ["tests/test_modules.py::test_tilde_valuation_is_the_boundary_functional"]),
     ("cones.py", "_dot(h, lam) // w for w", "_dot(h, lam) // w - 1 for w",
      ["tests/test_cones.py::test_monoid_membership_decides_on_a_pointed_cone"]),
     ("cones.py", "if any(residual):", "if False:",
@@ -89,12 +84,10 @@ MUTANTS = [
      ["tests/test_modules.py::test_leading_term_check_is_live"]),
     ("weights.py", "if p >= PRIME_LIMIT:", "if False:",
      ["tests/test_weights.py::test_is_prime_refuses_psi13"]),
-    ("modules.py", "- group_order(n, p) * det_pow)", ")",
-     ["tests/test_modules.py::test_tilde_valuation_is_the_boundary_functional"]),
     ("modules.py",
      "reps = flag_representatives(n, p)\n"
-     "    deltas = [delta_minor(n, p, i) for i in range(1, n)]",
-     "deltas = [delta_minor(n, p, i) for i in range(1, n)]\n"
+     "    delta = delta_minor(n, p, i)",
+     "delta = delta_minor(n, p, i)\n"
      "    reps = flag_representatives(n, p)",
      ["tests/test_modules.py::"
       "test_tilde_refuses_on_the_flag_guard_before_building"]),
@@ -105,6 +98,11 @@ MUTANTS = [
      ["tests/test_fplinalg.py::test_peeling_a_column_frees_the_next_row"]),
     ("fplinalg.py", "keys[j] = None", "pass",
      ["tests/test_fplinalg.py::test_deep_weights_peel_to_a_small_core"]),
+    ("weights.py", "(p ** (n - i + 1) - 1)", "(p ** (n - i) - 1)",
+     ["tests/test_rootdata.py::test_gaussian_binomial_values"]),
+    ("cli.py", "if digits and max(", "if False and max(",
+     ["tests/test_cli.py::"
+      "test_an_output_integer_past_the_digit_limit_exits_2"]),
     ("oracle.py", "_compositions(free, (free,) * n)",
      "_compositions(free, (free,) * (n - 1) + (0,))",
      ["tests/test_sections.py::"

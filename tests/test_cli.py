@@ -490,6 +490,16 @@ def test_unwritable_out_is_a_usage_error(tmp_path):
     assert err.startswith("usage error: cannot write --out")
 
 
+def test_hw_generators_past_the_digit_limit_exit_2_in_a_fresh_process():
+    # [249, 125]_2 has more than 4300 digits; the Gaussian binomials are one
+    # running product and the output is checked before any integer is
+    # printed, so the refusal takes a fraction of a second, not seconds
+    code, err = _run_process(["cone", "--name", "hw", "--n", "250", "--p",
+                              "2", "--emit", "generators"])
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("guard error: an output integer has more than")
+
+
 def test_vlambda_rank3_p3(tmp_path):
     # |GL_3(F_3)| = 11232 is past the element-list guard, but the
     # invariants need only the word certificate of the generators

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fp_reference import fp_nullspace
 from module_reference import spanning_module
 from valuation_reference import (
+    delta_valuations,
     group_elements,
     norm_by_element,
     valuation_by_element,
@@ -39,7 +40,6 @@ from zipcones.modules import (
     verify_left_borel_law,
     weyl_dimension,
 )
-from zipcones.weights import hw_functional
 
 
 def test_group_enumeration_and_order():
@@ -348,9 +348,9 @@ def test_lower_stability_check_is_live(monkeypatch):
     # with a_11 in place of Delta_1 = a_12, a_11(Xb) = a_11 b_11 + a_12 b_21
     # is not a_11 times b_22
     monkeypatch.setattr(modules, "delta_minor", lambda n, p, i: a_var(p, 1, 1))
-    modules._delta_valuations.cache_clear()
+    modules._delta_norm.cache_clear()
     with pytest.raises(TheoremViolationError, match="Delta_1 is not stable"):
-        tilde_valuation((1, 0), 2, 2)
+        tilde_section((1, 0), 2, 2)
 
 
 def _dominant(n, bound):
@@ -365,8 +365,8 @@ def _dominant(n, bound):
     (3, 2, [(0, 0, -1), (1, -1, -2), (1, 1, -2), (2, 0, -2)]),
 ])
 def test_tilde_valuation_matches_the_substitution_per_element(n, p, weights):
-    # the one walk over the coset representatives against a substitution
-    # X -> b delta(t) s per group element, exactly, not only in sign
+    # the closed form against a substitution X -> b delta(t) s per group
+    # element, exactly, not only in sign
     for lam in weights:
         m, hw = build_module(lam, n, p), _delta_product(lam, p)
         assert tilde_valuation(lam, n, p) == valuation_by_element(m, hw), lam
@@ -388,27 +388,34 @@ def test_tilde_valuation_exact_at_rank_5():
 
 @pytest.mark.parametrize("n, p, bound", [
     (1, 2, 4), (1, 3, 4), (2, 2, 4), (2, 3, 3), (2, 5, 3), (2, 7, 2),
-    (3, 2, 2), (3, 3, 2), (3, 5, 1), (4, 2, 1), (4, 3, 1), (5, 2, 1)])
+    (2, 13, 2), (3, 2, 2), (3, 3, 2), (3, 5, 1), (3, 7, 1), (4, 2, 1),
+    (4, 3, 1), (5, 2, 1)])
 def test_tilde_valuation_is_the_boundary_functional(n, p, bound):
-    # the walk gives v_i = -(|G| / [n]_p) (h_1 + ... + h_i) for Delta_i and
-    # -|G| for det, h = hw_functional(n, p) and [n]_p = (p^n - 1)/(p - 1),
-    # so the valuation is -(|G| / [n]_p) <h, lam>: criterion 7's signs,
-    # exactly
-    scale = group_order(n, p) * (p - 1) // (p ** n - 1)
-    h = hw_functional(n, p)
+    # the closed form -(|G| / [n]_p) <h, lam> against the walk over the
+    # cosets, which counts sum_i k_i v_i for the Delta_i and -|G| lam_n for
+    # det: criterion 7's signs, exactly
+    v = delta_valuations(n, p)
     for lam in _dominant(n, bound):
-        assert tilde_valuation(lam, n, p) == -scale * h.dot(lam), lam
+        walk = sum((lam[i] - lam[i + 1]) * v[i] for i in range(n - 1))
+        assert tilde_valuation(lam, n, p) == (
+            walk - group_order(n, p) * lam[-1]), lam
+
+
+def test_tilde_valuation_answers_past_the_flag_guard():
+    # (6, 2) has 615,195 cosets and (4, 5) 29,016; the closed form lists none
+    assert tilde_valuation((1, 0, 0, 0, 0, 0), 6, 2) == -10239344640
+    assert tilde_valuation((1, 0, 0, 0), 4, 5) == -93000000000
 
 
 def test_tilde_refuses_on_the_flag_guard_before_building(monkeypatch):
-    # |GL_5(F_3)/B^-| = 251,680 is past the flag guard, which both consult
-    # before any Delta_i is built
+    # |GL_5(F_3)/B^-| = 251,680 is past the flag guard, which the norm
+    # consults before any minor is built; the valuation walks no flag
     def refuse(*args):
         raise AssertionError("built a minor past the guard")
 
     monkeypatch.setattr(modules, "delta_minor", refuse)
-    with pytest.raises(GuardExceededError, match="flag guard"):
-        tilde_valuation((6, 6, 6, 5, 3), 5, 3)
+    monkeypatch.setattr(modules, "minor", refuse)
+    assert tilde_valuation((6, 6, 6, 5, 3), 5, 3) == -2829817036800
     with pytest.raises(GuardExceededError, match="flag guard"):
         tilde_section((1, 0, 0, 0, 0), 5, 3)
 

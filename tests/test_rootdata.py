@@ -4,7 +4,7 @@ from math import comb
 
 from zipcones.cones import Weight
 from zipcones.rootdata import SymplecticRootDatum
-from zipcones.weights import gaussian_binomial
+from zipcones.weights import eta_weight, eta_weights, gaussian_binomial
 
 
 @lru_cache(maxsize=None)
@@ -62,3 +62,21 @@ def test_gaussian_binomial_product_rejects_small_p():
     for p in (1, 0, -3):
         with pytest.raises(ValueError):
             gaussian_binomial(2, 1, p)
+
+
+def test_eta_weights_read_one_row_against_the_reference():
+    # eta_i has i entries [n-1, i]_p and n - i entries -p^{n-i} [n-1, i-1]_p
+    def at(n, i, p):
+        coeffs = gaussian_binomial_coeffs(n, i)
+        return sum(c * p ** k for k, c in enumerate(coeffs))
+
+    for n in range(1, 7):
+        for p in (2, 3, 5):
+            want = [Weight([at(n - 1, i, p)] * i
+                           + [-p ** (n - i) * at(n - 1, i - 1, p)] * (n - i))
+                    for i in range(1, n)]
+            assert eta_weights(n, p) == want, (n, p)
+            assert [eta_weight(n, p, i) for i in range(1, n)] == want
+            for i in (0, n):
+                with pytest.raises(ValueError):
+                    eta_weight(n, p, i)

@@ -762,7 +762,6 @@ def test_norm_product_is_bounded_by_the_term_cap(monkeypatch):
     # refuses the power under a cap of 3 and the walk under a cap of 2
     assert len(tilde_section((1, 0), 2, 3).body_num.terms) == 4
     for cap, terms in [(3, 4), (2, 3)]:
-        modules._delta_valuations.cache_clear()
         modules._delta_norm.cache_clear()
         monkeypatch.setattr(fpoly, "MONOMIAL_CAP", cap)
         with pytest.raises(GuardExceededError,

@@ -8,10 +8,12 @@ unitriangular and delta(t) = diag(t, ..., t, 1) (the last row scaled by
 ``norm_by_element`` multiplies the right translates det(s)^det_pow f(X s)
 over every s and divides the determinant out completely.  Both take the
 module for n, p and det_pow, and the numerator ``num`` of f.
-``modules.tilde_section`` reads the same norm off one translate per coset
-of GL_n(F_p)/B^-, and ``modules.tilde_valuation`` the same valuation off
-the last row of each coset's representative, with no substitution; tests
-compare them exactly.
+``delta_valuations`` walks the cosets of GL_n(F_p)/B^- instead, one
+representative each, and reads the order of each Delta_i off the last
+row of the representative, with no substitution.
+``modules.tilde_section`` reads the same norm off one translate per
+coset, and ``modules.tilde_valuation`` the same valuation off a closed
+form that lists no coset; tests compare them exactly.
 """
 
 import itertools
@@ -28,6 +30,7 @@ from zipcones.fpoly import (
     matrix_images,
     minor,
 )
+from zipcones.modules import borel_order, flag_representatives
 
 _T = ("t",)
 
@@ -80,3 +83,14 @@ def norm_by_element(module, num):
     while (q := exact_divide(prod, det)) is not None:
         prod, power = q, power + 1
     return prod, power
+
+
+@lru_cache(maxsize=None)
+def delta_valuations(n, p):
+    """(v_1, ..., v_{n-1}): v_i is |B^-| times the sum over the coset
+    representatives s of ord_t Delta_i(b delta(t) s) - i, which is -1 if
+    row n of s is nonzero in its last i columns and 0 otherwise (the
+    argument is in ``modules.tilde_valuation``'s docstring)."""
+    reps = flag_representatives(n, p)
+    return tuple(-borel_order(n, p) * sum(any(s[-1][n - i:]) for s in reps)
+                 for i in range(1, n))
