@@ -52,12 +52,8 @@ class GeneratedCone:
 
     def __init__(self, rank, generators):
         self.rank = int(rank)
-        seen = []
-        for g in generators:
-            w = _as_weight(g, self.rank)
-            if any(c != 0 for c in w) and w not in seen:
-                seen.append(w)
-        self.generators = tuple(seen)
+        ws = (_as_weight(g, self.rank) for g in generators)
+        self.generators = tuple(dict.fromkeys(w for w in ws if any(w)))
         self._dual = None
         self._halfspaces = None
         self._tail = None
@@ -76,7 +72,7 @@ class HalfspaceSystem:
 
     def __init__(self, rank, inequalities):
         self.rank = int(rank)
-        rows = []
+        rows = {}
         for h in inequalities:
             t = _primitive(h)
             if len(t) != self.rank:
@@ -84,8 +80,7 @@ class HalfspaceSystem:
                     "inequality of length %d in rank %d" % (len(t), self.rank))
             if all(c == 0 for c in t):
                 raise ValueError("zero inequality row")
-            if t not in rows:
-                rows.append(t)
+            rows[t] = None
         self.inequalities = tuple(rows)
 
     def __repr__(self):

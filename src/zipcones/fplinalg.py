@@ -40,26 +40,26 @@ def _addmul(dst, src, c, p):
 def _peel(columns, p):
     """Indices, ascending, of the core: the columns left after taking out,
     while some row has exactly one live nonzero, that row's column.  Per
-    row a count and the sum of the live column indices name that column."""
-    keys = [[k for k, x in col.items() if x % p] for col in columns]
-    count, total = {}, {}
-    for i, ks in enumerate(keys):
-        for k in ks:
-            count[k] = count.get(k, 0) + 1
-            total[k] = total.get(k, 0) + i
-    todo = list(count)
+    row, one integer's low w bits count the live columns and the bits above
+    sum their indices.  Only a column with an entry 0 mod p is copied."""
+    live = [col if all(x % p for x in col.values())
+            else {k: x for k, x in col.items() if x % p} for col in columns]
+    w = len(columns).bit_length()
+    mask, rows = (1 << w) - 1, {}
+    for step, col in zip(range(1, len(live) << w, 1 << w), live):
+        for k in col:
+            rows[k] = rows.get(k, 0) + step
+    todo = list(rows)
     while todo:
         k = todo.pop()
-        if count[k] != 1:
-            continue
-        j = total[k]
-        for r in keys[j]:
-            count[r] -= 1
-            total[r] -= j
-            if count[r] == 1:
-                todo.append(r)
-        keys[j] = None
-    return [i for i, ks in enumerate(keys) if ks is not None]
+        if rows[k] & mask == 1:
+            j = rows[k] >> w
+            for r in live[j]:
+                rows[r] -= j << w | 1
+                if rows[r] & mask == 1:
+                    todo.append(r)
+            live[j] = None
+    return [i for i, col in enumerate(live) if col is not None]
 
 
 def _reduce_dicts(columns, tags, p):

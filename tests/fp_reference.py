@@ -1,12 +1,13 @@
 """Reference F_p linear algebra: the package's three eliminations before
-they became one reduction, kept unchanged as the independent side of the
-cross-checks.
+they became one reduction, and its peel before it packed each row into one
+integer, kept unchanged as the independent side of the cross-checks.
 
 ``fp_nullspace`` eliminates dict columns at odd p, ``_nullspace_gf2`` bit
 integers at p = 2, each carrying a combination beside every pivot, and
 ``fp_det`` eliminates a dense matrix.  The odd-p loop never returns on a
 column with an entry divisible by p (its pivot step is then 0), so callers
-pass reduced entries.
+pass reduced entries.  ``peel_reference`` copies each column's live keys
+and keeps a count and an index sum per row in two dicts.
 """
 
 from __future__ import annotations
@@ -97,3 +98,28 @@ def fp_det(mat, p):
                 f = inv * row[c] % p
                 row[:] = [(x - f * y) % p for x, y in zip(row, top)]
     return det % p
+
+
+def peel_reference(columns, p):
+    """Indices, ascending, of the core: the columns left after taking out,
+    while some row has exactly one live nonzero, that row's column.  Per
+    row a count and the sum of the live column indices name that column."""
+    keys = [[k for k, x in col.items() if x % p] for col in columns]
+    count, total = {}, {}
+    for i, ks in enumerate(keys):
+        for k in ks:
+            count[k] = count.get(k, 0) + 1
+            total[k] = total.get(k, 0) + i
+    todo = list(count)
+    while todo:
+        k = todo.pop()
+        if count[k] != 1:
+            continue
+        j = total[k]
+        for r in keys[j]:
+            count[r] -= 1
+            total[r] -= j
+            if count[r] == 1:
+                todo.append(r)
+        keys[j] = None
+    return [i for i, ks in enumerate(keys) if ks is not None]

@@ -94,10 +94,16 @@ MUTANTS = [
     ("catalog.py", "if self.monoid:\n            # the search always decides",
      "if False:\n            # the search always decides",
      ["tests/test_cli.py::test_sweep_monoid_agreement_default_box"]),
-    ("fplinalg.py", "if count[k] != 1:", "if count[k] > 2:",
+    ("fplinalg.py", "if rows[k] & mask == 1:", "if rows[k] & mask <= 2:",
      ["tests/test_fplinalg.py::test_peeling_a_column_frees_the_next_row"]),
-    ("fplinalg.py", "keys[j] = None", "pass",
+    ("fplinalg.py", "live[j] = None", "pass",
      ["tests/test_fplinalg.py::test_deep_weights_peel_to_a_small_core"]),
+    ("fplinalg.py", "w = len(columns).bit_length()",
+     "w = len(columns).bit_length() - 1",
+     ["tests/test_fplinalg.py::"
+      "test_a_row_holding_every_column_fits_in_the_count_field"]),
+    ("cones.py", "rows[t] = None", "rows[t] = rows.pop(t, None)",
+     ["tests/test_cones.py::test_halfspace_rows_are_integer"]),
     ("weights.py", "(p ** (n - i + 1) - 1)", "(p ** (n - i) - 1)",
      ["tests/test_rootdata.py::test_gaussian_binomial_values"]),
     ("cli.py", "if digits and max(", "if False and max(",

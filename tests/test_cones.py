@@ -64,6 +64,9 @@ def test_halfspace_rows_are_integer():
         (1, -2), (-1, 0))
     assert HalfspaceSystem(2, [(2.0, Fraction(6, 3))]).inequalities == (
         (1, 1),)
+    # so h, 2h and h again are one row, kept where h first stood
+    assert HalfspaceSystem(2, [(1, -2), (0, 1), (2, -4), (1, -2)]
+                           ).inequalities == ((1, -2), (0, 1))
     for row in [(Fraction(1, 2), -1), (0.5, 1), (1, 2.5)]:
         with pytest.raises(ValueError):
             HalfspaceSystem(2, [row])
@@ -77,6 +80,12 @@ def test_zero_halfspace_row_is_refused():
 def test_generated_cone_dedupes_and_drops_zero():
     c = GeneratedCone(2, [(1, 0), (1, 0), (0, 0), (2, 1)])
     assert c.generators == (Weight((1, 0)), Weight((2, 1)))
+    # each generator stays where it first occurs; a Weight and a tuple
+    # with the same entries are one generator
+    c = GeneratedCone(2, [(1, 0), (0, 1), Weight((2, 1)), (0, 0), (1, 0),
+                          (2, 1), (0, 1)])
+    assert c.generators == ((1, 0), (0, 1), (2, 1))
+    assert all(type(g) is Weight for g in c.generators)
 
 
 def test_monoid_membership_sp4_generator():

@@ -1,11 +1,11 @@
 """The one F_p reduction against the eliminations it replaced.
 
-``fp_reference`` keeps the earlier ``fp_nullspace``, ``_nullspace_gf2`` and
-dense ``fp_det`` unchanged; ``gfq.gf_matrix_rank`` gives a third, dense rank.
-Entries are drawn from [-p, 2p), so columns hold entries divisible by p,
-which the reference cannot take and the reduction drops on entry.  The
-peeled reduction is also checked against ``_reduce_dicts`` on every
-column, with no peel.
+``fp_reference`` keeps the earlier ``fp_nullspace``, ``_nullspace_gf2``,
+dense ``fp_det`` and two-dict peel unchanged; ``gfq.gf_matrix_rank`` gives
+a third, dense rank.  Entries are drawn from [-p, 2p), so columns hold
+entries divisible by p, which the reference cannot take and the reduction
+drops on entry.  The peeled reduction is also checked against
+``_reduce_dicts`` on every column, with no peel.
 """
 
 import itertools
@@ -62,6 +62,7 @@ def test_reduction_matches_the_reference_eliminations(system):
     dependent = dependent_columns(columns, p)
     assert set(dependent) == {max(combo) for combo in ref}
     assert dependent == sorted(dependent)
+    assert _peel(columns, p) == fp_reference.peel_reference(columns, p)
 
     field = field_for(p)  # rank does not change under a field extension
     keys = sorted({k for c in columns for k in c})
@@ -80,7 +81,9 @@ def _assert_peeled_as_one_shot(columns, tags, p):
     one_shot = _reduce_dicts(columns, tags, p)[1]
     assert dependent_columns(columns, p) == list(one_shot)
     assert fp_nullspace(columns, tags, p) == list(one_shot.values())
-    return len(columns) - len(_peel(columns, p)), len(one_shot)
+    core = _peel(columns, p)
+    assert core == fp_reference.peel_reference(columns, p)
+    return len(columns) - len(core), len(one_shot)
 
 
 def test_peeled_and_one_shot_reductions_agree_on_oracle_columns():
@@ -140,6 +143,19 @@ def test_no_row_peels_when_every_row_holds_two_columns():
         assert _peel(columns, p) == [0, 1, 2]
         assert dependent_columns(columns, p) == dependent
         _assert_peeled_as_one_shot(columns, units, p)
+
+
+def test_a_row_holding_every_column_fits_in_the_count_field():
+    # row -1 holds all n columns, so its count reaches n: 0b1000 at n = 8,
+    # the top bit of the w = 4 bit field, and 0b111 at n = 7, every bit of
+    # w = 3.  The first n - 2 columns peel on their own rows, which leaves
+    # row -1 and row -2 holding the last two, and column n - 1 is twice n - 2
+    for n in (8, 7):
+        columns = [{-1: 1, i: 1} for i in range(n - 2)]
+        columns += [{-1: 1, -2: 1}, {-1: 2, -2: 2}]
+        assert _peel(columns, 3) == [n - 2, n - 1]
+        assert dependent_columns(columns, 3) == [n - 1]
+        _assert_peeled_as_one_shot(columns, [{i: 1} for i in range(n)], 3)
 
 
 def test_deep_weights_peel_to_a_small_core():
