@@ -83,9 +83,10 @@ def cone_GS(n):
     e_i - e_j, <= 0 on the rest, e_i + e_j and e_i (i < j); reduces to
     0 >= a_1 >= ... >= a_n."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rows = [_unit(n, i) - _unit(n, j) for i, j in pairs]
-    rows += [-(_unit(n, i) + _unit(n, j)) for i, j in pairs]
-    rows += [-_unit(n, i) for i in range(n)]
+    units = [[int(j == i) for j in range(n)] for i in range(n)]
+    rows = [[a - b for a, b in zip(units[i], units[j])] for i, j in pairs]
+    rows += [[-a - b for a, b in zip(units[i], units[j])] for i, j in pairs]
+    rows += [[-a for a in unit] for unit in units]
     gens = [Weight([0] * (n - i) + [-1] * i) for i in range(1, n + 1)]
     return NamedCone("GS", n, generated=GeneratedCone(n, gens),
                      halfspaces=HalfspaceSystem(n, rows))

@@ -65,10 +65,13 @@ def _emit(args, text):
 
 
 def _ints(doc):
-    items = doc.values() if isinstance(doc, dict) else doc
-    if isinstance(doc, (dict, list, tuple)):
-        return [x for item in items for x in _ints(item)]
-    return [doc] if isinstance(doc, int) else []
+    stack = [doc]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (dict, list, tuple)):
+            stack.extend(item.values() if isinstance(item, dict) else item)
+        elif isinstance(item, int):
+            yield item
 
 
 def _json(doc):

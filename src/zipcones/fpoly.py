@@ -465,17 +465,12 @@ def mat_identity(n, p):
 
 
 def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = A[i][0] * B[0][j]
-            for l in range(1, k):
-                acc = acc + A[i][l] * B[l][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    """A B, skipping each product with a zero factor (most of them in X g
+    for a constant g); an entry with no other is the zero row[0] col[0]."""
+    def entry(row, col):
+        terms = [a * b for a, b in zip(row, col) if b and a]
+        return sum(terms[1:], terms[0]) if terms else row[0] * col[0]
+    return [[entry(row, col) for col in zip(*B)] for row in A]
 
 
 def matrix_images(M):

@@ -107,14 +107,15 @@ def group_generators(n, p):
     """T = 1 + E_12 and the n-cycle C (n > 1; none for n = 1), certified
     by words to generate a group that contains SL_n(F_p).
 
-    ``_check_elementary_words`` proves that words in T and C give every
-    1 + E_ik, i != k.  Over F_p, (1 + E_ik)^t = 1 + t E_ik, and elementary
-    matrices generate SL_n(F_p) (Lang, *Algebra*, XIII §8).  C itself has
-    det (-1)^(n-1), so for even n and odd p it lies outside SL_n(F_p).
-    GL_n(F_p) is generated by SL_n(F_p) and the diagonal matrices
-    diag(g, 1, ..., 1), whose determinants g run over F_p^*, so T, C and
-    those generate it; ``invariants_finite_group`` imposes the diagonal
-    ones on the torus weights, so it needs no further generator.
+    ``_check_elementary_words`` proves, in O(n^2) and one 3 x 3 product of
+    2p factors, that words in T and C give every 1 + E_ik, i != k.  Over
+    F_p, (1 + E_ik)^t = 1 + t E_ik, and elementary matrices generate
+    SL_n(F_p) (Lang, *Algebra*, XIII §8).  C has det (-1)^(n-1), so for
+    even n and odd p it lies outside SL_n(F_p).  GL_n(F_p) is generated by
+    SL_n(F_p) and the diagonal matrices diag(g, 1, ..., 1), whose
+    determinants g run over F_p^*, so T, C and those generate it;
+    ``invariants_finite_group`` imposes the diagonal ones on the torus
+    weights, so it needs no further generator.
     """
     validate_n_p(n, p)
     if n == 1:
@@ -128,37 +129,35 @@ def group_generators(n, p):
 
 def _check_elementary_words(transvection, cycle, p):
     """Raise TheoremViolationError unless words in T = ``transvection``
-    and C = ``cycle`` multiply out mod p to every 1 + E_ik, i != k:
-    T_{i,i+1} = C^{-1} T_{i-1,i} C (indices mod n), then gap by gap
-    T_ik = [T_ij, T_jk] with j = i + 1 and a^{-1} = a^{p-1}.  C must be a
-    permutation matrix sum_r E_{r,sigma(r)}, so C^{-1} M C has the entry
-    (r, c) of M at (sigma(r), sigma(c)).  The factors of a commutator are
-    1 + E_ij and 1 + E_jk, checked one gap earlier, so its word is
-    multiplied out on the identity by column operations: a right factor
-    1 + E_xy adds column x to column y."""
+    and C = ``cycle`` multiply out mod p to every 1 + E_ik, i != k
+    (indices mod n).  C must be a permutation matrix sum_r E_{r,sigma(r)},
+    so C^{-1} (1 + E_rc) C = 1 + E_{sigma(r),sigma(c)}; with T = 1 + E_12
+    and sigma the shift r -> r + 1 these give every 1 + E_{i,i+1}.  Then
+    gap by gap T_ik = [T_ij, T_jk], j = i + 1 and a^{-1} = a^{p-1}, with
+    factors from one gap earlier.  Its word, multiplied out on the identity
+    by column operations (a right factor 1 + E_xy adds column x to column
+    y), touches only columns i, j, k, which stay inside rows i, j, k: the
+    n x n product is the identity off that block, and the block is the
+    3 x 3 product below relabelled, so that one product checks them all."""
     n = len(cycle)
     sigma = [row.index(1) if 1 in row else n for row in cycle]
     if sorted(sigma) != list(range(n)) or cycle != tuple(
             tuple(int(c == s) for c in range(n)) for s in sigma):
         raise TheoremViolationError("C = %s is not a permutation matrix"
                                     % (cycle,))
-    source = sorted(range(n), key=sigma.__getitem__)
-    for gap in range(1, n):
-        for i in range(n):
-            j, k = (i + 1) % n, (i + gap) % n
-            if gap == 1:
-                out = transvection if i == 0 else tuple(
-                    tuple(out[source[r]][source[c]] for c in range(n))
-                    for r in range(n))
-            else:
-                cols = [[int(r == c) for r in range(n)] for c in range(n)]
-                for x, y in ([(i, j), (j, k)] + [(i, j)] * (p - 1)
-                             + [(j, k)] * (p - 1)):
-                    cols[y] = [(a + b) % p for a, b in zip(cols[y], cols[x])]
-                out = tuple(zip(*cols))
-            if out != _elementary(n, i, k):
-                raise TheoremViolationError("word for 1 + E_%d,%d gives %s"
-                                            % (i + 1, k + 1, out))
+    if n > 1 and (transvection != _elementary(n, 0, 1)
+                  or sigma != [(r + 1) % n for r in range(n)]):
+        raise TheoremViolationError(
+            "T = %s and C = %s are not 1 + E_12 and the shift r -> r + 1"
+            % (transvection, cycle))
+    if n < 3:
+        return
+    cols = [[int(r == c) for r in range(3)] for c in range(3)]
+    for x, y in ([(0, 1), (1, 2)] + [(0, 1)] * (p - 1) + [(1, 2)] * (p - 1)):
+        cols[y] = [(a + b) % p for a, b in zip(cols[y], cols[x])]
+    word = tuple(zip(*cols))
+    if word != _elementary(3, 0, 2):
+        raise TheoremViolationError("word for 1 + E_13 gives %s" % (word,))
 
 
 # ---------------------------------------------------------------------------

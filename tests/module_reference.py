@@ -1,16 +1,21 @@
-"""Reference construction of V(lam): the spanning set the package built
-before its semistandard-tableau basis, kept as the independent side of the
-span test.
+"""Reference constructions for ``zipcones.modules``, kept as the
+independent side of the tests that compare against them.
 
-``spanning_module`` lists every multiset of initial-row minors per level
-(each level i taken lam_i - lam_{i+1} times), expands each product, groups
-the products by torus weight and keeps, per weight block, the products
-independent of the ones before them.  Nothing certifies the result but
-its count, which ``weyl_dimension`` must match.
+``spanning_module`` is the construction of V(lam) the package used before
+its semistandard-tableau basis: it lists every multiset of initial-row
+minors per level (each level i taken lam_i - lam_{i+1} times), expands
+each product, groups the products by torus weight and keeps, per weight
+block, the products independent of the ones before them.  Nothing
+certifies the result but its count, which ``weyl_dimension`` must match.
+
+``elementary_words_walk`` is the generator certificate the package used
+before it checked only the index map of C and one 3 x 3 commutator: it
+multiplies out the word for every 1 + E_ik as an n x n matrix.
 """
 
 import itertools
 
+from zipcones.errors import TheoremViolationError
 from zipcones.fplinalg import dependent_columns
 from zipcones.modules import (
     InducedModule,
@@ -55,3 +60,40 @@ def spanning_module(lam, n, p):
                          % (lam, len(basis), weyl_dimension(lam)))
     return InducedModule(lam, n, p, lam[-1], mults, tuple(basis),
                          tuple(polys), tuple(weights))
+
+
+def elementary(n, i, k):
+    """1 + E_ik, 0-based, as a tuple of row tuples; the identity for i = k."""
+    return tuple(tuple(int(r == c or (r, c) == (i, k)) for c in range(n))
+                 for r in range(n))
+
+
+def elementary_words_walk(transvection, cycle, p):
+    """Raise TheoremViolationError unless words in T = ``transvection``
+    and C = ``cycle`` multiply out mod p to every 1 + E_ik, i != k:
+    T_{i,i+1} = C^{-1} T_{i-1,i} C (indices mod n), then gap by gap
+    T_ik = [T_ij, T_jk] with j = i + 1 and a^{-1} = a^{p-1}, each word an
+    n x n product compared with its n x n target."""
+    n = len(cycle)
+    sigma = [row.index(1) if 1 in row else n for row in cycle]
+    if sorted(sigma) != list(range(n)) or cycle != tuple(
+            tuple(int(c == s) for c in range(n)) for s in sigma):
+        raise TheoremViolationError("C = %s is not a permutation matrix"
+                                    % (cycle,))
+    source = sorted(range(n), key=sigma.__getitem__)
+    for gap in range(1, n):
+        for i in range(n):
+            j, k = (i + 1) % n, (i + gap) % n
+            if gap == 1:
+                out = transvection if i == 0 else tuple(
+                    tuple(out[source[r]][source[c]] for c in range(n))
+                    for r in range(n))
+            else:
+                cols = [[int(r == c) for r in range(n)] for c in range(n)]
+                for x, y in ([(i, j), (j, k)] + [(i, j)] * (p - 1)
+                             + [(j, k)] * (p - 1)):
+                    cols[y] = [(a + b) % p for a, b in zip(cols[y], cols[x])]
+                out = tuple(zip(*cols))
+            if out != elementary(n, i, k):
+                raise TheoremViolationError("word for 1 + E_%d,%d gives %s"
+                                            % (i + 1, k + 1, out))

@@ -66,6 +66,13 @@ MUTANTS = [
      ["tests/test_modules.py::test_norm_carries_chi_at_rank_one"]),
     ("modules.py", "(p - 1) // (p ** n - 1)", "(p - 1) // (p ** n + 1)",
      ["tests/test_modules.py::test_tilde_valuation_is_the_boundary_functional"]),
+    ("modules.py", "sigma != [(r + 1) % n for r in range(n)]",
+     "sigma != [(r - 1) % n for r in range(n)]",
+     ["tests/test_modules.py::"
+      "test_word_certificate_agrees_with_the_n_by_n_walk"]),
+    ("modules.py", "[(0, 1)] * (p - 1)", "[(0, 1)] * p",
+     ["tests/test_modules.py::"
+      "test_word_certificate_agrees_with_the_n_by_n_walk"]),
     ("cones.py", "_dot(h, lam) // w for w", "_dot(h, lam) // w - 1 for w",
      ["tests/test_cones.py::test_monoid_membership_decides_on_a_pointed_cone"]),
     ("cones.py", "if any(residual):", "if False:",

@@ -270,6 +270,32 @@ def test_mat_mul_identity():
                                    for i in (1, 2, 3) for j in (1, 2)}
 
 
+def _schoolbook_mul(A, B):
+    return [[sum((A[i][l] * B[l][j] for l in range(1, len(B))),
+                 A[i][0] * B[0][j]) for j in range(len(B[0]))]
+            for i in range(len(A))]
+
+
+@pytest.mark.parametrize("n, p", [(1, 2), (2, 3), (3, 2), (4, 5)])
+def test_mat_mul_skipping_zero_factors_keeps_every_product(n, p):
+    # every term in the same order: a substitution built from the product
+    # walks its image terms in that order
+    from zipcones.modules import _generic_lower, group_generators
+    rng = random.Random(n * p)
+    X = generic_matrix(n, p)
+    g = [[rng.choice([0, 0, 1, p - 1]) for _ in range(n)] for _ in range(n)]
+    pairs = [(X, g), (g, X), (g, g), (X, [[0] * n] * n),
+             (_generic_lower(n, p), X), (X, _generic_lower(n, p))]
+    pairs += [(X, h) for h in group_generators(n, p)]
+    def entries(M):
+        return [[(type(e), list(e.terms.items())
+                  if isinstance(e, FpPolynomial) else e) for e in row]
+                for row in M]
+
+    for A, B in pairs:
+        assert entries(mat_mul(A, B)) == entries(_schoolbook_mul(A, B))
+
+
 def test_entry_weight_of_a_fraction():
     f = (a_var(2, 2, 2).frobenius(), (1, 0))
     # wt(a22^2) = (0,-2) minus wt(D1) = (1,-2): the (1,1) entry weight (1-p)e1

@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fp_reference import fp_nullspace
-from module_reference import spanning_module
+from module_reference import (
+    elementary,
+    elementary_words_walk,
+    spanning_module,
+)
 from valuation_reference import (
     delta_valuations,
     group_elements,
@@ -152,6 +156,56 @@ def test_word_certificate_rejects_a_wrong_generating_set():
         with pytest.raises(TheoremViolationError,
                            match="not a permutation matrix"):
             _check_elementary_words(t12, c, p)
+
+
+def _verdict(check, transvection, cycle, p):
+    try:
+        check(transvection, cycle, p)
+    except TheoremViolationError:
+        return False
+    return True
+
+
+def _permutation_matrix(sigma, scale=1):
+    n = len(sigma)
+    return tuple(tuple(scale * int(c == s) for c in range(n)) for s in sigma)
+
+
+def test_word_certificate_agrees_with_the_n_by_n_walk():
+    # the index map and one 3 x 3 commutator accept and reject exactly
+    # what multiplying out every word as an n x n matrix does: at n = 2..4
+    # every permutation matrix C and 2 C against every elementary T and
+    # the identity, and at n = 5..8 the shift, its inverse and twice the
+    # shift against 1 + E_12, 1 + E_21 and the identity
+    cases = []
+    for n in (2, 3, 4):
+        cycles = [_permutation_matrix(s, scale) for scale in (1, 2)
+                  for s in itertools.permutations(range(n))]
+        transvections = {elementary(n, i, k) for i in range(n)
+                         for k in range(n)}
+        cases += itertools.product(transvections, cycles)
+    for n in range(5, 9):
+        shift = [(r + 1) % n for r in range(n)]
+        back = [(r - 1) % n for r in range(n)]
+        cycles = [_permutation_matrix(shift), _permutation_matrix(back),
+                  _permutation_matrix(shift, 2)]
+        transvections = [elementary(n, 0, 1), elementary(n, 1, 0),
+                         elementary(n, 0, 0)]
+        cases += itertools.product(transvections, cycles)
+    accepted = 0
+    for p in (2, 3, 5, 7):
+        for transvection, cycle in cases:
+            verdict = _verdict(_check_elementary_words, transvection, cycle, p)
+            assert verdict == _verdict(elementary_words_walk, transvection,
+                                       cycle, p), (transvection, cycle, p)
+            accepted += verdict
+    assert accepted == 4 * 7
+    for n in range(2, 9):
+        for p in (2, 3, 5, 7):
+            gens = group_generators(n, p)
+            assert gens == (elementary(n, 0, 1), _permutation_matrix(
+                [(r + 1) % n for r in range(n)]))
+            elementary_words_walk(*gens, p)
 
 
 def test_generators_need_no_closure():
