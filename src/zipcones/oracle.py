@@ -6,8 +6,8 @@ of invariance under the simple-root generators (its docstring), which
 ``unipotent_defect`` sums over one polynomial.  It is the brute-force side
 for the structured descriptions, and a leaf of the package: it builds no
 polynomial.  The image of a monomial under a generator is a product of
-powers of linear forms in the matrix entries and t; the expansion of each
-power is read off a table of binomial and multinomial coefficients mod p
+powers of linear forms in the matrix entries and t; each power's expansion
+is one cached table of row-key increments, built digit by digit in base p
 (Lucas' theorem), and only products of t-degree a power of p are formed.
 """
 
@@ -105,7 +105,7 @@ def enumerate_weight_monomials(lam, n, p, cap=MONOMIAL_CAP):
 
 
 # ---------------------------------------------------------------------------
-# images of powers of one entry, by coefficient tables
+# images of powers of one entry, packed digit by digit
 
 def _linear_image(p, k, i, j):
     """The image of a_ij under X -> (1 + t E_kl) X (1 - t^p E_kl), l = k - 1,
@@ -122,55 +122,64 @@ def _linear_image(p, k, i, j):
     return terms
 
 
-@lru_cache(maxsize=None)
-def _digit_splits(digit, parts, p):
-    """Splits of one base-p digit into ``parts`` parts, with their
-    multinomial coefficients mod p (all nonzero, as digit < p)."""
-    return tuple((split, factorial(digit)
-                  // prod(factorial(x) for x in split) % p)
-                 for split in _compositions(digit, (digit,) * parts))
-
-
-def _lucas_splits(e, parts, p):
-    """The splits of e into ``parts`` nonnegative parts whose multinomial
-    coefficient is nonzero mod p, with that coefficient.  By Lucas'
-    theorem these are the splits whose parts add up to e digit by digit in
-    base p with no carry, and the coefficient is the product of the digit
-    multinomials; so no split with a zero coefficient is formed."""
-    out = [((0,) * parts, 1)]
-    scale = 1
-    while e:
-        e, digit = divmod(e, p)
-        out = [(tuple(a + scale * b for a, b in zip(split, dsplit)),
-                c * dc % p)
-               for split, c in out
-               for dsplit, dc in _digit_splits(digit, parts, p)]
-        scale *= p
-    return out
+def _offset(n, entry, t_bits, a_bits):
+    """The low bit of the exponent field of entry (i, j) in a row key: t
+    in the low ``t_bits``, then ``a_bits`` per entry, row by row."""
+    i, j = entry
+    return t_bits + a_bits * ((i - 1) * n + j - 1)
 
 
 @lru_cache(maxsize=None)
-def image_table(p, k, entry, e):
-    """The image of a_ij^e, entry = (i, j), under the generator
-    1 + t E_{k,k-1}: a tuple of (t-degree, coefficient, monomial) with
-    coefficients in 1..p-1, where a monomial is a tuple of (entry,
-    exponent).
+def _digit_table(p, k, entry, digit):
+    """The image of a_ij^digit, entry = (i, j) and 0 <= digit < p, under
+    the generator 1 + t E_{k,k-1}: a tuple of (split, coefficient), where
+    split[m] units of a_ij go to the m-th term of ``_linear_image`` and the
+    coefficient is their signed multinomial mod p, nonzero as digit < p.
 
     A row-k entry a_kj moves c units to a_{k-1,j} with t^c and coefficient
-    binom(e, c); a column-(k-1) entry a_{i,k-1} moves d units to a_ik with
-    t^(pd) and coefficient (-1)^d binom(e, d); the corner a_{k,k-1} splits
-    multinomially over a_{k,k-1}, t a_{k-1,k-1}, -t^p a_kk and
-    -t^(p+1) a_{k-1,k}.  The only t^0 term is a_ij^e itself.
+    binom(digit, c); a column-(k-1) entry a_{i,k-1} moves d units to a_ik
+    with t^(pd) and coefficient (-1)^d binom(digit, d); the corner
+    a_{k,k-1} splits multinomially over a_{k,k-1}, t a_{k-1,k-1}, -t^p a_kk
+    and -t^(p+1) a_{k-1,k}.  The only t^0 split is a_ij^digit itself.
     """
-    terms = _linear_image(p, k, *entry)
-    table = []
-    for split, c in _lucas_splits(e, len(terms), p):
-        degree = sum(x * deg for x, (_, deg, _) in zip(split, terms))
-        negative = sum(x for x, (_, _, sign) in zip(split, terms) if sign < 0)
-        table.append((degree, -c % p if negative % 2 else c,
-                      tuple((target, x)
-                            for x, (target, _, _) in zip(split, terms) if x)))
-    return tuple(table)
+    signs = [sign for _, _, sign in _linear_image(p, k, *entry)]
+    return tuple((split, factorial(digit) // prod(map(factorial, split))
+                  * prod(s ** x for s, x in zip(signs, split)) % p)
+                 for split in _compositions(digit, (digit,) * len(signs)))
+
+
+@lru_cache(maxsize=None)
+def _packed_table(p, n, k, entry, e, t_bits, a_bits):
+    """The image of a_ij^e under 1 + t E_{k,k-1} on row keys of this
+    layout: its terms as (t-degree, coefficient in 1..p-1, row-key increment
+    from a_ij^e to the term), the bitmask of their t-degrees, and the terms
+    as (coefficient, increment) by t-degree bit.
+
+    By Lucas' theorem the image of a^e is the product over the base-p
+    digits e_i of that of (a^(p^i))^(e_i), which is the image of a^(e_i)
+    with every exponent and t-degree times p^i.  Keys pack exponents
+    linearly, so digit i adds its digit table's increments and t-degrees
+    times p^i.  Products over distinct digits are distinct monomials with
+    nonzero coefficients mod p, so no two terms merge.
+    """
+    source = _offset(n, entry, t_bits, a_bits)
+    # one unit of a_ij moved to each linear term: t-degree, key increment
+    moves = [(deg, deg - (1 << source)
+              + (1 << _offset(n, target, t_bits, a_bits)))
+             for target, deg, _ in _linear_image(p, k, *entry)]
+    terms, scale = [(0, 1, 0)], 1
+    while e:
+        e, digit = divmod(e, p)
+        digit_terms = [(sum(x * deg for x, (deg, _) in zip(split, moves)), c,
+                        sum(x * step for x, (_, step) in zip(split, moves)))
+                       for split, c in _digit_table(p, k, entry, digit)]
+        terms = [(deg + scale * d, c * dc % p, step + scale * ds)
+                 for deg, c, step in terms for d, dc, ds in digit_terms]
+        scale *= p
+    by_bit = {}
+    for deg, c, step in terms:
+        by_bit.setdefault(1 << deg, []).append((c, step))
+    return terms, sum(by_bit), by_bit
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +230,11 @@ def _columns(monos, n, p):
     """The column of each monomial, its t^(p^i) rows as {row key:
     coefficient mod p}, and the mask of the t-degree field of a row key.
 
-    A monomial's image is the product of the ``image_table`` of its
-    moving entries.  The column of a monomial sums, factor by factor, the
-    choices of one table term per factor whose t-degrees can still add up
-    to a power of p: a bitmask of the t-degrees the remaining factors can
-    reach drops every other partial choice.  A row key packs the image
+    A monomial's image is the product of the ``_packed_table`` of its
+    moving entries at this call's field widths.  Its column sums, factor
+    by factor, the choices of one table term per factor whose t-degrees
+    can still add up to a power of p: a bitmask of the t-degrees the
+    remaining factors can reach drops every other partial choice.  A row key packs the image
     monomial with its t-degree (the low field), times n - 1, plus k - 2.
     """
     d, top = max(map(sum, monos), default=0), p + 1 if n > 1 else 0
@@ -247,38 +256,21 @@ def _columns(monos, n, p):
     # wide enough for d
     t_bits, a_bits = max(1, (d * top).bit_length()), max(1, d.bit_length())
     t_mask = (1 << t_bits) - 1
-    shift = {entry: t_bits + a_bits * at for at, entry in enumerate(entries)}
+    shift = [_offset(n, entry, t_bits, a_bits) for entry in entries]
     # the index in exps of each entry that moves under generator k: row k
     # and column k - 1, row by row
     generators = [(g, k, sorted(
         [(k - 1) * n + j for j in range(n)]
         + [i * n + k - 2 for i in range(n) if i != k - 1]))
         for g, k in enumerate(range(2, n + 1))]
-    packed = {}
-
-    def table(k, entry, e):
-        """``image_table`` with each monomial as the increment of a row key,
-        the bitmask of its t-degrees, and its terms by t-degree bit."""
-        key = (k, entry, e)
-        if key not in packed:
-            base = e << shift[entry]
-            terms = [(deg, c, deg - base + sum(x << shift[target]
-                                               for target, x in mono))
-                     for deg, c, mono in image_table(p, k, entry, e)]
-            by_bit = {}
-            for deg, c, step in terms:
-                by_bit.setdefault(1 << deg, []).append((c, step))
-            packed[key] = terms, sum(by_bit), by_bit
-        return packed[key]
-
     columns = []
     for exps in monos:
-        key = sum(e << shift[entry] for entry, e in zip(entries, exps) if e)
+        key = sum(e << s for s, e in zip(shift, exps) if e)
         col = {}
         get = col.get
         for g, k, moving in generators:
-            factors = [table(k, entries[at], exps[at]) for at in moving
-                       if exps[at]]
+            factors = [_packed_table(p, n, k, entries[at], exps[at], t_bits,
+                                     a_bits) for at in moving if exps[at]]
             # reach[i]: the t-degrees that factors i, i + 1, ... can add up to
             reach = [1]
             for _, degrees, _ in reversed(factors):

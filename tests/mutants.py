@@ -120,6 +120,10 @@ MUTANTS = [
      "_compositions(free, (free,) * (n - 1) + (0,))",
      ["tests/test_sections.py::"
       "test_h0_grows_under_the_section_ring_embeddings"]),
+    ("oracle.py", "step + scale * ds", "step + ds",
+     ["tests/test_sections.py::test_h0_image_tables_match_the_substitution"]),
+    ("oracle.py", " * prod(s ** x for s, x in zip(signs, split))", "",
+     ["tests/test_sections.py::test_h0_image_tables_match_the_substitution"]),
 ]
 
 

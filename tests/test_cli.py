@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 
 import zipcones
 from zipcones import cli, cones, fpoly, modules, rootdata
+from zipcones.catalog import catalog_names
 from zipcones.cli import main
 
 
@@ -540,3 +543,64 @@ def test_h0_at_rank_500_answers_without_a_traceback(tmp_path):
                               zero, "--out", str(out)])
     assert code == 0 and "Traceback" not in err
     assert json.loads(out.read_bytes())["dim"] == 1
+
+
+class _Expired(BaseException):
+    """Raised by the alarm; no handler in the package catches it."""
+
+
+def _fuzz_argv(rng):
+    # n in -1..7 (at most 5 for gamma and vlambda), p prime up to 13 or not
+    # prime, weights of the right and of a wrong rank in [-12, 6], empty,
+    # reversed and narrow boxes, catalog names and an unknown one
+    verb = rng.choice(["cone", "rootdata", "verify-section", "gamma", "h0",
+                       "vlambda", "sweep", "slice"])
+    n = rng.randint(-1, 5 if verb in ("gamma", "vlambda") else 7)
+    p = rng.choice([2, 3, 5, 7, 11, 13, 0, 1, 4, 10 ** 30])
+    rank = n if rng.random() < 0.75 else rng.randint(1, 8)
+    weight = ",".join(str(rng.randint(-12, 6)) for _ in range(max(rank, 1)))
+    lo = rng.randint(-12, 6)
+    box = rng.choice(["%d..%d" % (lo, lo + rng.randint(0, 2)),
+                      "%d..%d" % (lo, lo - 1), "", ".."])
+    name = rng.choice(catalog_names() + ["nope"])
+    section = rng.choice(["delta1", "delta%d" % n, "hasse", "alphasp4",
+                          "f1sp6", "thetasp6", "nope"])
+    argv = [verb] + {
+        "cone": ["--name", name, "--emit",
+                 rng.choice(["generators", "halfspaces"])],
+        "verify-section": ["--name", section],
+        "h0": ["--weight", weight],
+        "vlambda": ["--weight", weight],
+        "sweep": ["--box", box, "--compare", name],
+        "slice": ["--cone", name],
+    }.get(verb, [])
+    if verb not in ("cone", "verify-section", "slice") or rng.random() < 0.8:
+        argv += ["--n", str(n)]
+    if verb != "rootdata":
+        argv += ["--p", str(p)]
+    return argv
+
+
+def test_seeded_fuzz_of_every_verb_exits_cleanly(capsys):
+    # every call answers or refuses with a documented exit code, within
+    # the alarm, and prints no document when it refuses
+    def expire(signum, frame):
+        raise _Expired
+
+    rng = random.Random(2018)
+    previous = signal.signal(signal.SIGALRM, expire)
+    try:
+        for _ in range(300):
+            argv = _fuzz_argv(rng)
+            signal.alarm(5)
+            try:
+                code = main(argv)
+            except BaseException as e:
+                pytest.fail("%r escaped from %s" % (e, argv))
+            finally:
+                signal.alarm(0)
+            out, _ = capsys.readouterr()
+            assert code in (0, 1, 2, 3), argv
+            assert code == 0 or out == "", argv
+    finally:
+        signal.signal(signal.SIGALRM, previous)

@@ -53,9 +53,10 @@ from zipcones.modules import (
     valuation_sign_predict,
 )
 from zipcones.oracle import (
+    _offset,
+    _packed_table,
     enumerate_weight_monomials,
     h0_dimension,
-    image_table,
     unipotent_defect,
 )
 from zipcones.sections import (
@@ -931,32 +932,52 @@ def test_h0_image_exponents_past_the_limit_are_a_guard_error():
     assert h0_dimension((2 ** 20, -2 ** 21), 2, 2) == 1
 
 
-def _table_polynomial(p, table):
+def _decoded_polynomial(p, n, key, terms, t_bits, a_bits):
+    # each row key + step unpacked into t and the entry fields; the t field
+    # must be the term's t-degree
     out = FpPolynomial.zero(p)
-    for deg, c, mono in table:
-        out = out + FpPolynomial.monomial(
-            p, [(("t",), deg)] + [(("a",) + entry, x) for entry, x in mono], c)
+    for deg, c, step in terms:
+        row = key + step
+        assert row & (1 << t_bits) - 1 == deg
+        fields = [(("t",), deg)] + [
+            (("a", i, j),
+             row >> _offset(n, (i, j), t_bits, a_bits) & (1 << a_bits) - 1)
+            for i, j in itertools.product(range(1, n + 1), repeat=2)]
+        out = out + FpPolynomial.monomial(p, [f for f in fields if f[1]], c)
     return out
 
 
 def test_h0_image_tables_match_the_substitution():
-    # every table the oracle reads is the whole t-expansion of a power of
-    # one entry under 1 + t E_{k,k-1}, and its one t^0 term is that power
+    # every packed table the oracle reads moves the key of a_ij^e onto the
+    # whole t-expansion of that power under 1 + t E_{k,k-1}, and its one
+    # t^0 term is that power; e runs past p^2, so two- and three-digit
+    # exponents and a zero middle digit (e = p^2) occur
     for p in (2, 3, 5):
         for n in (2, 3, 4):
             for k in range(2, n + 1):
                 sub = Substitution(p, _generator_images(n, p, k, k - 1))
-                for i, j in itertools.product(range(1, n + 1), repeat=2):
-                    for e in range(7):
-                        table = image_table(p, k, (i, j), e)
-                        where = (p, n, k, i, j, e)
-                        assert _table_polynomial(p, table) \
-                            == sub(a_var(p, i, j) ** e), where
-                        assert [term for term in table if term[0] == 0] \
-                            == [(0, 1, (((i, j), e),) if e else ())], where
-                        assert all(0 < c < p for _, c, _ in table), where
-                        assert len({(deg, mono) for deg, _, mono in table}) \
-                            == len(table), where
+                for (i, j), e, (t_bits, a_bits) in itertools.product(
+                        itertools.product(range(1, n + 1), repeat=2),
+                        range(p * p + 2), [(8, 6), (12, 9)]):
+                    terms, mask, by_bit = _packed_table(
+                        p, n, k, (i, j), e, t_bits, a_bits)
+                    key = e << _offset(n, (i, j), t_bits, a_bits)
+                    where = (p, n, k, i, j, e, t_bits)
+                    assert _decoded_polynomial(p, n, key, terms, t_bits,
+                                               a_bits) \
+                        == sub(a_var(p, i, j) ** e), where
+                    assert [term for term in terms if term[0] == 0] \
+                        == [(0, 1, 0)], where
+                    assert all(0 < c < p for _, c, _ in terms), where
+                    assert len({step for _, _, step in terms}) \
+                        == len(terms), where
+                    assert mask == sum({1 << deg for deg, _, _ in terms}), \
+                        where
+                    assert sorted((bit, c, step)
+                                  for bit, group in by_bit.items()
+                                  for c, step in group) \
+                        == sorted((1 << deg, c, step)
+                                  for deg, c, step in terms), where
 
 
 @pytest.mark.parametrize("n, p, low, high", [
