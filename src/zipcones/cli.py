@@ -111,18 +111,14 @@ def _cmd_cone(args):
     from .catalog import catalog_cone
 
     cone = catalog_cone(args.name, args.n, args.p)
-    pres = cone.presentation(args.emit)
-    doc = {"schema": SCHEMA, "name": cone.name}
-    doc.update(pres.to_json_dict())
-    _emit(args, _json(doc))
+    return {"name": cone.name, **cone.presentation(args.emit).to_json_dict()}
 
 
 def _cmd_rootdata(args):
     from .rootdata import SymplecticRootDatum
 
     d = SymplecticRootDatum(args.n)
-    doc = {
-        "schema": SCHEMA,
+    return {
         "n": d.n,
         "simple_roots": [list(r) for r in d.simple_roots],
         "simple_coroots": [list(c) for c in d.simple_coroots],
@@ -131,17 +127,14 @@ def _cmd_rootdata(args):
         "positive_roots": [list(r) for r in d.positive_roots],
         "positive_coroots": [list(c) for c in d.positive_coroots],
     }
-    _emit(args, _json(doc))
 
 
 def _cmd_verify_section(args):
     from .sections import catalog_section
 
     s = catalog_section(args.name, args.n, args.p)
-    doc = {"schema": SCHEMA, "name": s.name, "n": s.n, "p": s.p,
-           "weight": list(s.weight), "verified": True,
-           "body": s.body.to_json_dict()}
-    _emit(args, _json(doc))
+    return {"name": s.name, "n": s.n, "p": s.p, "weight": list(s.weight),
+            "verified": True, "body": s.body.to_json_dict()}
 
 
 def _cmd_gamma(args):
@@ -152,10 +145,9 @@ def _cmd_gamma(args):
                 "den": {str(i): k for i, k in enumerate(exps, start=1) if k}}
 
     z, gamma = gamma_matrix(args.n, args.p)
-    doc = {"schema": SCHEMA, "n": args.n, "p": args.p,
-           "z": [[fraction(*e) for e in row] for row in z],
-           "gamma": [[fraction(*e) for e in row] for row in gamma]}
-    _emit(args, _json(doc))
+    return {"n": args.n, "p": args.p,
+            "z": [[fraction(*e) for e in row] for row in z],
+            "gamma": [[fraction(*e) for e in row] for row in gamma]}
 
 
 def _cmd_h0(args):
@@ -163,9 +155,7 @@ def _cmd_h0(args):
 
     lam = _parse_weight(args.weight)
     dim = h0_dimension(lam, args.n, args.p, monomial_cap=args.monomial_cap)
-    doc = {"schema": SCHEMA, "n": args.n, "p": args.p,
-           "weight": list(lam), "dim": dim}
-    _emit(args, _json(doc))
+    return {"n": args.n, "p": args.p, "weight": list(lam), "dim": dim}
 
 
 def _cmd_vlambda(args):
@@ -177,7 +167,7 @@ def _cmd_vlambda(args):
     )
 
     lam = _parse_weight(args.weight)
-    doc = {"schema": SCHEMA, "n": args.n, "p": args.p, "weight": list(lam)}
+    doc = {"n": args.n, "p": args.p, "weight": list(lam)}
     try:
         module = build_module(lam, args.n, args.p)
     except EmptyModuleError:
@@ -188,7 +178,7 @@ def _cmd_vlambda(args):
                    dim_leq0=len(subspace_leq0(module)),
                    dim_invariants=len(fixed),
                    dim_intersection=intersection_dimension(module, fixed))
-    _emit(args, _json(doc))
+    return doc
 
 
 def _cmd_sweep(args):
@@ -213,9 +203,8 @@ def _cmd_sweep(args):
         rows.append({"weight": list(lam), "oracle_dim": dim,
                      "catalog_member": member,
                      "agree": (dim > 0) == member})
-    doc = {"schema": SCHEMA, "n": args.n, "p": args.p, "box": [lo, hi],
-           "compare": cone.name, "rows": rows}
-    _emit(args, _json(doc))
+    return {"n": args.n, "p": args.p, "box": [lo, hi],
+            "compare": cone.name, "rows": rows}
 
 
 def _cmd_slice(args):
@@ -271,7 +260,7 @@ def _cmd_slice(args):
     for x, y, h, label in verts:
         lines.append("%s,%s,%s" % (fraction(c * c * x, 2 * h),
                                    fraction(c * c * y, 2 * h), label))
-    _emit(args, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _quadrant(x, y):
@@ -284,58 +273,45 @@ def _quadrant(x, y):
     return 3
 
 
-def build_parser():
+# A verb is one row: its handler, which returns the document (``slice``
+# its CSV text), and its flags after --out in the order --help lists them.
+_N = ("--n", {"type": int, "required": True})
+_N_OPTIONAL = ("--n", {"type": int, "default": None})
+_P = ("--p", {"type": int, "required": True})
+_WEIGHT = ("--weight", {"required": True})
+_CAP = ("--monomial-cap", {"type": int})  # build_parser adds the default
+
+VERBS = {
+    "cone": (_cmd_cone, [
+        ("--name", {"required": True, "help": _CONE_NAMES}), _N_OPTIONAL,
+        _P, ("--emit", {"choices": ["generators", "halfspaces"],
+                        "default": "generators"})]),
+    "rootdata": (_cmd_rootdata, [_N]),
+    "verify-section": (_cmd_verify_section, [
+        ("--name", {"required": True}), _N_OPTIONAL, _P]),
+    "gamma": (_cmd_gamma, [_N, _P]),
+    "h0": (_cmd_h0, [_N, _P, _WEIGHT, _CAP]),
+    "vlambda": (_cmd_vlambda, [_N, _P, _WEIGHT]),
+    "sweep": (_cmd_sweep, [_N, _P, ("--box", {"default": "-8..8"}),
+                           ("--compare", {"required": True}), _CAP]),
+    "slice": (_cmd_slice, [("--cone", {"required": True}), _N_OPTIONAL,
+                           _P]),
+}
+
+
+def build_parser(names=VERBS):
+    """The parser of the named verbs, by default every verb."""
     parser = _Parser(prog="zipcone", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn):
+    for name in names:
+        fn, options = VERBS[name]
         p = sub.add_parser(name, formatter_class=_HelpFormatter)
         p.set_defaults(fn=fn)
         p.add_argument("--out", default=None)
-        return p
-
-    p = add("cone", _cmd_cone)
-    p.add_argument("--name", required=True, help=_CONE_NAMES)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--emit", choices=["generators", "halfspaces"],
-                   default="generators")
-
-    p = add("rootdata", _cmd_rootdata)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("verify-section", _cmd_verify_section)
-    p.add_argument("--name", required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--p", type=int, required=True)
-
-    p = add("gamma", _cmd_gamma)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-
-    p = add("h0", _cmd_h0)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--monomial-cap", type=int, default=MONOMIAL_CAP)
-
-    p = add("vlambda", _cmd_vlambda)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--weight", required=True)
-
-    p = add("sweep", _cmd_sweep)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--box", default="-8..8")
-    p.add_argument("--compare", required=True)
-    p.add_argument("--monomial-cap", type=int, default=MONOMIAL_CAP)
-
-    p = add("slice", _cmd_slice)
-    p.add_argument("--cone", required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--p", type=int, required=True)
-
+        for flag, spec in options:
+            if flag == "--monomial-cap":
+                spec = dict(spec, default=MONOMIAL_CAP)
+            p.add_argument(flag, **spec)
     return parser
 
 
@@ -360,10 +336,13 @@ def _merge_negative_values(argv):
 
 
 def main(argv=None):
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_negative_values(list(argv))
+    # a call builds only its verb's parser; any other argv (help, no verb,
+    # an unknown verb) builds all of them, for the same text and error
+    parser = build_parser(argv[:1] if argv and argv[0] in VERBS
+                          else VERBS)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "p", None) is not None and not is_prime(args.p):
@@ -372,7 +351,10 @@ def main(argv=None):
             raise _UsageError("n must be at least 1")
         if (getattr(args, "monomial_cap", None) or 0) < 0:
             raise _UsageError("monomial cap must be at least 0")
-        args.fn(args)
+        out = args.fn(args)
+        if isinstance(out, dict):
+            out = _json({"schema": SCHEMA, **out})
+        _emit(args, out)
         return 0
     except _UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)

@@ -12,7 +12,10 @@ monomial, so exponents are at most ``EXPONENT_LIMIT``.  The field of a
 variable comes from a fixed injective map: ``t`` owns field 0 and the
 ``a`` and ``b`` entries alternate after it along the square shells of
 (i, j), so small matrices use low fields whatever their size.  Decoding
-inverts the map.  A product of monomials is one integer addition: two
+inverts the map.  A field index past ``FIELD_LIMIT`` is refused before any
+monomial holds it, since one monomial takes a field per index below its
+highest: the limit admits the entries of a 64 x 64 matrix and keeps a
+monomial within 33 KB.  A product of monomials is one integer addition: two
 exponents within the limit sum to less than ``2**FIELD_BITS``, so nothing
 carries into the next field, and a sum that reaches a guard bit raises
 ``GuardExceededError`` naming the exponent and the limit.  The constant
@@ -51,7 +54,7 @@ from __future__ import annotations
 import struct
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
-from math import factorial, isqrt
+from math import isqrt
 from operator import or_
 
 from .errors import GuardExceededError
@@ -59,6 +62,8 @@ from .weights import EXPONENT_LIMIT, MONOMIAL_CAP, Weight
 
 FIELD_BITS = EXPONENT_LIMIT.bit_length() + 1
 _FIELD = (1 << FIELD_BITS) - 1
+# the field of b_{64,64}, the highest of a 64 x 64 matrix
+FIELD_LIMIT = 2 * 64 ** 2
 
 
 def _guard_mask(nbits):
@@ -79,14 +84,19 @@ def _var_key(var):
 
 def _field(var):
     """Field index of a variable: 0 for t, then a and b alternating along
-    the square shells of the 0-based (i, j)."""
+    the square shells of the 0-based (i, j); refused past ``FIELD_LIMIT``."""
     if var == ("t",):
         return 0
     if (len(var) == 3 and var[0] in ("a", "b")
             and all(isinstance(x, int) and x >= 1 for x in var[1:])):
         i, j = var[1] - 1, var[2] - 1
         cell = j * j + i if i < j else i * i + i + j
-        return 1 + 2 * cell + (var[0] == "b")
+        field = 1 + 2 * cell + (var[0] == "b")
+        if field > FIELD_LIMIT:
+            raise GuardExceededError(
+                "%r needs packed-monomial field %d, more than the limit %d"
+                % (var, field, FIELD_LIMIT))
+        return field
     raise ValueError("unknown variable %r" % (var,))
 
 
@@ -492,14 +502,20 @@ def minor(p, rows, cols):
     """Determinant of the a-variable submatrix on the 1-indexed row and
     column tuples, expanded along its first row into smaller minors that
     come from the same cache.  A k x k minor has k! terms; past
-    ``MONOMIAL_CAP`` of them it is refused before anything is expanded."""
+    ``MONOMIAL_CAP`` of them it is refused before anything is expanded.
+    The count i! stops at the first i past the cap, so a large k costs
+    no time and no number too long to print."""
     if len(rows) != len(cols):
         raise ValueError("minor needs equally many rows and columns")
-    terms = factorial(len(rows))
+    k = len(rows)
+    terms = i = 1
+    while terms <= MONOMIAL_CAP and i < k:
+        i += 1
+        terms *= i
     if terms > MONOMIAL_CAP:
         raise GuardExceededError(
-            "a %d x %d minor has %d terms, more than the limit %d"
-            % (len(rows), len(rows), terms, MONOMIAL_CAP))
+            "a %d x %d minor has %s%d terms, more than the limit %d"
+            % (k, k, "at least " if i < k else "", terms, MONOMIAL_CAP))
     if not rows:
         return FpPolynomial.constant(p, 1)
     top, rest = rows[0], rows[1:]

@@ -40,6 +40,7 @@ from .fplinalg import dependent_columns, fp_det, fp_nullspace
 from .fpoly import (
     FpPolynomial,
     Substitution,
+    a_var,
     delta_minor,
     generic_matrix,
     mat_mul,
@@ -253,10 +254,13 @@ def build_module(lam, n, p):
     """Construct V(lam) on its tableau basis, with its weights.
 
     Raises what ``_exponents`` raises; GuardExceededError, before building
-    anything, past ``MODULE_DIM_GUARD``; TheoremViolationError when two
-    products share a leading term or their count is not the Weyl dimension.
+    anything, when a_nn needs a packed field past ``fpoly.FIELD_LIMIT`` or
+    the dimension is past ``MODULE_DIM_GUARD``; TheoremViolationError when
+    two products share a leading term or their count is not the Weyl
+    dimension.
     """
     lam, mults, det_pow = _exponents(lam, n, p)
+    a_var(p, n, n)  # refuses the matrix before the Weyl product's n^2 factors
     expected = weyl_dimension(lam)
     if expected > MODULE_DIM_GUARD:
         raise GuardExceededError(

@@ -124,6 +124,15 @@ MUTANTS = [
      ["tests/test_sections.py::test_h0_image_tables_match_the_substitution"]),
     ("oracle.py", " * prod(s ** x for s, x in zip(signs, split))", "",
      ["tests/test_sections.py::test_h0_image_tables_match_the_substitution"]),
+    ("fpoly.py", "while terms <= MONOMIAL_CAP and i < k:", "while i < k:",
+     ["tests/test_cli.py::"
+      "test_minor_past_a_printable_factorial_exits_2_at_once"]),
+    ("fpoly.py", "if field > FIELD_LIMIT:", "if field > FIELD_LIMIT + 1:",
+     ["tests/test_fpoly.py::"
+      "test_field_limit_admits_exactly_the_64_by_64_entries"]),
+    ("modules.py", "    a_var(p, n, n)  # refuses", "    # refuses",
+     ["tests/test_cli.py::"
+      "test_packed_width_past_the_field_limit_exits_2_at_once"]),
 ]
 
 

@@ -5,6 +5,7 @@ import random
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -454,6 +455,47 @@ def test_minor_past_the_guard_exits_2_at_once(tmp_path, capsys):
     assert code == 0 and json.loads(data)["weight"] == [1] + [0] * 7 + [-2]
 
 
+def _refused_in_time(argv, capsys):
+    """main(argv) returns 2 within a second, one line on stderr and nothing
+    on stdout; returns that line."""
+    start = time.perf_counter()
+    code = main(argv)
+    seconds = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out, err.count("\n")) == (2, "", 1), (argv[:4], err)
+    assert seconds < 1, (argv[:4], seconds)
+    return err
+
+
+@pytest.mark.parametrize("n", [1600, 10 ** 6])
+def test_minor_past_a_printable_factorial_exits_2_at_once(n, capsys):
+    # from n = 1559 on n! has more than 4300 digits, too many to print, and
+    # at 10^6 it takes seconds to compute: the count stops at 9! = 362880,
+    # the first factorial past the cap
+    for verb in (["gamma"], ["verify-section", "--name", "hasse"]):
+        err = _refused_in_time(verb + ["--n", str(n), "--p", "2"], capsys)
+        assert err == ("guard error: a %d x %d minor has at least 362880 "
+                       "terms, more than the limit %d\n"
+                       % (n, n, fpoly.MONOMIAL_CAP))
+
+
+def test_packed_width_past_the_field_limit_exits_2_at_once(capsys):
+    # a_ij owns a field near 2 max(i, j)^2, so one monomial of a large
+    # matrix takes gigabytes; the entry is refused before it is packed, and
+    # a module before its Weyl dimension's n^2 factors are multiplied
+    err = _refused_in_time(["verify-section", "--name", "delta1", "--n",
+                            "20000", "--p", "2"], capsys)
+    assert err == ("guard error: ('a', 1, 20000) needs packed-monomial field "
+                   "799920003, more than the limit %d\n" % fpoly.FIELD_LIMIT)
+    err = _refused_in_time(["vlambda", "--n", "300", "--p", "2", "--weight",
+                            ",".join(["0"] * 300)], capsys)
+    assert err == ("guard error: ('a', 300, 300) needs packed-monomial field "
+                   "179999, more than the limit %d\n" % fpoly.FIELD_LIMIT)
+    assert main(["vlambda", "--n", "40", "--p", "2", "--weight",
+                 ",".join(["0"] * 40)]) == 0
+    assert json.loads(capsys.readouterr().out)["dim_intersection"] == 1
+
+
 def test_exponent_past_the_limit_exits_2(tmp_path, capsys):
     code, data = run(["h0", "--n", "1", "--p", "2", "--weight",
                       "-4294967296"], tmp_path)
@@ -550,15 +592,23 @@ class _Expired(BaseException):
 
 
 def _fuzz_argv(rng):
-    # n in -1..7 (at most 5 for gamma and vlambda), p prime up to 13 or not
-    # prime, weights of the right and of a wrong rank in [-12, 6], empty,
+    # n in -1..7 (at most 5 for gamma and vlambda), or one of 1600, 20000
+    # and 10^6 for gamma, verify-section and vlambda, past the minor and the
+    # packed-width guards; p prime up to 13 or not prime, weights of the
+    # right and of a wrong rank in [-12, 6] (constant past rank 7), empty,
     # reversed and narrow boxes, catalog names and an unknown one
     verb = rng.choice(["cone", "rootdata", "verify-section", "gamma", "h0",
                        "vlambda", "sweep", "slice"])
-    n = rng.randint(-1, 5 if verb in ("gamma", "vlambda") else 7)
+    if verb in ("gamma", "verify-section", "vlambda") and rng.random() < 0.25:
+        n = rng.choice([1600, 20000, 10 ** 6])
+    else:
+        n = rng.randint(-1, 5 if verb in ("gamma", "vlambda") else 7)
     p = rng.choice([2, 3, 5, 7, 11, 13, 0, 1, 4, 10 ** 30])
-    rank = n if rng.random() < 0.75 else rng.randint(1, 8)
-    weight = ",".join(str(rng.randint(-12, 6)) for _ in range(max(rank, 1)))
+    rank = max(n if rng.random() < 0.75 else rng.randint(1, 8), 1)
+    if rank > 7:
+        weight = ",".join([str(rng.randint(-12, 6))] * rank)
+    else:
+        weight = ",".join(str(rng.randint(-12, 6)) for _ in range(rank))
     lo = rng.randint(-12, 6)
     box = rng.choice(["%d..%d" % (lo, lo + rng.randint(0, 2)),
                       "%d..%d" % (lo, lo - 1), "", ".."])
@@ -581,17 +631,20 @@ def _fuzz_argv(rng):
     return argv
 
 
+def _fuzz_draws():
+    rng = random.Random(2018)
+    return [_fuzz_argv(rng) for _ in range(600)]
+
+
 def test_seeded_fuzz_of_every_verb_exits_cleanly(capsys):
     # every call answers or refuses with a documented exit code, within
     # the alarm, and prints no document when it refuses
     def expire(signum, frame):
         raise _Expired
 
-    rng = random.Random(2018)
     previous = signal.signal(signal.SIGALRM, expire)
     try:
-        for _ in range(300):
-            argv = _fuzz_argv(rng)
+        for argv in _fuzz_draws():
             signal.alarm(5)
             try:
                 code = main(argv)
@@ -604,3 +657,30 @@ def test_seeded_fuzz_of_every_verb_exits_cleanly(capsys):
             assert code == 0 or out == "", argv
     finally:
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_every_verb_has_its_recorded_help():
+    help_texts = json.loads(
+        (Path(__file__).parent / "cli_help.json").read_text())
+    assert set(cli.VERBS) == set(help_texts) - {""}
+
+
+def _parsed(parser, argv):
+    try:
+        return parser.parse_args(argv)
+    except cli._UsageError as e:
+        return "usage error: %s" % e
+
+
+def test_one_verb_parser_parses_as_the_full_parser():
+    # main builds only the called verb's parser; on every recorded job and
+    # every fuzz draw it gives the namespace, or the usage error, of all
+    expected = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                           / "expected.json").read_text())
+    recorded = [job["argv"] for domains in expected["workloads"].values()
+                for jobs in domains.values() for job in jobs]
+    full = cli.build_parser()
+    for argv in recorded + _fuzz_draws():
+        argv = cli._merge_negative_values(list(argv))
+        assert (_parsed(cli.build_parser(argv[:1]), argv)
+                == _parsed(full, argv)), argv[:6]

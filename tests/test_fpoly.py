@@ -9,6 +9,7 @@ from zipcones.cones import Weight
 from zipcones.errors import GuardExceededError
 from zipcones.fpoly import (
     EXPONENT_LIMIT,
+    FIELD_LIMIT,
     FpPolynomial,
     a_var,
     delta_minor,
@@ -358,6 +359,22 @@ def test_variable_fields_are_injective_and_invertible():
     for bad in [("x", 1), ("a", 0, 1), ("a", 1), ("t", 1), ("c", 1, 1)]:
         with pytest.raises(ValueError):
             _field(bad)
+
+
+def test_field_limit_admits_exactly_the_64_by_64_entries():
+    # b_64_64 owns the last field admitted; a_1_65, first of the next
+    # shell, the first refused, before a monomial holds it
+    corners = [(k, i, j) for k in "ab" for i in (1, 64) for j in (1, 64)]
+    assert max(map(_field, corners)) == _field(("b", 64, 64)) == FIELD_LIMIT
+    x = FpPolynomial.variable(2, ("b", 64, 64))
+    assert x.variables() == {("b", 64, 64)}
+    for var in [("a", 1, 65), ("b", 1, 65), ("a", 65, 1), ("b", 65, 65)]:
+        with pytest.raises(GuardExceededError,
+                           match="more than the limit %d$" % FIELD_LIMIT):
+            FpPolynomial.variable(2, var)
+    with pytest.raises(GuardExceededError, match=r"^\('a', 1, 65\) needs "
+                       "packed-monomial field 8193, more than the limit"):
+        a_var(2, 1, 65)
 
 
 def test_exponent_limit_raises_and_never_wraps():
