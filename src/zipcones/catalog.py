@@ -10,8 +10,6 @@ All cones live in X*(T) = Z^n with the L-dominance convention
 a_1 >= ... >= a_n.
 """
 
-from __future__ import annotations
-
 from .cones import (GeneratedCone, HalfspaceSystem, halfspaces_of,
                     monoid_membership)
 from .errors import ZipconeError

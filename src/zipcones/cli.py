@@ -6,8 +6,6 @@ success, 1 on usage errors, 2 on guard errors, 3 on theorem-violation
 errors.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

@@ -24,8 +24,6 @@ the double description is the only rational eliminator here and every
 membership is decided.  Everything is deterministic.
 """
 
-from __future__ import annotations
-
 import itertools
 from math import gcd
 

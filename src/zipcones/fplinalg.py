@@ -23,8 +23,6 @@ tag it would leave without the peel.  All else reads the one loop:
 - ``fp_det``: the sign of the pivot order times the product of the pivots.
 """
 
-from __future__ import annotations
-
 from math import prod
 
 

@@ -49,8 +49,6 @@ the output path; ``weight_of`` and the certificates of ``sections`` read
 its tuples.
 """
 
-from __future__ import annotations
-
 import struct
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
@@ -497,17 +495,10 @@ def matrix_images(M):
     return images
 
 
-@lru_cache(maxsize=None)
-def minor(p, rows, cols):
-    """Determinant of the a-variable submatrix on the 1-indexed row and
-    column tuples, expanded along its first row into smaller minors that
-    come from the same cache.  A k x k minor has k! terms; past
-    ``MONOMIAL_CAP`` of them it is refused before anything is expanded.
-    The count i! stops at the first i past the cap, so a large k costs
-    no time and no number too long to print."""
-    if len(rows) != len(cols):
-        raise ValueError("minor needs equally many rows and columns")
-    k = len(rows)
+def _check_minor_size(k):
+    """Refuse a k x k minor, which has k! terms, past ``MONOMIAL_CAP`` of
+    them.  The count i! stops at the first i past the cap, so a large k
+    costs no time and no number too long to print."""
     terms = i = 1
     while terms <= MONOMIAL_CAP and i < k:
         i += 1
@@ -516,6 +507,17 @@ def minor(p, rows, cols):
         raise GuardExceededError(
             "a %d x %d minor has %s%d terms, more than the limit %d"
             % (k, k, "at least " if i < k else "", terms, MONOMIAL_CAP))
+
+
+@lru_cache(maxsize=None)
+def minor(p, rows, cols):
+    """Determinant of the a-variable submatrix on the 1-indexed row and
+    column tuples, expanded along its first row into smaller minors that
+    come from the same cache; refused by its size before anything is
+    expanded."""
+    if len(rows) != len(cols):
+        raise ValueError("minor needs equally many rows and columns")
+    _check_minor_size(len(rows))
     if not rows:
         return FpPolynomial.constant(p, 1)
     top, rest = rows[0], rows[1:]
@@ -528,7 +530,9 @@ def minor(p, rows, cols):
 
 def delta_minor(n, p, i):
     """Delta_i of the generic n x n matrix over F_p: rows 1..i against the
-    last i columns, from the ``minor`` cache."""
+    last i columns, from the ``minor`` cache; refused by its size before
+    the index tuples are built."""
+    _check_minor_size(i)
     return minor(p, tuple(range(1, i + 1)), tuple(range(n + 1 - i, n + 1)))
 
 

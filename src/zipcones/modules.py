@@ -26,8 +26,6 @@ from one cached norm per Delta_i over the flags of GL_n(F_p)/B^-; its
 boundary valuation is a closed form that counts flags.
 """
 
-from __future__ import annotations
-
 import itertools
 from functools import lru_cache
 

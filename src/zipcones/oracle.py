@@ -11,8 +11,6 @@ is one cached table of row-key increments, built digit by digit in base p
 (Lucas' theorem), and only products of t-degree a power of p are formed.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import accumulate
 from math import factorial, prod

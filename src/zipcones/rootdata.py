@@ -11,8 +11,6 @@ No cone or weight formula reads this module: each is built from (n, p)
 in ``weights`` and ``catalog``.
 """
 
-from __future__ import annotations
-
 from .errors import GuardExceededError
 from .weights import _unit
 

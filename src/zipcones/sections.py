@@ -29,8 +29,6 @@ and tau are built from the certified Delta_1, Delta_2, epsilon, f1 and
 f2 by steps that keep invariance, so none of them is proved again.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .errors import (

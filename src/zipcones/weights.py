@@ -8,15 +8,13 @@ runs only polynomial code does not load the polyhedral kernel, and the
 command line front end can check ``--p`` before it imports any layer.
 """
 
-from __future__ import annotations
-
 from .errors import GuardExceededError, RankMismatchError
 
 # the largest exponent of a matrix entry or of t that any layer takes;
 # fpoly packs each exponent into a field of one more bit
 EXPONENT_LIMIT = (1 << 31) - 1
-# the most terms of one polynomial (fpoly.minor, fpoly._check_size) and the
-# default most monomials of one weight in the dimension oracle
+# the most terms of one polynomial (fpoly._check_minor_size, _check_size) and
+# the default most monomials of one weight in the dimension oracle
 # (oracle.enumerate_weight_monomials, oracle.h0_dimension, cli.build_parser):
 # certifying a polynomial builds one oracle column per term
 MONOMIAL_CAP = 2 * 10 ** 5

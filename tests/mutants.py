@@ -133,6 +133,10 @@ MUTANTS = [
     ("modules.py", "    a_var(p, n, n)  # refuses", "    # refuses",
      ["tests/test_cli.py::"
       "test_packed_width_past_the_field_limit_exits_2_at_once"]),
+    ("fpoly.py", "    _check_minor_size(i)\n    return minor(",
+     "    return minor(",
+     ["tests/test_fpoly.py::"
+      "test_delta_minor_is_refused_before_its_index_tuples_exist"]),
 ]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -342,6 +343,22 @@ def test_negative_power_and_ragged_minor_raise():
         f ** -1
     with pytest.raises(ValueError, match="equally many rows and columns"):
         minor(2, (1, 2), (1,))
+
+
+def test_delta_minor_is_refused_before_its_index_tuples_exist():
+    # the two index tuples of Delta_i at i = 10^6 take about 80 MB, and the
+    # minor cache would hash them; the size check comes first
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceededError) as refused:
+            delta_minor(10 ** 6, 2, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == (
+        "a 1000000 x 1000000 minor has at least 362880 terms, more than the "
+        "limit %d" % fpoly.MONOMIAL_CAP)
+    assert peak < 10 ** 6
 
 
 def test_variable_fields_are_injective_and_invertible():

@@ -110,7 +110,8 @@ def test_term_cap_readers():
     # and the command line's monomial cap
     assert _places(_reads("MONOMIAL_CAP")) == {
         "cli.py:<module>", "cli.py:build_parser",
-        "fpoly.py:<module>", "fpoly.py:_check_size", "fpoly.py:minor",
+        "fpoly.py:<module>", "fpoly.py:_check_size",
+        "fpoly.py:_check_minor_size",
         "oracle.py:<module>", "oracle.py:enumerate_weight_monomials",
         "oracle.py:h0_dimension"}
 
