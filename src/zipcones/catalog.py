@@ -1,10 +1,10 @@
 """Constructors for the named weight cones of the symplectic zip setting.
 
-Each constructor returns a NamedCone carrying a generator presentation, a
-halfspace presentation, or both.  When both are present they describe the
-same saturated cone (this is asserted by the test suite, not trusted).
-A saturated cone given by generators alone gets its halfspaces from the
-double description on request; a monoid has none.
+Each constructor returns a NamedCone carrying generators and, for most, a
+halfspace presentation of the same saturated cone (this is asserted by the
+test suite, not trusted).  ``NamedCone.saturation()`` is the one source of
+a cone's saturated halfspaces: the stated ones, or else the double
+description of the generators; a monoid has no halfspace presentation.
 
 All cones live in X*(T) = Z^n with the L-dominance convention
 a_1 >= ... >= a_n.
@@ -19,8 +19,8 @@ from .weights import (Weight, _fundamental, _unit, eta_weight, eta_weights,
 
 
 class NamedCone:
-    """A named cone with a generator presentation, a halfspace
-    presentation, or both.
+    """A named cone with a generator presentation and, optionally, a
+    halfspace presentation.
 
     Its members (``contains``) are the points of the saturated cone,
     unless ``monoid`` is set: then they are the nonnegative integer
@@ -29,7 +29,7 @@ class NamedCone:
 
     __slots__ = ("name", "rank", "generated", "halfspaces", "monoid")
 
-    def __init__(self, name, rank, generated=None, halfspaces=None,
+    def __init__(self, name, rank, generated, halfspaces=None,
                  monoid=False):
         self.name = name
         self.rank = rank
@@ -37,18 +37,20 @@ class NamedCone:
         self.halfspaces = halfspaces
         self.monoid = monoid
 
+    def saturation(self):
+        """The halfspaces of the saturated cone: the stated ones, or else
+        the double description of the generators, cached on them."""
+        if self.halfspaces is not None:
+            return self.halfspaces
+        return halfspaces_of(self.generated)
+
     def presentation(self, kind):
         if kind == "generators":
-            if self.generated is None:
-                raise ZipconeError("%s has no generator presentation" % self.name)
             return self.generated
         if kind == "halfspaces":
-            if self.halfspaces is not None:
-                return self.halfspaces
             if self.monoid:
                 raise ZipconeError("%s has no halfspace presentation" % self.name)
-            # a saturated cone given by generators alone is dualised
-            return halfspaces_of(self.generated)
+            return self.saturation()
         raise ValueError(kind)
 
     def contains(self, lam):
@@ -56,7 +58,7 @@ class NamedCone:
             # the search always decides; a monoid with a line raises
             # NotPointedError
             return monoid_membership(self.generated, lam) is not None
-        return self.presentation("halfspaces").contains(lam)
+        return self.saturation().contains(lam)
 
 
 def _dominance_rows(n):

@@ -14,8 +14,10 @@ All arithmetic is arbitrary-precision integer.  One exact
 kernel, the integer double description (``double_description``), gives
 the facets and implicit equalities of a generated cone, the extreme rays
 and lineality space of a halfspace system, and so every containment and
-equality test between cones; ``DD_RAY_GUARD`` bounds its intermediate
-ray count and ``DD_PAIR_GUARD`` the ray pairs one row combines.
+equality test between cones, in either presentation; each presentation
+object runs it once and caches the result.  ``DD_RAY_GUARD`` bounds its
+intermediate ray count and ``DD_PAIR_GUARD`` the ray pairs one row
+combines.
 Saturated membership is read off that facet list.  ``monoid_membership``
 refuses a cone with a line, rules a point out by a separating facet, caps
 its one search by the same list, and solves the independent tail of the
@@ -24,7 +26,7 @@ the double description is the only rational eliminator here and every
 membership is decided.  Everything is deterministic.
 """
 
-import itertools
+from functools import cached_property
 from math import gcd
 
 from .errors import GuardExceededError, NotPointedError, RankMismatchError
@@ -52,9 +54,6 @@ class GeneratedCone:
         self.rank = int(rank)
         ws = (_as_weight(g, self.rank) for g in generators)
         self.generators = tuple(dict.fromkeys(w for w in ws if any(w)))
-        self._dual = None
-        self._halfspaces = None
-        self._tail = None
 
     def __repr__(self):
         return "GeneratedCone(rank=%d, generators=%s)" % (
@@ -63,6 +62,37 @@ class GeneratedCone:
     def to_json_dict(self):
         return {"rank": self.rank,
                 "generators": [list(g) for g in self.generators]}
+
+    @cached_property
+    def _dual(self):
+        """The double description of the generators: the facet rows of the
+        cone and a basis of the orthogonal complement of its span."""
+        return double_description(self.generators, self.rank)
+
+    @cached_property
+    def _halfspaces(self):
+        facets, lin = self._dual
+        rows = list(facets)
+        for e in lin:
+            rows += [e, tuple(-x for x in e)]
+        return HalfspaceSystem(self.rank, rows)
+
+    @cached_property
+    def _tail(self):
+        """The longest linearly independent tail ``generators[start:]``:
+        ``(start, [(ray, <ray, g>) for each tail generator g])``.  Each
+        extreme ray of the tail's double description is tight on every
+        tail generator but one, so it reads that generator's coefficient
+        off any combination of the tail."""
+        gens = self.generators
+        start, rays = len(gens), []
+        while start:
+            more, lin = double_description(gens[start - 1:], self.rank)
+            if len(gens) - start + 1 + len(lin) != self.rank:
+                break
+            start, rays = start - 1, more
+        return start, [(r, _dot(r, g)) for g in gens[start:]
+                       for r in rays if _dot(r, g)]
 
 
 class HalfspaceSystem:
@@ -93,6 +123,12 @@ class HalfspaceSystem:
     def to_json_dict(self):
         return {"rank": self.rank,
                 "inequalities": [list(h) for h in self.inequalities]}
+
+    @cached_property
+    def _rays(self):
+        """The double description of the rows: the extreme rays and a
+        basis of the lineality space."""
+        return double_description(self.inequalities, self.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -198,21 +234,21 @@ def monoid_membership(cone, lam):
     NotPointedError.  A facet row negative on ``lam`` separates it from
     the cone.  Otherwise one search walks the generators in order, each
     coefficient capped at floor(<h, lam> / <h, g>).  The longest linearly
-    independent tail of the generators (``_tail``) is not searched but
-    solved: its combination is unique, and each coefficient is read off
-    one extreme ray of the tail's double description, then checked
-    exactly.  The search is finite, so it always decides.
+    independent tail of the generators (``GeneratedCone._tail``) is not
+    searched but solved: its combination is unique, and each coefficient
+    is read off one extreme ray of the tail's double description, then
+    checked exactly.  The search is finite, so it always decides.
     """
     lam = _as_weight(lam, cone.rank)
     gens = cone.generators
-    facets, _ = _dual(cone)
+    facets, _ = cone._dual
     h = [sum(col) for col in zip(*facets)]
     heights = [_dot(h, g) for g in gens]
     if not all(heights):
         raise NotPointedError("monoid generators span a line")
     if not halfspaces_of(cone).contains(lam):
         return None
-    start, solved = _tail(cone)
+    start, solved = cone._tail
     caps = [_dot(h, lam) // w for w in heights]
 
     def rec(idx, residual):
@@ -240,62 +276,30 @@ def monoid_membership(cone, lam):
     return rec(0, list(lam))
 
 
-def _tail(cone):
-    """The longest linearly independent tail ``generators[start:]``, found
-    once: ``(start, [(ray, <ray, g>) for each tail generator g])``.  Each
-    extreme ray of the tail's double description is tight on every tail
-    generator but one, so it reads that generator's coefficient off any
-    combination of the tail."""
-    if cone._tail is None:
-        gens = cone.generators
-        start, rays = len(gens), []
-        while start:
-            more, lin = double_description(gens[start - 1:], cone.rank)
-            if len(gens) - start + 1 + len(lin) != cone.rank:
-                break
-            start, rays = start - 1, more
-        cone._tail = start, [(r, _dot(r, g)) for g in gens[start:]
-                             for r in rays if _dot(r, g)]
-    return cone._tail
-
-
 def saturated_membership(cone, lam):
     """True iff ``lam`` is a nonnegative rational combination of generators,
     decided by the cached dual description."""
     return halfspaces_of(cone).contains(lam)
 
 
-def _dual(cone):
-    """The double description of the generators, computed once: the facet
-    rows of the cone and a basis of the orthogonal complement of its
-    span."""
-    if cone._dual is None:
-        cone._dual = double_description(cone.generators, cone.rank)
-    return cone._dual
-
-
 def halfspaces_of(cone):
     """Dual (inequality) description of the rational hull of a cone.
 
-    The result has the same saturated-membership predicate as ``cone``.
-    It is the double description of the generators: the extreme rays of
-    the dual cone, one primitive row per facet in sorted order, then the
-    implicit equalities of a lower-dimensional cone as ``+e, -e`` pairs
-    of its lineality basis.  The list is irredundant.
+    A ``HalfspaceSystem`` is returned unchanged.  For a ``GeneratedCone``
+    the result has the same saturated-membership predicate.  It is the
+    double description of the generators: the extreme rays of the dual
+    cone, one primitive row per facet in sorted order, then the implicit
+    equalities of a lower-dimensional cone as ``+e, -e`` pairs of its
+    lineality basis.  The list is irredundant.
     """
-    if cone._halfspaces is None:
-        facets, lin = _dual(cone)
-        rows = list(facets)
-        for e in lin:
-            rows.append(e)
-            rows.append(tuple(-x for x in e))
-        cone._halfspaces = HalfspaceSystem(cone.rank, rows)
+    if isinstance(cone, HalfspaceSystem):
+        return cone
     return cone._halfspaces
 
 
 def lineality_space(system):
     """Integer basis of the largest linear subspace inside the cone."""
-    return double_description(system.inequalities, system.rank)[1]
+    return list(system._rays[1])
 
 
 def extreme_rays(system):
@@ -303,61 +307,33 @@ def extreme_rays(system):
 
     Raises NotPointedError when the cone contains a line.
     """
-    rays, lin = double_description(system.inequalities, system.rank)
+    rays, lin = system._rays
     if lin:
         raise NotPointedError("cone contains a nonzero linear subspace")
-    return rays
+    return list(rays)
 
 
-def generators_of(system):
-    """A generating set (rays plus a lineality basis) of a halfspace cone."""
-    rays, lin = double_description(system.inequalities, system.rank)
+def generators_of(cone):
+    """A generating set of a cone: a ``GeneratedCone``'s own generators,
+    or the rays plus a lineality basis and its negatives of a halfspace
+    cone."""
+    if isinstance(cone, GeneratedCone):
+        return list(cone.generators)
+    rays, lin = cone._rays
     gens = [Weight(r) for r in rays]
     for l in lin:
-        gens.append(Weight(l))
-        gens.append(Weight(tuple(-x for x in l)))
+        gens += [Weight(l), Weight(tuple(-x for x in l))]
     return gens
-
-
-def _presentations(c):
-    """(generators, halfspace system) for either presentation of a cone."""
-    if isinstance(c, GeneratedCone):
-        return list(c.generators), halfspaces_of(c)
-    if isinstance(c, HalfspaceSystem):
-        return generators_of(c), c
-    raise TypeError("expected GeneratedCone or HalfspaceSystem, got %r" % (c,))
 
 
 def cones_equal_saturated(a, b):
     """True iff the saturated membership predicates of a and b coincide."""
-    ra = a.rank
-    if ra != b.rank:
+    if a.rank != b.rank:
         raise RankMismatchError("rank %d vs %d" % (a.rank, b.rank))
-    gens_a, hs_a = _presentations(a)
-    gens_b, hs_b = _presentations(b)
-    return (all(hs_b.contains(g) for g in gens_a)
-            and all(hs_a.contains(g) for g in gens_b))
+    return cone_contains_saturated(a, b) and cone_contains_saturated(b, a)
 
 
 def cone_contains_saturated(outer, inner):
     """True iff every point of ``inner`` lies in the saturation of ``outer``."""
-    gens_in, _ = _presentations(inner)
-    _, hs_out = _presentations(outer)
-    return all(hs_out.contains(g) for g in gens_in)
-
-
-def enumerate_lattice_points(system, box):
-    """Integer points of ``box`` satisfying the system, in lex order.
-
-    ``box`` is a sequence of (lo, hi) pairs, one per coordinate, both
-    inclusive.
-    """
-    if len(box) != system.rank:
-        raise RankMismatchError("box has %d coordinates, rank is %d"
-                                % (len(box), system.rank))
-    ranges = [range(lo, hi + 1) for lo, hi in box]
-    out = []
-    for pt in itertools.product(*ranges):
-        if system.contains(pt):
-            out.append(Weight(pt))
-    return out
+    hs_out = halfspaces_of(outer)
+    return all(hs_out.contains(g) for g in generators_of(inner))

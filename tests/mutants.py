@@ -137,6 +137,16 @@ MUTANTS = [
      "    return minor(",
      ["tests/test_fpoly.py::"
       "test_delta_minor_is_refused_before_its_index_tuples_exist"]),
+    ("catalog.py",
+     "if self.halfspaces is not None:\n            return self.halfspaces\n"
+     "        return halfspaces_of(",
+     "return halfspaces_of(",
+     ["tests/test_recorded_outputs.py::test_recorded_jobs_print_their_digest"]),
+    ("cones.py", "@cached_property\n    def _rays(self):",
+     "@property\n    def _rays(self):",
+     ["tests/test_cones.py::test_one_double_description_per_presentation"]),
+    ("cli.py", "if total > OUTPUT_DIGIT_GUARD:", "if False:",
+     ["tests/test_cli.py::test_output_past_the_digit_guard_exits_2_at_once"]),
 ]
 
 

@@ -17,16 +17,12 @@ from zipcones.catalog import (
     cone_pol,
     cone_sigma,
     cone_XplusI,
-    eta_weight,
-    hodge_character,
-    schubert_weight,
     sigma1,
     sigma1prime,
 )
 from zipcones.cones import (
     GeneratedCone,
     HalfspaceSystem,
-    Weight,
     cone_contains_saturated,
     cones_equal_saturated,
     halfspaces_of,
@@ -51,6 +47,7 @@ from zipcones.sections import (
     gamma_matrix,
     rzip_sp4_graded_dimension,
 )
+from zipcones.weights import Weight, eta_weight, hodge_character, schubert_weight
 
 
 RECORDED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"

@@ -17,14 +17,10 @@ from zipcones.catalog import (
     cone_zip_sp4,
     cone_zip_sp4_saturated,
     cone_zip_sp6_saturated,
-    eta_weight,
-    hodge_character,
-    schubert_weight,
     sigma1,
     sigma1prime,
 )
 from zipcones.cones import (
-    Weight,
     cone_contains_saturated,
     cones_equal_saturated,
     extreme_rays,
@@ -33,7 +29,14 @@ from zipcones.cones import (
     saturated_membership,
 )
 from zipcones.rootdata import SymplecticRootDatum
-from zipcones.weights import _fundamental, hw_functional
+from zipcones.weights import (
+    Weight,
+    _fundamental,
+    eta_weight,
+    hodge_character,
+    hw_functional,
+    schubert_weight,
+)
 
 
 def box_points(n, lo, hi):

@@ -12,7 +12,7 @@ import pytest
 
 import zipcones
 from zipcones import cli, cones, fpoly, modules, rootdata
-from zipcones.catalog import catalog_names
+from zipcones.catalog import catalog_cone, catalog_names
 from zipcones.cli import main
 
 
@@ -196,6 +196,19 @@ def test_slice_verb(tmp_path):
     assert len(lines) == 5   # four extreme rays
     labels = {l.split(",", 2)[2] for l in lines[1:]}
     assert "(-1,-1,-1)" in labels and "(1,0,-2)" in labels
+
+
+def test_slice_reads_the_rays_of_the_saturation(tmp_path):
+    # pol states no halfspaces, so its saturation is the dual of its
+    # generators; slice reads it where every other verb does
+    code, data = run(["slice", "--cone", "pol", "--n", "3", "--p", "2"],
+                     tmp_path, name="out.csv")
+    assert code == 0
+    labels = [l.split(",", 2)[2] for l in data.decode().splitlines()[1:]]
+    rays = cones.extreme_rays(catalog_cone("pol", 3, 2).saturation())
+    assert len(rays) > 3
+    assert sorted(labels) == sorted("(%s)" % ",".join(map(str, r))
+                                    for r in rays)
 
 
 def test_deterministic_bytes(tmp_path):
@@ -477,6 +490,20 @@ def test_minor_past_a_printable_factorial_exits_2_at_once(n, capsys):
         assert err == ("guard error: a %d x %d minor has at least 362880 "
                        "terms, more than the limit %d\n"
                        % (n, n, fpoly.MONOMIAL_CAP))
+
+
+def test_output_past_the_digit_guard_exits_2_at_once(capsys, tmp_path):
+    # the eta weights of hw at n = 200 would print 79.5 M digits, seconds of
+    # json.dumps; their bit lengths bound the digits before any is printed
+    err = _refused_in_time(["cone", "--name", "hw", "--n", "200", "--p",
+                            "2"], capsys)
+    assert err == ("guard error: the output integers have up to 79539708 "
+                   "digits, more than the limit %d (OUTPUT_DIGIT_GUARD)\n"
+                   % cli.OUTPUT_DIGIT_GUARD)
+    # at n = 120 they have 10.2 M digits, and are printed
+    code, data = run(["cone", "--name", "hw", "--n", "120", "--p", "2"],
+                     tmp_path)
+    assert code == 0 and len(data) > 10 ** 7
 
 
 def test_packed_width_past_the_field_limit_exits_2_at_once(capsys):

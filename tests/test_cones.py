@@ -14,9 +14,7 @@ import zipcones.cones as cones
 from zipcones.cones import (
     GeneratedCone,
     HalfspaceSystem,
-    Weight,
     cones_equal_saturated,
-    enumerate_lattice_points,
     extreme_rays,
     generators_of,
     halfspaces_of,
@@ -29,6 +27,7 @@ from zipcones.errors import (
     NotPointedError,
     RankMismatchError,
 )
+from zipcones.weights import Weight
 
 SP4_P2_MONOID = GeneratedCone(2, [(1, -2), (-1, -1), (0, -2)])
 SP4_P2_SAT = GeneratedCone(2, [(1, -2), (-1, -1)])
@@ -318,6 +317,35 @@ def test_extreme_rays_not_pointed():
     assert cones_equal_saturated(GeneratedCone(2, gens), hs)
 
 
+def test_one_double_description_per_presentation(monkeypatch):
+    # each presentation object runs the double description once, however
+    # many of its rays, lineality basis and generators are read, and in
+    # whichever order two presentations are compared
+    calls = []
+    real = cones.double_description
+
+    def counted(rows, n):
+        calls.append(n)
+        return real(rows, n)
+
+    monkeypatch.setattr(cones, "double_description", counted)
+    for name, n, p in [("gs", 4, 2), ("xplusi", 4, 2), ("hw", 4, 3),
+                       ("schubert-sat", 4, 2), ("zip-sp6-sat", None, 2)]:
+        cone = catalog_cone(name, n, p)
+        gen, stated = cone.generated, cone.halfspaces
+        calls.clear()
+        for _ in range(2):
+            assert cones_equal_saturated(gen, stated)
+            assert cones_equal_saturated(stated, gen)
+            assert generators_of(stated)
+            if lineality_space(stated):
+                with pytest.raises(NotPointedError):
+                    extreme_rays(stated)
+            else:
+                assert extreme_rays(stated)
+        assert len(calls) == 2, name
+
+
 def test_lineality_space():
     assert lineality_space(HalfspaceSystem(2, [(1, 0)])) == [(0, 1)]
     assert lineality_space(HalfspaceSystem(2, [(1, 0), (-1, 0), (0, 1)])) == []
@@ -340,25 +368,6 @@ def test_minimal_generators():
     # the minimal generators of a pointed cone are its extreme rays
     c = GeneratedCone(2, [(1, 0), (0, 1), (1, 1)])
     assert extreme_rays(halfspaces_of(c)) == [(0, 1), (1, 0)]
-
-
-def test_enumerate_lattice_points_halfline():
-    hs = HalfspaceSystem(1, [(1,)])
-    pts = enumerate_lattice_points(hs, [(-2, 2)])
-    assert pts == [Weight((0,)), Weight((1,)), Weight((2,))]
-
-
-def test_enumerate_lattice_points_gs():
-    gs = HalfspaceSystem(2, [(-1, 0), (1, -1)])
-    pts = enumerate_lattice_points(gs, [(-1, 1), (-1, 1)])
-    assert set(pts) == {Weight((0, 0)), Weight((0, -1)), Weight((-1, -1))}
-
-
-def test_enumerate_lattice_points_sp4_box():
-    hs = HalfspaceSystem(2, [(1, -1), (-2, -1)])
-    pts = enumerate_lattice_points(hs, [(-2, 2), (-2, 2)])
-    expect = {(0, 0), (0, -1), (0, -2), (-1, -1), (-1, -2), (-2, -2), (1, -2)}
-    assert set(map(tuple, pts)) == expect
 
 
 def test_generators_pass_membership():

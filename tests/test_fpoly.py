@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zipcones import fpoly
-from zipcones.cones import Weight
 from zipcones.errors import GuardExceededError
 from zipcones.fpoly import (
     EXPONENT_LIMIT,
@@ -22,6 +21,7 @@ from zipcones.fpoly import (
     _field,
     _var_of,
 )
+from zipcones.weights import Weight, schubert_weight
 
 from gamma_reference import entry_weight
 from gfq import GF, evaluate, field_for, gf_matrix_rank
@@ -161,8 +161,6 @@ def test_weight_of():
 
 
 def test_weight_additive_and_minor_weights():
-    from zipcones.catalog import schubert_weight
-
     for p in (2, 3):
         for n in (2, 3, 4):
             for i in range(1, n + 1):

@@ -5,10 +5,13 @@ finite group and its cosets, and these tests pin all six, the way ``test_imports
 pins the import graph.
 
 ``DD_RAY_GUARD`` bounds the double description; a second polyhedral
-eliminator under that guard would read it too.  ``MONOMIAL_CAP`` is the
-one size limit of the polynomial layer and the default of the dimension
-oracle's monomial cap; a guard on the rank of one verb, or a second copy
-of the cap, is a module-level name that one test refuses.  Every F_p
+eliminator under that guard would read it too.  The double description
+itself runs only in the cached properties of the two presentations and
+of a monoid's solved tail, so no cone object runs it twice on the same
+rows.  ``MONOMIAL_CAP`` is the one size limit of the polynomial layer
+and the default of the dimension oracle's monomial cap; a guard on the
+rank of one verb, or a second copy of the cap, is a module-level name
+that one test refuses.  Every F_p
 elimination divides by a pivot through the modular inverse
 ``pow(x, p - 2, p)``, so the inverse may sit only in the ``fplinalg``
 reduction and in ``fpoly.exact_divide``, which divides polynomials, not
@@ -105,11 +108,17 @@ def test_ray_guard_is_read_only_by_the_double_description():
     assert _places(_reads("DD_RAY_GUARD")) == {"cones.py:double_description"}
 
 
+def test_double_description_runs_only_in_the_cached_properties():
+    # each presentation caches its own; the tail of a monoid its own too
+    assert _places(_reads("double_description")) == {
+        "cones.py:_dual", "cones.py:_rays", "cones.py:_tail"}
+
+
 def test_term_cap_readers():
     # the imports, the two fpoly guards, and the defaults of the oracle's
-    # and the command line's monomial cap
+    # and the command line's monomial cap (the latter in the VERBS table)
     assert _places(_reads("MONOMIAL_CAP")) == {
-        "cli.py:<module>", "cli.py:build_parser",
+        "cli.py:<module>",
         "fpoly.py:<module>", "fpoly.py:_check_size",
         "fpoly.py:_check_minor_size",
         "oracle.py:<module>", "oracle.py:enumerate_weight_monomials",

@@ -103,9 +103,9 @@ PUBLIC = {
     "catalog": "NamedCone catalog_cone cone_GS cone_hw cone_pol cone_schubert "
                "cone_schubert_saturated cone_sigma cone_zip_sp4 "
                "cone_zip_sp4_saturated cone_zip_sp6_saturated",
-    "cones": "GeneratedCone HalfspaceSystem cones_equal_saturated "
-             "enumerate_lattice_points extreme_rays halfspaces_of "
-             "monoid_membership saturated_membership",
+    "cones": "GeneratedCone HalfspaceSystem cone_contains_saturated "
+             "cones_equal_saturated extreme_rays generators_of halfspaces_of "
+             "lineality_space monoid_membership saturated_membership",
     "errors": "EmptyModuleError GuardExceededError InhomogeneousWeightError "
               "NotPointedError NotUnipotentInvariantError RankMismatchError "
               "TheoremViolationError WeightMismatchError ZipconeError",

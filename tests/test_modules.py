@@ -18,7 +18,6 @@ from valuation_reference import (
     valuation_by_element,
 )
 from zipcones import modules
-from zipcones.cones import Weight
 from zipcones.errors import (
     EmptyModuleError,
     GuardExceededError,
@@ -44,6 +43,7 @@ from zipcones.modules import (
     verify_left_borel_law,
     weyl_dimension,
 )
+from zipcones.weights import Weight
 
 
 def test_group_enumeration_and_order():

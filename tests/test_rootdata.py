@@ -2,9 +2,8 @@ import pytest
 from functools import lru_cache
 from math import comb
 
-from zipcones.cones import Weight
 from zipcones.rootdata import SymplecticRootDatum
-from zipcones.weights import eta_weight, eta_weights, gaussian_binomial
+from zipcones.weights import Weight, eta_weight, eta_weights, gaussian_binomial
 
 
 @lru_cache(maxsize=None)

@@ -21,8 +21,6 @@ from h0_reference import (
     h0_by_substitution,
 )
 from zipcones import fpoly, modules, sections
-from zipcones.catalog import eta_weight, hodge_character, schubert_weight
-from zipcones.cones import Weight
 from zipcones.errors import (
     GuardExceededError,
     InhomogeneousWeightError,
@@ -68,6 +66,7 @@ from zipcones.sections import (
     rzip_sp4_graded_dimension,
     section_names,
 )
+from zipcones.weights import Weight, eta_weight, hodge_character, schubert_weight
 
 
 def test_check_equivariance_basic():
