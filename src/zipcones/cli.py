@@ -132,16 +132,7 @@ def _cmd_cone(args):
 def _cmd_rootdata(args):
     from .rootdata import SymplecticRootDatum
 
-    d = SymplecticRootDatum(args.n)
-    return {
-        "n": d.n,
-        "simple_roots": [list(r) for r in d.simple_roots],
-        "simple_coroots": [list(c) for c in d.simple_coroots],
-        "levi_indices": list(d.levi_indices),
-        "beta_index": d.beta_index,
-        "positive_roots": [list(r) for r in d.positive_roots],
-        "positive_coroots": [list(c) for c in d.positive_coroots],
-    }
+    return vars(SymplecticRootDatum(args.n))
 
 
 def _cmd_verify_section(args):

@@ -276,12 +276,6 @@ def monoid_membership(cone, lam):
     return rec(0, list(lam))
 
 
-def saturated_membership(cone, lam):
-    """True iff ``lam`` is a nonnegative rational combination of generators,
-    decided by the cached dual description."""
-    return halfspaces_of(cone).contains(lam)
-
-
 def halfspaces_of(cone):
     """Dual (inequality) description of the rational hull of a cone.
 

@@ -1,5 +1,5 @@
-"""The root datum of Sp(2n) with Levi GL_n, as the ``rootdata`` verb
-prints it.
+"""The root datum of Sp(2n) with Levi GL_n: its fields are the document
+the ``rootdata`` verb prints, its tuples as JSON arrays.
 
 The character lattice of the diagonal torus is identified with Z^n.  The
 Levi Weyl group is the symmetric group S_n acting on coordinates, and the

@@ -147,6 +147,11 @@ MUTANTS = [
      ["tests/test_cones.py::test_one_double_description_per_presentation"]),
     ("cli.py", "if total > OUTPUT_DIGIT_GUARD:", "if False:",
      ["tests/test_cli.py::test_output_past_the_digit_guard_exits_2_at_once"]),
+    ("catalog.py", "cone_zip_sp6_saturated(p), 3)",
+     "cone_zip_sp6_saturated(p), 2)",
+     ["tests/test_cli.py::test_input_rejections_exit_1"]),
+    ("catalog.py", "if entries > CONE_ENTRY_GUARD:", "if False:",
+     ["tests/test_cli.py::test_cone_past_the_entry_guard_exits_2"]),
 ]
 
 

@@ -27,7 +27,6 @@ from zipcones.cones import (
     cones_equal_saturated,
     halfspaces_of,
     monoid_membership,
-    saturated_membership,
 )
 from zipcones.errors import GuardExceededError
 from zipcones.modules import (
@@ -256,9 +255,9 @@ def test_criterion_8_cone_inclusion_suite():
                 assert members, (p, lam)
             for mu in members:
                 hits += 1
-                assert saturated_membership(pol.generated, mu), (p, lam)
+                assert halfspaces_of(pol.generated).contains(mu), (p, lam)
                 assert xpi.halfspaces.contains(mu), (p, lam)
-                assert saturated_membership(sig.generated, mu), (p, lam)
+                assert halfspaces_of(sig.generated).contains(mu), (p, lam)
         stats.append("n=2 p=%d (%d middle hits)" % (p, hits))
 
     # rank 3: box of criterion 6; positivity of h0 at the multiple is
@@ -314,9 +313,9 @@ def test_criterion_8_cone_inclusion_suite():
         if dim is not None:
             assert dim > 0, (lam, m)
             oracle_runs += 1
-        assert saturated_membership(pol3.generated, mu), lam
+        assert halfspaces_of(pol3.generated).contains(mu), lam
         assert xpi3.halfspaces.contains(mu), lam
-        assert saturated_membership(sig3.generated, mu), lam
+        assert halfspaces_of(sig3.generated).contains(mu), lam
     stats.append("n=3 p=2 (%d witnessed, %d oracle-confirmed)"
                  % (witnessed, oracle_runs))
 
@@ -339,7 +338,7 @@ def test_criterion_8_cone_inclusion_suite():
             # e_1 - p e_2, which separates it from Sigma_1
             assert not cones_equal_saturated(pol.generated, sig.generated)
             witness = Weight([1, -p] + [0] * (n - 2))
-            assert not saturated_membership(sig.generated, witness)
+            assert not halfspaces_of(sig.generated).contains(witness)
     stats.append("n=4,5 p=2,3 (GS <= HW <= XplusI, HW <= Sigma1' = Sigma1 "
                  "< Pol, exact)")
     _report(8, True, "; ".join(stats))

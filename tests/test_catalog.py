@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from zipcones import catalog
 from zipcones.catalog import (
     catalog_cone,
     catalog_names,
@@ -26,7 +27,6 @@ from zipcones.cones import (
     extreme_rays,
     halfspaces_of,
     monoid_membership,
-    saturated_membership,
 )
 from zipcones.rootdata import SymplecticRootDatum
 from zipcones.weights import (
@@ -41,6 +41,17 @@ from zipcones.weights import (
 
 def box_points(n, lo, hi):
     return itertools.product(*[range(lo, hi + 1)] * n)
+
+
+def test_each_fixed_rank_row_builds_a_cone_of_that_rank():
+    fixed = {name: rank for name, (_, rank) in catalog._CLI_NAMES.items()
+             if rank is not None}
+    assert fixed == {"zip-sp4": 2, "zip-sp4-sat": 2, "zip-sp6-sat": 3}
+    for name, rank in fixed.items():
+        for p in (2, 3, 5):
+            cone = catalog_cone(name, None, p)
+            assert cone.rank == cone.generated.rank == rank, (name, p)
+            assert cone.halfspaces is None or cone.halfspaces.rank == rank
 
 
 def test_gs_halfspaces_reduce_to_chain():
@@ -162,7 +173,7 @@ def test_etas_on_boundary_hyperplane():
 def test_pol_extreme_rays():
     c = cone_pol(2, 2)
     assert extreme_rays(halfspaces_of(c.generated)) == [(-2, 1), (1, -2)]
-    assert not saturated_membership(c.generated, (1, 0))
+    assert not halfspaces_of(c.generated).contains((1, 0))
 
 
 def test_sigma1prime_cone_equals_zip_sp6():
@@ -173,12 +184,12 @@ def test_sigma1prime_cone_equals_zip_sp6():
         # the intersection of the monomial-support cone with the dominant
         # chamber is the saturated rank-3 cone
         inter = [Weight(pt) for pt in box_points(3, -8, 8)
-                 if saturated_membership(csig.generated, pt)
+                 if halfspaces_of(csig.generated).contains(pt)
                  and xpi.halfspaces.contains(pt)]
         for pt in inter:
             assert zip6.halfspaces.contains(pt)
         for g in zip6.generated.generators:
-            assert saturated_membership(csig.generated, g)
+            assert halfspaces_of(csig.generated).contains(g)
             assert xpi.halfspaces.contains(g)
 
 
@@ -239,7 +250,7 @@ def test_zip_inside_sigma1prime_cap_dominant():
         csig = cone_sigma(sigma1prime(3), 3, p)
         xpi = cone_XplusI(3)
         for g in zipc.generated.generators:
-            assert saturated_membership(csig.generated, g)
+            assert halfspaces_of(csig.generated).contains(g)
             assert xpi.halfspaces.contains(g)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import zipcones
-from zipcones import cli, cones, fpoly, modules, rootdata
+from zipcones import catalog, cli, cones, fpoly, modules, rootdata
 from zipcones.catalog import catalog_cone, catalog_names
 from zipcones.cli import main
 
@@ -73,6 +74,25 @@ def test_rootdata_verb(tmp_path):
     assert len(doc["positive_roots"]) == 9
 
 
+# sha256 of the rootdata document at n = 1..7, as the field-by-field copy
+# of the datum printed it
+ROOTDATA_SHA256 = {
+    1: "9923309d68de98fca75632d11bcdc74867cf59dc5d401cf6df3550dee6ecae3a",
+    2: "3425db61a7a9762c6e6d7ee64d40a65a02eeeea7ac1f3175f62080fda4537a11",
+    3: "843174111e17e96a127e475342daec7fb0cf3910c0652b3f2bbef77ee229cfe3",
+    4: "15d22663dfa852a9b928646d0c3c5a9e6b60592c7cdf29b00a4449c81c9d1e6a",
+    5: "f9555f9d1c50f8e01edb2d82c1c79ca077c82b529e9f2dd775cc06121ff4b10f",
+    6: "e1a8be24ef8cab62f1d43ce9a6c67f3bb969b1785c1b9ef5324513cca949281e",
+    7: "fe83fe43517ed96a8bcee469306baa2ce57f9d49da69a44b79a34cb2b588ff18",
+}
+
+
+def test_rootdata_prints_the_recorded_bytes(tmp_path):
+    for n, digest in ROOTDATA_SHA256.items():
+        code, data = run(["rootdata", "--n", str(n)], tmp_path)
+        assert code == 0 and hashlib.sha256(data).hexdigest() == digest, n
+
+
 def test_rootdata_past_the_root_guard_exits_2():
     # the root count is checked before any root is built, so n = 3000
     # (9 * 10^6 roots) is refused at once
@@ -98,6 +118,38 @@ def test_cone_past_the_pair_guard_exits_2(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "guard error: double description has 76 ray pairs at row 22 of 25, "
         "more than the limit 75 (DD_PAIR_GUARD)\n")
+
+
+def test_cone_past_the_entry_guard_exits_2(tmp_path, monkeypatch, capsys):
+    # gs at n = 10 states 100 rows and 10 generators of 10 entries; the
+    # count is checked from n before any vector is built
+    argv = ["cone", "--name", "gs", "--n", "10", "--p", "2"]
+    monkeypatch.setattr(catalog, "CONE_ENTRY_GUARD", 1100)
+    code, data = run(argv, tmp_path)
+    assert code == 0 and data
+    monkeypatch.setattr(catalog, "CONE_ENTRY_GUARD", 1099)
+    assert run(argv, tmp_path, "refused.json") == (2, b"")
+    assert capsys.readouterr().err == (
+        "guard error: GS states 1100 entries, more than the limit 1099 "
+        "(CONE_ENTRY_GUARD)\n")
+
+
+@pytest.mark.parametrize("name, n, cone, entries", [
+    ("gs", 600, "GS", 216360000), ("pol", 600, "Pol", 216000000),
+    ("sigma1", 1000, "Sigma", 501000000),
+    ("sigma1p", 1000, "Sigma", 500000000), ("hw", 600, "HW", 1078920000),
+    ("xplusi", 5001, "XplusI", 50020002),
+    ("schubert-sat", 5001, "Schubert", 50020002)])
+def test_large_catalog_cones_exit_2_at_once(name, n, cone, entries, capsys):
+    # the first four ended in MemoryError after 48-206 s under a 3 GB
+    # limit; hw counts each eta entry, of up to 3001 words, by its words,
+    # and spent 2.8 s on them before the output check refused it; the
+    # cones of at most 2n^2 entries pass the limit from n = 5001
+    err = _refused_in_time(["cone", "--name", name, "--n", str(n), "--p",
+                            "2", "--emit", "generators"], capsys)
+    assert err == ("guard error: %s states %d entries, more than the limit "
+                   "%d (CONE_ENTRY_GUARD)\n"
+                   % (cone, entries, catalog.CONE_ENTRY_GUARD))
 
 
 def test_an_output_integer_past_the_digit_limit_exits_2(capsys):
@@ -180,7 +232,7 @@ def test_sweep_saturated_cone_matches_both_membership_tests(capsys):
     for r in rows:
         lam = tuple(r["weight"])
         assert r["catalog_member"] == cone.halfspaces.contains(lam) \
-            == cones.saturated_membership(cone.generated, lam), lam
+            == cones.halfspaces_of(cone.generated).contains(lam), lam
         assert r["agree"] == ((r["oracle_dim"] > 0) == r["catalog_member"])
     assert len(rows) == 64
     assert sum(r["catalog_member"] for r in rows) == 13
@@ -291,13 +343,8 @@ def test_monoid_with_a_line_is_refused(tmp_path, monkeypatch, capsys):
     # a monoid-presented cone with a line: nothing caps the coefficients of
     # its generators (1,0) and (-1,0), so the sweep refuses the cone with
     # one error line instead of printing a row
-    import zipcones.catalog as catalog
-    import zipcones.cones as cones
-
-    cone = catalog.NamedCone(
-        "Lined", 2,
-        generated=cones.GeneratedCone(2, [(1, 0), (-1, 0), (0, 1)]),
-        monoid=True)
+    cone = catalog.NamedCone("Lined", 2, [(1, 0), (-1, 0), (0, 1)],
+                             monoid=True)
     monkeypatch.setattr(catalog, "catalog_cone", lambda name, n, p: cone)
     code, data = run(["sweep", "--n", "2", "--p", "2", "--box", "7..8",
                       "--compare", "zip-sp4"], tmp_path)
@@ -621,13 +668,16 @@ class _Expired(BaseException):
 def _fuzz_argv(rng):
     # n in -1..7 (at most 5 for gamma and vlambda), or one of 1600, 20000
     # and 10^6 for gamma, verify-section and vlambda, past the minor and the
-    # packed-width guards; p prime up to 13 or not prime, weights of the
-    # right and of a wrong rank in [-12, 6] (constant past rank 7), empty,
-    # reversed and narrow boxes, catalog names and an unknown one
+    # packed-width guards, or 600 for cone, past the entry guard; p prime up
+    # to 13 or not prime, weights of the right and of a wrong rank in
+    # [-12, 6] (constant past rank 7), empty, reversed and narrow boxes,
+    # catalog names and an unknown one
     verb = rng.choice(["cone", "rootdata", "verify-section", "gamma", "h0",
                        "vlambda", "sweep", "slice"])
     if verb in ("gamma", "verify-section", "vlambda") and rng.random() < 0.25:
         n = rng.choice([1600, 20000, 10 ** 6])
+    elif verb == "cone" and rng.random() < 0.25:
+        n = 600
     else:
         n = rng.randint(-1, 5 if verb in ("gamma", "vlambda") else 7)
     p = rng.choice([2, 3, 5, 7, 11, 13, 0, 1, 4, 10 ** 30])

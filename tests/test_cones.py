@@ -20,7 +20,6 @@ from zipcones.cones import (
     halfspaces_of,
     lineality_space,
     monoid_membership,
-    saturated_membership,
 )
 from zipcones.errors import (
     GuardExceededError,
@@ -211,9 +210,9 @@ def test_monoid_membership_matches_the_reference_on_random_cones():
 
 
 def test_saturated_membership_sp4():
-    assert saturated_membership(SP4_P2_SAT, (1, -2)) is True
-    assert saturated_membership(SP4_P2_SAT, (0, -1)) is True
-    assert saturated_membership(SP4_P2_SAT, (1, 0)) is False
+    assert halfspaces_of(SP4_P2_SAT).contains((1, -2)) is True
+    assert halfspaces_of(SP4_P2_SAT).contains((0, -1)) is True
+    assert halfspaces_of(SP4_P2_SAT).contains((1, 0)) is False
 
 
 def test_halfspaces_of_halfline():
@@ -374,7 +373,7 @@ def test_generators_pass_membership():
     for cone in (SP4_P2_MONOID, SP4_P2_SAT):
         for g in cone.generators:
             assert monoid_membership(cone, g) is not None
-            assert saturated_membership(cone, g)
+            assert halfspaces_of(cone).contains(g)
 
 
 small_vec = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
@@ -388,7 +387,7 @@ def test_membership_additivity(gens, u, v):
     cv = nonneg_combination([list(g) for g in cone.generators], list(v))
     if cu is not None and cv is not None:
         s = (u[0] + v[0], u[1] + v[1])
-        assert saturated_membership(cone, s)
+        assert halfspaces_of(cone).contains(s)
 
 
 @settings(max_examples=40, deadline=None)
@@ -473,7 +472,7 @@ def test_halfspaces_of_reaches_rank_4():
     for n in (6, 7):
         for p in (2, 3):
             sig = catalog_cone("sigma1", n, p).generated
-            assert not saturated_membership(sig, [1, -p] + [0] * (n - 2))
+            assert not halfspaces_of(sig).contains([1, -p] + [0] * (n - 2))
 
 
 @st.composite

@@ -105,7 +105,7 @@ PUBLIC = {
                "cone_zip_sp4_saturated cone_zip_sp6_saturated",
     "cones": "GeneratedCone HalfspaceSystem cone_contains_saturated "
              "cones_equal_saturated extreme_rays generators_of halfspaces_of "
-             "lineality_space monoid_membership saturated_membership",
+             "lineality_space monoid_membership",
     "errors": "EmptyModuleError GuardExceededError InhomogeneousWeightError "
               "NotPointedError NotUnipotentInvariantError RankMismatchError "
               "TheoremViolationError WeightMismatchError ZipconeError",
